@@ -1,5 +1,6 @@
 """Approximation machinery: truncation, perturbation, and grid-LP schemes."""
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -36,6 +37,7 @@ def svd_truncate(matrix, k, max_denominator=10**6):
     triples of a float SVD are rationalized factor by factor and summed, so
     the result provably has rank <= k; the rationalization happens on the
     rank-one factors, never on their sum, which would not preserve the rank.
+    Entries too large for the float SVD raise ValueError.
     """
     c = fraction_matrix(matrix)
     if k < 0:
@@ -46,6 +48,14 @@ def svd_truncate(matrix, k, max_denominator=10**6):
     out = np.full((m, n), Fraction(0), dtype=object)
     if k == 0:
         return out
+    # every singular value is at most sqrt(m n) times the largest entry, so
+    # this keeps the float conversion and the SVD's output finite
+    if max_abs_entry(c) * m * n >= sys.float_info.max:
+        raise ValueError(
+            "payoff sum entries are too large for the float SVD of "
+            "svd_truncate: the largest |entry| times m*n must stay below "
+            f"{sys.float_info.max:.3g}"
+        )
     u, s, vt = np.linalg.svd(c.astype(float))
     for t in range(k):
         col = fraction_vector(

@@ -2,6 +2,7 @@
 
 import argparse
 import sys
+import traceback
 
 from .approx import perturb_game, svd_truncate
 from .approx import approx_absolute, approx_relative
@@ -30,6 +31,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 _SIMPLE_FAMILIES = ("rank1", "sqdiff", "identity")
 
@@ -302,6 +304,13 @@ def main(argv=None):
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a bug or an exhausted internal limit such as max_rounds: never let
+        # it exit 1, which means "verification failed"
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

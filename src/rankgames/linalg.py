@@ -55,42 +55,56 @@ def max_abs_entry(matrix):
     return Fraction(max(abs(e) for e in np.asarray(matrix).flat))
 
 
-def _echelon(rows):
-    """Row-reduce a list of Fraction lists in place; return pivot count.
+def pivot(rows, r, col):
+    """One exact Gauss-Jordan step on a list of Fraction row lists, in place.
 
-    Pivots are taken column by column, first nonzero row wins, so the result
-    is deterministic for a given input.
+    Scales row r so its col entry is 1, then clears col from every other row.
+    Changed rows are replaced by new lists, never mutated, so a reference to
+    an earlier row stays valid. This is the package's only elimination
+    kernel: rank, solve, rank factorization and the simplex differ only in
+    how they choose (r, col).
+    """
+    prow = rows[r]
+    p = prow[col]
+    if p != 1:
+        rows[r] = prow = [e / p if e else e for e in prow]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            if f != 0:
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+
+
+def _peel(rows):
+    """Canonical rank-one peel of a list of Fraction row lists, consumed.
+
+    Columns are scanned left to right, and in each the first remaining row
+    with a nonzero entry is the pivot. Rows are never swapped, and each pivot
+    row leaves the list after its step, so the list always holds the
+    residual of the peel so far. Returns one pair (u, v) per pivot: u is the
+    pivot column of the residual taken before the step, with 0 on the rows
+    already peeled, and v is the pivot row divided by the pivot. The pair
+    count is the rank.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for i in range(rank, m):
-            if rows[i][col] != 0:
-                pivot = i
+    left = list(range(m))  # original index of each remaining row
+    pairs = []
+    for col in range(len(rows[0])):
+        for k, row in enumerate(rows):
+            if row[col] != 0:
+                u = [Fraction(0)] * m
+                for i, rest in zip(left, rows):
+                    u[i] = rest[col]
+                pivot(rows, k, col)
+                pairs.append((u, rows.pop(k)))
+                del left[k]
                 break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for i in range(rank + 1, m):
-            f = rows[i][col]
-            if f == 0:
-                continue
-            f *= inv
-            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return pairs
 
 
 def matrix_rank(matrix):
-    """Exact rank via Gaussian elimination over the rationals."""
-    mat = fraction_matrix(matrix)
-    return _echelon([list(r) for r in mat.tolist()])
+    """Exact rank via Gauss-Jordan elimination over the rationals."""
+    return len(_peel(fraction_matrix(matrix).tolist()))
 
 
 def solve_linear_system(a, b):
@@ -106,27 +120,16 @@ def solve_linear_system(a, b):
     b = fraction_vector(b)
     if len(b) != n:
         raise ValueError("right-hand side length does not match")
-    rows = [list(ra) + [rb] for ra, rb in zip(a.tolist(), b.tolist())]
+    rows = [ra + [rb] for ra, rb in zip(a.tolist(), b.tolist())]
     for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                pivot = i
+        for r in range(col, n):
+            if rows[r][col] != 0:
                 break
-        if pivot is None:
+        else:
             return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        prow = rows[col]
-        inv = 1 / prow[col]
-        for i in range(n):
-            if i == col:
-                continue
-            f = rows[i][col]
-            if f == 0:
-                continue
-            f *= inv
-            rows[i] = [a_ - f * b_ for a_, b_ in zip(rows[i], prow)]
-    return tuple(rows[i][n] / rows[i][i] for i in range(n))
+        rows[col], rows[r] = rows[r], rows[col]
+        pivot(rows, col, col)
+    return tuple(row[n] for row in rows)
 
 
 @dataclass(frozen=True)
@@ -157,40 +160,18 @@ class RankFactorization:
 def rank_factorize(matrix):
     """Canonical rank factorization by iterated rank-one peeling.
 
-    Each step takes the first nonzero entry in column order as pivot, peels
-    the rank-one product (pivot column) x (pivot row / pivot), and repeats on
-    the residual. Each pair is scaled so the first nonzero entry of its u is
-    positive. The pair count always equals matrix_rank of the input.
+    Each step takes the first nonzero entry of the residual in column order
+    as pivot and peels the rank-one product (pivot column) x (pivot row /
+    pivot). Each pair is scaled so the first nonzero entry of its u, which is
+    the pivot itself, is positive. The pair count always equals matrix_rank
+    of the input.
     """
     mat = fraction_matrix(matrix)
-    m, n = mat.shape
-    work = [list(r) for r in mat.tolist()]
     pairs = []
-    while True:
-        pivot = None
-        for j in range(n):
-            for i in range(m):
-                if work[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot is not None:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        p = work[pi][pj]
-        u = [work[i][pj] for i in range(m)]
-        v = [work[pi][j] / p for j in range(n)]
-        # u's first nonzero is the pivot itself; flip both if it is negative
-        # (the product u v^T is unchanged, so the peel below uses them as is)
-        if p < 0:
+    for u, v in _peel(mat.tolist()):
+        if next(e for e in u if e != 0) < 0:
             u = [-e for e in u]
             v = [-e for e in v]
-        for i in range(m):
-            if u[i] == 0:
-                continue
-            ui = u[i]
-            work[i] = [w - ui * vj for w, vj in zip(work[i], v)]
         pairs.append((tuple(u), tuple(v)))
     nonneg = all(e >= 0 for u, v in pairs for e in (*u, *v))
-    return RankFactorization(shape=(m, n), pairs=tuple(pairs), nonnegative=nonneg)
+    return RankFactorization(shape=mat.shape, pairs=tuple(pairs), nonnegative=nonneg)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_fraction, fraction_matrix, fraction_vector
+from .linalg import as_fraction, fraction_matrix, fraction_vector, pivot
 
 SENSES = ("<=", "=", ">=")
 
@@ -81,35 +81,22 @@ def linear_program(objective, lhs, senses, rhs, lower=None, upper=None):
     )
 
 
-def _pivot(rows, zrow, basis, r, col):
-    prow = rows[r]
-    inv = 1 / prow[col]
-    if inv != 1:
-        rows[r] = prow = [e * inv for e in prow]
-    for i, row in enumerate(rows):
-        if i == r:
-            continue
-        f = row[col]
-        if f != 0:
-            rows[i] = [a - f * b for a, b in zip(row, prow)]
-    f = zrow[col]
-    if f != 0:
-        zrow[:] = [a - f * b for a, b in zip(zrow, prow)]
-    basis[r] = col
-
-
-def _price_out(cost, rows, basis):
-    zrow = list(cost) + [Fraction(0)]
+def _price_out(tableau, cost, basis):
+    """Append the reduced-cost row of cost to the tableau, pricing out every
+    basic column (each is a unit column of the constraint rows)."""
+    tableau.append(list(cost) + [Fraction(0)])
     for i, b in enumerate(basis):
-        f = cost[b]
-        if f != 0:
-            zrow = [a - f * b_ for a, b_ in zip(zrow, rows[i])]
-    return zrow
+        pivot(tableau, i, b)
 
 
-def _iterate(rows, zrow, basis, ncols):
-    """Run Bland-rule simplex iterations; return 'optimal' or 'unbounded'."""
+def _iterate(tableau, basis, ncols):
+    """Run Bland-rule simplex iterations; return 'optimal' or 'unbounded'.
+
+    The constraint rows come first, one per basis entry; the last row holds
+    the reduced costs, so one pivot updates both.
+    """
     while True:
+        zrow = tableau[-1]
         col = None
         for j in range(ncols):
             if zrow[j] < 0:
@@ -119,7 +106,8 @@ def _iterate(rows, zrow, basis, ncols):
             return "optimal"
         leave = None
         best = None
-        for i, row in enumerate(rows):
+        for i in range(len(basis)):
+            row = tableau[i]
             a = row[col]
             if a > 0:
                 ratio = row[-1] / a
@@ -130,7 +118,8 @@ def _iterate(rows, zrow, basis, ncols):
                     leave = i
         if leave is None:
             return "unbounded"
-        _pivot(rows, zrow, basis, leave, col)
+        pivot(tableau, leave, col)
+        basis[leave] = col
 
 
 def solve_lp(lp):
@@ -222,16 +211,17 @@ def solve_lp(lp):
                 ext[basis[i] - ncols] = Fraction(1)
             rows[i] = row[:-1] + ext + [row[-1]]
         cost1 = [Fraction(0)] * ncols + [Fraction(1)] * len(art_cols)
-        zrow = _price_out(cost1, rows, basis)
-        _iterate(rows, zrow, basis, total)
-        if -zrow[-1] > 0:
+        _price_out(rows, cost1, basis)
+        _iterate(rows, basis, total)
+        if -rows.pop()[-1] > 0:
             return LpSolution("infeasible", None, None)
         # pivot leftover artificials out; an all-zero row is redundant
         for i in range(len(rows)):
             if basis[i] >= ncols:
                 col = next((j for j in range(ncols) if rows[i][j] != 0), None)
                 if col is not None:
-                    _pivot(rows, zrow, basis, i, col)
+                    pivot(rows, i, col)
+                    basis[i] = col
         keep = [i for i in range(len(rows)) if basis[i] < ncols]
         rows = [rows[i][:ncols] + [rows[i][-1]] for i in keep]
         basis = [basis[i] for i in keep]
@@ -243,8 +233,8 @@ def solve_lp(lp):
             continue
         for t, sign in terms[j]:
             cost2[t] += cj if sign > 0 else -cj
-    zrow = _price_out(cost2, rows, basis)
-    if _iterate(rows, zrow, basis, ncols) == "unbounded":
+    _price_out(rows, cost2, basis)
+    if _iterate(rows, basis, ncols) == "unbounded":
         return LpSolution("unbounded", None, None)
 
     std = [Fraction(0)] * nstd

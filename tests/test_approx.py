@@ -151,6 +151,18 @@ def test_absolute_guards():
         approx_absolute(squared_difference_family(3), Fraction(1, 2), rank_guard=2)
 
 
+def test_golden_profiles():
+    # the exact reports of both grid schemes are pinned; test_lp pins the
+    # simplex's pivot path itself, which these small games do not exercise
+    rep = approx_absolute(rank1_family(5), Fraction(1, 10))
+    assert (rep.profile, rep.loss, rep.payoff1, rep.payoff2) == (
+        pure_profile(5, 5, 0, 0), 0, 2, 2)
+    rep = approx_relative(rank1_family(4), Fraction(1, 4))
+    assert (rep.profile, rep.loss, rep.payoff1, rep.payoff2) == (
+        pure_profile(4, 4, 0, 0), 0, 2, 2)
+    assert rep.parameter == Fraction(9, 25)
+
+
 def _pair(u, v):
     return (tuple(Fraction(e) for e in u), tuple(Fraction(e) for e in v))
 

@@ -180,6 +180,17 @@ def test_perturb_subcommand(tmp_path, capsys):
     assert load_game(out) == squared_difference_family(3)
 
 
+def test_perturb_huge_entry_is_a_usage_error(tmp_path, capsys):
+    # 10**309 is beyond the float range, so the truncating SVD cannot run
+    path = tmp_path / "huge.txt"
+    path.write_text(f"2 2\n{10**309} 0\n0 1\n0 0\n0 0\n")
+    assert main(["perturb", str(path), "--k", "1"]) == 2
+    assert "too large for the float SVD" in capsys.readouterr().err
+    # the exact shortcut needs no floats, so it still works at full rank
+    assert main(["perturb", str(path), "--k", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_parse_error_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n1 2\n")
@@ -199,6 +210,21 @@ def test_cap_exit_4(tmp_path, capsys):
     assert main(["solve", small, "--cap", "7"]) == 4
     assert main(["solve", small, "--cap", "8"]) == 0  # raised cap clears it
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("exc", [
+    RuntimeError("no cell met the target after 8 refinement rounds"),
+    AssertionError("this is a bug"),
+])
+def test_internal_error_exit_5(tmp_path, capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("rankgames.cli.approx_absolute", broken)
+    game = write_game(tmp_path, "g.txt", rank1_family(2))
+    assert main(["approx", game, "--scheme", "abs", "--eps", "1/10"]) == 5
+    err = capsys.readouterr().err
+    assert f"error: internal error: {type(exc).__name__}: {exc}" in err
 
 
 def test_argparse_usage_exit_2(capsys):

@@ -8,12 +8,16 @@ import pytest
 
 from rankgames import (
     as_fraction,
+    block_game,
     fraction_matrix,
     fraction_vector,
+    identity_game,
     matrix_rank,
     max_abs_entry,
+    rank1_family,
     rank_factorize,
     solve_linear_system,
+    squared_difference_family,
 )
 
 from helpers import random_matrix
@@ -109,3 +113,82 @@ def test_rank_factorize_zero_matrix():
     assert fact.rank == 0
     assert fact.pairs == ()
     assert np.array_equal(fact.matrix(), fraction_matrix([[0, 0], [0, 0]]))
+
+
+def test_rank_factorize_golden_pairs():
+    # the canonical peel order fixes the grid axes of the approximation
+    # schemes, so these exact pairs are pinned
+    assert rank_factorize(rank1_family(3).c).pairs == (
+        ((4, 8, 12), (1, 2, 3)),
+    )
+    assert rank_factorize(squared_difference_family(4).c).pairs == (
+        ((0, 2, 8, 18), (-1, 0, -1, -4)),
+        ((2, 0, 2, 8), (0, -1, -4, -9)),
+        ((0, 0, 16, 48), (0, 0, 1, 3)),
+    )
+    block = block_game(identity_game(2), rank1_family(3))
+    assert rank_factorize(block.c).pairs == (
+        ((2, 0, 0, 0, 0), (1, 0, 0, 0, 0)),
+        ((0, 2, 0, 0, 0), (0, 1, 0, 0, 0)),
+        ((0, 0, 4, 8, 12), (0, 0, 1, 2, 3)),
+    )
+
+
+def test_exact_kernels_match_sympy_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+
+    entries = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    )
+
+    def grids(m, n):
+        return st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m
+        )
+
+    @st.composite
+    def matrices(draw):
+        m = draw(st.integers(1, 6))
+        n = draw(st.one_of(st.just(m), st.integers(1, 6)))
+        if draw(st.booleans()):
+            return draw(grids(m, n))
+        # a product through an inner dimension k is singular when k is small,
+        # and the zero matrix when k is 0
+        k = draw(st.integers(0, min(m, n)))
+        left, right = draw(grids(m, k)), draw(grids(k, n))
+        return [
+            [sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+             for j in range(n)]
+            for i in range(m)
+        ]
+
+    def to_sympy(rows):
+        return sympy.Matrix(
+            [[sympy.Rational(e.numerator, e.denominator) for e in r] for r in rows]
+        )
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(matrices(), st.lists(entries, min_size=6, max_size=6))
+    def check(rows, rhs):
+        mat = fraction_matrix(rows)
+        rank = to_sympy(rows).rank()
+        assert matrix_rank(mat) == rank
+        fact = rank_factorize(mat)
+        assert fact.rank == rank
+        assert np.array_equal(fact.matrix(), mat)
+
+        n = min(mat.shape)
+        square, b = [r[:n] for r in rows[:n]], rhs[:n]
+        x = solve_linear_system(square, b)
+        oracle = to_sympy(square)
+        if oracle.rank() < n:
+            assert x is None
+        else:
+            expected = oracle.LUsolve(to_sympy([[e] for e in b]))
+            assert x == tuple(Fraction(int(e.p), int(e.q)) for e in expected)
+
+    check()

@@ -177,3 +177,18 @@ def test_row_permutation_keeps_objective():
         assert sol2.status == sol.status
         if sol.status == "optimal":
             assert sol2.objective_value == sol.objective_value
+
+
+def test_bland_pivot_path_golden():
+    # both LPs have a whole edge of optima; the returned vertex is the one
+    # Bland's rule reaches, so these pin the pivot path (phase 2 alone, and
+    # phase 1 with artificials then phase 2)
+    sol = solve_lp(linear_program(
+        [-1, -1, -2, 0], [[2, 1, 2, 0], [2, 0, 1, 2], [1, 0, 0, 1]],
+        ["<=", "<=", "<="], [1, 1, 2]))
+    assert sol.x == (0, 1, 0, 0)
+    assert sol.objective_value == -1
+    sol = solve_lp(linear_program(
+        [0, -1, -1, -2], [[0, 1, 2, 2], [2, 2, 1, 0]], ["=", "="], [2, 1]))
+    assert sol.x == (Fraction(1, 2), 0, 0, 1)
+    assert sol.objective_value == -2
