@@ -42,13 +42,13 @@ def _check_cap(game, cap):
         )
 
 
-def _component_partition(game, profiles):
+def _component_partition(profiles, is_equilibrium):
     """Union-find over the exchangeability graph.
 
     Two equilibria are adjacent when both cross pairings are equilibria as
     well; equilibria linked this way span a common convex equilibrium set,
     so the transitive closure groups the extreme points by connected
-    component.
+    component. is_equilibrium takes an (x, y) key.
     """
     n = len(profiles)
     parent = list(range(n))
@@ -61,10 +61,8 @@ def _component_partition(game, profiles):
 
     for i in range(n):
         for j in range(i + 1, n):
-            cross1 = MixedProfile(profiles[i].x, profiles[j].y)
-            cross2 = MixedProfile(profiles[j].x, profiles[i].y)
-            if is_exact_equilibrium(game, cross1) and is_exact_equilibrium(
-                game, cross2
+            if is_equilibrium((profiles[i].x, profiles[j].y)) and is_equilibrium(
+                (profiles[j].x, profiles[i].y)
             ):
                 ri, rj = find(i), find(j)
                 if ri != rj:
@@ -83,6 +81,12 @@ def enumerate_equilibria(game, cap=DEFAULT_CAP):
     unplayed or a best response. Each reported profile is re-verified to
     have loss zero. Output is deduplicated, sorted by profile, and grouped
     into connected components.
+
+    The components need no further loss checks. The P vertex of a strategy x
+    is unique, with payoff max_j x b_j, and its labels are fixed by x; the
+    same holds on the Q side. So a cross pair of two found equilibria is an
+    equilibrium exactly when its vertices cover all labels, that is, exactly
+    when it is itself a found key.
     """
     _check_cap(game, cap)
     p, q = build_polyhedra(game)
@@ -105,9 +109,8 @@ def enumerate_equilibria(game, cap=DEFAULT_CAP):
             found[key] = profile
     profiles = [found[k] for k in sorted(found)]
     reports = tuple(make_report(game, pr) for pr in profiles)
-    return EquilibriumSet(
-        reports=reports, components=_component_partition(game, profiles)
-    )
+    components = _component_partition(profiles, found.__contains__)
+    return EquilibriumSet(reports=reports, components=components)
 
 
 def connected_component_count(game, eqset):
@@ -116,7 +119,10 @@ def connected_component_count(game, eqset):
     Recomputes the exchangeability partition from the reported profiles, so
     it can also audit an EquilibriumSet built elsewhere.
     """
-    return len(_component_partition(game, eqset.profiles))
+    return len(_component_partition(
+        eqset.profiles,
+        lambda key: is_exact_equilibrium(game, MixedProfile(*key)),
+    ))
 
 
 def enumerate_by_supports(game, cap=DEFAULT_CAP):

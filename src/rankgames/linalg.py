@@ -61,8 +61,8 @@ def pivot(rows, r, col):
     Scales row r so its col entry is 1, then clears col from every other row.
     Changed rows are replaced by new lists, never mutated, so a reference to
     an earlier row stays valid. This is the package's only elimination
-    kernel: rank, solve, rank factorization and the simplex differ only in
-    how they choose (r, col).
+    kernel: rank, solve, rank factorization, the simplex and the vertex walk
+    differ only in how they choose (r, col).
     """
     prow = rows[r]
     p = prow[col]

@@ -1,12 +1,12 @@
 """Best-response polyhedra of a bimatrix game and their vertex enumeration."""
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
-from .linalg import fraction_vector, solve_linear_system
+from .linalg import pivot
 
 
 @dataclass(frozen=True)
@@ -105,37 +105,86 @@ def build_polyhedra(game):
     return p, q
 
 
+def _start_rows(poly):
+    """Inequality rows set to equality at the walk's start basis.
+
+    The first pure strategy, its lowest-indexed best-response row, and the
+    nonnegativity rows of every other strategy. The point is that strategy
+    with its best payoff, so every inequality holds, and these rows together
+    with the normalization row fix each coordinate, so the basis is
+    nonsingular.
+    """
+    labels = poly.labels
+    nonneg = [r for r, lab in enumerate(labels) if lab in poly.nonneg_labels]
+    br = [r for r, lab in enumerate(labels) if lab in poly.br_labels]
+    # column 0 of a best-response row is that response's payoff against the
+    # first strategy; max keeps the lowest-indexed of the tied rows
+    return nonneg[1:] + [max(br, key=lambda r: poly.ineqs[r, 0])]
+
+
 def enumerate_vertices(poly):
     """All vertices, each with its complete binding label set.
 
-    Basis search: every choice of strategy_len inequality rows is solved as
-    equalities together with the normalization row; nonsingular systems give
-    candidate points, kept when they satisfy every inequality. Every vertex
-    of a pointed polyhedron is hit by at least one nonsingular choice, so
-    the enumeration is exhaustive. Output is deduplicated and sorted by
+    Pivot walk over the feasible bases. The tableau has one row per
+    inequality, G_i z + s_i = 0 with slack s_i >= 0, and the normalization
+    row. The point coordinates z are free: they are pivoted in once and stay
+    basic, so a basis is the set of strategy_len inequality rows whose
+    slacks are nonbasic. From each basis every nonbasic slack is tried as
+    the entering variable, and every basic slack row tied at the minimum
+    ratio gives a neighbour, degenerate ratio-0 pivots included; a seen-set
+    of nonbasic row sets makes each basis pivot into the walk once. A
+    basis's point is read from the coordinate rows, and its binding labels
+    are the nonbasic rows plus the basic slacks at 0.
+
+    Completeness: every vertex v* is the unique optimum of some linear
+    objective. Bland's simplex method run on that objective from the start
+    basis terminates at an optimal basis, whose point is v*, and it makes
+    only min-ratio pivots on slack columns; the walk follows every such
+    pivot, so it reaches a basis of v*. Output is deduplicated and sorted by
     point, so the order is deterministic.
     """
-    k = poly.ineqs.shape[0]
-    d = poly.dim
-    norm_row = [Fraction(1)] * poly.strategy_len + [Fraction(0)]
-    seen = {}
-    for subset in combinations(range(k), d - 1):
-        a = [norm_row] + [list(poly.ineqs[r]) for r in subset]
-        b = [Fraction(1)] + [Fraction(0)] * (d - 1)
-        point = solve_linear_system(a, b)
-        if point is None:
-            continue
-        if point in seen:
-            continue
-        z = fraction_vector(point)
-        values = poly.ineqs @ z
-        if any(val > 0 for val in values):
-            continue
-        binding = frozenset(
-            poly.labels[r] for r, val in enumerate(values) if val == 0
-        )
-        seen[point] = PolyhedronVertex(point=point, binding=binding)
-    return tuple(seen[p] for p in sorted(seen))
+    k, d = poly.ineqs.shape
+    one, zero = Fraction(1), Fraction(0)
+    rows = [list(poly.ineqs[r]) + [one if i == r else zero for i in range(k)]
+            + [zero] for r in range(k)]
+    rows.append([one] * (d - 1) + [zero] * (k + 1) + [one])
+    free = _start_rows(poly) + [k]
+    coord_rows = []
+    for c in range(d):
+        r = next(r for r in free if rows[r][c] != 0)
+        pivot(rows, r, c)
+        free.remove(r)
+        coord_rows.append(r)
+    # the coordinates never leave, so their unit columns are never read
+    rows = [row[d:] for row in rows]
+    slack_rows = [r for r in range(k) if r not in coord_rows]
+    basic = {r: r for r in slack_rows}  # tableau row -> its basic slack
+    nonbasic = frozenset(r for r in range(k) if r not in basic)
+    seen = {nonbasic}
+    queue = deque([(rows, basic, nonbasic)])
+    found = {}
+    while queue:
+        rows, basic, nonbasic = queue.popleft()
+        point = tuple(rows[r][-1] for r in coord_rows)
+        if point not in found:
+            tight = [i for r, i in basic.items() if rows[r][-1] == 0]
+            binding = frozenset(poly.labels[i] for i in (*nonbasic, *tight))
+            found[point] = PolyhedronVertex(point=point, binding=binding)
+        for j in nonbasic:
+            ratios = [(rows[r][-1] / rows[r][j], r)
+                      for r in slack_rows if rows[r][j] > 0]
+            if not ratios:
+                continue  # an unbounded edge
+            low = min(t for t, _ in ratios)
+            for t, r in ratios:
+                key = nonbasic - {j} | {basic[r]}
+                if t != low or key in seen:
+                    continue
+                seen.add(key)
+                step = list(rows)
+                pivot(step, r, j)
+                queue.append((step, {**basic, r: j}, key))
+    return tuple(found[p] for p in sorted(found))
 
 
 def is_nondegenerate(game):

@@ -209,20 +209,42 @@ def test_cap_exit_4(tmp_path, capsys):
     small = write_game(tmp_path, "small.txt", rank1_family(4))
     assert main(["solve", small, "--cap", "7"]) == 4
     assert main(["solve", small, "--cap", "8"]) == 0  # raised cap clears it
+    assert main(["components", small, "--cap", "7"]) == 4
+    assert main(["components", small, "--cap", "8"]) == 0
     capsys.readouterr()
 
 
+# each command with the function it hands its work to; the game path is
+# filled in for the "GAME" token
+CALLEES = {
+    "solve": (["solve", "GAME"], "enumerate_equilibria"),
+    "solve-zerosum": (["solve", "GAME", "--mode", "zerosum"], "solve_zero_sum"),
+    "components": (["components", "GAME"], "enumerate_equilibria"),
+    "approx-abs": (["approx", "GAME", "--scheme", "abs", "--eps", "1/10"],
+                   "approx_absolute"),
+    "approx-rel": (["approx", "GAME", "--scheme", "rel", "--eps", "1/4"],
+                   "approx_relative"),
+    "rankfact": (["rankfact", "GAME"], "rank_factorize"),
+    "perturb": (["perturb", "GAME", "--k", "1"], "perturb_game"),
+    "verify": (["verify", "GAME", "--profile", "1/2,1/2;1/2,1/2"], "loss"),
+    "bounds": (["bounds", "--d", "4"], "bound_report"),
+    "gen": (["gen", "rank1", "--d", "2"], "build_family"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CALLEES))
 @pytest.mark.parametrize("exc", [
     RuntimeError("no cell met the target after 8 refinement rounds"),
     AssertionError("this is a bug"),
 ])
-def test_internal_error_exit_5(tmp_path, capsys, monkeypatch, exc):
+def test_internal_error_exit_5(tmp_path, capsys, monkeypatch, exc, command):
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr("rankgames.cli.approx_absolute", broken)
+    argv, callee = CALLEES[command]
+    monkeypatch.setattr(f"rankgames.cli.{callee}", broken)
     game = write_game(tmp_path, "g.txt", rank1_family(2))
-    assert main(["approx", game, "--scheme", "abs", "--eps", "1/10"]) == 5
+    assert main([game if a == "GAME" else a for a in argv]) == 5
     err = capsys.readouterr().err
     assert f"error: internal error: {type(exc).__name__}: {exc}" in err
 

@@ -22,6 +22,10 @@ from rankgames import (
 
 from helpers import profile_set, random_game
 
+ZERO = BimatrixGame([[0, 0], [0, 0]], [[0, 0], [0, 0]])
+# every row is a best response to every y
+FLAT = BimatrixGame([[1, 1], [1, 1]], [[1, 0], [0, 1]])
+
 
 def closed_form_rank1_set(d):
     f = Fraction
@@ -36,7 +40,7 @@ def closed_form_rank1_set(d):
 
 
 def test_rank1_counts_and_closed_form():
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 10):
         eqset = enumerate_equilibria(rank1_family(d))
         assert len(eqset.reports) == 2 * d - 1
         assert profile_set(eqset.reports) == closed_form_rank1_set(d)
@@ -71,6 +75,20 @@ def test_zero_game_single_component():
     eqset = enumerate_equilibria(g)
     assert len(eqset.reports) == 4  # all pure vertex pairs
     assert eqset.component_count == 1
+
+
+@pytest.mark.parametrize("game", [
+    ZERO,
+    identity_game(3),
+    block_game(ZERO, identity_game(2)),
+    block_game(FLAT, rank1_family(2)),
+], ids=["zero", "identity3", "block-zero-identity2", "block-flat-rank1-2"])
+def test_components_match_the_exact_audit(game):
+    # enumerate_equilibria links components by set lookups; the audit
+    # re-checks every cross pair with the exact loss. The zero and flat
+    # blocks give components with several extreme equilibria.
+    eqset = enumerate_equilibria(game)
+    assert eqset.component_count == connected_component_count(game, eqset)
 
 
 def test_block_game_hierarchy_example():

@@ -6,12 +6,18 @@ import pytest
 
 from rankgames import (
     BimatrixGame,
+    block_game,
     build_polyhedra,
     enumerate_vertices,
     identity_game,
     is_nondegenerate,
     rank1_family,
 )
+
+from helpers import brute_force_vertices
+
+# an all-ones payoff row side makes every row a best response
+FLAT = BimatrixGame([[1, 1], [1, 1]], [[1, 0], [0, 1]])
 
 
 def test_label_layout():
@@ -39,16 +45,15 @@ def test_frozen_vertex_oracle_d2():
 
 
 def test_vertex_census_formula():
-    for d in range(2, 5):
-        g = rank1_family(d)
-        _, q = build_polyhedra(g)
-        verts = enumerate_vertices(q)
-        assert len(verts) == d * (d * d + 5) // 6
-        # census splits into d single-support and sum k(d-k) double-support
-        supports = [sum(1 for e in v.point[:d] if e != 0) for v in verts]
-        assert supports.count(1) == d
-        assert supports.count(2) == sum(k * (d - k) for k in range(1, d))
-        assert supports.count(1) + supports.count(2) == len(verts)
+    for d in range(2, 11):
+        for poly in build_polyhedra(rank1_family(d)):
+            verts = enumerate_vertices(poly)
+            assert len(verts) == d * (d * d + 5) // 6
+            # census splits into d single-support and sum k(d-k) double-support
+            supports = [sum(1 for e in v.point[:d] if e != 0) for v in verts]
+            assert supports.count(1) == d
+            assert supports.count(2) == sum(k * (d - k) for k in range(1, d))
+            assert supports.count(1) + supports.count(2) == len(verts)
 
 
 def test_at_most_two_best_responses_per_vertex():
@@ -74,6 +79,37 @@ def test_nondegeneracy_detection():
     for d in range(2, 5):
         assert is_nondegenerate(rank1_family(d))
     assert is_nondegenerate(identity_game(3))
-    # an all-ones payoff row side makes every row a best response
-    flat = BimatrixGame([[1, 1], [1, 1]], [[1, 0], [0, 1]])
-    assert not is_nondegenerate(flat)
+    assert not is_nondegenerate(FLAT)
+
+
+@pytest.mark.parametrize("game", [
+    BimatrixGame([[0, 0], [0, 0]], [[0, 0], [0, 0]]),
+    FLAT,
+    BimatrixGame([[3, 3, 1], [0, 0, 2]], [[1, 1, 0], [2, 2, 4]]),
+    block_game(identity_game(2), rank1_family(2)),
+], ids=["zero", "flat", "duplicated-columns", "block"])
+def test_walk_matches_brute_force_on_degenerate_games(game):
+    for poly in build_polyhedra(game):
+        assert enumerate_vertices(poly) == brute_force_vertices(poly)
+
+
+def test_walk_matches_brute_force_on_drawn_games():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def games(draw):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        # entries this small make ties, and so degenerate vertices, frequent
+        grid = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                        min_size=m, max_size=m)
+        return BimatrixGame(draw(grid), draw(grid))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(games())
+    def check(game):
+        for poly in build_polyhedra(game):
+            assert enumerate_vertices(poly) == brute_force_vertices(poly)
+
+    check()
