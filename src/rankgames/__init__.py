@@ -6,9 +6,7 @@ so equilibrium claims are checked by equality, never by tolerance.
 """
 
 from .approx import (
-    AbsoluteCell,
     GamePerturbation,
-    RelativeCell,
     approx_absolute,
     approx_relative,
     equilibrium_survives_perturbation,

@@ -114,92 +114,53 @@ def equilibrium_survives_perturbation(pert, profile):
     return is_approximate_equilibrium(pert.perturbed, profile, 3 * pert.eps)
 
 
-@dataclass(frozen=True)
-class AbsoluteCell:
-    """One grid cell of the absolute scheme: per-factor interval bounds for
-    the row player's factor scores z_t = x . u_t, plus the midpoints the
-    objective is anchored to."""
+def _grid_search(game, factor_rows, axes, objective_y, score, cap=None):
+    """Solve one LP per grid cell; return the best (score, profile) or None.
 
-    index: tuple
-    bounds: tuple
-    centers: tuple
-
-
-@dataclass(frozen=True)
-class RelativeCell:
-    """One grid cell of the relative scheme: geometric interval bounds for
-    the factor scores z_t = x . u_t and w_t = v_t . y."""
-
-    index: tuple
-    z_bounds: tuple
-    w_bounds: tuple
-
-
-def _common_rows(game):
-    """Constraint rows shared by both schemes, over (x, y, s1, s2).
-
-    s1 bounds the row player's best pure payoff against y, s2 the column
-    player's against x; their sum plays the role of the single s variable of
-    the one-shot formulation, with m + n rows instead of m * n.
+    The LP runs over (x, y, s1, s2). s1 bounds the row player's best pure
+    payoff against y, s2 the column player's against x; their sum plays the
+    role of the single s variable of the one-shot formulation, with m + n
+    rows instead of m * n. factor_rows[t] holds coefficients over (x, y);
+    a cell picks one interval from each axis and bounds the matching factor
+    row by it. The LP minimizes s1 + s2 - objective_y(cell) . y, with
+    s1 + s2 <= cap when cap is given.
+    Cells are walked in product order over the axes; with no axes (a
+    zero-sum game) that is one cell with no factor rows. Infeasible cells
+    are skipped. The lowest score(game, profile) wins and ties go to the
+    earliest cell, so the result is deterministic.
     """
     m, n = game.shape
-    zero_x = [Fraction(0)] * m
-    zero_y = [Fraction(0)] * n
-    rows = []
-    senses = []
-    rhs = []
-    for i in range(m):
-        rows.append(zero_x + [game.a[i, j] for j in range(n)] + [Fraction(-1), Fraction(0)])
-        senses.append("<=")
-        rhs.append(Fraction(0))
-    for j in range(n):
-        rows.append([game.b[i, j] for i in range(m)] + zero_y + [Fraction(0), Fraction(-1)])
-        senses.append("<=")
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * m + zero_y + [Fraction(0), Fraction(0)])
-    senses.append("=")
-    rhs.append(Fraction(1))
-    rows.append(zero_x + [Fraction(1)] * n + [Fraction(0), Fraction(0)])
-    senses.append("=")
-    rhs.append(Fraction(1))
-    return rows, senses, rhs
-
-
-def _factor_row(game, u_vec=None, v_vec=None):
-    m, n = game.shape
-    x_part = list(u_vec) if u_vec is not None else [Fraction(0)] * m
-    y_part = list(v_vec) if v_vec is not None else [Fraction(0)] * n
-    return x_part + y_part + [Fraction(0), Fraction(0)]
-
-
-def _cell_lp(game, objective_y, extra_rows, extra_senses, extra_rhs, cap):
-    m, n = game.shape
-    rows, senses, rhs = _common_rows(game)
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[zero] * m + list(game.a[i]) + [-one, zero] for i in range(m)]
+    rows += [list(game.b[:, j]) + [zero] * n + [zero, -one] for j in range(n)]
+    rows += [[one] * m + [zero] * n + [zero, zero],
+             [zero] * m + [one] * n + [zero, zero]]
+    senses = ["<="] * (m + n) + ["=", "="]
+    rhs = [zero] * (m + n) + [one, one]
     if cap is not None:
-        rows.append([Fraction(0)] * (m + n) + [Fraction(1), Fraction(1)])
+        rows.append([zero] * (m + n) + [one, one])
         senses.append("<=")
         rhs.append(cap)
-    rows += extra_rows
-    senses += extra_senses
-    rhs += extra_rhs
-    objective = (
-        [Fraction(0)] * m
-        + [Fraction(-c) for c in objective_y]
-        + [Fraction(1), Fraction(1)]
-    )
-    lower = [Fraction(0)] * (m + n) + [None, None]
-    return linear_program(objective, rows, senses, rhs, lower=lower)
-
-
-def _solve_cell(game, lp):
-    sol = solve_lp(lp)
-    if sol.status == "infeasible":
-        return None
-    if sol.status != "optimal":
-        raise RuntimeError("cell LP cannot be unbounded; this is a bug")
-    m, n = game.shape
-    profile = MixedProfile(tuple(sol.x[:m]), tuple(sol.x[m : m + n]))
-    return profile
+    for row in factor_rows:
+        row = row + [zero, zero]
+        rows += [row, row]
+        senses += [">=", "<="]
+    lower = [zero] * (m + n) + [None, None]
+    best = None
+    for cell in product(*axes):
+        objective = [zero] * m + [-c for c in objective_y(cell)] + [one, one]
+        bounds = [e for interval in cell for e in interval]
+        sol = solve_lp(linear_program(objective, rows, senses, rhs + bounds,
+                                      lower=lower))
+        if sol.status == "infeasible":
+            continue
+        if sol.status != "optimal":
+            raise RuntimeError("cell LP cannot be unbounded; this is a bug")
+        profile = MixedProfile(tuple(sol.x[:m]), tuple(sol.x[m : m + n]))
+        cand = score(game, profile)
+        if best is None or cand < best[0]:
+            best = (cand, profile)
+    return best
 
 
 def _interval_axis(lo, hi, step):
@@ -226,6 +187,9 @@ def approx_absolute(game, eps, rank_guard=DEFAULT_RANK_GUARD, max_rounds=8):
     first round suffices in theory; if verification ever fails the grid step
     is halved and the search repeats, up to max_rounds.
 
+    A zero-sum game has rank 0: its grid is a single cell whose LP already
+    minimizes the exact loss.
+
     Each cell evaluation is a pure function of (game, factorization, cell),
     so cells may be evaluated concurrently as long as the reduction keeps
     the same (loss, cell order) minimum; the built-in loop is sequential.
@@ -240,54 +204,23 @@ def approx_absolute(game, eps, rank_guard=DEFAULT_RANK_GUARD, max_rounds=8):
     factors = rank_factorize(game.c).pairs
     k = len(factors)
     target = eps * game.norm_c
+    factor_rows = [list(u_vec) + [Fraction(0)] * game.n for u_vec, _ in factors]
+    steps = [target / (2 * k * max(abs(e) for e in v_vec)) for _, v_vec in factors]
 
-    if k == 0:
-        # zero-sum: a single LP already minimizes the exact loss
-        profile = _solve_cell(game, _cell_lp(game, [Fraction(0)] * game.n,
-                                             [], [], [], game.norm_c))
-        if profile is None or loss(game, profile) > target:
-            raise RuntimeError("zero-sum cell LP must solve exactly; this is a bug")
-        return make_report(game, profile, kind="eps-approximate", parameter=eps)
+    def midpoint_objective(cell):
+        centers = [(lo + hi) / 2 for lo, hi in cell]
+        return [
+            sum(center * v_vec[j] for center, (_, v_vec) in zip(centers, factors))
+            for j in range(game.n)
+        ]
 
-    steps = []
-    for u_vec, v_vec in factors:
-        v_scale = max(abs(e) for e in v_vec)
-        steps.append(target / (2 * k * v_scale))
-
-    for round_ in range(max_rounds):
-        axes = []
-        for (u_vec, _), step in zip(factors, steps):
-            axes.append(_interval_axis(min(u_vec), max(u_vec), step))
-        best = None
-        for index in product(*(range(len(ax)) for ax in axes)):
-            bounds = tuple(axes[t][i] for t, i in enumerate(index))
-            centers = tuple((lo + hi) / 2 for lo, hi in bounds)
-            cell = AbsoluteCell(index=index, bounds=bounds, centers=centers)
-            objective_y = [
-                sum(
-                    center * v_vec[j]
-                    for center, (_, v_vec) in zip(cell.centers, factors)
-                )
-                for j in range(game.n)
-            ]
-            extra_rows = []
-            extra_senses = []
-            extra_rhs = []
-            for (u_vec, _), (lo, hi) in zip(factors, cell.bounds):
-                row = _factor_row(game, u_vec=u_vec)
-                extra_rows += [row, row]
-                extra_senses += [">=", "<="]
-                extra_rhs += [lo, hi]
-            profile = _solve_cell(
-                game,
-                _cell_lp(game, objective_y, extra_rows, extra_senses,
-                         extra_rhs, game.norm_c),
-            )
-            if profile is None:
-                continue
-            cand = loss(game, profile)
-            if best is None or cand < best[0]:
-                best = (cand, profile)
+    for _ in range(max_rounds):
+        axes = [
+            _interval_axis(min(u_vec), max(u_vec), step)
+            for (u_vec, _), step in zip(factors, steps)
+        ]
+        best = _grid_search(game, factor_rows, axes, midpoint_objective, loss,
+                            cap=game.norm_c)
         if best is not None and best[0] <= target:
             return make_report(game, best[1], kind="eps-approximate",
                                parameter=eps)
@@ -360,55 +293,28 @@ def approx_relative(game, eps, decomp=None, rank_guard=DEFAULT_RANK_GUARD):
         )
     rho = 1 - 1 / (1 + eps) ** 2
 
+    zero_x, zero_y = [Fraction(0)] * game.m, [Fraction(0)] * game.n
     axes = []
+    factor_rows = []
     degraded = False
     for u_vec, v_vec in decomp.pairs:
         z_cells, z_deg = _geometric_axis(u_vec, eps)
         w_cells, w_deg = _geometric_axis(v_vec, eps)
         degraded = degraded or z_deg or w_deg
-        axes.append(z_cells)
-        axes.append(w_cells)
-
-    best = None
-    for index in product(*(range(len(ax)) for ax in axes)):
-        z_bounds = tuple(axes[2 * t][index[2 * t]]
-                         for t in range(len(decomp.pairs)))
-        w_bounds = tuple(axes[2 * t + 1][index[2 * t + 1]]
-                         for t in range(len(decomp.pairs)))
-        cell = RelativeCell(index=index, z_bounds=z_bounds, w_bounds=w_bounds)
-        extra_rows = []
-        extra_senses = []
-        extra_rhs = []
-        for (u_vec, v_vec), (zlo, zhi), (wlo, whi) in zip(
-            decomp.pairs, cell.z_bounds, cell.w_bounds
-        ):
-            zrow = _factor_row(game, u_vec=u_vec)
-            extra_rows += [zrow, zrow]
-            extra_senses += [">=", "<="]
-            extra_rhs += [zlo, zhi]
-            wrow = _factor_row(game, v_vec=v_vec)
-            extra_rows += [wrow, wrow]
-            extra_senses += [">=", "<="]
-            extra_rhs += [wlo, whi]
-        profile = _solve_cell(
-            game,
-            _cell_lp(game, [Fraction(0)] * game.n, extra_rows, extra_senses,
-                     extra_rhs, None),
-        )
-        if profile is None:
-            continue
-        gap = loss(game, profile)
-        if gap == 0:
-            ratio = Fraction(0)
-        else:
-            s_exact = gap + Fraction(
-                fraction_vector(profile.x) @ game.c @ fraction_vector(profile.y)
-            )
-            ratio = gap / s_exact
-        if best is None or ratio < best[0]:
-            best = (ratio, profile)
+        axes += [z_cells, w_cells]
+        factor_rows += [list(u_vec) + zero_y, zero_x + list(v_vec)]
+    best = _grid_search(game, factor_rows, axes, lambda cell: zero_y, _gap_ratio)
     if best is None:
         raise RuntimeError("every profile lies in some cell; this is a bug")
     if not degraded and best[0] > rho:
         raise RuntimeError("relative certificate missed its bound; this is a bug")
     return make_report(game, best[1], kind="relative-approximate", parameter=rho)
+
+
+def _gap_ratio(game, profile):
+    """Exact relative gap: loss over the best-response sum (0 at loss 0)."""
+    gap = loss(game, profile)
+    if gap == 0:
+        return Fraction(0)
+    bilinear = fraction_vector(profile.x) @ game.c @ fraction_vector(profile.y)
+    return gap / (gap + Fraction(bilinear))

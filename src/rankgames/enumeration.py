@@ -78,8 +78,8 @@ def enumerate_equilibria(game, cap=DEFAULT_CAP):
 
     A vertex pair (x, v) and (y, u) is an equilibrium exactly when the two
     binding-label sets jointly cover 1..m+n: every strategy is then either
-    unplayed or a best response. Each reported profile is re-verified to
-    have loss zero. Output is deduplicated, sorted by profile, and grouped
+    unplayed or a best response. Each report is built once and its exact
+    loss must be zero. Output is deduplicated, sorted by profile, and grouped
     into connected components.
 
     The components need no further loss checks. The P vertex of a strategy x
@@ -102,14 +102,16 @@ def enumerate_equilibria(game, cap=DEFAULT_CAP):
             key = (profile.x, profile.y)
             if key in found:
                 continue
-            if loss(game, profile) != 0:
+            report = make_report(game, profile)
+            if report.loss != 0:
                 raise RuntimeError(
                     "binding-cover pair failed the loss check; this is a bug"
                 )
-            found[key] = profile
-    profiles = [found[k] for k in sorted(found)]
-    reports = tuple(make_report(game, pr) for pr in profiles)
-    components = _component_partition(profiles, found.__contains__)
+            found[key] = report
+    reports = tuple(found[k] for k in sorted(found))
+    components = _component_partition(
+        [r.profile for r in reports], found.__contains__
+    )
     return EquilibriumSet(reports=reports, components=components)
 
 

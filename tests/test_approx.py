@@ -9,9 +9,11 @@ import pytest
 from rankgames import (
     BimatrixGame,
     CapExceededError,
+    MixedProfile,
     RankFactorization,
     approx_absolute,
     approx_relative,
+    block_game,
     enumerate_by_supports,
     equilibrium_survives_perturbation,
     fraction_matrix,
@@ -161,10 +163,39 @@ def test_golden_profiles():
     assert (rep.profile, rep.loss, rep.payoff1, rep.payoff2) == (
         pure_profile(4, 4, 0, 0), 0, 2, 2)
     assert rep.parameter == Fraction(9, 25)
+    # rank 2 pins how the factor rows and the cell midpoints line up with
+    # several axes, which rank 1 cannot: the block game has two linear axes,
+    # the relative game four geometric ones interleaved as z_1, w_1, z_2, w_2
+    rep = approx_absolute(block_game(rank1_family(2), rank1_family(3)),
+                          Fraction(1, 2))
+    half = (0, 0, Fraction(1, 2), Fraction(1, 2), 0)
+    assert (rep.profile, rep.loss, rep.payoff1, rep.payoff2) == (
+        MixedProfile(half, half), 0, Fraction(9, 2), Fraction(9, 2))
+    rep = approx_relative(REL2, Fraction(1, 2), decomp=REL2_DECOMP)
+    assert (rep.profile, rep.loss, rep.payoff1, rep.payoff2) == (
+        MixedProfile((Fraction(1, 2), 0, Fraction(1, 2)),
+                     (Fraction(3, 8), 0, Fraction(5, 8))),
+        Fraction(3, 8), Fraction(17, 8), 4)
+    assert rep.parameter == Fraction(5, 9)
+
+
+def test_absolute_exhausted_rounds_raise():
+    with pytest.raises(RuntimeError):
+        approx_absolute(rank1_family(3), Fraction(1, 10), max_rounds=0)
 
 
 def _pair(u, v):
     return (tuple(Fraction(e) for e in u), tuple(Fraction(e) for e in v))
+
+
+# a rank-2 game with a positive two-pair decomposition of a + b
+REL2_DECOMP = RankFactorization(
+    shape=(3, 3),
+    pairs=(_pair((1, 2, 3), (2, 1, 1)), _pair((2, 1, 1), (1, 1, 3))),
+    nonnegative=True,
+)
+REL2 = BimatrixGame([[3, 0, 1], [1, 2, 0], [0, 1, 4]],
+                    [[1, 3, 6], [4, 1, 5], [7, 3, 2]])
 
 
 def test_relative_contract_with_explicit_decomposition():
