@@ -11,6 +11,7 @@ from .approx import (
     approx_relative,
     equilibrium_survives_perturbation,
     perturb_game,
+    solve_zero_sum,
     svd_truncate,
 )
 from .bounds import (
@@ -28,7 +29,6 @@ from .enumeration import (
     connected_component_count,
     enumerate_by_supports,
     enumerate_equilibria,
-    solve_zero_sum,
 )
 from .errors import CapExceededError, GameFormatError
 from .families import (

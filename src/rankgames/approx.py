@@ -163,6 +163,25 @@ def _grid_search(game, factor_rows, axes, objective_y, score, cap=None):
     return best
 
 
+def solve_zero_sum(game):
+    """One exact equilibrium of a zero-sum game, as the rank-0 grid cell.
+
+    Requires a + b = 0. With no factors the grid is one cell, and with the
+    cap s1 + s2 <= |a+b| = 0 its LP admits exactly the equilibria: s1 + s2
+    is at least x (a+b) y = 0, with equality only when x and y are mutual
+    best responses. The exact loss of the optimum must be 0, which makes
+    payoff1 the game value.
+    """
+    if game.norm_c != 0:
+        raise ValueError("game is not zero-sum: a + b has a nonzero entry")
+    zero_y = [Fraction(0)] * game.n
+    best = _grid_search(game, [], [], lambda cell: zero_y, loss,
+                        cap=game.norm_c)
+    if best is None or best[0] != 0:
+        raise RuntimeError("the rank-0 cell failed the loss check; this is a bug")
+    return make_report(game, best[1])
+
+
 def _interval_axis(lo, hi, step):
     if lo == hi:
         return [(lo, hi)]
@@ -175,20 +194,25 @@ def _interval_axis(lo, hi, step):
     return cells
 
 
-def approx_absolute(game, eps, rank_guard=DEFAULT_RANK_GUARD, max_rounds=8):
+def approx_absolute(game, eps, rank_guard=DEFAULT_RANK_GUARD):
     """Equilibrium approximation with absolute loss guarantee eps * |a+b|.
 
     Factorize a+b into rank many rank-one terms, grid each factor score
     z_t = x . u_t with step eps|a+b| / (2k max|v_t|), and solve one LP per
     cell: minimize the best-response sum minus the bilinear term linearized
     at the cell midpoints. The candidate with the smallest exact loss wins
-    (ties go to the earliest cell, so the result is deterministic). The cell
-    holding a true equilibrium always yields loss <= eps|a+b|/2, so the
-    first round suffices in theory; if verification ever fails the grid step
-    is halved and the search repeats, up to max_rounds.
+    (ties go to the earliest cell, so the result is deterministic).
+
+    One grid always suffices. In a cell, each z_t is within half a step of
+    its midpoint, so the linearized objective is within eps|a+b| / (4k) per
+    factor, eps|a+b| / 4 in all, of the exact loss. A true equilibrium lies
+    in some cell and meets the cap, with linearized objective at most
+    eps|a+b| / 4; that cell's optimum has at most that objective, hence an
+    exact loss of at most eps|a+b| / 2. A best loss above the target is a
+    bug and raises RuntimeError.
 
     A zero-sum game has rank 0: its grid is a single cell whose LP already
-    minimizes the exact loss.
+    minimizes the exact loss (see solve_zero_sum).
 
     Each cell evaluation is a pure function of (game, factorization, cell),
     so cells may be evaluated concurrently as long as the reduction keeps
@@ -205,7 +229,11 @@ def approx_absolute(game, eps, rank_guard=DEFAULT_RANK_GUARD, max_rounds=8):
     k = len(factors)
     target = eps * game.norm_c
     factor_rows = [list(u_vec) + [Fraction(0)] * game.n for u_vec, _ in factors]
-    steps = [target / (2 * k * max(abs(e) for e in v_vec)) for _, v_vec in factors]
+    axes = [
+        _interval_axis(min(u_vec), max(u_vec),
+                       target / (2 * k * max(abs(e) for e in v_vec)))
+        for u_vec, v_vec in factors
+    ]
 
     def midpoint_objective(cell):
         centers = [(lo + hi) / 2 for lo, hi in cell]
@@ -214,20 +242,11 @@ def approx_absolute(game, eps, rank_guard=DEFAULT_RANK_GUARD, max_rounds=8):
             for j in range(game.n)
         ]
 
-    for _ in range(max_rounds):
-        axes = [
-            _interval_axis(min(u_vec), max(u_vec), step)
-            for (u_vec, _), step in zip(factors, steps)
-        ]
-        best = _grid_search(game, factor_rows, axes, midpoint_objective, loss,
-                            cap=game.norm_c)
-        if best is not None and best[0] <= target:
-            return make_report(game, best[1], kind="eps-approximate",
-                               parameter=eps)
-        steps = [s / 2 for s in steps]
-    raise RuntimeError(
-        f"no cell met the target after {max_rounds} refinement rounds"
-    )
+    best = _grid_search(game, factor_rows, axes, midpoint_objective, loss,
+                        cap=game.norm_c)
+    if best is None or best[0] > target:
+        raise RuntimeError("no cell met the eps * |a+b| target; this is a bug")
+    return make_report(game, best[1], kind="eps-approximate", parameter=eps)
 
 
 def _geometric_axis(entries, eps):

@@ -4,14 +4,15 @@ import argparse
 import sys
 import traceback
 
-from .approx import perturb_game, svd_truncate
-from .approx import approx_absolute, approx_relative
-from .bounds import bound_report, rank_component_bound
-from .enumeration import (
-    DEFAULT_CAP,
-    enumerate_equilibria,
+from .approx import (
+    approx_absolute,
+    approx_relative,
+    perturb_game,
     solve_zero_sum,
+    svd_truncate,
 )
+from .bounds import bound_report, rank_component_bound
+from .enumeration import DEFAULT_CAP, enumerate_equilibria
 from .errors import CapExceededError, GameFormatError
 from .families import FamilySpec, build_family
 from .gamefiles import (
@@ -36,16 +37,16 @@ EXIT_INTERNAL = 5
 _SIMPLE_FAMILIES = ("rank1", "sqdiff", "identity")
 
 
-def _emit(text, note, out_path):
-    """Write text to out_path (note to stdout), or text to stdout (note to
-    stderr) so piped output stays clean."""
+def _emit(text, out_path, note=None):
+    """Write text to out_path (the note, if any, to stdout), or text to
+    stdout (the note to stderr) so piped output stays clean."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(note)
     else:
         sys.stdout.write(text)
-        print(note, file=sys.stderr)
+    if note is not None:
+        print(note, file=sys.stdout if out_path else sys.stderr)
 
 
 def _parse_component_spec(text, flag):
@@ -75,16 +76,8 @@ def cmd_gen(args):
             raise ValueError(f"family {args.family!r} needs --d")
         spec = FamilySpec(args.family, d=args.d)
     game = build_family(spec)
-    _emit(format_game_text(game), f"rank(A+B) = {game.rank_c}", args.out)
+    _emit(format_game_text(game), args.out, f"rank(A+B) = {game.rank_c}")
     return EXIT_OK
-
-
-def _write_report(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _components_results(game, eqset):
@@ -123,7 +116,7 @@ def cmd_solve(args):
                 "component_count": eqset.component_count,
                 "components": [list(c) for c in eqset.components],
             }
-    _write_report(report_json("solve", params, results), args.out)
+    _emit(report_json("solve", params, results), args.out)
     return EXIT_OK
 
 
@@ -132,7 +125,7 @@ def cmd_components(args):
     eqset = enumerate_equilibria(game, cap=args.cap)
     params = {"game": args.game, "m": game.m, "n": game.n}
     results = _components_results(game, eqset)
-    _write_report(report_json("components", params, results), args.out)
+    _emit(report_json("components", params, results), args.out)
     return EXIT_OK
 
 
@@ -159,7 +152,7 @@ def cmd_approx(args):
             "equilibrium": encode_report(report),
             "rho": report.parameter,
         }
-    _write_report(report_json("approx", params, results), args.out)
+    _emit(report_json("approx", params, results), args.out)
     return EXIT_OK
 
 
@@ -209,7 +202,7 @@ def cmd_rankfact(args):
     game = load_game(args.game)
     fact = rank_factorize(game.c)
     note = f"rank(A+B) = {fact.rank}; nonnegative = {fact.nonnegative}"
-    _emit(format_decomposition_text(fact), note, args.out)
+    _emit(format_decomposition_text(fact), args.out, note)
     return EXIT_OK
 
 
@@ -223,7 +216,7 @@ def cmd_perturb(args):
         f"eps = {pert.eps}; rank(A+B) = {pert.perturbed.rank_c}; "
         f"exact equilibria of the original stay 3*eps-approximate"
     )
-    _emit(format_game_text(pert.perturbed), note, args.out)
+    _emit(format_game_text(pert.perturbed), args.out, note)
     return EXIT_OK
 
 
@@ -305,8 +298,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
-        # a bug or an exhausted internal limit such as max_rounds: never let
-        # it exit 1, which means "verification failed"
+        # a bug, such as a certificate that missed its bound: never let it
+        # exit 1, which means "verification failed"
         traceback.print_exc()
         print(f"error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)

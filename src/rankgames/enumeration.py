@@ -1,15 +1,12 @@
-"""Equilibrium enumeration: vertex pairing, support pairs, zero-sum LPs."""
+"""Equilibrium enumeration: vertex pairing and support pairs."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .errors import CapExceededError
 from .games import MixedProfile, is_exact_equilibrium, loss, make_report
 from .linalg import solve_linear_system
-from .lp import linear_program, solve_lp
 from .polyhedra import build_polyhedra, enumerate_vertices
 
 DEFAULT_CAP = 24
@@ -198,47 +195,3 @@ def _support_solution(game, rows, cols):
         return None
     return MixedProfile(tuple(x), tuple(y))
 
-
-def solve_zero_sum(game):
-    """One exact equilibrium of a zero-sum game via the minimax LPs.
-
-    Requires a + b = 0. Solves both players' LPs, checks that the two
-    optimal values agree exactly, and returns the verified equilibrium
-    report (payoff1 is the game value).
-    """
-    if game.norm_c != 0:
-        raise ValueError("game is not zero-sum: a + b has a nonzero entry")
-    m, n = game.shape
-    # column player: min u with a y <= u componentwise, y a distribution
-    rows = [[game.a[i, j] for j in range(n)] + [Fraction(-1)] for i in range(m)]
-    rows.append([Fraction(1)] * n + [Fraction(0)])
-    lp_col = linear_program(
-        [Fraction(0)] * n + [Fraction(1)],
-        rows,
-        ["<="] * m + ["="],
-        [Fraction(0)] * m + [Fraction(1)],
-        lower=[Fraction(0)] * n + [None],
-    )
-    sol_col = solve_lp(lp_col)
-    # row player: max v with x a >= v componentwise, x a distribution
-    rows = [[game.a[i, j] for i in range(m)] + [Fraction(-1)] for j in range(n)]
-    rows.append([Fraction(1)] * m + [Fraction(0)])
-    lp_row = linear_program(
-        [Fraction(0)] * m + [Fraction(-1)],
-        rows,
-        [">="] * n + ["="],
-        [Fraction(0)] * n + [Fraction(1)],
-        lower=[Fraction(0)] * m + [None],
-    )
-    sol_row = solve_lp(lp_row)
-    if sol_col.status != "optimal" or sol_row.status != "optimal":
-        raise RuntimeError("minimax LPs must be solvable; this is a bug")
-    u = sol_col.objective_value
-    v = -sol_row.objective_value
-    if u != v:
-        raise RuntimeError("minimax values disagree; this is a bug")
-    profile = MixedProfile(tuple(sol_row.x[:m]), tuple(sol_col.x[:n]))
-    report = make_report(game, profile)
-    if report.loss != 0:
-        raise RuntimeError("minimax solution failed the loss check; this is a bug")
-    return report

@@ -196,12 +196,14 @@ def is_nondegenerate(game):
     best-response polyhedron (every face of a pointed polyhedron contains a
     vertex, and the binding-label count only grows toward the vertex), so
     checking vertices is sound and complete.
+
+    A vertex binds the nonnegativity labels of the strategy_len - |support|
+    unplayed strategies plus its best-response labels. So it has more best
+    responses than its support size exactly when it binds more than
+    strategy_len labels; no vertex binds fewer.
     """
-    p, q = build_polyhedra(game)
-    for poly in (p, q):
-        for vertex in enumerate_vertices(poly):
-            support = len(vertex.support)
-            br = sum(1 for lab in vertex.binding if lab in poly.br_labels)
-            if br > support:
-                return False
-    return True
+    return all(
+        len(vertex.binding) == poly.strategy_len
+        for poly in build_polyhedra(game)
+        for vertex in enumerate_vertices(poly)
+    )

@@ -179,11 +179,6 @@ def test_golden_profiles():
     assert rep.parameter == Fraction(5, 9)
 
 
-def test_absolute_exhausted_rounds_raise():
-    with pytest.raises(RuntimeError):
-        approx_absolute(rank1_family(3), Fraction(1, 10), max_rounds=0)
-
-
 def _pair(u, v):
     return (tuple(Fraction(e) for e in u), tuple(Fraction(e) for e in v))
 

@@ -234,7 +234,7 @@ CALLEES = {
 
 @pytest.mark.parametrize("command", sorted(CALLEES))
 @pytest.mark.parametrize("exc", [
-    RuntimeError("no cell met the target after 8 refinement rounds"),
+    RuntimeError("no cell met the eps * |a+b| target; this is a bug"),
     AssertionError("this is a bug"),
 ])
 def test_internal_error_exit_5(tmp_path, capsys, monkeypatch, exc, command):

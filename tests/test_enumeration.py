@@ -9,6 +9,7 @@ from rankgames import (
     BimatrixGame,
     CapExceededError,
     MixedProfile,
+    approx_absolute,
     block_game,
     block_hierarchy_count,
     connected_component_count,
@@ -139,6 +140,42 @@ def test_solve_zero_sum_dominated_column():
     assert rep.loss == 0
     assert rep.payoff1 == 0
     assert rep.profile.y[1] == 1  # column 2 keeps the row player at value 0
+
+
+def test_solve_zero_sum_tied_game_golden():
+    # several optimal pairs: the pin fixes which extreme equilibrium the
+    # rank-0 grid cell picks
+    g = BimatrixGame([[1, 0, 0], [-1, 0, 0]], [[-1, 0, 0], [1, 0, 0]])
+    rep = solve_zero_sum(g)
+    assert (rep.profile, rep.loss, rep.payoff1) == (
+        MixedProfile((1, 0), (0, 1, 0)), 0, 0)
+
+
+def test_solve_zero_sum_on_tied_games():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def games(draw):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        # entries this small make ties, and so several optimal pairs, frequent
+        a = draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                          min_size=m, max_size=m))
+        return BimatrixGame(a, [[-e for e in row] for row in a])
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(games())
+    def check(game):
+        rep = solve_zero_sum(game)
+        assert rep.loss == 0
+        eqset = enumerate_equilibria(game)
+        assert rep.profile in eqset.profiles
+        assert {r.payoff1 for r in eqset.reports} == {rep.payoff1}
+        # both solve the same rank-0 cell LP
+        assert approx_absolute(game, Fraction(1, 2)).profile == rep.profile
+
+    check()
 
 
 def test_solve_zero_sum_rejects_nonzero_sum():

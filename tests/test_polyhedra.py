@@ -109,7 +109,15 @@ def test_walk_matches_brute_force_on_drawn_games():
                          database=None)
     @hypothesis.given(games())
     def check(game):
+        nondegenerate = True
         for poly in build_polyhedra(game):
-            assert enumerate_vertices(poly) == brute_force_vertices(poly)
+            vertices = brute_force_vertices(poly)
+            assert enumerate_vertices(poly) == vertices
+            # the definition: no vertex has more best responses than support
+            nondegenerate &= all(
+                len(v.binding & poly.br_labels) <= len(v.support)
+                for v in vertices
+            )
+        assert is_nondegenerate(game) == nondegenerate
 
     check()
