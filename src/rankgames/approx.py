@@ -4,6 +4,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .linalg import (
 from .lp import linear_program, solve_lp
 
 DEFAULT_RANK_GUARD = 4
+# Upper bound on the cells of one grid, i.e. on the cell LPs one call solves.
+MAX_GRID_CELLS = 4096
 
 
 def svd_truncate(matrix, k, max_denominator=10**6):
@@ -128,7 +131,15 @@ def _grid_search(game, factor_rows, axes, objective_y, score, cap=None):
     zero-sum game) that is one cell with no factor rows. Infeasible cells
     are skipped. The lowest score(game, profile) wins and ties go to the
     earliest cell, so the result is deterministic.
+
+    The cell count, the product of the axis lengths, is checked against
+    MAX_GRID_CELLS before any LP runs; above it CapExceededError is raised.
     """
+    cells = prod(len(axis) for axis in axes)
+    if cells > MAX_GRID_CELLS:
+        raise CapExceededError(
+            f"the grid has {cells} cells, above the bound {MAX_GRID_CELLS}"
+        )
     m, n = game.shape
     zero, one = Fraction(0), Fraction(1)
     rows = [[zero] * m + list(game.a[i]) + [-one, zero] for i in range(m)]

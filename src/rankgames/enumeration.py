@@ -39,15 +39,11 @@ def _check_cap(game, cap):
         )
 
 
-def _component_partition(profiles, is_equilibrium):
-    """Union-find over the exchangeability graph.
+def _component_partition(n, edges):
+    """Connected components of the graph on 0..n-1 with the given edges.
 
-    Two equilibria are adjacent when both cross pairings are equilibria as
-    well; equilibria linked this way span a common convex equilibrium set,
-    so the transitive closure groups the extreme points by connected
-    component. is_equilibrium takes an (x, y) key.
+    One union-find; returns sorted index tuples, sorted by first index.
     """
-    n = len(profiles)
     parent = list(range(n))
 
     def find(i):
@@ -56,18 +52,12 @@ def _component_partition(profiles, is_equilibrium):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if is_equilibrium((profiles[i].x, profiles[j].y)) and is_equilibrium(
-                (profiles[j].x, profiles[i].y)
-            ):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    for i, j in edges:
+        parent[find(i)] = find(j)
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    return tuple(sorted(tuple(g) for g in groups.values()))
 
 
 def enumerate_equilibria(game, cap=DEFAULT_CAP):
@@ -76,52 +66,58 @@ def enumerate_equilibria(game, cap=DEFAULT_CAP):
     A vertex pair (x, v) and (y, u) is an equilibrium exactly when the two
     binding-label sets jointly cover 1..m+n: every strategy is then either
     unplayed or a best response. Each report is built once and its exact
-    loss must be zero. Output is deduplicated, sorted by profile, and grouped
-    into connected components.
+    loss must be zero. Output is sorted by profile and grouped into
+    connected components.
 
-    The components need no further loss checks. The P vertex of a strategy x
-    is unique, with payoff max_j x b_j, and its labels are fixed by x; the
-    same holds on the Q side. So a cross pair of two found equilibria is an
-    equilibrium exactly when its vertices cover all labels, that is, exactly
-    when it is itself a found key.
+    No two cover pairs share a profile. A P vertex binds strategy_len
+    independent rows, at most strategy_len - 1 of them nonnegativity rows,
+    so some best-response row is tight and v = max_j x b_j is fixed by x.
+    Each P vertex thus has its own x, and likewise each Q vertex its own y.
+
+    The components are those of the extreme-equilibrium graph of Avis,
+    Rosenberg, Savani and von Stengel (2010), whose nodes are the P and Q
+    vertices and whose edges are the equilibria: equilibria sharing an x or
+    a y are linked, each to the first one with that x or y.
     """
     _check_cap(game, cap)
     p, q = build_polyhedra(game)
     p_vertices = enumerate_vertices(p)
     q_vertices = enumerate_vertices(q)
     full = frozenset(range(1, game.m + game.n + 1))
-    found = {}
+    reports = []
     for vp in p_vertices:
         for vq in q_vertices:
             if not vp.binding | vq.binding >= full:
                 continue
-            profile = MixedProfile(vp.strategy, vq.strategy)
-            key = (profile.x, profile.y)
-            if key in found:
-                continue
-            report = make_report(game, profile)
+            report = make_report(game, MixedProfile(vp.strategy, vq.strategy))
             if report.loss != 0:
                 raise RuntimeError(
                     "binding-cover pair failed the loss check; this is a bug"
                 )
-            found[key] = report
-    reports = tuple(found[k] for k in sorted(found))
-    components = _component_partition(
-        [r.profile for r in reports], found.__contains__
-    )
-    return EquilibriumSet(reports=reports, components=components)
+            reports.append(report)
+    reports.sort(key=lambda r: (r.profile.x, r.profile.y))
+    first = {}
+    edges = [(i, first.setdefault((side, strategy), i))
+             for i, r in enumerate(reports)
+             for side, strategy in enumerate((r.profile.x, r.profile.y))]
+    return EquilibriumSet(reports=tuple(reports),
+                          components=_component_partition(len(reports), edges))
 
 
 def connected_component_count(game, eqset):
     """Number of connected components spanned by an enumerated set.
 
-    Recomputes the exchangeability partition from the reported profiles, so
-    it can also audit an EquilibriumSet built elsewhere.
+    An independent audit: two equilibria are linked when both cross
+    pairings pass the exact loss check, which takes O(E^2) checks. It can
+    also audit an EquilibriumSet built elsewhere.
     """
-    return len(_component_partition(
-        eqset.profiles,
-        lambda key: is_exact_equilibrium(game, MixedProfile(*key)),
-    ))
+    profiles = eqset.profiles
+    edges = [
+        (i, j) for i, j in combinations(range(len(profiles)), 2)
+        if is_exact_equilibrium(game, MixedProfile(profiles[i].x, profiles[j].y))
+        and is_exact_equilibrium(game, MixedProfile(profiles[j].x, profiles[i].y))
+    ]
+    return len(_component_partition(len(profiles), edges))
 
 
 def enumerate_by_supports(game, cap=DEFAULT_CAP):

@@ -67,9 +67,17 @@ def format_game_text(game):
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path):
+    """A file's UTF-8 text; undecodable bytes are a parse error, not a usage one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GameFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_game(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_game_text(fh.read())
+    return parse_game_text(_read_text(path))
 
 
 def save_game(path, game):
@@ -115,8 +123,7 @@ def format_decomposition_text(fact):
 
 
 def load_decomposition(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_decomposition_text(fh.read())
+    return parse_decomposition_text(_read_text(path))
 
 
 def save_decomposition(path, fact):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from rankgames import (
     squared_difference_family,
     svd_truncate,
 )
+
+from rankgames.approx import MAX_GRID_CELLS
 
 from helpers import random_game, random_matrix
 
@@ -151,6 +154,32 @@ def test_absolute_guards():
         approx_absolute(rank1_family(2), Fraction(0))
     with pytest.raises(CapExceededError):
         approx_absolute(squared_difference_family(3), Fraction(1, 2), rank_guard=2)
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("a cell LP ran before the cell bound was checked")
+
+
+def test_grid_cell_bound_raises_before_any_lp(monkeypatch):
+    monkeypatch.setattr("rankgames.approx.solve_lp", _no_lp)
+    # 27648 cells at eps = 1/4
+    with pytest.raises(CapExceededError, match="27648 cells"):
+        approx_absolute(squared_difference_family(3), Fraction(1, 4))
+    with pytest.raises(CapExceededError, match="above the bound 4096"):
+        approx_relative(rank1_family(2), Fraction(1, 1000))
+
+
+def test_grid_cell_bound_admits_sqdiff3_at_one_half(monkeypatch):
+    calls = []
+
+    def infeasible(program):
+        calls.append(program)
+        return SimpleNamespace(status="infeasible")
+
+    monkeypatch.setattr("rankgames.approx.solve_lp", infeasible)
+    with pytest.raises(RuntimeError, match="this is a bug"):
+        approx_absolute(squared_difference_family(3), Fraction(1, 2))
+    assert len(calls) == 3456 <= MAX_GRID_CELLS
 
 
 def test_golden_profiles():

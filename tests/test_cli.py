@@ -198,6 +198,20 @@ def test_parse_error_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["game", "decomp"])
+def test_non_utf8_input_exit_3(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    if kind == "game":
+        argv = ["solve", str(bad)]
+    else:
+        game = write_game(tmp_path, "g.txt", rank1_family(2))
+        argv = ["approx", game, "--scheme", "rel", "--eps", "1/2",
+                "--decomp", str(bad)]
+    assert main(argv) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "absent.txt")]) == 2
     capsys.readouterr()
@@ -212,6 +226,12 @@ def test_cap_exit_4(tmp_path, capsys):
     assert main(["components", small, "--cap", "7"]) == 4
     assert main(["components", small, "--cap", "8"]) == 0
     capsys.readouterr()
+
+
+def test_grid_cell_bound_exit_4(tmp_path, capsys):
+    game = write_game(tmp_path, "sq.txt", squared_difference_family(3))
+    assert main(["approx", game, "--scheme", "abs", "--eps", "1/4"]) == 4
+    assert "27648 cells" in capsys.readouterr().err
 
 
 # each command with the function it hands its work to; the game path is

@@ -21,6 +21,8 @@ from rankgames import (
     solve_zero_sum,
 )
 
+from rankgames.polyhedra import build_polyhedra, enumerate_vertices
+
 from helpers import profile_set, random_game
 
 ZERO = BimatrixGame([[0, 0], [0, 0]], [[0, 0], [0, 0]])
@@ -85,11 +87,51 @@ def test_zero_game_single_component():
     block_game(FLAT, rank1_family(2)),
 ], ids=["zero", "identity3", "block-zero-identity2", "block-flat-rank1-2"])
 def test_components_match_the_exact_audit(game):
-    # enumerate_equilibria links components by set lookups; the audit
-    # re-checks every cross pair with the exact loss. The zero and flat
-    # blocks give components with several extreme equilibria.
+    # enumerate_equilibria links equilibria that share an x or a y; the
+    # audit re-checks every cross pair with the exact loss. The zero and
+    # flat blocks give components with several extreme equilibria.
     eqset = enumerate_equilibria(game)
     assert eqset.component_count == connected_component_count(game, eqset)
+
+
+def test_components_on_drawn_degenerate_games():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def games(draw):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        # 0/1 and -1..1 payoffs make degenerate games with large components
+        entries = st.integers(draw(st.sampled_from([0, -1])), 1)
+        matrix = st.lists(st.lists(entries, min_size=n, max_size=n),
+                          min_size=m, max_size=m)
+        return BimatrixGame(draw(matrix), draw(matrix))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(games())
+    def check(game):
+        eqset = enumerate_equilibria(game)
+        assert eqset.component_count == connected_component_count(game, eqset)
+        component_of = {i: c for c, comp in enumerate(eqset.components)
+                        for i in comp}
+        assert sorted(component_of) == list(range(len(eqset.reports)))
+        # each shared-x and each shared-y class lies in one component
+        for side in ("x", "y"):
+            classes = {}
+            for i, profile in enumerate(eqset.profiles):
+                classes.setdefault(getattr(profile, side), set()).add(
+                    component_of[i])
+            assert all(len(c) == 1 for c in classes.values())
+        # no two cover pairs share a profile, so none is dropped or repeated
+        p, q = build_polyhedra(game)
+        full = frozenset(range(1, game.m + game.n + 1))
+        covers = [(vp.strategy, vq.strategy)
+                  for vp in enumerate_vertices(p) for vq in enumerate_vertices(q)
+                  if vp.binding | vq.binding >= full]
+        assert len(set(covers)) == len(covers) == len(eqset.reports)
+
+    check()
 
 
 def test_block_game_hierarchy_example():
