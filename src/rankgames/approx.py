@@ -27,7 +27,6 @@ from .linalg import (
 )
 from .lp import linear_program, solve_lp
 
-DEFAULT_RANK_GUARD = 4
 # Upper bound on the cells of one grid, i.e. on the cell LPs one call solves.
 MAX_GRID_CELLS = 4096
 
@@ -134,6 +133,7 @@ def _grid_search(game, factor_rows, axes, objective_y, score, cap=None):
 
     The cell count, the product of the axis lengths, is checked against
     MAX_GRID_CELLS before any LP runs; above it CapExceededError is raised.
+    (_axis has already refused any single axis longer than the bound.)
     """
     cells = prod(len(axis) for axis in axes)
     if cells > MAX_GRID_CELLS:
@@ -193,19 +193,34 @@ def solve_zero_sum(game):
     return make_report(game, best[1])
 
 
-def _interval_axis(lo, hi, step):
+def _axis(lo, hi, advance):
+    """The cells [a, advance(a)] from a = lo on, the last one cut at hi; one
+    cell [lo, hi] when lo == hi.
+
+    Raises CapExceededError as soon as the axis passes MAX_GRID_CELLS cells,
+    so an axis too fine to search is never built in full.
+    """
     if lo == hi:
         return [(lo, hi)]
     cells = []
     a = lo
     while a < hi:
-        b = min(a + step, hi)
-        cells.append((a, b))
-        a += step
+        if len(cells) == MAX_GRID_CELLS:
+            raise CapExceededError(
+                f"a grid axis has more than {MAX_GRID_CELLS} cells, "
+                f"above the bound {MAX_GRID_CELLS}"
+            )
+        b = advance(a)
+        cells.append((a, min(b, hi)))
+        a = b
     return cells
 
 
-def approx_absolute(game, eps, rank_guard=DEFAULT_RANK_GUARD):
+def _interval_axis(lo, hi, step):
+    return _axis(lo, hi, lambda a: a + step)
+
+
+def approx_absolute(game, eps):
     """Equilibrium approximation with absolute loss guarantee eps * |a+b|.
 
     Factorize a+b into rank many rank-one terms, grid each factor score
@@ -232,10 +247,6 @@ def approx_absolute(game, eps, rank_guard=DEFAULT_RANK_GUARD):
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if game.rank_c > rank_guard:
-        raise CapExceededError(
-            f"payoff-sum rank {game.rank_c} exceeds the guard {rank_guard}"
-        )
     factors = rank_factorize(game.c).pairs
     k = len(factors)
     target = eps * game.norm_c
@@ -273,25 +284,17 @@ def _geometric_axis(entries, eps):
     lo, hi = min(entries), max(entries)
     if lo < 0:
         raise ValueError("relative grid needs nonnegative factor ranges")
-    if lo == hi:
-        return [(lo, hi)], False
-    if lo == 0:
+
+    def advance(a):
+        return a * (1 + eps)
+
+    if lo == 0 < hi:
         eta = hi * eps / (1 + eps)
-        cells = [(Fraction(0), eta)]
-        a = eta
-        degraded = True
-    else:
-        cells = []
-        a = lo
-        degraded = False
-    while a < hi:
-        b = min(a * (1 + eps), hi)
-        cells.append((a, b))
-        a *= 1 + eps
-    return cells, degraded
+        return [(Fraction(0), eta)] + _axis(eta, hi, advance), True
+    return _axis(lo, hi, advance), False
 
 
-def approx_relative(game, eps, decomp=None, rank_guard=DEFAULT_RANK_GUARD):
+def approx_relative(game, eps, decomp=None):
     """Equilibrium approximation with a relative gap certificate.
 
     Needs a nonnegative rank decomposition of a+b (found automatically when
@@ -317,10 +320,6 @@ def approx_relative(game, eps, decomp=None, rank_guard=DEFAULT_RANK_GUARD):
             raise ValueError("decomposition must be entrywise nonnegative")
     if not np.array_equal(decomp.matrix(), game.c):
         raise ValueError("decomposition does not reconstruct a+b")
-    if len(decomp.pairs) > rank_guard:
-        raise CapExceededError(
-            f"decomposition rank {len(decomp.pairs)} exceeds the guard {rank_guard}"
-        )
     rho = 1 - 1 / (1 + eps) ** 2
 
     zero_x, zero_y = [Fraction(0)] * game.m, [Fraction(0)] * game.n

@@ -93,10 +93,12 @@ def bound_report(d, k=None):
     """Evaluate the applicable bounds for dimension d (and optional rank k)."""
     if d < 1:
         raise ValueError("d must be positive")
+    if k is not None and k < 0:
+        raise ValueError("k must be nonnegative")
     tau_lower = tau(d) if d % 2 == 0 and d >= 2 else None
     keiding_upper = keiding_phi(d, 2 * d) - 1
     component_bound = None
-    if k is not None and 0 <= k and k + 1 <= d:
+    if k is not None and k + 1 <= d:
         component_bound = rank_component_bound(d, k)
     return BoundReport(
         d=d,

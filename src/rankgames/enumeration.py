@@ -150,44 +150,40 @@ def enumerate_by_supports(game, cap=DEFAULT_CAP):
 
 
 def _support_solution(game, rows, cols):
-    m, n = game.shape
+    y = _equalizer(game.a, rows, cols)
+    if y is None:
+        return None
+    x = _equalizer(game.b.T, cols, rows)
+    if x is None:
+        return None
+    return MixedProfile(x, y)
+
+
+def _equalizer(payoff, rows, cols):
+    """The strategy on cols that makes the payoff rows in rows indifferent.
+
+    payoff[i, j] is row i's payoff against pure strategy j. Solves for the
+    weights on cols and the common value u, and returns the full strategy
+    (zero off cols) when every weight is positive and no row outside rows
+    pays more than u; otherwise, or when the system is singular, None.
+    """
     size = len(rows)
-    # y supported on cols equalizes the rows; unknowns (y_cols..., u)
-    a_sys = [[game.a[i, j] for j in cols] + [Fraction(-1)] for i in rows]
-    a_sys.append([Fraction(1)] * size + [Fraction(0)])
-    rhs = [Fraction(0)] * size + [Fraction(1)]
-    sol = solve_linear_system(a_sys, rhs)
+    system = [[payoff[i, j] for j in cols] + [Fraction(-1)] for i in rows]
+    system.append([Fraction(1)] * size + [Fraction(0)])
+    sol = solve_linear_system(system, [Fraction(0)] * size + [Fraction(1)])
     if sol is None:
         return None
-    y_part, u = sol[:-1], sol[-1]
-    if any(e <= 0 for e in y_part):
+    weights, u = sol[:-1], sol[-1]
+    if any(e <= 0 for e in weights):
         return None
-    y = [Fraction(0)] * n
-    for j, e in zip(cols, y_part):
-        y[j] = e
+    responses, strategy_len = payoff.shape
+    strategy = [Fraction(0)] * strategy_len
+    for j, e in zip(cols, weights):
+        strategy[j] = e
     if any(
-        sum(game.a[i, j] * y[j] for j in cols) > u
-        for i in range(m)
+        sum(payoff[i, j] * strategy[j] for j in cols) > u
+        for i in range(responses)
         if i not in rows
     ):
         return None
-    # x supported on rows equalizes the columns; unknowns (x_rows..., v)
-    b_sys = [[game.b[i, j] for i in rows] + [Fraction(-1)] for j in cols]
-    b_sys.append([Fraction(1)] * size + [Fraction(0)])
-    sol = solve_linear_system(b_sys, rhs)
-    if sol is None:
-        return None
-    x_part, v = sol[:-1], sol[-1]
-    if any(e <= 0 for e in x_part):
-        return None
-    x = [Fraction(0)] * m
-    for i, e in zip(rows, x_part):
-        x[i] = e
-    if any(
-        sum(game.b[i, j] * x[i] for i in rows) > v
-        for j in range(n)
-        if j not in cols
-    ):
-        return None
-    return MixedProfile(tuple(x), tuple(y))
-
+    return tuple(strategy)

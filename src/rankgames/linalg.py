@@ -18,7 +18,10 @@ def as_fraction(value):
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {value!r}") from exc
     raise TypeError(
         f"expected int, fraction string, or Fraction, got {type(value).__name__}"
     )

@@ -58,51 +58,43 @@ class PolyhedronVertex:
         return tuple(i for i, e in enumerate(self.strategy) if e > 0)
 
 
+def _side(side, payoff, nonneg_first):
+    """One player's polyhedron; payoff[r, i] is response r's payoff against
+    the player's pure strategy i.
+
+    Rows are the nonnegativity rows -z_i <= 0 and the best-response rows
+    payoff[r] . z - payoff_coordinate <= 0, in two blocks with labels 1..m+n
+    in row order; nonneg_first puts the nonnegativity block first.
+    """
+    responses, slen = payoff.shape
+    zero, one = Fraction(0), Fraction(1)
+    nonneg = [[-one if c == i else zero for c in range(slen + 1)]
+              for i in range(slen)]
+    br = [list(row) + [-one] for row in payoff]
+    rows = nonneg + br if nonneg_first else br + nonneg
+    ineqs = np.array(rows, dtype=object)
+    ineqs.flags.writeable = False
+    nonneg_at, br_at = (0, slen) if nonneg_first else (responses, 0)
+    return BestResponsePolyhedron(
+        side=side,
+        strategy_len=slen,
+        ineqs=ineqs,
+        labels=tuple(range(1, len(rows) + 1)),
+        br_labels=frozenset(range(br_at + 1, br_at + responses + 1)),
+        nonneg_labels=frozenset(range(nonneg_at + 1, nonneg_at + slen + 1)),
+    )
+
+
 def build_polyhedra(game):
-    """The pair (P side, Q side) of best-response polyhedra of the game."""
-    m, n = game.shape
-    p_rows = []
-    p_labels = []
-    for i in range(m):  # x_i >= 0, label i+1
-        row = [Fraction(0)] * (m + 1)
-        row[i] = Fraction(-1)
-        p_rows.append(row)
-        p_labels.append(i + 1)
-    for j in range(n):  # x b_j <= v, label m+j+1
-        row = [game.b[i, j] for i in range(m)] + [Fraction(-1)]
-        p_rows.append(row)
-        p_labels.append(m + j + 1)
-    q_rows = []
-    q_labels = []
-    for i in range(m):  # a_i y <= u, label i+1
-        row = [game.a[i, j] for j in range(n)] + [Fraction(-1)]
-        q_rows.append(row)
-        q_labels.append(i + 1)
-    for j in range(n):  # y_j >= 0, label m+j+1
-        row = [Fraction(0)] * (n + 1)
-        row[j] = Fraction(-1)
-        q_rows.append(row)
-        q_labels.append(m + j + 1)
+    """The pair (P side, Q side) of best-response polyhedra of the game.
 
-    def pack(side, slen, rows, labels, br, nonneg):
-        mat = np.empty((len(rows), slen + 1), dtype=object)
-        for r, row in enumerate(rows):
-            mat[r, :] = row
-        mat.flags.writeable = False
-        return BestResponsePolyhedron(
-            side=side,
-            strategy_len=slen,
-            ineqs=mat,
-            labels=tuple(labels),
-            br_labels=frozenset(br),
-            nonneg_labels=frozenset(nonneg),
-        )
-
-    p = pack("P", m, p_rows, p_labels,
-             range(m + 1, m + n + 1), range(1, m + 1))
-    q = pack("Q", n, q_rows, q_labels,
-             range(1, m + 1), range(m + 1, m + n + 1))
-    return p, q
+    One construction per player: P responds to x through the columns of b,
+    Q to y through the rows of a. Labels 1..m belong to the row player on
+    both sides, so P lists its nonnegativity rows first and Q its
+    best-response rows first.
+    """
+    return (_side("P", game.b.T, nonneg_first=True),
+            _side("Q", game.a, nonneg_first=False))
 
 
 def _start_rows(poly):

@@ -18,6 +18,7 @@ from rankgames import (
     enumerate_by_supports,
     equilibrium_survives_perturbation,
     fraction_matrix,
+    identity_game,
     loss,
     matrix_rank,
     max_abs_entry,
@@ -28,7 +29,7 @@ from rankgames import (
     svd_truncate,
 )
 
-from rankgames.approx import MAX_GRID_CELLS
+from rankgames.approx import MAX_GRID_CELLS, _geometric_axis, _interval_axis
 
 from helpers import random_game, random_matrix
 
@@ -152,8 +153,30 @@ def test_absolute_determinism():
 def test_absolute_guards():
     with pytest.raises(ValueError):
         approx_absolute(rank1_family(2), Fraction(0))
-    with pytest.raises(CapExceededError):
-        approx_absolute(squared_difference_family(3), Fraction(1, 2), rank_guard=2)
+    # the rank is no guard: a rank-5 game whose grid is one cell is solved
+    g = identity_game(5)
+    assert g.rank_c == 5
+    rep = approx_absolute(g, Fraction(5))
+    assert rep.loss <= 5 * g.norm_c
+
+
+def test_grid_axes():
+    f = Fraction
+    # the last cell is cut at the range maximum
+    assert _interval_axis(f(0), f(1), f(3, 10)) == [
+        (0, f(3, 10)), (f(3, 10), f(3, 5)), (f(3, 5), f(9, 10)), (f(9, 10), 1)]
+    assert _interval_axis(f(2), f(2), f(1)) == [(2, 2)]
+    assert _geometric_axis([f(1), f(3)], f(1)) == ([(1, 2), (2, 3)], False)
+    assert _geometric_axis([f(2), f(2)], f(1)) == ([(2, 2)], False)
+    assert _geometric_axis([f(0), f(0)], f(1)) == ([(0, 0)], False)
+    # a zero minimum adds the leading cell [0, max * eps / (1 + eps)]
+    assert _geometric_axis([f(0), f(4), f(5)], f(1)) == (
+        [(0, f(5, 2)), (f(5, 2), 5)], True)
+    with pytest.raises(ValueError):
+        _geometric_axis([f(-1), f(1)], f(1))
+    with pytest.raises(CapExceededError, match="above the bound 4096"):
+        _interval_axis(f(0), f(1), f(1, MAX_GRID_CELLS + 1))
+    assert len(_interval_axis(f(0), f(1), f(1, MAX_GRID_CELLS))) == MAX_GRID_CELLS
 
 
 def _no_lp(*args, **kwargs):
@@ -167,6 +190,10 @@ def test_grid_cell_bound_raises_before_any_lp(monkeypatch):
         approx_absolute(squared_difference_family(3), Fraction(1, 4))
     with pytest.raises(CapExceededError, match="above the bound 4096"):
         approx_relative(rank1_family(2), Fraction(1, 1000))
+    # an axis is refused while it is built, so even eps = 1e-9 is quick
+    for scheme in (approx_absolute, approx_relative):
+        with pytest.raises(CapExceededError, match="above the bound 4096"):
+            scheme(rank1_family(2), Fraction(1, 10**9))
 
 
 def test_grid_cell_bound_admits_sqdiff3_at_one_half(monkeypatch):
@@ -278,5 +305,5 @@ def test_relative_guards():
     fivezeros = RankFactorization(
         shape=(1, 1), pairs=tuple(_pair((0,), (0,)) for _ in range(5)),
         nonnegative=True)
-    with pytest.raises(CapExceededError):
-        approx_relative(zero, Fraction(1, 2), decomp=fivezeros)
+    # five factors, each a one-cell axis: one cell LP, no rank guard
+    assert approx_relative(zero, Fraction(1, 2), decomp=fivezeros).loss == 0

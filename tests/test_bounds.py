@@ -85,3 +85,5 @@ def test_bound_report():
     assert rep.component_bound is None
     with pytest.raises(ValueError):
         bound_report(0)
+    with pytest.raises(ValueError):
+        bound_report(3, k=-1)

@@ -234,6 +234,30 @@ def test_grid_cell_bound_exit_4(tmp_path, capsys):
     assert "27648 cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["abs", "rel"])
+def test_fine_grid_axis_exit_4(tmp_path, capsys, scheme):
+    game = write_game(tmp_path, "r1.txt", rank1_family(2))
+    argv = ["approx", game, "--scheme", scheme, "--eps", "1/1000000000"]
+    assert main(argv) == 4
+    assert "above the bound 4096" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "GAME", "--scheme", "abs", "--eps", "1/0"],
+    ["approx", "GAME", "--scheme", "rel", "--eps", "1/0"],
+    ["verify", "GAME", "--profile", "1,0;1,0", "--eps", "1/0"],
+], ids=["approx-abs", "approx-rel", "verify"])
+def test_zero_denominator_eps_exit_2(tmp_path, capsys, argv):
+    game = write_game(tmp_path, "r1.txt", rank1_family(2))
+    assert main([game if a == "GAME" else a for a in argv]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_bounds_negative_k_exit_2(capsys):
+    assert main(["bounds", "--d", "3", "--k", "-1"]) == 2
+    assert "k must be nonnegative" in capsys.readouterr().err
+
+
 # each command with the function it hands its work to; the game path is
 # filled in for the "GAME" token
 CALLEES = {

@@ -30,6 +30,11 @@ def test_as_fraction_accepts_exact_inputs():
     assert as_fraction(np.int64(4)) == Fraction(4)
 
 
+def test_as_fraction_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_fraction("1/0")
+
+
 def test_as_fraction_rejects_floats():
     with pytest.raises(TypeError):
         as_fraction(0.5)

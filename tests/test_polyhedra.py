@@ -31,6 +31,24 @@ def test_label_layout():
     assert q.nonneg_labels == frozenset({4, 5, 6})
 
 
+def test_rows_and_labels_of_an_asymmetric_game():
+    # b is not a^T, so building P from b rather than b^T (or Q from a^T)
+    # changes the rows
+    g = BimatrixGame([[1, 2, 0], [3, -1, 2]], [[0, 4, 1], [2, 1, 3]])
+    p, q = build_polyhedra(g)
+    assert p.ineqs.tolist() == [
+        [-1, 0, 0], [0, -1, 0], [0, 2, -1], [4, 1, -1], [1, 3, -1]]
+    assert q.ineqs.tolist() == [
+        [1, 2, 0, -1], [3, -1, 2, -1],
+        [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0]]
+    assert all(type(e) is Fraction for poly in (p, q) for e in poly.ineqs.flat)
+    assert not p.ineqs.flags.writeable and not q.ineqs.flags.writeable
+    assert (p.strategy_len, q.strategy_len) == (2, 3)
+    assert p.labels == q.labels == (1, 2, 3, 4, 5)
+    assert (p.nonneg_labels, p.br_labels) == ({1, 2}, {3, 4, 5})
+    assert (q.br_labels, q.nonneg_labels) == ({1, 2}, {3, 4, 5})
+
+
 def test_frozen_vertex_oracle_d2():
     g = rank1_family(2)
     _, q = build_polyhedra(g)
