@@ -193,6 +193,13 @@ def solve_zero_sum(game):
     return make_report(game, best[1])
 
 
+def _axis_too_long():
+    return CapExceededError(
+        f"a grid axis has more than {MAX_GRID_CELLS} cells, "
+        f"above the bound {MAX_GRID_CELLS}"
+    )
+
+
 def _axis(lo, hi, advance):
     """The cells [a, advance(a)] from a = lo on, the last one cut at hi; one
     cell [lo, hi] when lo == hi.
@@ -206,10 +213,7 @@ def _axis(lo, hi, advance):
     a = lo
     while a < hi:
         if len(cells) == MAX_GRID_CELLS:
-            raise CapExceededError(
-                f"a grid axis has more than {MAX_GRID_CELLS} cells, "
-                f"above the bound {MAX_GRID_CELLS}"
-            )
+            raise _axis_too_long()
         b = advance(a)
         cells.append((a, min(b, hi)))
         a = b
@@ -280,6 +284,10 @@ def _geometric_axis(entries, eps):
     leading cell [0, eta] with eta = max * eps / (1 + eps); the ratio
     certificate for that factor is weakened accordingly. Negative minima are
     rejected: relative certificates need nonnegative scales.
+
+    The walk from a > 0 reaches hi within MAX_GRID_CELLS cells exactly when
+    hi <= a (1+eps)^MAX_GRID_CELLS, so a longer axis is refused by that one
+    comparison before any cell is built.
     """
     lo, hi = min(entries), max(entries)
     if lo < 0:
@@ -288,10 +296,15 @@ def _geometric_axis(entries, eps):
     def advance(a):
         return a * (1 + eps)
 
+    def walk(a):
+        if hi > a * (1 + eps) ** MAX_GRID_CELLS:
+            raise _axis_too_long()
+        return _axis(a, hi, advance)
+
     if lo == 0 < hi:
         eta = hi * eps / (1 + eps)
-        return [(Fraction(0), eta)] + _axis(eta, hi, advance), True
-    return _axis(lo, hi, advance), False
+        return [(Fraction(0), eta)] + walk(eta), True
+    return walk(lo), False
 
 
 def approx_relative(game, eps, decomp=None):

@@ -66,16 +66,25 @@ def pivot(rows, r, col):
     an earlier row stays valid. This is the package's only elimination
     kernel: rank, solve, rank factorization, the simplex and the vertex walk
     differ only in how they choose (r, col).
+
+    A changed row is updated only on the columns where the scaled pivot row
+    is nonzero; elsewhere a - f * 0 == a, so the result is the same as the
+    full-width update. Slack, artificial and block-diagonal columns make
+    those zero columns most of a tableau.
     """
     prow = rows[r]
     p = prow[col]
     if p != 1:
         rows[r] = prow = [e / p if e else e for e in prow]
+    support = [(j, b) for j, b in enumerate(prow) if b]
     for i, row in enumerate(rows):
         if i != r:
             f = row[col]
             if f != 0:
-                rows[i] = [a - f * b for a, b in zip(row, prow)]
+                row = row[:]
+                for j, b in support:
+                    row[j] -= f * b
+                rows[i] = row
 
 
 def _peel(rows):

@@ -61,3 +61,16 @@ def brute_force_vertices(poly):
         )
         seen[point] = PolyhedronVertex(point=point, binding=binding)
     return tuple(seen[p] for p in sorted(seen))
+
+
+def dense_pivot(rows, r, col):
+    """Reference Gauss-Jordan step: the full-width update, on new lists.
+
+    Row r is divided by its col entry and every other row has that multiple
+    of it subtracted on every column, zero or not. linalg.pivot must give
+    exactly these rows.
+    """
+    p = rows[r][col]
+    prow = [e / p for e in rows[r]]
+    return [prow if i == r else [a - row[col] * b for a, b in zip(row, prow)]
+            for i, row in enumerate(rows)]

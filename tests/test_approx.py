@@ -179,6 +179,25 @@ def test_grid_axes():
     assert len(_interval_axis(f(0), f(1), f(1, MAX_GRID_CELLS))) == MAX_GRID_CELLS
 
 
+def test_geometric_axis_refused_before_it_is_built(monkeypatch):
+    f = Fraction
+    # 2^4096 is reached in exactly MAX_GRID_CELLS doubling cells
+    cells, _ = _geometric_axis([f(1), f(2) ** MAX_GRID_CELLS], f(1))
+    assert len(cells) == MAX_GRID_CELLS
+
+    def no_axis(*args):
+        raise AssertionError("the axis was walked before its length was bounded")
+
+    monkeypatch.setattr("rankgames.approx._axis", no_axis)
+    for entries, eps in [
+        ([f(1), f(2) ** MAX_GRID_CELLS + 1], f(1)),
+        ([f(1), f(2)], f(1, 10**9)),
+        ([f(0), f(1), f(2)], f(1, 10**9)),  # the eta..hi part of a zero minimum
+    ]:
+        with pytest.raises(CapExceededError, match="above the bound 4096"):
+            _geometric_axis(entries, eps)
+
+
 def _no_lp(*args, **kwargs):
     raise AssertionError("a cell LP ran before the cell bound was checked")
 

@@ -19,8 +19,9 @@ from rankgames import (
     solve_linear_system,
     squared_difference_family,
 )
+from rankgames.linalg import pivot
 
-from helpers import random_matrix
+from helpers import dense_pivot, random_matrix
 
 
 def test_as_fraction_accepts_exact_inputs():
@@ -195,5 +196,65 @@ def test_exact_kernels_match_sympy_oracle():
         else:
             expected = oracle.LUsolve(to_sympy([[e] for e in b]))
             assert x == tuple(Fraction(int(e.p), int(e.q)) for e in expected)
+
+    check()
+
+
+def _sparse_rows(st):
+    """Rational row lists up to 6x8, mostly zeros, with one nonzero entry
+    (i, j) drawn as the pivot."""
+    entries = st.one_of(
+        st.just(Fraction(0)),
+        st.just(Fraction(1)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    )
+
+    @st.composite
+    def cases(draw):
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        if rows[i][j] == 0:
+            rows[i][j] = draw(entries.filter(bool))
+        return rows, i, j
+
+    return cases()
+
+
+def test_pivot_equals_dense_gauss_jordan_step():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(_sparse_rows(hypothesis.strategies))
+    def check(case):
+        rows, r, col = case
+        expected = dense_pivot(rows, r, col)
+        pivot(rows, r, col)
+        assert rows == expected
+        assert all(type(e) is Fraction for row in rows for e in row)
+
+    check()
+
+
+def test_pivot_never_mutates_a_row_it_replaces():
+    # the vertex walk keeps the rows of earlier bases: every list taken from
+    # the rows before a pivot must still hold its old entries after it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(_sparse_rows(st), st.randoms(use_true_random=False))
+    def check(case, rng):
+        rows, r, col = case
+        held = []
+        for _ in range(4):
+            held += [(row, list(row)) for row in rows]
+            pivot(rows, r, col)
+            r, col = rng.choice([(i, j) for i, row in enumerate(rows)
+                                 for j, e in enumerate(row) if e != 0])
+        assert all(row == copy for row, copy in held)
 
     check()
