@@ -1,8 +1,10 @@
 """Exact tools for bimatrix games whose payoff sum has low rank.
 
-The package keeps every computation in rational arithmetic: payoffs, LP
-pivots, polyhedron vertices, and reported profiles are Fractions end to end,
-so equilibrium claims are checked by equality, never by tolerance.
+The package keeps every computation in exact rational arithmetic, so
+equilibrium claims are checked by equality, never by tolerance. Payoffs,
+polyhedron vertices, LP solutions and reported profiles are Fractions; the
+one elimination kernel, linalg.pivot, works on rows of Python ints that
+share one denominator per row, and its results are read back as Fractions.
 """
 
 from .approx import (

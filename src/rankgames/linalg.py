@@ -1,7 +1,8 @@
-"""Exact linear algebra over Fraction entries."""
+"""Exact linear algebra: Fractions at the interface, integer rows inside."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -58,57 +59,90 @@ def max_abs_entry(matrix):
     return Fraction(max(abs(e) for e in np.asarray(matrix).flat))
 
 
+def int_row(entries):
+    """The integer row of a sequence of Fractions or ints.
+
+    The numerators over the lcm of the denominators, then that lcm, stored
+    last: entry j is row[j] / row[-1]. The gcd of such a row is already 1,
+    since a prime dividing the lcm misses the scaled numerator of an entry
+    whose denominator holds its full power. This is where Fractions enter
+    the elimination kernel; they leave as Fraction(row[j], row[-1]).
+    """
+    den = lcm(*(e.denominator for e in entries))
+    row = [e.numerator * (den // e.denominator) for e in entries]
+    row.append(den)
+    return row
+
+
+def reduced(row):
+    """An integer row divided by the gcd of its ints, the row's one form."""
+    g = gcd(*row)
+    return row if g == 1 else [e // g for e in row]
+
+
 def pivot(rows, r, col):
-    """One exact Gauss-Jordan step on a list of Fraction row lists, in place.
+    """One exact Gauss-Jordan step on a list of integer rows, in place.
 
-    Scales row r so its col entry is 1, then clears col from every other row.
-    Changed rows are replaced by new lists, never mutated, so a reference to
-    an earlier row stays valid. This is the package's only elimination
-    kernel: rank, solve, rank factorization, the simplex and the vertex walk
-    differ only in how they choose (r, col).
+    A row is a list of Python ints, the numerators and then one positive
+    row denominator (see int_row), divided by its gcd. Row r is scaled so
+    its col entry is 1, then col is cleared from every other row, all in
+    integer arithmetic. Changed rows are replaced by new lists, never
+    mutated, so a reference to an earlier row stays valid. This is the
+    package's only elimination kernel: rank, solve, rank factorization, the
+    simplex and the vertex walk differ only in how they choose (r, col).
 
-    A changed row is updated only on the columns where the scaled pivot row
-    is nonzero; elsewhere a - f * 0 == a, so the result is the same as the
-    full-width update. Slack, artificial and block-diagonal columns make
-    those zero columns most of a tableau.
+    A row of denominator den and col entry f becomes (p/g) row - (f/g) prow
+    over (p/g) den, where prow is the scaled pivot row, p = prow[col] its
+    denominator and g = gcd(p, f). The subtraction runs only on the
+    columns where prow is nonzero; slack, artificial and block-diagonal
+    columns make the others most of a tableau. Each row keeps its own
+    denominator: a Bareiss tableau with one common determinant would
+    rescale every row at every pivot, rows with f == 0 included.
     """
     prow = rows[r]
+    if prow[col] != prow[-1]:
+        sign = 1 if prow[col] > 0 else -1
+        prow = [sign * e for e in prow[:-1]]
+        prow.append(prow[col])
+        rows[r] = prow = reduced(prow)
     p = prow[col]
-    if p != 1:
-        rows[r] = prow = [e / p if e else e for e in prow]
-    support = [(j, b) for j, b in enumerate(prow) if b]
+    support = [(j, b) for j, b in enumerate(prow[:-1]) if b]
     for i, row in enumerate(rows):
         if i != r:
             f = row[col]
-            if f != 0:
-                row = row[:]
+            if f:
+                g = gcd(p, f)
+                q, s = p // g, f // g
+                row = [q * e for e in row] if q != 1 else row[:]
                 for j, b in support:
-                    row[j] -= f * b
-                rows[i] = row
+                    row[j] -= s * b
+                rows[i] = reduced(row)
 
 
 def _peel(rows):
-    """Canonical rank-one peel of a list of Fraction row lists, consumed.
+    """Canonical rank-one peel of a list of Fraction row lists.
 
     Columns are scanned left to right, and in each the first remaining row
     with a nonzero entry is the pivot. Rows are never swapped, and each pivot
     row leaves the list after its step, so the list always holds the
-    residual of the peel so far. Returns one pair (u, v) per pivot: u is the
-    pivot column of the residual taken before the step, with 0 on the rows
-    already peeled, and v is the pivot row divided by the pivot. The pair
-    count is the rank.
+    residual of the peel so far. Returns one pair (u, v) of Fraction lists
+    per pivot: u is the pivot column of the residual taken before the step,
+    with 0 on the rows already peeled, and v is the pivot row divided by the
+    pivot. The pair count is the rank.
     """
+    rows = [int_row(row) for row in rows]
     m = len(rows)
     left = list(range(m))  # original index of each remaining row
     pairs = []
-    for col in range(len(rows[0])):
+    for col in range(len(rows[0]) - 1):
         for k, row in enumerate(rows):
             if row[col] != 0:
                 u = [Fraction(0)] * m
                 for i, rest in zip(left, rows):
-                    u[i] = rest[col]
+                    u[i] = Fraction(rest[col], rest[-1])
                 pivot(rows, k, col)
-                pairs.append((u, rows.pop(k)))
+                v = rows.pop(k)
+                pairs.append((u, [Fraction(e, v[-1]) for e in v[:-1]]))
                 del left[k]
                 break
     return pairs
@@ -132,7 +166,7 @@ def solve_linear_system(a, b):
     b = fraction_vector(b)
     if len(b) != n:
         raise ValueError("right-hand side length does not match")
-    rows = [ra + [rb] for ra, rb in zip(a.tolist(), b.tolist())]
+    rows = [int_row(ra + [rb]) for ra, rb in zip(a.tolist(), b.tolist())]
     for col in range(n):
         for r in range(col, n):
             if rows[r][col] != 0:
@@ -141,7 +175,7 @@ def solve_linear_system(a, b):
             return None
         rows[col], rows[r] = rows[r], rows[col]
         pivot(rows, col, col)
-    return tuple(row[n] for row in rows)
+    return tuple(Fraction(row[n], row[-1]) for row in rows)
 
 
 @dataclass(frozen=True)

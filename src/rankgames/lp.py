@@ -1,11 +1,19 @@
-"""Exact linear programming: two-phase simplex over Fractions with Bland's rule."""
+"""Exact linear programming: two-phase simplex with Bland's rule, on
+integer rows inside and Fractions at the interface."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_fraction, fraction_matrix, fraction_vector, pivot
+from .linalg import (
+    as_fraction,
+    fraction_matrix,
+    fraction_vector,
+    int_row,
+    pivot,
+    reduced,
+)
 
 SENSES = ("<=", "=", ">=")
 
@@ -84,7 +92,7 @@ def linear_program(objective, lhs, senses, rhs, lower=None, upper=None):
 def _price_out(tableau, cost, basis):
     """Append the reduced-cost row of cost to the tableau, pricing out every
     basic column (each is a unit column of the constraint rows)."""
-    tableau.append(list(cost) + [Fraction(0)])
+    tableau.append(int_row(list(cost) + [Fraction(0)]))
     for i, b in enumerate(basis):
         pivot(tableau, i, b)
 
@@ -93,7 +101,10 @@ def _iterate(tableau, basis, ncols):
     """Run Bland-rule simplex iterations; return 'optimal' or 'unbounded'.
 
     The constraint rows come first, one per basis entry; the last row holds
-    the reduced costs, so one pivot updates both.
+    the reduced costs, so one pivot updates both. Rows are integer rows
+    (linalg.int_row), whose rhs is row[-2]: signs are read off the ints, and
+    two ratios of one column compare by cross-multiplying, as the row
+    denominators cancel.
     """
     while True:
         zrow = tableau[-1]
@@ -105,17 +116,16 @@ def _iterate(tableau, basis, ncols):
         if col is None:
             return "optimal"
         leave = None
-        best = None
         for i in range(len(basis)):
             row = tableau[i]
             a = row[col]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+                if leave is not None:
+                    # row[-2] / a against the best ratio best_b / best_a
+                    lhs, rhs = row[-2] * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, best_b, best_a = i, row[-2], a
         if leave is None:
             return "unbounded"
         pivot(tableau, leave, col)
@@ -203,17 +213,19 @@ def solve_lp(lp):
             c = ncols + len(art_cols)
             art_cols.append(c)
             basis[i] = c
+    # each full standard-form row becomes an integer row only here: a
+    # positive row scale changes no sign and no ratio within a row
+    for i, row in enumerate(rows):
+        ext = [Fraction(0)] * len(art_cols)
+        if basis[i] >= ncols:
+            ext[basis[i] - ncols] = Fraction(1)
+        rows[i] = int_row(row[:-1] + ext + [row[-1]])
     if art_cols:
         total = ncols + len(art_cols)
-        for i, row in enumerate(rows):
-            ext = [Fraction(0)] * len(art_cols)
-            if basis[i] >= ncols:
-                ext[basis[i] - ncols] = Fraction(1)
-            rows[i] = row[:-1] + ext + [row[-1]]
         cost1 = [Fraction(0)] * ncols + [Fraction(1)] * len(art_cols)
         _price_out(rows, cost1, basis)
         _iterate(rows, basis, total)
-        if -rows.pop()[-1] > 0:
+        if rows.pop()[-2] < 0:
             return LpSolution("infeasible", None, None)
         # pivot leftover artificials out; an all-zero row is redundant
         for i in range(len(rows)):
@@ -223,7 +235,7 @@ def solve_lp(lp):
                     pivot(rows, i, col)
                     basis[i] = col
         keep = [i for i in range(len(rows)) if basis[i] < ncols]
-        rows = [rows[i][:ncols] + [rows[i][-1]] for i in keep]
+        rows = [reduced(rows[i][:ncols] + rows[i][-2:]) for i in keep]
         basis = [basis[i] for i in keep]
 
     cost2 = [Fraction(0)] * ncols
@@ -240,7 +252,7 @@ def solve_lp(lp):
     std = [Fraction(0)] * nstd
     for i, b in enumerate(basis):
         if b < nstd:
-            std[b] = rows[i][-1]
+            std[b] = Fraction(rows[i][-2], rows[i][-1])
     x = []
     for j in range(nvars):
         val = const[j]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import pivot
+from .linalg import int_row, pivot, reduced
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,10 @@ def enumerate_vertices(poly):
     slacks are nonbasic. From each basis every nonbasic slack is tried as
     the entering variable, and every basic slack row tied at the minimum
     ratio gives a neighbour, degenerate ratio-0 pivots included; a seen-set
-    of nonbasic row sets makes each basis pivot into the walk once. A
-    basis's point is read from the coordinate rows, and its binding labels
-    are the nonbasic rows plus the basic slacks at 0.
+    of nonbasic row sets makes each basis pivot into the walk once. The
+    rows are integer rows (linalg.int_row) with the right-hand side at
+    row[-2]. A basis's point is read from the coordinate rows, and its
+    binding labels are the nonbasic rows plus the basic slacks at 0.
 
     Completeness: every vertex v* is the unique optimum of some linear
     objective. Bland's simplex method run on that objective from the start
@@ -137,9 +138,10 @@ def enumerate_vertices(poly):
     """
     k, d = poly.ineqs.shape
     one, zero = Fraction(1), Fraction(0)
-    rows = [list(poly.ineqs[r]) + [one if i == r else zero for i in range(k)]
-            + [zero] for r in range(k)]
-    rows.append([one] * (d - 1) + [zero] * (k + 1) + [one])
+    rows = [int_row(list(poly.ineqs[r])
+                    + [one if i == r else zero for i in range(k)] + [zero])
+            for r in range(k)]
+    rows.append(int_row([one] * (d - 1) + [zero] * (k + 1) + [one]))
     free = _start_rows(poly) + [k]
     coord_rows = []
     for c in range(d):
@@ -147,8 +149,9 @@ def enumerate_vertices(poly):
         pivot(rows, r, c)
         free.remove(r)
         coord_rows.append(r)
-    # the coordinates never leave, so their unit columns are never read
-    rows = [row[d:] for row in rows]
+    # the coordinates never leave, so their unit columns are never read;
+    # a coordinate row may keep a common factor once its unit entry is gone
+    rows = [reduced(row[d:]) for row in rows]
     slack_rows = [r for r in range(k) if r not in coord_rows]
     basic = {r: r for r in slack_rows}  # tableau row -> its basic slack
     nonbasic = frozenset(r for r in range(k) if r not in basic)
@@ -157,13 +160,13 @@ def enumerate_vertices(poly):
     found = {}
     while queue:
         rows, basic, nonbasic = queue.popleft()
-        point = tuple(rows[r][-1] for r in coord_rows)
+        point = tuple(Fraction(rows[r][-2], rows[r][-1]) for r in coord_rows)
         if point not in found:
-            tight = [i for r, i in basic.items() if rows[r][-1] == 0]
+            tight = [i for r, i in basic.items() if rows[r][-2] == 0]
             binding = frozenset(poly.labels[i] for i in (*nonbasic, *tight))
             found[point] = PolyhedronVertex(point=point, binding=binding)
         for j in nonbasic:
-            ratios = [(rows[r][-1] / rows[r][j], r)
+            ratios = [(Fraction(rows[r][-2], rows[r][j]), r)
                       for r in slack_rows if rows[r][j] > 0]
             if not ratios:
                 continue  # an unbounded edge

@@ -2,13 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
 from rankgames import (
+    approx_absolute,
+    approx_relative,
     as_fraction,
     block_game,
+    enumerate_equilibria,
     fraction_matrix,
     fraction_vector,
     identity_game,
@@ -19,7 +23,8 @@ from rankgames import (
     solve_linear_system,
     squared_difference_family,
 )
-from rankgames.linalg import pivot
+from rankgames import linalg, lp, polyhedra
+from rankgames.linalg import int_row, pivot
 
 from helpers import dense_pivot, random_matrix
 
@@ -222,6 +227,49 @@ def _sparse_rows(st):
     return cases()
 
 
+def _values(rows):
+    """The Fraction entries of integer rows."""
+    return [[Fraction(e, row[-1]) for e in row[:-1]] for row in rows]
+
+
+def _assert_canonical(rows):
+    for row in rows:
+        assert all(type(e) is int for e in row)
+        assert row[-1] > 0
+        assert gcd(*row) == 1
+
+
+def test_int_row_round_trip():
+    big = Fraction(1, 10**6 - 1), Fraction(-7, 10**6 + 1)
+    cases = [
+        [Fraction(0)] * 4,
+        [Fraction(-3), Fraction(0), Fraction(5, -4)],
+        [*big, Fraction(0), Fraction(-(10**6 + 1), 10**6 - 1)],
+        [Fraction(2, 6), Fraction(-4, 6), Fraction(6, 9)],
+        [3, -4, 0],
+    ]
+    for entries in cases:
+        row = int_row(entries)
+        _assert_canonical([row])
+        assert _values([row]) == [[Fraction(e) for e in entries]]
+        assert row[-1] == lcm(*(Fraction(e).denominator for e in entries))
+    assert int_row([Fraction(0)] * 3) == [0, 0, 0, 1]
+    assert int_row(list(big))[-1] == (10**6 - 1) * (10**6 + 1)
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.lists(st.fractions(max_denominator=10**7), max_size=8))
+    def check(entries):
+        row = int_row(entries)
+        _assert_canonical([row])
+        assert _values([row]) == [entries]
+
+    check()
+
+
 def test_pivot_equals_dense_gauss_jordan_step():
     hypothesis = pytest.importorskip("hypothesis")
 
@@ -229,11 +277,11 @@ def test_pivot_equals_dense_gauss_jordan_step():
                          database=None)
     @hypothesis.given(_sparse_rows(hypothesis.strategies))
     def check(case):
-        rows, r, col = case
-        expected = dense_pivot(rows, r, col)
+        fractions, r, col = case
+        rows = [int_row(row) for row in fractions]
         pivot(rows, r, col)
-        assert rows == expected
-        assert all(type(e) is Fraction for row in rows for e in row)
+        assert _values(rows) == dense_pivot(fractions, r, col)
+        _assert_canonical(rows)
 
     check()
 
@@ -248,13 +296,36 @@ def test_pivot_never_mutates_a_row_it_replaces():
                          database=None)
     @hypothesis.given(_sparse_rows(st), st.randoms(use_true_random=False))
     def check(case, rng):
-        rows, r, col = case
+        fractions, r, col = case
+        rows = [int_row(row) for row in fractions]
         held = []
         for _ in range(4):
             held += [(row, list(row)) for row in rows]
             pivot(rows, r, col)
             r, col = rng.choice([(i, j) for i, row in enumerate(rows)
-                                 for j, e in enumerate(row) if e != 0])
+                                 for j, e in enumerate(row[:-1]) if e != 0])
         assert all(row == copy for row, copy in held)
 
     check()
+
+
+def test_pivot_path_length_pinned(monkeypatch):
+    # the golden profiles pin where a run ends; these counts also pin how
+    # many elimination steps it takes to get there
+    calls = []
+
+    def counting(rows, r, col):
+        calls.append(None)
+        pivot(rows, r, col)
+
+    for module in (linalg, lp, polyhedra):
+        monkeypatch.setattr(module, "pivot", counting)
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert count(lambda: approx_absolute(rank1_family(5), Fraction(1, 10))) == 682
+    assert count(lambda: approx_relative(rank1_family(4), Fraction(1, 4))) == 1850
+    assert count(lambda: enumerate_equilibria(identity_game(5))) == 77

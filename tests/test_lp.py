@@ -160,6 +160,48 @@ def test_agrees_with_brute_force_vertex_oracle():
     assert optimal >= 20  # the sample must actually exercise the solver
 
 
+def test_rational_lps_agree_with_brute_force_vertex_oracle():
+    # coefficients p/q with q up to 7 reach the lcm scaling of the integer
+    # rows, which the integer LPs above never do
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def rationals(bound):
+        return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 7))
+
+    @st.composite
+    def lps(draw):
+        nvars, nrows = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+        rows = draw(st.lists(st.lists(rationals(4), min_size=nvars,
+                                      max_size=nvars),
+                             min_size=nrows, max_size=nrows))
+        senses = draw(st.lists(st.sampled_from(["<=", ">=", "="]),
+                               min_size=nrows, max_size=nrows))
+        rhs = draw(st.lists(rationals(6), min_size=nrows, max_size=nrows))
+        # box row keeps the region bounded so the oracle is complete
+        return linear_program(
+            draw(st.lists(rationals(5), min_size=nvars, max_size=nvars)),
+            rows + [[1] * nvars], senses + ["<="], rhs + [20])
+
+    optimal = []
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(lps())
+    def check(lp):
+        sol = solve_lp(lp)
+        brute = _brute_force_optimum(lp)
+        if sol.status == "optimal":
+            optimal.append(lp)
+            assert brute == sol.objective_value
+        else:
+            assert sol.status == "infeasible"
+            assert brute is None
+
+    check()
+    assert len(optimal) >= 30  # the sample must actually exercise the solver
+
+
 def test_row_permutation_keeps_objective():
     rng = random.Random(916)
     for _ in range(25):

@@ -139,3 +139,27 @@ def test_walk_matches_brute_force_on_drawn_games():
         assert is_nondegenerate(game) == nondegenerate
 
     check()
+
+
+def test_walk_matches_brute_force_on_rational_games():
+    # entries p/q with q up to 7 reach the lcm scaling of the integer rows,
+    # which integer payoffs never do
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 7))
+
+    @st.composite
+    def games(draw):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        grid = st.lists(st.lists(entries, min_size=n, max_size=n),
+                        min_size=m, max_size=m)
+        return BimatrixGame(draw(grid), draw(grid))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(games())
+    def check(game):
+        for poly in build_polyhedra(game):
+            assert enumerate_vertices(poly) == brute_force_vertices(poly)
+
+    check()
