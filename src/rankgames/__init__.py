@@ -26,7 +26,6 @@ from .bounds import (
     tau,
 )
 from .enumeration import (
-    DEFAULT_CAP,
     EquilibriumSet,
     connected_component_count,
     enumerate_by_supports,

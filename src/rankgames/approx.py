@@ -12,6 +12,7 @@ from .errors import CapExceededError
 from .games import (
     BimatrixGame,
     MixedProfile,
+    _evaluate,
     is_approximate_equilibrium,
     is_exact_equilibrium,
     loss,
@@ -355,8 +356,5 @@ def approx_relative(game, eps, decomp=None):
 
 def _gap_ratio(game, profile):
     """Exact relative gap: loss over the best-response sum (0 at loss 0)."""
-    gap = loss(game, profile)
-    if gap == 0:
-        return Fraction(0)
-    bilinear = fraction_vector(profile.x) @ game.c @ fraction_vector(profile.y)
-    return gap / (gap + Fraction(bilinear))
+    gap, p1, p2 = _evaluate(game, profile)[:3]
+    return gap / (gap + p1 + p2) if gap else Fraction(0)

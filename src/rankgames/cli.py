@@ -12,7 +12,7 @@ from .approx import (
     svd_truncate,
 )
 from .bounds import bound_report, rank_component_bound
-from .enumeration import DEFAULT_CAP, enumerate_equilibria
+from .enumeration import enumerate_equilibria
 from .errors import CapExceededError, GameFormatError
 from .families import FamilySpec, build_family
 from .gamefiles import (
@@ -106,7 +106,7 @@ def cmd_solve(args):
             "equilibrium": encode_report(report),
         }
     else:
-        eqset = enumerate_equilibria(game, cap=args.cap)
+        eqset = enumerate_equilibria(game)
         if args.mode == "components":
             results = _components_results(game, eqset)
         else:
@@ -122,7 +122,7 @@ def cmd_solve(args):
 
 def cmd_components(args):
     game = load_game(args.game)
-    eqset = enumerate_equilibria(game, cap=args.cap)
+    eqset = enumerate_equilibria(game)
     params = {"game": args.game, "m": game.m, "n": game.n}
     results = _components_results(game, eqset)
     _emit(report_json("components", params, results), args.out)
@@ -239,14 +239,11 @@ def build_parser():
     s.add_argument("game", help="game file path")
     s.add_argument("--mode", choices=["enum", "zerosum", "components"],
                    default="enum")
-    s.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help=f"size guard on m+n (default {DEFAULT_CAP})")
     s.add_argument("--out", help="report path (default: stdout)")
     s.set_defaults(func=cmd_solve)
 
     c = sub.add_parser("components", help="count connected equilibrium components")
     c.add_argument("game")
-    c.add_argument("--cap", type=int, default=DEFAULT_CAP)
     c.add_argument("--out")
     c.set_defaults(func=cmd_components)
 

@@ -3,13 +3,12 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import CapExceededError
 from .games import MixedProfile, is_exact_equilibrium, loss, make_report
 from .linalg import solve_linear_system
-from .polyhedra import build_polyhedra, enumerate_vertices
-
-DEFAULT_CAP = 24
+from .polyhedra import MAX_BASES, build_polyhedra, enumerate_vertices
 
 
 @dataclass(frozen=True)
@@ -30,13 +29,6 @@ class EquilibriumSet:
     @property
     def component_count(self):
         return len(self.components)
-
-
-def _check_cap(game, cap):
-    if game.m + game.n > cap:
-        raise CapExceededError(
-            f"instance size m+n = {game.m + game.n} exceeds the cap {cap}"
-        )
 
 
 def _component_partition(n, edges):
@@ -60,7 +52,7 @@ def _component_partition(n, edges):
     return tuple(sorted(tuple(g) for g in groups.values()))
 
 
-def enumerate_equilibria(game, cap=DEFAULT_CAP):
+def enumerate_equilibria(game):
     """All extreme equilibria, found by pairing polyhedron vertices.
 
     A vertex pair (x, v) and (y, u) is an equilibrium exactly when the two
@@ -78,8 +70,9 @@ def enumerate_equilibria(game, cap=DEFAULT_CAP):
     Rosenberg, Savani and von Stengel (2010), whose nodes are the P and Q
     vertices and whose edges are the equilibria: equilibria sharing an x or
     a y are linked, each to the first one with that x or y.
+    The walk's MAX_BASES guard bounds both vertex lists, so also the
+    |P|·|Q| pairing loop; it is the only guard.
     """
-    _check_cap(game, cap)
     p, q = build_polyhedra(game)
     p_vertices = enumerate_vertices(p)
     q_vertices = enumerate_vertices(q)
@@ -120,7 +113,7 @@ def connected_component_count(game, eqset):
     return len(_component_partition(len(profiles), edges))
 
 
-def enumerate_by_supports(game, cap=DEFAULT_CAP):
+def enumerate_by_supports(game):
     """Equilibria by equal-size support pairs; independent of the polyhedra.
 
     For every support pair (I, J) with |I| = |J|, solve the two payoff
@@ -131,32 +124,29 @@ def enumerate_by_supports(game, cap=DEFAULT_CAP):
     extreme points and any extreme equilibrium is recovered from a support
     pair with a nonsingular system. Complete for nondegenerate games (whose
     equilibria all use equal-size supports); sound for every game.
+    There are comb(m + n, m) - 1 pairs (Vandermonde's identity); above
+    polyhedra.MAX_BASES, CapExceededError is raised before any solve.
     """
-    _check_cap(game, cap)
     m, n = game.shape
+    pairs = comb(m + n, m) - 1
+    if pairs > MAX_BASES:
+        raise CapExceededError(
+            f"{pairs} support pairs, above the bound {MAX_BASES}")
     out = {}
     for size in range(1, min(m, n) + 1):
         for rows in combinations(range(m), size):
             for cols in combinations(range(n), size):
-                profile = _support_solution(game, rows, cols)
-                if profile is None:
+                y = _equalizer(game.a, rows, cols)
+                x = None if y is None else _equalizer(game.b.T, cols, rows)
+                if x is None:
                     continue
+                profile = MixedProfile(x, y)
                 if loss(game, profile) != 0:
                     raise RuntimeError(
                         "support solution failed the loss check; this is a bug"
                     )
                 out[(profile.x, profile.y)] = profile
     return tuple(out[k] for k in sorted(out))
-
-
-def _support_solution(game, rows, cols):
-    y = _equalizer(game.a, rows, cols)
-    if y is None:
-        return None
-    x = _equalizer(game.b.T, cols, rows)
-    if x is None:
-        return None
-    return MixedProfile(x, y)
 
 
 def _equalizer(payoff, rows, cols):

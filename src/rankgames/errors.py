@@ -2,7 +2,8 @@
 
 
 class CapExceededError(RuntimeError):
-    """An instance exceeded a size or rank guard meant to stop runaway runs."""
+    """A run exceeded a work bound (grid cells, vertex-walk bases, support
+    pairs) meant to stop runaway runs."""
 
 
 class GameFormatError(ValueError):

@@ -113,16 +113,23 @@ def _vectors(game, profile):
     return fraction_vector(profile.x), fraction_vector(profile.y)
 
 
+def _evaluate(game, profile):
+    """(loss, x a y, x b y, max_i (a y)_i, max_j (x b)_j) from one a y and
+    one x b: the loss's bilinear term x (a+b) y is x a y + x b y."""
+    x, y = _vectors(game, profile)
+    ay, xb = game.a @ y, x @ game.b
+    best1, best2, p1, p2 = max(ay), max(xb), x @ ay, xb @ y
+    return best1 + best2 - p1 - p2, p1, p2, best1, best2
+
+
 def best_response_values(game, profile):
     """(best pure payoff against y for player 1, same against x for player 2)."""
-    x, y = _vectors(game, profile)
-    return Fraction(max(game.a @ y)), Fraction(max(x @ game.b))
+    return _evaluate(game, profile)[3:]
 
 
 def payoffs(game, profile):
     """(x a y, x b y): the realized payoffs of the two players."""
-    x, y = _vectors(game, profile)
-    return Fraction(x @ game.a @ y), Fraction(x @ game.b @ y)
+    return _evaluate(game, profile)[1:3]
 
 
 def loss(game, profile):
@@ -130,8 +137,7 @@ def loss(game, profile):
 
     Nonnegative for every profile; zero exactly at the equilibria.
     """
-    x, y = _vectors(game, profile)
-    return Fraction(max(game.a @ y) + max(x @ game.b) - x @ game.c @ y)
+    return _evaluate(game, profile)[0]
 
 
 def is_exact_equilibrium(game, profile):
@@ -212,10 +218,10 @@ def make_report(game, profile, kind="exact", parameter=None):
     """Evaluate a profile into an EquilibriumReport."""
     if kind not in ("exact", "eps-approximate", "relative-approximate"):
         raise ValueError(f"unknown report kind {kind!r}")
-    p1, p2 = payoffs(game, profile)
+    gap, p1, p2 = _evaluate(game, profile)[:3]
     return EquilibriumReport(
         profile=profile,
-        loss=loss(game, profile),
+        loss=gap,
         payoff1=p1,
         payoff2=p2,
         kind=kind,

@@ -119,6 +119,25 @@ def pivot(rows, r, col):
                 rows[i] = reduced(row)
 
 
+def min_ratio_rows(rows, candidates, col):
+    """The candidate rows tied at the least ratio rhs / col entry, in
+    candidate order, over those whose col entry is positive; [] if none is.
+
+    Rows are integer rows whose rhs is row[-2]. A row's denominator cancels
+    in its own ratio, so two ratios compare by cross-multiplying.
+    """
+    tied, best = [], None
+    for r in candidates:
+        a, b = rows[r][col], rows[r][-2]
+        if a > 0:
+            diff = -1 if best is None else b * best[1] - best[0] * a
+            if diff < 0:
+                tied, best = [], (b, a)
+            if diff <= 0:
+                tied.append(r)
+    return tied
+
+
 def _peel(rows):
     """Canonical rank-one peel of a list of Fraction row lists.
 
@@ -168,10 +187,8 @@ def solve_linear_system(a, b):
         raise ValueError("right-hand side length does not match")
     rows = [int_row(ra + [rb]) for ra, rb in zip(a.tolist(), b.tolist())]
     for col in range(n):
-        for r in range(col, n):
-            if rows[r][col] != 0:
-                break
-        else:
+        r = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if r is None:
             return None
         rows[col], rows[r] = rows[r], rows[col]
         pivot(rows, col, col)

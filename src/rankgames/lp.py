@@ -11,6 +11,7 @@ from .linalg import (
     fraction_matrix,
     fraction_vector,
     int_row,
+    min_ratio_rows,
     pivot,
     reduced,
 )
@@ -51,12 +52,10 @@ class LpSolution:
 def _bound_list(bounds, nvars, default):
     if bounds is None:
         return tuple(default for _ in range(nvars))
-    out = []
-    for b in bounds:
-        out.append(None if b is None else as_fraction(b))
+    out = tuple(None if b is None else as_fraction(b) for b in bounds)
     if len(out) != nvars:
         raise ValueError("bounds length does not match variable count")
-    return tuple(out)
+    return out
 
 
 def linear_program(objective, lhs, senses, rhs, lower=None, upper=None):
@@ -102,32 +101,18 @@ def _iterate(tableau, basis, ncols):
 
     The constraint rows come first, one per basis entry; the last row holds
     the reduced costs, so one pivot updates both. Rows are integer rows
-    (linalg.int_row), whose rhs is row[-2]: signs are read off the ints, and
-    two ratios of one column compare by cross-multiplying, as the row
-    denominators cancel.
+    (linalg.int_row): signs are read off the ints. Of the rows tied at the
+    minimum ratio, the one with the least basic variable leaves.
     """
     while True:
         zrow = tableau[-1]
-        col = None
-        for j in range(ncols):
-            if zrow[j] < 0:
-                col = j
-                break
+        col = next((j for j in range(ncols) if zrow[j] < 0), None)
         if col is None:
             return "optimal"
-        leave = None
-        for i in range(len(basis)):
-            row = tableau[i]
-            a = row[col]
-            if a > 0:
-                if leave is not None:
-                    # row[-2] / a against the best ratio best_b / best_a
-                    lhs, rhs = row[-2] * best_a, best_b * a
-                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
-                        continue
-                leave, best_b, best_a = i, row[-2], a
-        if leave is None:
+        tied = min_ratio_rows(tableau, range(len(basis)), col)
+        if not tied:
             return "unbounded"
+        leave = min(tied, key=basis.__getitem__)
         pivot(tableau, leave, col)
         basis[leave] = col
 
@@ -203,16 +188,14 @@ def solve_lp(lp):
         rows.append(row)
 
     # crash basis: a +1 slack can start basic, every other row gets an artificial
-    basis = [None] * len(rows)
+    basis = []
     art_cols = []
     for i in range(len(rows)):
         if i in slack_sign and slack_sign[i][1] > 0:
-            basis[i] = slack_sign[i][0]
-    for i in range(len(rows)):
-        if basis[i] is None:
-            c = ncols + len(art_cols)
-            art_cols.append(c)
-            basis[i] = c
+            basis.append(slack_sign[i][0])
+        else:
+            art_cols.append(ncols + len(art_cols))
+            basis.append(art_cols[-1])
     # each full standard-form row becomes an integer row only here: a
     # positive row scale changes no sign and no ratio within a row
     for i, row in enumerate(rows):

@@ -6,7 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import int_row, pivot, reduced
+from .errors import CapExceededError
+from .linalg import int_row, min_ratio_rows, pivot, reduced
+
+# Upper bound on the bases, i.e. the pivots, of one vertex walk.
+MAX_BASES = 4096
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,9 @@ def enumerate_vertices(poly):
     row[-2]. A basis's point is read from the coordinate rows, and its
     binding labels are the nonbasic rows plus the basic slacks at 0.
 
+    Each basis costs one pivot, the d that bring in the coordinates
+    included; CapExceededError is raised before the pivot past MAX_BASES.
+
     Completeness: every vertex v* is the unique optimum of some linear
     objective. Bland's simplex method run on that objective from the start
     basis terminates at an optimal basis, whose point is v*, and it makes
@@ -166,15 +173,15 @@ def enumerate_vertices(poly):
             binding = frozenset(poly.labels[i] for i in (*nonbasic, *tight))
             found[point] = PolyhedronVertex(point=point, binding=binding)
         for j in nonbasic:
-            ratios = [(Fraction(rows[r][-2], rows[r][j]), r)
-                      for r in slack_rows if rows[r][j] > 0]
-            if not ratios:
-                continue  # an unbounded edge
-            low = min(t for t, _ in ratios)
-            for t, r in ratios:
+            # no row at all is an unbounded edge
+            for r in min_ratio_rows(rows, slack_rows, j):
                 key = nonbasic - {j} | {basic[r]}
-                if t != low or key in seen:
+                if key in seen:
                     continue
+                if d + len(seen) > MAX_BASES:  # d + len(seen) - 1 pivots made
+                    raise CapExceededError(
+                        f"the vertex walk visits more than {MAX_BASES} "
+                        f"bases, above the bound {MAX_BASES}")
                 seen.add(key)
                 step = list(rows)
                 pivot(step, r, j)
@@ -195,7 +202,8 @@ def is_nondegenerate(game):
     A vertex binds the nonnegativity labels of the strategy_len - |support|
     unplayed strategies plus its best-response labels. So it has more best
     responses than its support size exactly when it binds more than
-    strategy_len labels; no vertex binds fewer.
+    strategy_len labels; no vertex binds fewer. The walk's MAX_BASES guard
+    applies to each side.
     """
     return all(
         len(vertex.binding) == poly.strategy_len

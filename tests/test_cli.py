@@ -218,14 +218,19 @@ def test_missing_file_exit_2(tmp_path, capsys):
 
 
 def test_cap_exit_4(tmp_path, capsys):
+    # the vertex walk of identity(13) passes MAX_BASES bases
     game = write_game(tmp_path, "big.txt", identity_game(13))
-    assert main(["solve", game]) == 4  # 13 + 13 strategies > default cap 24
-    small = write_game(tmp_path, "small.txt", rank1_family(4))
-    assert main(["solve", small, "--cap", "7"]) == 4
-    assert main(["solve", small, "--cap", "8"]) == 0  # raised cap clears it
-    assert main(["components", small, "--cap", "7"]) == 4
-    assert main(["components", small, "--cap", "8"]) == 0
+    assert main(["solve", game]) == 4
+    assert "above the bound 4096" in capsys.readouterr().err
+    assert main(["components", game]) == 4
     capsys.readouterr()
+
+
+def test_rank1_13_solves(tmp_path, capsys):
+    # m + n = 26, as for identity(13), but a walk of a few hundred bases
+    game = write_game(tmp_path, "r13.txt", rank1_family(13))
+    assert main(["solve", game]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["count"] == 25
 
 
 def test_grid_cell_bound_exit_4(tmp_path, capsys):

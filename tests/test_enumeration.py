@@ -21,6 +21,7 @@ from rankgames import (
     solve_zero_sum,
 )
 
+from rankgames import enumeration, polyhedra
 from rankgames.polyhedra import build_polyhedra, enumerate_vertices
 
 from helpers import profile_set, random_game
@@ -142,14 +143,33 @@ def test_block_game_hierarchy_example():
 
 
 def test_cap_guard():
-    with pytest.raises(CapExceededError):
+    # identity(13) walks past MAX_BASES bases a side; rank1(13), with the
+    # same m + n = 26, walks a few hundred
+    with pytest.raises(CapExceededError, match="above the bound 4096"):
         enumerate_equilibria(identity_game(13))
-    with pytest.raises(CapExceededError):
-        enumerate_equilibria(rank1_family(3), cap=5)
-    with pytest.raises(CapExceededError):
-        enumerate_by_supports(rank1_family(3), cap=5)
-    # a raised cap admits the same game
-    assert len(enumerate_equilibria(rank1_family(3), cap=6).reports) == 5
+    assert len(enumerate_equilibria(rank1_family(13)).reports) == 25
+
+
+def test_base_bound_boundary(monkeypatch):
+    # rank1(7) walks exactly 70 bases a side: 8 coordinate pivots, then 62
+    monkeypatch.setattr(polyhedra, "MAX_BASES", 70)
+    assert len(enumerate_equilibria(rank1_family(7)).reports) == 13
+    monkeypatch.setattr(polyhedra, "MAX_BASES", 69)
+    with pytest.raises(CapExceededError, match="above the bound 69"):
+        enumerate_equilibria(rank1_family(7))
+
+
+def test_support_pair_bound():
+    # comb(16, 8) - 1 = 12869 support pairs: refused before any solve
+    solves = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "solve_linear_system",
+                   lambda *args: solves.append(args))
+        with pytest.raises(CapExceededError, match="12869 support pairs"):
+            enumerate_by_supports(rank1_family(8))
+    assert solves == []
+    # comb(14, 7) - 1 = 3431 pairs are admitted
+    assert len(enumerate_by_supports(rank1_family(7))) == 13
 
 
 def test_support_oracle_agrees_spot_checks():

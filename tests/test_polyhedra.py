@@ -6,6 +6,7 @@ import pytest
 
 from rankgames import (
     BimatrixGame,
+    CapExceededError,
     block_game,
     build_polyhedra,
     enumerate_vertices,
@@ -98,6 +99,12 @@ def test_nondegeneracy_detection():
         assert is_nondegenerate(rank1_family(d))
     assert is_nondegenerate(identity_game(3))
     assert not is_nondegenerate(FLAT)
+
+
+def test_nondegeneracy_check_is_guarded():
+    # the check walks the vertices, so the walk's MAX_BASES guard holds
+    with pytest.raises(CapExceededError, match="above the bound 4096"):
+        is_nondegenerate(identity_game(13))
 
 
 @pytest.mark.parametrize("game", [
