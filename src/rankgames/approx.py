@@ -26,7 +26,7 @@ from .linalg import (
     max_abs_entry,
     rank_factorize,
 )
-from .lp import linear_program, solve_lp
+from .lp import StandardForm, linear_program
 
 # Upper bound on the cells of one grid, i.e. on the cell LPs one call solves.
 MAX_GRID_CELLS = 4096
@@ -126,7 +126,9 @@ def _grid_search(game, factor_rows, axes, objective_y, score, cap=None):
     rows instead of m * n. factor_rows[t] holds coefficients over (x, y);
     a cell picks one interval from each axis and bounds the matching factor
     row by it. The LP minimizes s1 + s2 - objective_y(cell) . y, with
-    s1 + s2 <= cap when cap is given.
+    s1 + s2 <= cap when cap is given. Only the factor rows' right-hand
+    sides and the objective differ between cells, so the standard form is
+    built once (lp.StandardForm) and each cell solves it with its own.
     Cells are walked in product order over the axes; with no axes (a
     zero-sum game) that is one cell with no factor rows. Infeasible cells
     are skipped. The lowest score(game, profile) wins and ties go to the
@@ -158,12 +160,16 @@ def _grid_search(game, factor_rows, axes, objective_y, score, cap=None):
         rows += [row, row]
         senses += [">=", "<="]
     lower = [zero] * (m + n) + [None, None]
+    # the factor bounds and the objective are placeholders: each cell
+    # passes its own to the one standard form
+    form = StandardForm(linear_program(
+        [zero] * (m + n + 2), rows, senses,
+        rhs + [zero] * (2 * len(factor_rows)), lower=lower))
     best = None
     for cell in product(*axes):
         objective = [zero] * m + [-c for c in objective_y(cell)] + [one, one]
         bounds = [e for interval in cell for e in interval]
-        sol = solve_lp(linear_program(objective, rows, senses, rhs + bounds,
-                                      lower=lower))
+        sol = form.solve(rhs + bounds, objective)
         if sol.status == "infeasible":
             continue
         if sol.status != "optimal":

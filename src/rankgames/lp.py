@@ -3,6 +3,7 @@ integer rows inside and Fractions at the interface."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -117,130 +118,195 @@ def _iterate(tableau, basis, ncols):
         basis[leave] = col
 
 
+class StandardForm:
+    """The standard-form rewrite of a LinearProgram, built once and solved
+    for any right-hand side and objective.
+
+    Building it is the work of a solve that does not depend on the
+    right-hand sides of the LP's rows or on its objective. Each variable is
+    rewritten as const + a signed sum of nonnegative standard columns
+    (terms), and each constraint row, the LP's rows and then one row per
+    finite upper bound of a lower-bounded variable, gets its slack column.
+    rows[i] is the integer row (linalg.int_row) of row i's standard columns
+    and slack, without its right-hand side; shift[i] is what the constants
+    contribute to LP row i, and slack[i] is its (column, sign) or None for
+    an equality. crossed means some upper bound lies below its lower
+    bound, so every right-hand side is infeasible.
+    """
+
+    def __init__(self, lp):
+        if not isinstance(lp, LinearProgram):
+            raise TypeError("expected a LinearProgram")
+        nvars = lp.nvars
+
+        # rewrite each variable as a nonnegative combination: x_j = const + sum sign*t
+        const = []
+        terms = []
+        nstd = 0
+        bound_rows = []
+        crossed = False
+        for j in range(nvars):
+            lo, up = lp.lower[j], lp.upper[j]
+            if lo is not None:
+                if up is not None:
+                    crossed = crossed or up < lo
+                    bound_rows.append((nstd, up - lo))
+                const.append(lo)
+                terms.append(((nstd, 1),))
+                nstd += 1
+            elif up is not None:
+                const.append(up)
+                terms.append(((nstd, -1),))
+                nstd += 1
+            else:
+                const.append(Fraction(0))
+                terms.append(((nstd, 1), (nstd + 1, -1)))
+                nstd += 2
+
+        raw = []
+        shift = []
+        for i in range(lp.lhs.shape[0]):
+            coeffs = [Fraction(0)] * nstd
+            s = Fraction(0)
+            for j in range(nvars):
+                a = lp.lhs[i, j]
+                if a == 0:
+                    continue
+                s += a * const[j]
+                for t, sign in terms[j]:
+                    coeffs[t] += a if sign > 0 else -a
+            raw.append((coeffs, lp.senses[i]))
+            shift.append(s)
+        for t, _ in bound_rows:
+            coeffs = [Fraction(0)] * nstd
+            coeffs[t] = Fraction(1)
+            raw.append((coeffs, "<="))
+
+        nslack = sum(1 for _, sense in raw if sense != "=")
+        rows = []
+        slack = []
+        k = 0
+        for coeffs, sense in raw:
+            row = coeffs + [Fraction(0)] * nslack
+            if sense == "=":
+                slack.append(None)
+            else:
+                sign = 1 if sense == "<=" else -1
+                row[nstd + k] = Fraction(sign)
+                slack.append((nstd + k, sign))
+                k += 1
+            # a positive row scale changes no sign and no ratio within a row
+            rows.append(int_row(row))
+
+        self.lp = lp
+        self.crossed = crossed
+        self.const = tuple(const)
+        self.terms = tuple(terms)
+        self.nstd = nstd
+        self.ncols = nstd + nslack
+        self.rows = tuple(rows)
+        self.shift = tuple(shift)
+        self.bound_rhs = tuple(ub for _, ub in bound_rows)
+        self.slack = tuple(slack)
+
+    def tableau(self, rhs):
+        """The integer rows, crash basis and artificial count of phase 1
+        for the right-hand side rhs of the LP's rows.
+
+        A row whose right-hand side is negative is negated first. Then a
+        +1 slack starts basic and every other row gets an artificial
+        column, numbered in row order after the ncols standard and slack
+        columns. A row's integer form is its rows[i] rescaled to the lcm of
+        its denominator and the right-hand side's, so it equals int_row of
+        the row's Fractions.
+        """
+        if len(rhs) != len(self.shift):
+            raise ValueError("rhs length does not match row count")
+        ncols = self.ncols
+        bs = [b - s if s else b for b, s in zip(rhs, self.shift)]
+        bs += self.bound_rhs
+        basis = []
+        nart = 0
+        for slack, b in zip(self.slack, bs):
+            if slack is not None and (slack[1] > 0) != (b < 0):
+                basis.append(slack[0])
+            else:
+                basis.append(ncols + nart)
+                nart += 1
+        rows = []
+        for coef, b, col in zip(self.rows, bs, basis):
+            den = coef[-1]
+            big = lcm(den, b.denominator)
+            scale = big // den
+            if b < 0:
+                scale = -scale
+            row = [scale * e for e in coef[:-1]] if scale != 1 else coef[:-1]
+            row += [0] * nart
+            if col >= ncols:
+                row[col] = big
+            row.append(abs(b.numerator) * (big // b.denominator))
+            row.append(big)
+            rows.append(row)
+        return rows, basis, nart
+
+    def solve(self, rhs=None, objective=None):
+        """Solve for new right-hand sides of the LP's rows and a new
+        objective; None keeps the LP's own. Both must hold Fractions."""
+        lp = self.lp
+        rhs = lp.rhs if rhs is None else rhs
+        objective = lp.objective if objective is None else objective
+        if len(objective) != lp.nvars:
+            raise ValueError("objective length does not match variable count")
+        if self.crossed:
+            return LpSolution("infeasible", None, None)
+        ncols = self.ncols
+        rows, basis, nart = self.tableau(rhs)
+        if nart:
+            cost1 = [Fraction(0)] * ncols + [Fraction(1)] * nart
+            _price_out(rows, cost1, basis)
+            _iterate(rows, basis, ncols + nart)
+            if rows.pop()[-2] < 0:
+                return LpSolution("infeasible", None, None)
+            # pivot leftover artificials out; an all-zero row is redundant
+            for i in range(len(rows)):
+                if basis[i] >= ncols:
+                    col = next((j for j in range(ncols) if rows[i][j] != 0), None)
+                    if col is not None:
+                        pivot(rows, i, col)
+                        basis[i] = col
+            keep = [i for i in range(len(rows)) if basis[i] < ncols]
+            rows = [reduced(rows[i][:ncols] + rows[i][-2:]) for i in keep]
+            basis = [basis[i] for i in keep]
+
+        cost2 = [Fraction(0)] * ncols
+        for cj, terms in zip(objective, self.terms):
+            if cj == 0:
+                continue
+            for t, sign in terms:
+                cost2[t] += cj if sign > 0 else -cj
+        _price_out(rows, cost2, basis)
+        if _iterate(rows, basis, ncols) == "unbounded":
+            return LpSolution("unbounded", None, None)
+
+        std = [Fraction(0)] * self.nstd
+        for i, b in enumerate(basis):
+            if b < self.nstd:
+                std[b] = Fraction(rows[i][-2], rows[i][-1])
+        x = []
+        for val, terms in zip(self.const, self.terms):
+            for t, sign in terms:
+                val += std[t] if sign > 0 else -std[t]
+            x.append(val)
+        value = sum((cj * xj for cj, xj in zip(objective, x)), Fraction(0))
+        return LpSolution("optimal", tuple(x), value)
+
+
 def solve_lp(lp):
     """Solve an LP exactly.
 
-    Two-phase simplex on the standard-form rewrite of the problem. Bland's
-    rule picks both the entering and the leaving variable, so the run never
-    cycles and is fully deterministic.
+    Two-phase simplex on the standard-form rewrite of the problem, built as
+    a StandardForm and solved once. Bland's rule picks both the entering and
+    the leaving variable, so the run never cycles and is fully
+    deterministic.
     """
-    if not isinstance(lp, LinearProgram):
-        raise TypeError("expected a LinearProgram")
-    nvars = lp.nvars
-
-    # rewrite each variable as a nonnegative combination: x_j = const + sum sign*t
-    const = []
-    terms = []
-    nstd = 0
-    bound_rows = []
-    for j in range(nvars):
-        lo, up = lp.lower[j], lp.upper[j]
-        if lo is not None:
-            if up is not None:
-                if up < lo:
-                    return LpSolution("infeasible", None, None)
-                bound_rows.append((nstd, up - lo))
-            const.append(lo)
-            terms.append(((nstd, 1),))
-            nstd += 1
-        elif up is not None:
-            const.append(up)
-            terms.append(((nstd, -1),))
-            nstd += 1
-        else:
-            const.append(Fraction(0))
-            terms.append(((nstd, 1), (nstd + 1, -1)))
-            nstd += 2
-
-    raw = []
-    for i in range(lp.lhs.shape[0]):
-        coeffs = [Fraction(0)] * nstd
-        shift = Fraction(0)
-        for j in range(nvars):
-            a = lp.lhs[i, j]
-            if a == 0:
-                continue
-            shift += a * const[j]
-            for t, sign in terms[j]:
-                coeffs[t] += a if sign > 0 else -a
-        raw.append((coeffs, lp.senses[i], lp.rhs[i] - shift))
-    for t, ub in bound_rows:
-        coeffs = [Fraction(0)] * nstd
-        coeffs[t] = Fraction(1)
-        raw.append((coeffs, "<=", ub))
-
-    nslack = sum(1 for _, s, _ in raw if s != "=")
-    ncols = nstd + nslack
-    rows = []
-    slack_sign = {}
-    k = 0
-    for coeffs, sense, b in raw:
-        row = coeffs + [Fraction(0)] * nslack + [b]
-        if sense != "=":
-            row[nstd + k] = Fraction(1) if sense == "<=" else Fraction(-1)
-            slack_sign[len(rows)] = (nstd + k, row[nstd + k])
-            k += 1
-        if b < 0:
-            row = [-e for e in row]
-            if len(rows) in slack_sign:
-                c, s = slack_sign[len(rows)]
-                slack_sign[len(rows)] = (c, -s)
-        rows.append(row)
-
-    # crash basis: a +1 slack can start basic, every other row gets an artificial
-    basis = []
-    art_cols = []
-    for i in range(len(rows)):
-        if i in slack_sign and slack_sign[i][1] > 0:
-            basis.append(slack_sign[i][0])
-        else:
-            art_cols.append(ncols + len(art_cols))
-            basis.append(art_cols[-1])
-    # each full standard-form row becomes an integer row only here: a
-    # positive row scale changes no sign and no ratio within a row
-    for i, row in enumerate(rows):
-        ext = [Fraction(0)] * len(art_cols)
-        if basis[i] >= ncols:
-            ext[basis[i] - ncols] = Fraction(1)
-        rows[i] = int_row(row[:-1] + ext + [row[-1]])
-    if art_cols:
-        total = ncols + len(art_cols)
-        cost1 = [Fraction(0)] * ncols + [Fraction(1)] * len(art_cols)
-        _price_out(rows, cost1, basis)
-        _iterate(rows, basis, total)
-        if rows.pop()[-2] < 0:
-            return LpSolution("infeasible", None, None)
-        # pivot leftover artificials out; an all-zero row is redundant
-        for i in range(len(rows)):
-            if basis[i] >= ncols:
-                col = next((j for j in range(ncols) if rows[i][j] != 0), None)
-                if col is not None:
-                    pivot(rows, i, col)
-                    basis[i] = col
-        keep = [i for i in range(len(rows)) if basis[i] < ncols]
-        rows = [reduced(rows[i][:ncols] + rows[i][-2:]) for i in keep]
-        basis = [basis[i] for i in keep]
-
-    cost2 = [Fraction(0)] * ncols
-    for j in range(nvars):
-        cj = lp.objective[j]
-        if cj == 0:
-            continue
-        for t, sign in terms[j]:
-            cost2[t] += cj if sign > 0 else -cj
-    _price_out(rows, cost2, basis)
-    if _iterate(rows, basis, ncols) == "unbounded":
-        return LpSolution("unbounded", None, None)
-
-    std = [Fraction(0)] * nstd
-    for i, b in enumerate(basis):
-        if b < nstd:
-            std[b] = Fraction(rows[i][-2], rows[i][-1])
-    x = []
-    for j in range(nvars):
-        val = const[j]
-        for t, sign in terms[j]:
-            val += std[t] if sign > 0 else -std[t]
-        x.append(val)
-    value = sum((cj * xj for cj, xj in zip(lp.objective, x)), Fraction(0))
-    return LpSolution("optimal", tuple(x), value)
+    return StandardForm(lp).solve()

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from rankgames import BimatrixGame, MixedProfile
-from rankgames.linalg import fraction_vector, solve_linear_system
+from rankgames.linalg import fraction_vector, int_row, solve_linear_system
 from rankgames.polyhedra import PolyhedronVertex
 
 
@@ -33,33 +33,42 @@ def profile_set(reports):
     return {r.profile for r in reports}
 
 
-def brute_force_vertices(poly):
-    """Reference vertex enumeration: solve every basis from scratch.
+def brute_force_bases(poly):
+    """Reference basis enumeration: solve every basis from scratch.
 
     Every choice of strategy_len inequality rows is solved as equalities
-    together with the normalization row; nonsingular systems give candidate
-    points, kept when they satisfy every inequality. Every vertex of a
-    pointed polyhedron is hit by at least one nonsingular choice. Same
-    output contract as enumerate_vertices: deduplicated, sorted by point,
-    with the full binding label set.
+    together with the normalization row. Yields (rows, point, values) for
+    each choice whose system is nonsingular and whose point satisfies every
+    inequality, values being the inequality rows at the point.
     """
     k = poly.ineqs.shape[0]
     d = poly.dim
     norm_row = [Fraction(1)] * poly.strategy_len + [Fraction(0)]
-    seen = {}
     for subset in combinations(range(k), d - 1):
         a = [norm_row] + [list(poly.ineqs[r]) for r in subset]
         b = [Fraction(1)] + [Fraction(0)] * (d - 1)
         point = solve_linear_system(a, b)
-        if point is None or point in seen:
+        if point is None:
             continue
         values = poly.ineqs @ fraction_vector(point)
-        if any(val > 0 for val in values):
-            continue
-        binding = frozenset(
-            poly.labels[r] for r, val in enumerate(values) if val == 0
-        )
-        seen[point] = PolyhedronVertex(point=point, binding=binding)
+        if all(val <= 0 for val in values):
+            yield subset, point, values
+
+
+def brute_force_vertices(poly):
+    """Reference vertex enumeration: the points of brute_force_bases.
+
+    Every vertex of a pointed polyhedron is hit by at least one feasible
+    basis. Same output contract as enumerate_vertices: deduplicated, sorted
+    by point, with the full binding label set.
+    """
+    seen = {}
+    for _, point, values in brute_force_bases(poly):
+        if point not in seen:
+            binding = frozenset(
+                poly.labels[r] for r, val in enumerate(values) if val == 0
+            )
+            seen[point] = PolyhedronVertex(point=point, binding=binding)
     return tuple(seen[p] for p in sorted(seen))
 
 
@@ -74,3 +83,71 @@ def dense_pivot(rows, r, col):
     prow = [e / p for e in rows[r]]
     return [prow if i == r else [a - row[col] * b for a, b in zip(row, prow)]
             for i, row in enumerate(rows)]
+
+
+def reference_tableau(lp):
+    """Reference phase-1 tableau of an LP, rebuilt from Fractions.
+
+    The standard-form rewrite as one pass over the LinearProgram: each
+    variable becomes const + a signed sum of nonnegative columns, each row
+    gets its slack and its right-hand side minus the constants' shift, a
+    row with a negative right-hand side is negated, a +1 slack starts basic
+    and every other row gets an artificial column, and each full row
+    becomes an integer row only at the end. Returns (rows, basis, number
+    of artificials), or None when an upper bound lies below its lower
+    bound. lp.StandardForm.tableau must give exactly these rows.
+    """
+    const, terms, bound_rows = [], [], []
+    nstd = 0
+    for lo, up in zip(lp.lower, lp.upper):
+        if lo is not None:
+            if up is not None:
+                if up < lo:
+                    return None
+                bound_rows.append((nstd, up - lo))
+            const.append(lo)
+            terms.append(((nstd, 1),))
+            nstd += 1
+        elif up is not None:
+            const.append(up)
+            terms.append(((nstd, -1),))
+            nstd += 1
+        else:
+            const.append(Fraction(0))
+            terms.append(((nstd, 1), (nstd + 1, -1)))
+            nstd += 2
+    raw = []
+    for i in range(lp.lhs.shape[0]):
+        coeffs = [Fraction(0)] * nstd
+        shift = Fraction(0)
+        for j, a in enumerate(lp.lhs[i]):
+            shift += a * const[j]
+            for t, sign in terms[j]:
+                coeffs[t] += sign * a
+        raw.append((coeffs, lp.senses[i], lp.rhs[i] - shift))
+    for t, ub in bound_rows:
+        coeffs = [Fraction(0)] * nstd
+        coeffs[t] = Fraction(1)
+        raw.append((coeffs, "<=", ub))
+    nslack = sum(1 for _, sense, _ in raw if sense != "=")
+    ncols = nstd + nslack
+    rows, basis, k = [], [], 0
+    for coeffs, sense, b in raw:
+        row = coeffs + [Fraction(0)] * nslack + [b]
+        slack = None
+        if sense != "=":
+            slack = nstd + k
+            row[slack] = Fraction(1 if sense == "<=" else -1)
+            k += 1
+        if b < 0:
+            row = [-e for e in row]
+        rows.append(row)
+        basis.append(slack if slack is not None and row[slack] > 0 else None)
+    nart = basis.count(None)
+    arts = iter(range(ncols, ncols + nart))
+    basis = [next(arts) if col is None else col for col in basis]
+    out = []
+    for row, col in zip(rows, basis):
+        ext = [Fraction(int(col == c)) for c in range(ncols, ncols + nart)]
+        out.append(int_row(row[:-1] + ext + [row[-1]]))
+    return out, basis, nart

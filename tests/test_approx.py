@@ -1,6 +1,7 @@
 """Truncation, perturbation, and the two grid-LP approximation schemes."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -30,8 +31,9 @@ from rankgames import (
 )
 
 from rankgames.approx import MAX_GRID_CELLS, _geometric_axis, _interval_axis
+from rankgames.lp import StandardForm
 
-from helpers import random_game, random_matrix
+from helpers import random_game, random_matrix, reference_tableau
 
 
 def test_svd_truncate_exact_shortcut_and_zero():
@@ -203,7 +205,8 @@ def _no_lp(*args, **kwargs):
 
 
 def test_grid_cell_bound_raises_before_any_lp(monkeypatch):
-    monkeypatch.setattr("rankgames.approx.solve_lp", _no_lp)
+    # the grid builds its one standard form only after the bound holds
+    monkeypatch.setattr("rankgames.approx.StandardForm", _no_lp)
     # 27648 cells at eps = 1/4
     with pytest.raises(CapExceededError, match="27648 cells"):
         approx_absolute(squared_difference_family(3), Fraction(1, 4))
@@ -218,11 +221,11 @@ def test_grid_cell_bound_raises_before_any_lp(monkeypatch):
 def test_grid_cell_bound_admits_sqdiff3_at_one_half(monkeypatch):
     calls = []
 
-    def infeasible(program):
-        calls.append(program)
+    def infeasible(form, rhs, objective):
+        calls.append(rhs)
         return SimpleNamespace(status="infeasible")
 
-    monkeypatch.setattr("rankgames.approx.solve_lp", infeasible)
+    monkeypatch.setattr("rankgames.lp.StandardForm.solve", infeasible)
     with pytest.raises(RuntimeError, match="this is a bug"):
         approx_absolute(squared_difference_family(3), Fraction(1, 2))
     assert len(calls) == 3456 <= MAX_GRID_CELLS
@@ -252,6 +255,40 @@ def test_golden_profiles():
                      (Fraction(3, 8), 0, Fraction(5, 8))),
         Fraction(3, 8), Fraction(17, 8), 4)
     assert rep.parameter == Fraction(5, 9)
+
+
+# a rank-1 game whose factor u = (3, 1, -2) takes negative values: at eps
+# 1/2 its axis has cells entirely below 0, whose factor rows have negative
+# right-hand sides on both sides
+NEG = BimatrixGame([[2, -1, 0], [1, 3, -2], [0, 1, 1]],
+                   [[-5, -5, -3], [-2, -5, 1], [2, 3, 1]])
+
+
+def test_grid_rows_match_reference_builder(monkeypatch):
+    # every cell's phase-1 rows, crash basis and artificial count are those
+    # of the LP rebuilt from Fractions with that cell's right-hand side
+    checked = []
+    tableau = StandardForm.tableau
+
+    def compare(form, rhs):
+        out = tableau(form, rhs)
+        assert out == reference_tableau(replace(form.lp, rhs=tuple(rhs)))
+        checked.append(rhs)
+        return out
+
+    monkeypatch.setattr(StandardForm, "tableau", compare)
+    approx_absolute(block_game(rank1_family(2), rank1_family(3)), Fraction(1, 2))
+    approx_relative(rank1_family(4), Fraction(1, 4))
+    approx_relative(REL2, Fraction(1, 2), decomp=REL2_DECOMP)
+    cells = len(checked)
+    assert cells == 32 + 49 + 36
+    approx_absolute(NEG, Fraction(1, 2))
+    # the cells below 0 flip the factor's >= row, which frees its artificial,
+    # or both rows, which moves the artificial to the <= row
+    neg = checked[cells:]
+    assert len(neg) == 7
+    assert [(lo < 0, hi < 0) for lo, hi in (rhs[-2:] for rhs in neg)] == [
+        (True, True), (True, True), (True, False)] + [(False, False)] * 4
 
 
 def _pair(u, v):

@@ -1,6 +1,7 @@
 """Exact simplex solver: known optima, degenerate cases, and a vertex oracle."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,9 @@ from rankgames import (
     solve_lp,
     solve_linear_system,
 )
+from rankgames.lp import StandardForm
+
+from helpers import reference_tableau
 
 
 def test_known_optimum_bounded():
@@ -200,6 +204,46 @@ def test_rational_lps_agree_with_brute_force_vertex_oracle():
 
     check()
     assert len(optimal) >= 30  # the sample must actually exercise the solver
+
+
+def test_standard_form_rows_match_reference_builder():
+    # bounds of every kind: constants shift the rows' right-hand sides, free
+    # variables split in two, finite boxes add bound rows; negative
+    # right-hand sides flip rows, and the flips move the artificials
+    rng = random.Random(523)
+
+    def rational(bound):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
+
+    crossed = flipped = 0
+    for _ in range(120):
+        nvars, nrows = rng.randint(1, 4), rng.randint(1, 4)
+        lower, upper = [], []
+        for _ in range(nvars):
+            lo, up = rng.choice([(rational(3), None), (None, rational(3)),
+                                 (None, None), (rational(3), rational(4)),
+                                 (0, None)])
+            lower.append(lo)
+            upper.append(up)
+        lp = linear_program(
+            [rational(5) for _ in range(nvars)],
+            [[rational(4) for _ in range(nvars)] for _ in range(nrows)],
+            [rng.choice(["<=", ">=", "="]) for _ in range(nrows)],
+            [rational(6) for _ in range(nrows)], lower, upper)
+        form = StandardForm(lp)
+        if reference_tableau(lp) is None:
+            crossed += 1
+            assert form.crossed and form.solve().status == "infeasible"
+            continue
+        other = replace(lp, rhs=tuple(rational(6) for _ in range(nrows)))
+        for rhs in (lp.rhs, other.rhs):
+            rows = reference_tableau(replace(lp, rhs=rhs))
+            assert form.tableau(rhs) == rows
+            flipped += any(b < s for b, s in zip(rhs, form.shift))
+        # one form serves any number of solves
+        assert form.solve(other.rhs) == solve_lp(other)
+        assert form.solve() == solve_lp(lp)
+    assert crossed >= 10 and flipped >= 100
 
 
 def test_row_permutation_keeps_objective():

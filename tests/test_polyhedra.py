@@ -12,10 +12,11 @@ from rankgames import (
     enumerate_vertices,
     identity_game,
     is_nondegenerate,
+    polyhedra,
     rank1_family,
 )
 
-from helpers import brute_force_vertices
+from helpers import brute_force_bases, brute_force_vertices
 
 # an all-ones payoff row side makes every row a best response
 FLAT = BimatrixGame([[1, 1], [1, 1]], [[1, 0], [0, 1]])
@@ -170,3 +171,71 @@ def test_walk_matches_brute_force_on_rational_games():
             assert enumerate_vertices(poly) == brute_force_vertices(poly)
 
     check()
+
+
+def _walked_bases(monkeypatch, poly):
+    """The bases the vertex walk visits: it makes poly.dim pivots to bring
+    in the coordinates, then one per basis after the first."""
+    calls = []
+    pivot = polyhedra.pivot
+
+    def counting(rows, r, col):
+        calls.append(None)
+        pivot(rows, r, col)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polyhedra, "pivot", counting)
+        vertices = enumerate_vertices(poly)
+    return vertices, len(calls) - poly.dim + 1
+
+
+def _repeats_a_row(poly):
+    rows = [tuple(row) for row in poly.ineqs.tolist()]
+    return len(set(rows)) < len(rows)
+
+
+def test_walk_follows_every_tied_row(monkeypatch):
+    # Rows tied at the minimum ratio each give a basis of the vertex the
+    # pivot reaches, and the walk pivots into all of them. On the games
+    # below, none with a repeated row, it so visits exactly the feasible
+    # bases the brute force finds. (Repeated rows split a vertex's bases
+    # into classes no pivot joins: each side of the 2x2 zero game has 4
+    # feasible bases, and the walk visits 2.) In P of this game x = e1 is degenerate: x2 >= 0 and
+    # both best-response rows bind there. Its basis {x2 >= 0, column 2} is
+    # reached only from e2, where x2 >= 0 and column 1 tie on the edge
+    # back to e1, so a walk that follows only the first tied row visits 3
+    # bases.
+    poly = build_polyhedra(BimatrixGame([[0, 0], [1, 0]], [[0, 0], [0, 1]]))[0]
+    vertices, bases = _walked_bases(monkeypatch, poly)
+    assert vertices == brute_force_vertices(poly)
+    # labels 1 and 2 are x1 >= 0 and x2 >= 0, 3 and 4 the two columns
+    assert [{poly.labels[r] for r in rows} for rows, _, _ in
+            brute_force_bases(poly)] == [{1, 4}, {2, 3}, {2, 4}, {3, 4}]
+    assert bases == 4
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    degenerate = []
+
+    @st.composite
+    def games(draw):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        grid = st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                        min_size=m, max_size=m)
+        return BimatrixGame(draw(grid), draw(grid))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(games())
+    def check(game):
+        for poly in build_polyhedra(game):
+            if _repeats_a_row(poly):
+                continue
+            feasible = list(brute_force_bases(poly))
+            vertices, bases = _walked_bases(monkeypatch, poly)
+            assert vertices == brute_force_vertices(poly)
+            assert bases == len(feasible)
+            degenerate.append(bases > len(vertices))
+
+    check()
+    assert sum(degenerate) >= 30  # the sample must have degenerate vertices
