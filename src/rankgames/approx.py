@@ -8,7 +8,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import CapExceededError
+from . import errors
 from .games import (
     BimatrixGame,
     MixedProfile,
@@ -28,11 +28,12 @@ from .linalg import (
 )
 from .lp import StandardForm, linear_program
 
-# Upper bound on the cells of one grid, i.e. on the cell LPs one call solves.
-MAX_GRID_CELLS = 4096
+# svd_truncate rounds each float factor entry to the nearest Fraction whose
+# denominator is at most this.
+SVD_MAX_DENOMINATOR = 10**6
 
 
-def svd_truncate(matrix, k, max_denominator=10**6):
+def svd_truncate(matrix, k):
     """Best-effort rank-k truncation with exact rational output.
 
     If the matrix already has rank <= k it is returned unchanged (exact
@@ -62,11 +63,11 @@ def svd_truncate(matrix, k, max_denominator=10**6):
     u, s, vt = np.linalg.svd(c.astype(float))
     for t in range(k):
         col = fraction_vector(
-            Fraction(u[i, t] * s[t]).limit_denominator(max_denominator)
+            Fraction(u[i, t] * s[t]).limit_denominator(SVD_MAX_DENOMINATOR)
             for i in range(m)
         )
         row = fraction_vector(
-            Fraction(vt[t, j]).limit_denominator(max_denominator)
+            Fraction(vt[t, j]).limit_denominator(SVD_MAX_DENOMINATOR)
             for j in range(n)
         )
         out = out + np.outer(col, row)
@@ -135,14 +136,10 @@ def _grid_search(game, factor_rows, axes, objective_y, score, cap=None):
     earliest cell, so the result is deterministic.
 
     The cell count, the product of the axis lengths, is checked against
-    MAX_GRID_CELLS before any LP runs; above it CapExceededError is raised.
-    (_axis has already refused any single axis longer than the bound.)
+    errors.MAX_WORK before any LP runs (_axis has already refused any single
+    axis longer than the bound).
     """
-    cells = prod(len(axis) for axis in axes)
-    if cells > MAX_GRID_CELLS:
-        raise CapExceededError(
-            f"the grid has {cells} cells, above the bound {MAX_GRID_CELLS}"
-        )
+    errors.check_work(prod(len(axis) for axis in axes), "cells in the grid")
     m, n = game.shape
     zero, one = Fraction(0), Fraction(1)
     rows = [[zero] * m + list(game.a[i]) + [-one, zero] for i in range(m)]
@@ -181,46 +178,19 @@ def _grid_search(game, factor_rows, axes, objective_y, score, cap=None):
     return best
 
 
-def solve_zero_sum(game):
-    """One exact equilibrium of a zero-sum game, as the rank-0 grid cell.
-
-    Requires a + b = 0. With no factors the grid is one cell, and with the
-    cap s1 + s2 <= |a+b| = 0 its LP admits exactly the equilibria: s1 + s2
-    is at least x (a+b) y = 0, with equality only when x and y are mutual
-    best responses. The exact loss of the optimum must be 0, which makes
-    payoff1 the game value.
-    """
-    if game.norm_c != 0:
-        raise ValueError("game is not zero-sum: a + b has a nonzero entry")
-    zero_y = [Fraction(0)] * game.n
-    best = _grid_search(game, [], [], lambda cell: zero_y, loss,
-                        cap=game.norm_c)
-    if best is None or best[0] != 0:
-        raise RuntimeError("the rank-0 cell failed the loss check; this is a bug")
-    return make_report(game, best[1])
-
-
-def _axis_too_long():
-    return CapExceededError(
-        f"a grid axis has more than {MAX_GRID_CELLS} cells, "
-        f"above the bound {MAX_GRID_CELLS}"
-    )
-
-
 def _axis(lo, hi, advance):
     """The cells [a, advance(a)] from a = lo on, the last one cut at hi; one
     cell [lo, hi] when lo == hi.
 
-    Raises CapExceededError as soon as the axis passes MAX_GRID_CELLS cells,
-    so an axis too fine to search is never built in full.
+    Raises CapExceededError as soon as the axis passes errors.MAX_WORK
+    cells, so an axis too fine to search is never built in full.
     """
     if lo == hi:
         return [(lo, hi)]
     cells = []
     a = lo
     while a < hi:
-        if len(cells) == MAX_GRID_CELLS:
-            raise _axis_too_long()
+        errors.check_work(len(cells) + 1, "or more cells on a grid axis")
         b = advance(a)
         cells.append((a, min(b, hi)))
         a = b
@@ -249,7 +219,7 @@ def approx_absolute(game, eps):
     bug and raises RuntimeError.
 
     A zero-sum game has rank 0: its grid is a single cell whose LP already
-    minimizes the exact loss (see solve_zero_sum).
+    minimizes the exact loss (solve_zero_sum is this case).
 
     Each cell evaluation is a pure function of (game, factorization, cell),
     so cells may be evaluated concurrently as long as the reduction keeps
@@ -282,6 +252,21 @@ def approx_absolute(game, eps):
     return make_report(game, best[1], kind="eps-approximate", parameter=eps)
 
 
+def solve_zero_sum(game):
+    """One exact equilibrium of a zero-sum game: the rank-0 absolute grid.
+
+    Requires a + b = 0. Then a+b has no factors, so approx_absolute's grid
+    is one cell with no factor rows, and with the cap s1 + s2 <= |a+b| = 0
+    its LP admits exactly the equilibria: s1 + s2 is at least
+    x (a+b) y = 0, with equality only when x and y are mutual best
+    responses. The target check, loss <= eps |a+b| = 0, is then an exact
+    loss-0 certificate, which makes payoff1 the game value.
+    """
+    if game.norm_c != 0:
+        raise ValueError("game is not zero-sum: a + b has a nonzero entry")
+    return make_report(game, approx_absolute(game, 1).profile)
+
+
 def _geometric_axis(entries, eps):
     """Geometric cell list covering [min, max] of the entries, plus a flag
     for the zero-minimum extension.
@@ -292,8 +277,8 @@ def _geometric_axis(entries, eps):
     certificate for that factor is weakened accordingly. Negative minima are
     rejected: relative certificates need nonnegative scales.
 
-    The walk from a > 0 reaches hi within MAX_GRID_CELLS cells exactly when
-    hi <= a (1+eps)^MAX_GRID_CELLS, so a longer axis is refused by that one
+    The walk from a > 0 reaches hi within errors.MAX_WORK cells exactly
+    when hi <= a (1+eps)^MAX_WORK, so a longer axis is refused by that one
     comparison before any cell is built.
     """
     lo, hi = min(entries), max(entries)
@@ -304,8 +289,9 @@ def _geometric_axis(entries, eps):
         return a * (1 + eps)
 
     def walk(a):
-        if hi > a * (1 + eps) ** MAX_GRID_CELLS:
-            raise _axis_too_long()
+        if hi > a * (1 + eps) ** errors.MAX_WORK:
+            errors.check_work(errors.MAX_WORK + 1,
+                              "or more cells on a grid axis")
         return _axis(a, hi, advance)
 
     if lo == 0 < hi:
@@ -335,9 +321,8 @@ def approx_relative(game, eps, decomp=None):
         decomp = rank_factorize(game.c)
     if decomp.shape != game.shape:
         raise ValueError("decomposition shape does not match the game")
-    for u_vec, v_vec in decomp.pairs:
-        if any(e < 0 for e in u_vec) or any(e < 0 for e in v_vec):
-            raise ValueError("decomposition must be entrywise nonnegative")
+    if not decomp.nonnegative:
+        raise ValueError("decomposition must be entrywise nonnegative")
     if not np.array_equal(decomp.matrix(), game.c):
         raise ValueError("decomposition does not reconstruct a+b")
     rho = 1 - 1 / (1 + eps) ** 2

@@ -5,10 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import CapExceededError
+from .errors import check_work
 from .games import MixedProfile, is_exact_equilibrium, loss, make_report
 from .linalg import solve_linear_system
-from .polyhedra import MAX_BASES, build_polyhedra, enumerate_vertices
+from .polyhedra import build_polyhedra, enumerate_vertices
 
 
 @dataclass(frozen=True)
@@ -65,34 +65,38 @@ def enumerate_equilibria(game):
     independent rows, at most strategy_len - 1 of them nonnegativity rows,
     so some best-response row is tight and v = max_j x b_j is fixed by x.
     Each P vertex thus has its own x, and likewise each Q vertex its own y.
+    Both vertex lists come sorted by point, hence by strategy, so the
+    pairing loop yields the reports already sorted by profile.
 
     The components are those of the extreme-equilibrium graph of Avis,
     Rosenberg, Savani and von Stengel (2010), whose nodes are the P and Q
-    vertices and whose edges are the equilibria: equilibria sharing an x or
-    a y are linked, each to the first one with that x or y.
-    The walk's MAX_BASES guard bounds both vertex lists, so also the
-    |P|·|Q| pairing loop; it is the only guard.
+    vertices and whose edges are the equilibria: equilibria sharing a P
+    vertex (an x) or a Q vertex (a y) are linked, each to the first one
+    with that vertex. The walk's bound on its bases (errors.MAX_WORK)
+    bounds both vertex lists, so also the |P|·|Q| pairing loop; it is the
+    only guard.
     """
     p, q = build_polyhedra(game)
     p_vertices = enumerate_vertices(p)
     q_vertices = enumerate_vertices(q)
     full = frozenset(range(1, game.m + game.n + 1))
     reports = []
-    for vp in p_vertices:
-        for vq in q_vertices:
-            if not vp.binding | vq.binding >= full:
+    first = {}
+    edges = []
+    for ip, vp in enumerate(p_vertices):
+        need = full - vp.binding
+        for iq, vq in enumerate(q_vertices):
+            if not need <= vq.binding:
                 continue
             report = make_report(game, MixedProfile(vp.strategy, vq.strategy))
             if report.loss != 0:
                 raise RuntimeError(
                     "binding-cover pair failed the loss check; this is a bug"
                 )
+            i = len(reports)
             reports.append(report)
-    reports.sort(key=lambda r: (r.profile.x, r.profile.y))
-    first = {}
-    edges = [(i, first.setdefault((side, strategy), i))
-             for i, r in enumerate(reports)
-             for side, strategy in enumerate((r.profile.x, r.profile.y))]
+            edges += [(i, first.setdefault((0, ip), i)),
+                      (i, first.setdefault((1, iq), i))]
     return EquilibriumSet(reports=tuple(reports),
                           components=_component_partition(len(reports), edges))
 
@@ -125,13 +129,10 @@ def enumerate_by_supports(game):
     pair with a nonsingular system. Complete for nondegenerate games (whose
     equilibria all use equal-size supports); sound for every game.
     There are comb(m + n, m) - 1 pairs (Vandermonde's identity); above
-    polyhedra.MAX_BASES, CapExceededError is raised before any solve.
+    errors.MAX_WORK, CapExceededError is raised before any solve.
     """
     m, n = game.shape
-    pairs = comb(m + n, m) - 1
-    if pairs > MAX_BASES:
-        raise CapExceededError(
-            f"{pairs} support pairs, above the bound {MAX_BASES}")
+    check_work(comb(m + n, m) - 1, "support pairs")
     out = {}
     for size in range(1, min(m, n) + 1):
         for rows in combinations(range(m), size):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from .errors import GameFormatError
 from .games import BimatrixGame, MixedProfile
-from .linalg import RankFactorization, as_fraction
+from .linalg import RankFactorization
 
 SCHEMA_VERSION = 1
 
@@ -109,8 +109,7 @@ def parse_decomposition_text(text):
         u = _parse_row(lines[1 + 2 * t], m, f"u vector {t + 1}")
         v = _parse_row(lines[2 + 2 * t], n, f"v vector {t + 1}")
         pairs.append((tuple(u), tuple(v)))
-    nonneg = all(e >= 0 for u, v in pairs for e in (*u, *v))
-    return RankFactorization(shape=(m, n), pairs=tuple(pairs), nonnegative=nonneg)
+    return RankFactorization(shape=(m, n), pairs=tuple(pairs))
 
 
 def format_decomposition_text(fact):

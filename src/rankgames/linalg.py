@@ -199,18 +199,21 @@ def solve_linear_system(a, b):
 class RankFactorization:
     """Sum-of-outer-products form C = sum of u v^T over the stored pairs.
 
-    The number of pairs equals the exact rank. `nonnegative` records whether
-    every entry of every u and v is >= 0, which is what the relative
-    approximation scheme needs from its input.
+    The number of pairs equals the exact rank.
     """
 
     shape: tuple[int, int]
     pairs: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...]
-    nonnegative: bool
 
     @property
     def rank(self):
         return len(self.pairs)
+
+    @property
+    def nonnegative(self):
+        """Whether every entry of every u and v is >= 0, which is what the
+        relative approximation scheme needs from its input."""
+        return all(e >= 0 for u, v in self.pairs for e in (*u, *v))
 
     def matrix(self):
         m, n = self.shape
@@ -236,5 +239,4 @@ def rank_factorize(matrix):
             u = [-e for e in u]
             v = [-e for e in v]
         pairs.append((tuple(u), tuple(v)))
-    nonneg = all(e >= 0 for u, v in pairs for e in (*u, *v))
-    return RankFactorization(shape=mat.shape, pairs=tuple(pairs), nonnegative=nonneg)
+    return RankFactorization(shape=mat.shape, pairs=tuple(pairs))

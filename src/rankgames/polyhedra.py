@@ -6,11 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import check_work
 from .linalg import int_row, min_ratio_rows, pivot, reduced
-
-# Upper bound on the bases, i.e. the pivots, of one vertex walk.
-MAX_BASES = 4096
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,8 @@ def enumerate_vertices(poly):
     binding labels are the nonbasic rows plus the basic slacks at 0.
 
     Each basis costs one pivot, the d that bring in the coordinates
-    included; CapExceededError is raised before the pivot past MAX_BASES.
+    included; check_work raises CapExceededError before the pivot past
+    errors.MAX_WORK.
 
     Completeness: every vertex v* is the unique optimum of some linear
     objective. Bland's simplex method run on that objective from the start
@@ -178,10 +176,8 @@ def enumerate_vertices(poly):
                 key = nonbasic - {j} | {basic[r]}
                 if key in seen:
                     continue
-                if d + len(seen) > MAX_BASES:  # d + len(seen) - 1 pivots made
-                    raise CapExceededError(
-                        f"the vertex walk visits more than {MAX_BASES} "
-                        f"bases, above the bound {MAX_BASES}")
+                # the pivot into this basis is number d + len(seen)
+                check_work(d + len(seen), "or more bases in a vertex walk")
                 seen.add(key)
                 step = list(rows)
                 pivot(step, r, j)
@@ -202,8 +198,8 @@ def is_nondegenerate(game):
     A vertex binds the nonnegativity labels of the strategy_len - |support|
     unplayed strategies plus its best-response labels. So it has more best
     responses than its support size exactly when it binds more than
-    strategy_len labels; no vertex binds fewer. The walk's MAX_BASES guard
-    applies to each side.
+    strategy_len labels; no vertex binds fewer. The walk's bound on its bases
+    (errors.MAX_WORK) applies to each side.
     """
     return all(
         len(vertex.binding) == poly.strategy_len

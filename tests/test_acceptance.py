@@ -186,8 +186,7 @@ def test_criterion_10_relative_approximation():
     for d in (2, 3, 4):
         g = rank1_family(d)
         u = tuple(Fraction(2 * t) for t in range(1, d + 1))
-        decomp = RankFactorization(shape=(d, d), pairs=((u, u),),
-                                   nonnegative=True)
+        decomp = RankFactorization(shape=(d, d), pairs=((u, u),))
         for eps in (Fraction(1, 2), Fraction(1, 4)):
             start = time.perf_counter()
             rep = approx_relative(g, eps, decomp=decomp)

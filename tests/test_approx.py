@@ -26,11 +26,13 @@ from rankgames import (
     perturb_game,
     pure_profile,
     rank1_family,
+    rank_factorize,
     squared_difference_family,
     svd_truncate,
 )
 
-from rankgames.approx import MAX_GRID_CELLS, _geometric_axis, _interval_axis
+from rankgames.approx import _geometric_axis, _interval_axis
+from rankgames.errors import MAX_WORK
 from rankgames.lp import StandardForm
 
 from helpers import random_game, random_matrix, reference_tableau
@@ -177,22 +179,22 @@ def test_grid_axes():
     with pytest.raises(ValueError):
         _geometric_axis([f(-1), f(1)], f(1))
     with pytest.raises(CapExceededError, match="above the bound 4096"):
-        _interval_axis(f(0), f(1), f(1, MAX_GRID_CELLS + 1))
-    assert len(_interval_axis(f(0), f(1), f(1, MAX_GRID_CELLS))) == MAX_GRID_CELLS
+        _interval_axis(f(0), f(1), f(1, MAX_WORK + 1))
+    assert len(_interval_axis(f(0), f(1), f(1, MAX_WORK))) == MAX_WORK
 
 
 def test_geometric_axis_refused_before_it_is_built(monkeypatch):
     f = Fraction
-    # 2^4096 is reached in exactly MAX_GRID_CELLS doubling cells
-    cells, _ = _geometric_axis([f(1), f(2) ** MAX_GRID_CELLS], f(1))
-    assert len(cells) == MAX_GRID_CELLS
+    # 2^4096 is reached in exactly MAX_WORK doubling cells
+    cells, _ = _geometric_axis([f(1), f(2) ** MAX_WORK], f(1))
+    assert len(cells) == MAX_WORK
 
     def no_axis(*args):
         raise AssertionError("the axis was walked before its length was bounded")
 
     monkeypatch.setattr("rankgames.approx._axis", no_axis)
     for entries, eps in [
-        ([f(1), f(2) ** MAX_GRID_CELLS + 1], f(1)),
+        ([f(1), f(2) ** MAX_WORK + 1], f(1)),
         ([f(1), f(2)], f(1, 10**9)),
         ([f(0), f(1), f(2)], f(1, 10**9)),  # the eta..hi part of a zero minimum
     ]:
@@ -228,7 +230,7 @@ def test_grid_cell_bound_admits_sqdiff3_at_one_half(monkeypatch):
     monkeypatch.setattr("rankgames.lp.StandardForm.solve", infeasible)
     with pytest.raises(RuntimeError, match="this is a bug"):
         approx_absolute(squared_difference_family(3), Fraction(1, 2))
-    assert len(calls) == 3456 <= MAX_GRID_CELLS
+    assert len(calls) == 3456 <= MAX_WORK
 
 
 def test_golden_profiles():
@@ -299,7 +301,6 @@ def _pair(u, v):
 REL2_DECOMP = RankFactorization(
     shape=(3, 3),
     pairs=(_pair((1, 2, 3), (2, 1, 1)), _pair((2, 1, 1), (1, 1, 3))),
-    nonnegative=True,
 )
 REL2 = BimatrixGame([[3, 0, 1], [1, 2, 0], [0, 1, 4]],
                     [[1, 3, 6], [4, 1, 5], [7, 3, 2]])
@@ -311,7 +312,6 @@ def test_relative_contract_with_explicit_decomposition():
         decomp = RankFactorization(
             shape=(d, d),
             pairs=(_pair(range(2, 2 * d + 1, 2), range(2, 2 * d + 1, 2)),),
-            nonnegative=True,
         )
         rep = approx_relative(g, eps, decomp=decomp)
         rho = 1 - 1 / (1 + eps) ** 2
@@ -353,13 +353,24 @@ def test_relative_guards():
     g = rank1_family(2)
     with pytest.raises(ValueError):
         approx_relative(g, Fraction(1, 2), decomp=RankFactorization(
-            shape=(3, 3), pairs=(_pair((2, 4, 6), (2, 4, 6)),), nonnegative=True))
+            shape=(3, 3), pairs=(_pair((2, 4, 6), (2, 4, 6)),)))
     with pytest.raises(ValueError):
         approx_relative(g, Fraction(1, 2), decomp=RankFactorization(
-            shape=(2, 2), pairs=(_pair((1, 2), (1, 2)),), nonnegative=True))
+            shape=(2, 2), pairs=(_pair((1, 2), (1, 2)),)))
     zero = BimatrixGame([[0]], [[0]])
     fivezeros = RankFactorization(
-        shape=(1, 1), pairs=tuple(_pair((0,), (0,)) for _ in range(5)),
-        nonnegative=True)
+        shape=(1, 1), pairs=tuple(_pair((0,), (0,)) for _ in range(5)))
     # five factors, each a one-cell axis: one cell LP, no rank guard
     assert approx_relative(zero, Fraction(1, 2), decomp=fivezeros).loss == 0
+
+
+def test_nonnegative_follows_the_pairs():
+    g = rank1_family(2)
+    assert rank_factorize(g.c).nonnegative
+    # (-u)(-v)^T reconstructs a + b, but its pairs are negative
+    flipped = RankFactorization(shape=(2, 2),
+                                pairs=(_pair((-4, -8), (-1, -2)),))
+    assert np.array_equal(flipped.matrix(), g.c)
+    assert not flipped.nonnegative
+    with pytest.raises(ValueError, match="entrywise nonnegative"):
+        approx_relative(g, Fraction(1, 2), decomp=flipped)

@@ -218,7 +218,7 @@ def test_missing_file_exit_2(tmp_path, capsys):
 
 
 def test_cap_exit_4(tmp_path, capsys):
-    # the vertex walk of identity(13) passes MAX_BASES bases
+    # the vertex walk of identity(13) passes MAX_WORK bases
     game = write_game(tmp_path, "big.txt", identity_game(13))
     assert main(["solve", game]) == 4
     assert "above the bound 4096" in capsys.readouterr().err

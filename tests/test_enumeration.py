@@ -21,7 +21,7 @@ from rankgames import (
     solve_zero_sum,
 )
 
-from rankgames import enumeration, polyhedra
+from rankgames import enumeration, errors
 from rankgames.polyhedra import build_polyhedra, enumerate_vertices
 
 from helpers import profile_set, random_game
@@ -143,7 +143,7 @@ def test_block_game_hierarchy_example():
 
 
 def test_cap_guard():
-    # identity(13) walks past MAX_BASES bases a side; rank1(13), with the
+    # identity(13) walks past MAX_WORK bases a side; rank1(13), with the
     # same m + n = 26, walks a few hundred
     with pytest.raises(CapExceededError, match="above the bound 4096"):
         enumerate_equilibria(identity_game(13))
@@ -152,9 +152,9 @@ def test_cap_guard():
 
 def test_base_bound_boundary(monkeypatch):
     # rank1(7) walks exactly 70 bases a side: 8 coordinate pivots, then 62
-    monkeypatch.setattr(polyhedra, "MAX_BASES", 70)
+    monkeypatch.setattr(errors, "MAX_WORK", 70)
     assert len(enumerate_equilibria(rank1_family(7)).reports) == 13
-    monkeypatch.setattr(polyhedra, "MAX_BASES", 69)
+    monkeypatch.setattr(errors, "MAX_WORK", 69)
     with pytest.raises(CapExceededError, match="above the bound 69"):
         enumerate_equilibria(rank1_family(7))
 

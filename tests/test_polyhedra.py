@@ -103,7 +103,7 @@ def test_nondegeneracy_detection():
 
 
 def test_nondegeneracy_check_is_guarded():
-    # the check walks the vertices, so the walk's MAX_BASES guard holds
+    # the check walks the vertices, so the walk's MAX_WORK guard holds
     with pytest.raises(CapExceededError, match="above the bound 4096"):
         is_nondegenerate(identity_game(13))
 
