@@ -3,6 +3,7 @@
 import argparse
 import sys
 import traceback
+from functools import cache
 
 from .approx import (
     approx_absolute,
@@ -220,7 +221,11 @@ def cmd_perturb(args):
     return EXIT_OK
 
 
+@cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it:
+    parse_args keeps no state in the parser, and building it is a large
+    part of a short command run in process."""
     parser = argparse.ArgumentParser(
         prog="rankgames",
         description="Exact tools for bimatrix games with low payoff-sum rank.",

@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -9,6 +11,7 @@ from .linalg import (
     as_fraction,
     fraction_matrix,
     fraction_vector,
+    int_row,
     matrix_rank,
     max_abs_entry,
 )
@@ -41,6 +44,14 @@ class BimatrixGame:
         for arr in (self.a, self.b, self.c):
             arr.flags.writeable = False
 
+    @cached_property
+    def _int_form(self):
+        """(rows of a, its denominator, rows of b transposed, its
+        denominator): each matrix as integer rows over one common
+        denominator, entry [i][j] being rows[i][j] / den. Built on first
+        use, so a game that is never evaluated never pays for it."""
+        return (*_int_rows(self.a), *_int_rows(self.b.T))
+
     @property
     def shape(self):
         return self.a.shape
@@ -66,11 +77,21 @@ class BimatrixGame:
         return f"BimatrixGame({self.m}x{self.n}, rank_c={self.rank_c})"
 
 
+def _int_rows(matrix):
+    """The rows of a Fraction matrix as ints over its one common
+    denominator, the lcm of its entries' denominators: (rows, den)."""
+    flat = int_row(matrix.ravel().tolist())
+    n = matrix.shape[1]
+    return [flat[k:k + n] for k in range(0, len(flat) - 1, n)], flat[-1]
+
+
 @dataclass(frozen=True)
 class MixedProfile:
     """A mixed-strategy pair: x for the row player, y for the column player.
 
     Entries are Fractions, nonnegative, each vector summing to exactly 1.
+    Both are checked on the vector's integer row (linalg.int_row), which
+    the profile keeps for _evaluate.
     """
 
     x: tuple
@@ -79,15 +100,20 @@ class MixedProfile:
     def __post_init__(self):
         x = tuple(as_fraction(e) for e in self.x)
         y = tuple(as_fraction(e) for e in self.y)
+        rows = []
         for vec, name in ((x, "x"), (y, "y")):
             if not vec:
                 raise ValueError(f"{name} must be nonempty")
-            if any(e < 0 for e in vec):
+            row = int_row(vec)
+            den = row.pop()
+            if min(row) < 0:
                 raise ValueError(f"{name} has a negative entry")
-            if sum(vec) != 1:
+            if sum(row) != den:
                 raise ValueError(f"{name} must sum to 1 exactly")
+            rows.append((row, den))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_int_form", tuple(rows))
 
     @property
     def support1(self):
@@ -107,19 +133,40 @@ def pure_profile(m, n, i, j):
     return MixedProfile(tuple(x), tuple(y))
 
 
-def _vectors(game, profile):
+def _check_dimensions(game, profile):
     if len(profile.x) != game.m or len(profile.y) != game.n:
         raise ValueError("profile dimensions do not match the game")
+
+
+def _vectors(game, profile):
+    _check_dimensions(game, profile)
     return fraction_vector(profile.x), fraction_vector(profile.y)
 
 
 def _evaluate(game, profile):
     """(loss, x a y, x b y, max_i (a y)_i, max_j (x b)_j) from one a y and
-    one x b: the loss's bilinear term x (a+b) y is x a y + x b y."""
-    x, y = _vectors(game, profile)
-    ay, xb = game.a @ y, x @ game.b
-    best1, best2, p1, p2 = max(ay), max(xb), x @ ay, xb @ y
-    return best1 + best2 - p1 - p2, p1, p2, best1, best2
+    one x b: the loss's bilinear term x (a+b) y is x a y + x b y.
+
+    All in ints on the integer rows of the game and the profile: with
+    x = xs / dx, y = ys / dy, a = A / da and b = B / db for integer
+    vectors and matrices, a y is (A ys) / (da dy) and x b is (xs B) /
+    (db dx). Fractions are made only for the five results.
+    """
+    _check_dimensions(game, profile)
+    a_rows, da, bt_rows, db = game._int_form
+    (xs, dx), (ys, dy) = profile._int_form
+    ay = [sum(map(mul, row, ys)) for row in a_rows]
+    xb = [sum(map(mul, row, xs)) for row in bt_rows]
+    best1, best2 = max(ay), max(xb)
+    p1, p2 = sum(map(mul, xs, ay)), sum(map(mul, xb, ys))
+    gap = (best1 * dx - p1) * db + (best2 * dy - p2) * da
+    return (
+        Fraction(gap, da * db * dx * dy),
+        Fraction(p1, da * dx * dy),
+        Fraction(p2, db * dx * dy),
+        Fraction(best1, da * dy),
+        Fraction(best2, db * dx),
+    )
 
 
 def best_response_values(game, profile):

@@ -33,6 +33,19 @@ def profile_set(reports):
     return {r.profile for r in reports}
 
 
+def reference_evaluate(game, profile):
+    """Reference profile evaluation on NumPy object arrays of Fractions.
+
+    (loss, x a y, x b y, max_i (a y)_i, max_j (x b)_j) from one a y and one
+    x b, as games._evaluate computed it before it moved to integer rows;
+    games._evaluate must give exactly this tuple.
+    """
+    x, y = fraction_vector(profile.x), fraction_vector(profile.y)
+    ay, xb = game.a @ y, x @ game.b
+    best1, best2, p1, p2 = max(ay), max(xb), x @ ay, xb @ y
+    return best1 + best2 - p1 - p2, p1, p2, best1, best2
+
+
 def brute_force_bases(poly):
     """Reference basis enumeration: solve every basis from scratch.
 

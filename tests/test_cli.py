@@ -1,7 +1,11 @@
 """End-to-end command-line runs, in process, with the stable exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ from rankgames import (
     save_game,
     squared_difference_family,
 )
-from rankgames.cli import main
+from rankgames.cli import build_parser, main
 
 PENNIES = "2 2\n1 -1\n-1 1\n-1 1\n1 -1\n"
 
@@ -303,3 +307,33 @@ def test_argparse_usage_exit_2(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_parser_shared_across_calls_matches_fresh_runs(tmp_path, capsys):
+    """One process runs several commands, a usage error among them, on the
+    parser main() builds once; each gives the output and exit code of the
+    same command in a fresh interpreter."""
+    game = write_game(tmp_path, "g.txt", rank1_family(3))
+    calls = [
+        ["gen", "sqdiff", "--d", "2"],
+        ["solve", game],
+        ["verify", game, "--profile", "1,0,0;0,1,0"],
+        ["solve", game, "--mode", "nope"],
+        ["approx", game, "--scheme", "abs", "--eps", "1/10"],
+        ["verify", game, "--profile", "1,0,0;1,0,0"],
+        ["gen", "sqdiff", "--d", "2"],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
+        streams = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "rankgames", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=120, check=False)
+        assert (code, streams.out, streams.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser.cache_info().currsize == 1

@@ -20,8 +20,9 @@ from rankgames import (
     qp_objective,
     rank1_family,
 )
+from rankgames.games import _evaluate
 
-from helpers import random_game, random_profile
+from helpers import random_game, random_profile, reference_evaluate
 
 
 def test_game_container_basics():
@@ -56,6 +57,26 @@ def test_profile_validation():
     p = MixedProfile(("1/2", "1/2", 0), (0, 1))
     assert p.support1 == (0, 1)
     assert p.support2 == (1,)
+
+
+def test_profile_and_dimension_error_messages():
+    with pytest.raises(ValueError, match="^x must be nonempty$"):
+        MixedProfile((), (1,))
+    with pytest.raises(ValueError, match="^y must be nonempty$"):
+        MixedProfile((1,), ())
+    with pytest.raises(ValueError, match="^x has a negative entry$"):
+        MixedProfile(("-1/2", "3/2"), (1,))
+    with pytest.raises(ValueError, match="^y has a negative entry$"):
+        MixedProfile((1,), ("3/2", 0, "-1/2"))
+    with pytest.raises(ValueError, match="^x must sum to 1 exactly$"):
+        MixedProfile(("1/2", "1/3"), (1,))
+    with pytest.raises(ValueError, match="^y must sum to 1 exactly$"):
+        MixedProfile((1,), ("1/2", "1/3", "1/5"))
+    g = rank1_family(2)
+    for p in (pure_profile(3, 2, 0, 0), pure_profile(2, 3, 0, 0)):
+        with pytest.raises(ValueError,
+                           match="^profile dimensions do not match the game$"):
+            loss(g, p)
 
 
 def test_pure_profile():
@@ -141,3 +162,47 @@ def test_make_report_fields_and_kinds():
     assert rep.parameter == Fraction(1, 10)
     with pytest.raises(ValueError):
         make_report(g, p, kind="nearly-exact")
+
+
+def test_evaluate_matches_the_fraction_reference_and_cross_checks():
+    """The integer-row evaluation equals the NumPy Fraction reference tuple
+    for tuple, loss equals the QP objective, and the pure-deviation check
+    agrees with the loss threshold, at a drawn eps and at the eps where the
+    loss sits exactly on the threshold."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # negative entries over several denominators, so a and b, and x and y,
+    # each have a common denominator other than their entries' own
+    entries = st.builds(Fraction, st.integers(-12, 12),
+                        st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12]))
+    weights = st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2, 3, 5]))
+
+    def simplex_point(d):
+        return st.lists(weights, min_size=d, max_size=d).filter(any).map(
+            lambda w: tuple(e / sum(w) for e in w))
+
+    @st.composite
+    def cases(draw):
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        matrix = st.lists(st.lists(entries, min_size=n, max_size=n),
+                          min_size=m, max_size=m)
+        game = BimatrixGame(draw(matrix), draw(matrix))
+        profile = MixedProfile(draw(simplex_point(m)), draw(simplex_point(n)))
+        eps = draw(st.builds(Fraction, st.integers(0, 8), st.integers(1, 8)))
+        return game, profile, eps
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        game, profile, eps = case
+        got = _evaluate(game, profile)
+        assert got == reference_evaluate(game, profile)
+        assert all(type(v) is Fraction for v in got)
+        assert loss(game, profile) == qp_objective(game, profile)
+        tight = got[0] / game.norm_c if game.norm_c else Fraction(0)
+        for e in (eps, tight):
+            assert check_deviation_bound(game, profile, e) == \
+                is_approximate_equilibrium(game, profile, e)
+
+    check()
