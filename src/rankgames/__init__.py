@@ -33,10 +33,8 @@ from .enumeration import (
 )
 from .errors import CapExceededError, GameFormatError
 from .families import (
-    FamilySpec,
     additive_to_zero_sum,
     block_game,
-    build_family,
     find_additive_decomposition,
     identity_game,
     polynomial_kernel_game,

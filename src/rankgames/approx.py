@@ -24,7 +24,6 @@ from .linalg import (
     fraction_vector,
     matrix_rank,
     max_abs_entry,
-    rank_factorize,
 )
 from .lp import StandardForm, linear_program
 
@@ -228,7 +227,7 @@ def approx_absolute(game, eps):
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    factors = rank_factorize(game.c).pairs
+    factors = game.factorization.pairs
     k = len(factors)
     target = eps * game.norm_c
     factor_rows = [list(u_vec) + [Fraction(0)] * game.n for u_vec, _ in factors]
@@ -303,7 +302,7 @@ def _geometric_axis(entries, eps):
 def approx_relative(game, eps, decomp=None):
     """Equilibrium approximation with a relative gap certificate.
 
-    Needs a nonnegative rank decomposition of a+b (found automatically when
+    Needs a nonnegative rank decomposition of a+b (game.factorization when
     decomp is None). Both factor scores z_t = x . u_t and w_t = v_t . y are
     gridded geometrically with ratio 1 + eps; each cell's LP minimizes the
     best-response sum under the cell constraints, and candidates are ranked
@@ -318,7 +317,7 @@ def approx_relative(game, eps, decomp=None):
     if eps <= 0:
         raise ValueError("eps must be positive")
     if decomp is None:
-        decomp = rank_factorize(game.c)
+        decomp = game.factorization
     if decomp.shape != game.shape:
         raise ValueError("decomposition shape does not match the game")
     if not decomp.nonnegative:

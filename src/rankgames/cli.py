@@ -3,7 +3,7 @@
 import argparse
 import sys
 import traceback
-from functools import cache
+from functools import cache, partial
 
 from .approx import (
     approx_absolute,
@@ -15,7 +15,12 @@ from .approx import (
 from .bounds import bound_report, rank_component_bound
 from .enumeration import enumerate_equilibria
 from .errors import CapExceededError, GameFormatError
-from .families import FamilySpec, build_family
+from .families import (
+    block_game,
+    identity_game,
+    rank1_family,
+    squared_difference_family,
+)
 from .gamefiles import (
     encode_report,
     format_decomposition_text,
@@ -26,7 +31,7 @@ from .gamefiles import (
     report_json,
 )
 from .games import loss
-from .linalg import as_fraction, matrix_rank, rank_factorize
+from .linalg import as_fraction, matrix_rank
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -35,7 +40,12 @@ EXIT_PARSE = 3
 EXIT_CAP = 4
 EXIT_INTERNAL = 5
 
-_SIMPLE_FAMILIES = ("rank1", "sqdiff", "identity")
+# gen's family tags with their constructors, each taking the dimension d
+_FAMILIES = {
+    "rank1": rank1_family,
+    "sqdiff": squared_difference_family,
+    "identity": identity_game,
+}
 
 
 def _emit(text, out_path, note=None):
@@ -51,32 +61,30 @@ def _emit(text, out_path, note=None):
 
 
 def _parse_component_spec(text, flag):
+    """The constructor call a TAG:D block component names, not yet made."""
     parts = text.split(":")
-    if len(parts) != 2 or parts[0] not in _SIMPLE_FAMILIES:
+    if len(parts) != 2 or parts[0] not in _FAMILIES:
         raise ValueError(
-            f"{flag} must be TAG:D with TAG one of {', '.join(_SIMPLE_FAMILIES)}"
+            f"{flag} must be TAG:D with TAG one of {', '.join(_FAMILIES)}"
         )
     try:
         d = int(parts[1])
     except ValueError as exc:
         raise ValueError(f"{flag}: D must be an integer") from exc
-    return FamilySpec(parts[0], d=d)
+    return partial(_FAMILIES[parts[0]], d)
 
 
 def cmd_gen(args):
     if args.family == "block":
         if not args.inner or not args.outer:
             raise ValueError("family 'block' needs --inner and --outer")
-        spec = FamilySpec(
-            "block",
-            inner=_parse_component_spec(args.inner, "--inner"),
-            outer=_parse_component_spec(args.outer, "--outer"),
-        )
+        inner = _parse_component_spec(args.inner, "--inner")
+        outer = _parse_component_spec(args.outer, "--outer")
+        game = block_game(inner(), outer())
     else:
         if args.d is None:
             raise ValueError(f"family {args.family!r} needs --d")
-        spec = FamilySpec(args.family, d=args.d)
-    game = build_family(spec)
+        game = _FAMILIES[args.family](args.d)
     _emit(format_game_text(game), args.out, f"rank(A+B) = {game.rank_c}")
     return EXIT_OK
 
@@ -201,7 +209,7 @@ def cmd_bounds(args):
 
 def cmd_rankfact(args):
     game = load_game(args.game)
-    fact = rank_factorize(game.c)
+    fact = game.factorization
     note = f"rank(A+B) = {fact.rank}; nonnegative = {fact.nonnegative}"
     _emit(format_decomposition_text(fact), args.out, note)
     return EXIT_OK
@@ -233,7 +241,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="construct a family game, write its game file")
-    g.add_argument("family", choices=_SIMPLE_FAMILIES + ("block",))
+    g.add_argument("family", choices=(*_FAMILIES, "block"))
     g.add_argument("--d", type=int, help="dimension for rank1/sqdiff/identity")
     g.add_argument("--inner", help="block: inner component as TAG:D")
     g.add_argument("--outer", help="block: outer component as TAG:D")
@@ -286,8 +294,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error (2) or the help (0)
+        return exc.code
     try:
         return args.func(args)
     except GameFormatError as exc:

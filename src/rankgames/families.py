@@ -1,6 +1,5 @@
 """Construction of bimatrix game families with controlled payoff-sum rank."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,15 +29,12 @@ def squared_difference_family(d):
 
     Same best-response structure (so the same equilibria) as rank1_family:
     its payoff columns differ from that game's only by column-constant
-    shifts. The payoff sum -2(i-j)^2 has rank 3 once d >= 3.
+    shifts. The payoff sum -2(i-j)^2 has rank 3 once d >= 3. It is the
+    polynomial kernel game of p(t) = -t^2 on the grid (1, ..., d).
     """
     if d < 1:
         raise ValueError("d must be positive")
-    a = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            a[i, j] = Fraction(-((i - j) ** 2))
-    return BimatrixGame(a, a.copy())
+    return polynomial_kernel_game(range(1, d + 1), (0, 0, -1))
 
 
 def identity_game(d):
@@ -148,42 +144,3 @@ def find_additive_decomposition(matrix):
             if c[i, j] != u[i] + v[j]:
                 return None
     return u, v
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Recipe for a constructed game: family tag plus its parameters.
-
-    Tags: 'rank1', 'sqdiff', 'identity' (need d), 'block' (needs inner and
-    outer specs), 'poly' (needs grid g and polynomial coeffs).
-    """
-
-    family: str
-    d: int | None = None
-    inner: "FamilySpec | None" = None
-    outer: "FamilySpec | None" = None
-    g: tuple | None = None
-    coeffs: tuple | None = None
-
-
-def build_family(spec):
-    """Construct the BimatrixGame described by a FamilySpec."""
-    tag = spec.family
-    if tag in ("rank1", "sqdiff", "identity"):
-        if spec.d is None:
-            raise ValueError(f"family {tag!r} needs d")
-        by_tag = {
-            "rank1": rank1_family,
-            "sqdiff": squared_difference_family,
-            "identity": identity_game,
-        }
-        return by_tag[tag](spec.d)
-    if tag == "block":
-        if spec.inner is None or spec.outer is None:
-            raise ValueError("family 'block' needs inner and outer specs")
-        return block_game(build_family(spec.inner), build_family(spec.outer))
-    if tag == "poly":
-        if spec.g is None or spec.coeffs is None:
-            raise ValueError("family 'poly' needs g and coeffs")
-        return polynomial_kernel_game(spec.g, spec.coeffs)
-    raise ValueError(f"unknown family tag {tag!r}")

@@ -12,8 +12,8 @@ from .linalg import (
     fraction_matrix,
     fraction_vector,
     int_row,
-    matrix_rank,
     max_abs_entry,
+    rank_factorize,
 )
 
 
@@ -21,9 +21,11 @@ class BimatrixGame:
     """Two-player game in matrix form: payoffs a for the row player, b for
     the column player.
 
-    Immutable after construction; the payoff sum c = a + b, its exact rank,
-    and its largest absolute entry norm_c (the scale every approximation
-    guarantee is measured against) are computed once and frozen.
+    Immutable after construction; the payoff sum c = a + b and its largest
+    absolute entry norm_c (the scale every approximation guarantee is
+    measured against) are computed once and frozen. The rank factorization
+    of c, which rank_c counts and the grid schemes grid, is built on first
+    read and kept.
 
     Note the zero-sum corner: when a + b = 0, norm_c = 0 and the threshold
     eps * norm_c collapses to 0 for every eps, so only exact equilibria pass
@@ -39,10 +41,18 @@ class BimatrixGame:
         self.a = a
         self.b = b
         self.c = a + b
-        self.rank_c = matrix_rank(self.c)
         self.norm_c = max_abs_entry(self.c)
         for arr in (self.a, self.b, self.c):
             arr.flags.writeable = False
+
+    @cached_property
+    def factorization(self):
+        """linalg.rank_factorize(c): the pairs (u, v) with c = sum u v^T."""
+        return rank_factorize(self.c)
+
+    @property
+    def rank_c(self):
+        return self.factorization.rank
 
     @cached_property
     def _int_form(self):

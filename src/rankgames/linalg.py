@@ -138,38 +138,9 @@ def min_ratio_rows(rows, candidates, col):
     return tied
 
 
-def _peel(rows):
-    """Canonical rank-one peel of a list of Fraction row lists.
-
-    Columns are scanned left to right, and in each the first remaining row
-    with a nonzero entry is the pivot. Rows are never swapped, and each pivot
-    row leaves the list after its step, so the list always holds the
-    residual of the peel so far. Returns one pair (u, v) of Fraction lists
-    per pivot: u is the pivot column of the residual taken before the step,
-    with 0 on the rows already peeled, and v is the pivot row divided by the
-    pivot. The pair count is the rank.
-    """
-    rows = [int_row(row) for row in rows]
-    m = len(rows)
-    left = list(range(m))  # original index of each remaining row
-    pairs = []
-    for col in range(len(rows[0]) - 1):
-        for k, row in enumerate(rows):
-            if row[col] != 0:
-                u = [Fraction(0)] * m
-                for i, rest in zip(left, rows):
-                    u[i] = Fraction(rest[col], rest[-1])
-                pivot(rows, k, col)
-                v = rows.pop(k)
-                pairs.append((u, [Fraction(e, v[-1]) for e in v[:-1]]))
-                del left[k]
-                break
-    return pairs
-
-
 def matrix_rank(matrix):
-    """Exact rank via Gauss-Jordan elimination over the rationals."""
-    return len(_peel(fraction_matrix(matrix).tolist()))
+    """Exact rank: the pair count of rank_factorize."""
+    return rank_factorize(matrix).rank
 
 
 def solve_linear_system(a, b):
@@ -226,17 +197,31 @@ class RankFactorization:
 def rank_factorize(matrix):
     """Canonical rank factorization by iterated rank-one peeling.
 
-    Each step takes the first nonzero entry of the residual in column order
-    as pivot and peels the rank-one product (pivot column) x (pivot row /
-    pivot). Each pair is scaled so the first nonzero entry of its u, which is
-    the pivot itself, is positive. The pair count always equals matrix_rank
-    of the input.
+    Columns are scanned left to right, and in each the first remaining row
+    of the residual with a nonzero entry is the pivot. Rows are never
+    swapped, and each pivot row leaves the list after its step, so the list
+    always holds the residual of the peel so far. Each pivot gives one pair
+    (u, v): u is the pivot column of the residual taken before the step,
+    with 0 on the rows already peeled, and v is the pivot row divided by the
+    pivot. Each pair is scaled so the first nonzero entry of its u, which is
+    the pivot itself, is positive. The pair count is the exact rank.
     """
     mat = fraction_matrix(matrix)
+    m = mat.shape[0]
+    rows = [int_row(row) for row in mat.tolist()]
+    left = list(range(m))  # original index of each remaining row
     pairs = []
-    for u, v in _peel(mat.tolist()):
-        if next(e for e in u if e != 0) < 0:
-            u = [-e for e in u]
-            v = [-e for e in v]
-        pairs.append((tuple(u), tuple(v)))
+    for col in range(mat.shape[1]):
+        for k, row in enumerate(rows):
+            if row[col] != 0:
+                sign = 1 if row[col] > 0 else -1
+                u = [Fraction(0)] * m
+                for i, rest in zip(left, rows):
+                    u[i] = Fraction(sign * rest[col], rest[-1])
+                pivot(rows, k, col)
+                v = rows.pop(k)
+                pairs.append((tuple(u),
+                              tuple(Fraction(sign * e, v[-1]) for e in v[:-1])))
+                del left[k]
+                break
     return RankFactorization(shape=mat.shape, pairs=tuple(pairs))

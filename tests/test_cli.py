@@ -277,11 +277,12 @@ CALLEES = {
                    "approx_absolute"),
     "approx-rel": (["approx", "GAME", "--scheme", "rel", "--eps", "1/4"],
                    "approx_relative"),
-    "rankfact": (["rankfact", "GAME"], "rank_factorize"),
+    "rankfact": (["rankfact", "GAME"], "format_decomposition_text"),
     "perturb": (["perturb", "GAME", "--k", "1"], "perturb_game"),
     "verify": (["verify", "GAME", "--profile", "1/2,1/2;1/2,1/2"], "loss"),
     "bounds": (["bounds", "--d", "4"], "bound_report"),
-    "gen": (["gen", "rank1", "--d", "2"], "build_family"),
+    "gen": (["gen", "block", "--inner", "identity:2", "--outer", "rank1:2"],
+            "block_game"),
 }
 
 
@@ -303,10 +304,10 @@ def test_internal_error_exit_5(tmp_path, capsys, monkeypatch, exc, command):
 
 
 def test_argparse_usage_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert main(["no-such-command"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage: rankgames" in capsys.readouterr().out
 
 
 def test_parser_shared_across_calls_matches_fresh_runs(tmp_path, capsys):
@@ -326,10 +327,7 @@ def test_parser_shared_across_calls_matches_fresh_runs(tmp_path, capsys):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     for argv in calls:
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse exits on a usage error
-            code = exc.code
+        code = main(argv)
         streams = capsys.readouterr()
         fresh = subprocess.run([sys.executable, "-m", "rankgames", *argv],
                                capture_output=True, text=True, env=env,

@@ -8,10 +8,8 @@ import pytest
 
 from rankgames import (
     BimatrixGame,
-    FamilySpec,
     additive_to_zero_sum,
     block_game,
-    build_family,
     enumerate_by_supports,
     find_additive_decomposition,
     fraction_matrix,
@@ -141,20 +139,3 @@ def test_find_additive_decomposition():
                                    for i in range(m)])
         assert np.array_equal(rebuilt, mat)
     assert find_additive_decomposition(fraction_matrix([[4, 8], [8, 16]])) is None
-
-
-def test_build_family_dispatch():
-    assert build_family(FamilySpec("rank1", d=3)) == rank1_family(3)
-    assert build_family(FamilySpec("sqdiff", d=2)) == squared_difference_family(2)
-    assert build_family(FamilySpec("identity", d=4)) == identity_game(4)
-    block = FamilySpec("block", inner=FamilySpec("identity", d=2),
-                       outer=FamilySpec("rank1", d=3))
-    assert build_family(block) == block_game(identity_game(2), rank1_family(3))
-    poly = FamilySpec("poly", g=(1, 2, 3), coeffs=(0, 0, -1))
-    assert build_family(poly) == squared_difference_family(3)
-    with pytest.raises(ValueError):
-        build_family(FamilySpec("rank1"))
-    with pytest.raises(ValueError):
-        build_family(FamilySpec("block", inner=FamilySpec("rank1", d=2)))
-    with pytest.raises(ValueError):
-        build_family(FamilySpec("nonsense", d=2))

@@ -1,6 +1,7 @@
 """Game container, loss, deviation bounds, and the QP objective identity."""
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,11 @@ import pytest
 from rankgames import (
     BimatrixGame,
     MixedProfile,
+    approx_absolute,
+    approx_relative,
     best_response_values,
     check_deviation_bound,
+    enumerate_equilibria,
     is_approximate_equilibrium,
     is_exact_equilibrium,
     loss,
@@ -20,6 +24,7 @@ from rankgames import (
     qp_objective,
     rank1_family,
 )
+from rankgames import cli, linalg
 from rankgames.games import _evaluate
 
 from helpers import random_game, random_profile, reference_evaluate
@@ -35,6 +40,35 @@ def test_game_container_basics():
     assert g.norm_c == 16
     assert g == BimatrixGame(g.a, g.b)
     assert g != rank1_family(3)
+
+
+def test_one_factorization_per_game(monkeypatch, capsys):
+    """A game eliminates a+b only when something reads its factorization,
+    and then once, however many readers share it."""
+    calls = []
+
+    def counting(matrix):
+        calls.append(None)
+        return factorize(matrix)
+
+    factorize = linalg.rank_factorize
+    # every module that imported the name, rankgames.games among them
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rankgames" and hasattr(module, "rank_factorize"):
+            monkeypatch.setattr(module, "rank_factorize", counting)
+
+    a = rank1_family(4).a
+    g = BimatrixGame(a, a.T)
+    assert len(enumerate_equilibria(g).reports) == 7
+    assert calls == []
+
+    monkeypatch.setattr(cli, "load_game", lambda path: g)
+    assert g.rank_c == 1
+    approx_absolute(g, Fraction(1, 10))
+    approx_relative(g, Fraction(1, 4))
+    assert cli.main(["rankfact", "game.txt"]) == 0
+    assert "rank(A+B) = 1" in capsys.readouterr().err
+    assert len(calls) == 1
 
 
 def test_game_rejects_shape_mismatch_and_writes():
