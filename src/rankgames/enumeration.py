@@ -57,38 +57,53 @@ def enumerate_equilibria(game):
 
     A vertex pair (x, v) and (y, u) is an equilibrium exactly when the two
     binding-label sets jointly cover 1..m+n: every strategy is then either
-    unplayed or a best response. Each report is built once and its exact
-    loss must be zero. Output is sorted by profile and grouped into
-    connected components.
+    unplayed or a best response. Each label has a posting bitset, bit iq
+    set when Q vertex iq binds it. A P vertex's partners are the AND of the
+    postings of the labels it leaves uncovered, which stops at the first
+    empty AND, walked from the lowest bit. Each report is built once and
+    its exact loss must be zero. Output is sorted by profile and grouped
+    into connected components.
 
     No two cover pairs share a profile. A P vertex binds strategy_len
     independent rows, at most strategy_len - 1 of them nonnegativity rows,
     so some best-response row is tight and v = max_j x b_j is fixed by x.
     Each P vertex thus has its own x, and likewise each Q vertex its own y.
-    Both vertex lists come sorted by point, hence by strategy, so the
-    pairing loop yields the reports already sorted by profile.
+    Both vertex lists come sorted by point, hence by strategy, so pairing
+    in P order and then in Q index order yields the reports already sorted
+    by profile.
 
     The components are those of the extreme-equilibrium graph of Avis,
     Rosenberg, Savani and von Stengel (2010), whose nodes are the P and Q
     vertices and whose edges are the equilibria: equilibria sharing a P
     vertex (an x) or a Q vertex (a y) are linked, each to the first one
     with that vertex. The walk's bound on its bases (errors.MAX_WORK)
-    bounds both vertex lists, so also the |P|·|Q| pairing loop; it is the
-    only guard.
+    bounds both vertex lists, so also the pairing; it is the only guard.
     """
     p, q = build_polyhedra(game)
     p_vertices = enumerate_vertices(p)
     q_vertices = enumerate_vertices(q)
     full = frozenset(range(1, game.m + game.n + 1))
+    # postings[label] has bit iq set when Q vertex iq binds label
+    postings = dict.fromkeys(full, 0)
+    for iq, vq in enumerate(q_vertices):
+        for label in vq.binding:
+            postings[label] |= 1 << iq
+    every_q = (1 << len(q_vertices)) - 1
     reports = []
     first = {}
     edges = []
     for ip, vp in enumerate(p_vertices):
-        need = full - vp.binding
-        for iq, vq in enumerate(q_vertices):
-            if not need <= vq.binding:
-                continue
-            report = make_report(game, MixedProfile(vp.strategy, vq.strategy))
+        cover = every_q
+        for label in full - vp.binding:
+            cover &= postings[label]
+            if not cover:
+                break
+        while cover:
+            low = cover & -cover
+            cover ^= low
+            iq = low.bit_length() - 1
+            report = make_report(
+                game, MixedProfile(vp.strategy, q_vertices[iq].strategy))
             if report.loss != 0:
                 raise RuntimeError(
                     "binding-cover pair failed the loss check; this is a bug"

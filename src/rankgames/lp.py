@@ -89,12 +89,15 @@ def linear_program(objective, lhs, senses, rhs, lower=None, upper=None):
     )
 
 
-def _price_out(tableau, cost, basis):
-    """Append the reduced-cost row of cost to the tableau, pricing out every
-    basic column (each is a unit column of the constraint rows)."""
-    tableau.append(int_row(list(cost) + [Fraction(0)]))
+def _price_out(tableau, zrow, basis):
+    """Append the integer cost row zrow to the tableau and price out the
+    basic columns. Each is a unit column of the constraint rows, so no
+    pivot changes the cost row's entry in another basic column: only the
+    columns where zrow is nonzero need a pivot."""
+    tableau.append(zrow)
     for i, b in enumerate(basis):
-        pivot(tableau, i, b)
+        if zrow[b]:
+            pivot(tableau, i, b)
 
 
 def _iterate(tableau, basis, ncols):
@@ -262,8 +265,7 @@ class StandardForm:
         ncols = self.ncols
         rows, basis, nart = self.tableau(rhs)
         if nart:
-            cost1 = [Fraction(0)] * ncols + [Fraction(1)] * nart
-            _price_out(rows, cost1, basis)
+            _price_out(rows, [0] * ncols + [1] * nart + [0, 1], basis)
             _iterate(rows, basis, ncols + nart)
             if rows.pop()[-2] < 0:
                 return LpSolution("infeasible", None, None)
@@ -284,7 +286,7 @@ class StandardForm:
                 continue
             for t, sign in terms:
                 cost2[t] += cj if sign > 0 else -cj
-        _price_out(rows, cost2, basis)
+        _price_out(rows, int_row(cost2 + [Fraction(0)]), basis)
         if _iterate(rows, basis, ncols) == "unbounded":
             return LpSolution("unbounded", None, None)
 

@@ -122,13 +122,19 @@ def enumerate_vertices(poly):
     inequality, G_i z + s_i = 0 with slack s_i >= 0, and the normalization
     row. The point coordinates z are free: they are pivoted in once and stay
     basic, so a basis is the set of strategy_len inequality rows whose
-    slacks are nonbasic. From each basis every nonbasic slack is tried as
-    the entering variable, and every basic slack row tied at the minimum
-    ratio gives a neighbour, degenerate ratio-0 pivots included; a seen-set
-    of nonbasic row sets makes each basis pivot into the walk once. The
-    rows are integer rows (linalg.int_row) with the right-hand side at
-    row[-2]. A basis's point is read from the coordinate rows, and its
-    binding labels are the nonbasic rows plus the basic slacks at 0.
+    slacks are nonbasic, kept as a bitmask with bit r for row r. From each
+    basis every nonbasic slack is tried as the entering variable, and every
+    basic slack row tied at the minimum ratio gives a neighbour, degenerate
+    ratio-0 pivots included; a seen-set of these masks makes each basis
+    pivot into the walk once. The rows are integer rows (linalg.int_row)
+    with the right-hand side at row[-2].
+
+    A basis's tight mask is its nonbasic rows plus the basic slacks at 0.
+    It is the set of rows tight at the basis's point, and at a vertex it
+    fixes the point (its nonbasic rows and the normalization row form a
+    nonsingular system), so vertices are keyed by it. The point is read
+    from the coordinate rows, and its binding labels from the mask, only
+    when the mask is new.
 
     Each basis costs one pivot, the d that bring in the coordinates
     included; check_work raises CapExceededError before the pivot past
@@ -138,15 +144,18 @@ def enumerate_vertices(poly):
     objective. Bland's simplex method run on that objective from the start
     basis terminates at an optimal basis, whose point is v*, and it makes
     only min-ratio pivots on slack columns; the walk follows every such
-    pivot, so it reaches a basis of v*. Output is deduplicated and sorted by
-    point, so the order is deterministic.
+    pivot, so it reaches a basis of v*. Output is sorted by point, so the
+    order is deterministic.
     """
     k, d = poly.ineqs.shape
-    one, zero = Fraction(1), Fraction(0)
-    rows = [int_row(list(poly.ineqs[r])
-                    + [one if i == r else zero for i in range(k)] + [zero])
-            for r in range(k)]
-    rows.append(int_row([one] * (d - 1) + [zero] * (k + 1) + [one]))
+    rows = []
+    for r in range(k):
+        row = int_row(list(poly.ineqs[r]))
+        den = row.pop()
+        row += [0] * (k + 1) + [den]
+        row[d + r] = den
+        rows.append(row)
+    rows.append([1] * (d - 1) + [0] * (k + 1) + [1, 1])
     free = _start_rows(poly) + [k]
     coord_rows = []
     for c in range(d):
@@ -159,21 +168,30 @@ def enumerate_vertices(poly):
     rows = [reduced(row[d:]) for row in rows]
     slack_rows = [r for r in range(k) if r not in coord_rows]
     basic = {r: r for r in slack_rows}  # tableau row -> its basic slack
-    nonbasic = frozenset(r for r in range(k) if r not in basic)
+    nonbasic = sum(1 << r for r in range(k) if r not in basic)
     seen = {nonbasic}
     queue = deque([(rows, basic, nonbasic)])
     found = {}
     while queue:
         rows, basic, nonbasic = queue.popleft()
-        point = tuple(Fraction(rows[r][-2], rows[r][-1]) for r in coord_rows)
-        if point not in found:
-            tight = [i for r, i in basic.items() if rows[r][-2] == 0]
-            binding = frozenset(poly.labels[i] for i in (*nonbasic, *tight))
-            found[point] = PolyhedronVertex(point=point, binding=binding)
-        for j in nonbasic:
+        tight = nonbasic
+        for r, i in basic.items():
+            if rows[r][-2] == 0:
+                tight |= 1 << i
+        if tight not in found:
+            point = tuple(Fraction(rows[r][-2], rows[r][-1])
+                          for r in coord_rows)
+            binding = frozenset(lab for i, lab in enumerate(poly.labels)
+                                if tight >> i & 1)
+            found[tight] = PolyhedronVertex(point=point, binding=binding)
+        rest = nonbasic
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
             # no row at all is an unbounded edge
             for r in min_ratio_rows(rows, slack_rows, j):
-                key = nonbasic - {j} | {basic[r]}
+                key = nonbasic ^ low | 1 << basic[r]
                 if key in seen:
                     continue
                 # the pivot into this basis is number d + len(seen)
@@ -182,7 +200,7 @@ def enumerate_vertices(poly):
                 step = list(rows)
                 pivot(step, r, j)
                 queue.append((step, {**basic, r: j}, key))
-    return tuple(found[p] for p in sorted(found))
+    return tuple(sorted(found.values(), key=lambda v: v.point))
 
 
 def is_nondegenerate(game):

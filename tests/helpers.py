@@ -4,8 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from rankgames import BimatrixGame, MixedProfile
-from rankgames.linalg import fraction_vector, int_row, solve_linear_system
-from rankgames.polyhedra import PolyhedronVertex
+from rankgames.linalg import fraction_vector, int_row, pivot, solve_linear_system
+from rankgames.polyhedra import (
+    PolyhedronVertex,
+    build_polyhedra,
+    enumerate_vertices,
+)
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9):
@@ -83,6 +87,19 @@ def brute_force_vertices(poly):
             )
             seen[point] = PolyhedronVertex(point=point, binding=binding)
     return tuple(seen[p] for p in sorted(seen))
+
+
+def reference_cover_pairs(game):
+    """Reference vertex pairing: test every (P vertex, Q vertex) pair.
+
+    A pair is an equilibrium when the Q vertex binds every label 1..m+n the
+    P vertex leaves unbound. Returns the (x, y) strategy pairs in P order,
+    then Q order, the order enumerate_equilibria must report them in.
+    """
+    p, q = (enumerate_vertices(poly) for poly in build_polyhedra(game))
+    full = frozenset(range(1, game.m + game.n + 1))
+    return [(vp.strategy, vq.strategy) for vp in p for vq in q
+            if full - vp.binding <= vq.binding]
 
 
 def dense_pivot(rows, r, col):
@@ -164,3 +181,12 @@ def reference_tableau(lp):
         ext = [Fraction(int(col == c)) for c in range(ncols, ncols + nart)]
         out.append(int_row(row[:-1] + ext + [row[-1]]))
     return out, basis, nart
+
+
+def reference_price_out(tableau, zrow, basis):
+    """Reference pricing: append the integer cost row zrow and pivot on
+    every basic column, whether its cost entry is zero or not.
+    lp._price_out must leave exactly these rows."""
+    tableau.append(zrow)
+    for i, b in enumerate(basis):
+        pivot(tableau, i, b)

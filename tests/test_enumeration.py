@@ -22,9 +22,8 @@ from rankgames import (
 )
 
 from rankgames import enumeration, errors
-from rankgames.polyhedra import build_polyhedra, enumerate_vertices
 
-from helpers import profile_set, random_game
+from helpers import profile_set, random_game, reference_cover_pairs
 
 ZERO = BimatrixGame([[0, 0], [0, 0]], [[0, 0], [0, 0]])
 # every row is a best response to every y
@@ -98,6 +97,7 @@ def test_components_match_the_exact_audit(game):
 def test_components_on_drawn_degenerate_games():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    several = []
 
     @st.composite
     def games(draw):
@@ -124,15 +124,34 @@ def test_components_on_drawn_degenerate_games():
                 classes.setdefault(getattr(profile, side), set()).add(
                     component_of[i])
             assert all(len(c) == 1 for c in classes.values())
-        # no two cover pairs share a profile, so none is dropped or repeated
-        p, q = build_polyhedra(game)
-        full = frozenset(range(1, game.m + game.n + 1))
-        covers = [(vp.strategy, vq.strategy)
-                  for vp in enumerate_vertices(p) for vq in enumerate_vertices(q)
-                  if vp.binding | vq.binding >= full]
-        assert len(set(covers)) == len(covers) == len(eqset.reports)
+        # the pairs of the all-pairs cover test, in its order; no two share
+        # a profile, so none is dropped or repeated
+        covers = reference_cover_pairs(game)
+        assert [(p.x, p.y) for p in eqset.profiles] == covers
+        assert len(set(covers)) == len(covers)
+        xs = [x for x, _ in covers]
+        several.append(len(xs) > len(set(xs)))
 
     check()
+    # the order check needs P vertices with more than one partner
+    assert sum(several) >= 30
+
+
+@pytest.mark.parametrize("game", [
+    *(identity_game(d) for d in range(1, 9)),
+    *(rank1_family(d) for d in range(2, 9)),
+    block_game(identity_game(2), rank1_family(3)),
+    block_game(FLAT, identity_game(2)),
+    block_game(ZERO, rank1_family(2)),
+], ids=[*(f"identity{d}" for d in range(1, 9)),
+        *(f"rank1-{d}" for d in range(2, 9)),
+        "block-identity2-rank1-3", "block-flat-identity2",
+        "block-zero-rank1-2"])
+def test_pairing_matches_reference_cover_pairs(game):
+    # the posting bitsets give exactly the pairs of the all-pairs cover
+    # test, in its order (P vertex, then Q vertex)
+    assert ([(p.x, p.y) for p in enumerate_equilibria(game).profiles]
+            == reference_cover_pairs(game))
 
 
 def test_block_game_hierarchy_example():

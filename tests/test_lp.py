@@ -14,9 +14,10 @@ from rankgames import (
     solve_lp,
     solve_linear_system,
 )
+from rankgames import lp as lp_module
 from rankgames.lp import StandardForm
 
-from helpers import reference_tableau
+from helpers import reference_price_out, reference_tableau
 
 
 def test_known_optimum_bounded():
@@ -244,6 +245,31 @@ def test_standard_form_rows_match_reference_builder():
         assert form.solve(other.rhs) == solve_lp(other)
         assert form.solve() == solve_lp(lp)
     assert crossed >= 10 and flipped >= 100
+
+
+def test_price_out_matches_pricing_every_basic_column(monkeypatch):
+    # _price_out pivots only on the basic columns with a nonzero cost; the
+    # others are unit columns whose cost entry no pivot changes, so pricing
+    # every basic column must leave the same rows, in phase 1 and phase 2
+    rng = random.Random(617)
+    price_out = lp_module._price_out
+    calls = []
+
+    def checked(tableau, zrow, basis):
+        expected = list(tableau)
+        reference_price_out(expected, zrow, basis)
+        price_out(tableau, zrow, basis)
+        assert tableau == expected
+        calls.append(None)
+
+    monkeypatch.setattr(lp_module, "_price_out", checked)
+    per_lp = []
+    for _ in range(120):
+        calls.clear()
+        solve_lp(_random_lp(rng, rng.randint(2, 4), rng.randint(2, 4), box=20))
+        per_lp.append(len(calls))
+    # two calls: phase 1 with artificials, then phase 2
+    assert per_lp.count(2) >= 50 and per_lp.count(1) >= 10
 
 
 def test_row_permutation_keeps_objective():

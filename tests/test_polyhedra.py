@@ -194,6 +194,20 @@ def _repeats_a_row(poly):
     return len(set(rows)) < len(rows)
 
 
+def test_walk_returns_each_shared_point_once(monkeypatch):
+    # In Q of this game y = e1 with payoff 1 binds both best-response rows
+    # and y2 >= 0, so three of the four feasible bases share that point.
+    # The walk keys vertices by their tight rows: it visits every basis and
+    # returns the point once, with all three labels.
+    poly = build_polyhedra(BimatrixGame([[1, 0], [1, 1]],
+                                        [[1, 2], [1, 0]]))[1]
+    vertices, bases = _walked_bases(monkeypatch, poly)
+    assert vertices == brute_force_vertices(poly)
+    assert [v.binding for v in vertices] == [{2, 3}, {1, 2, 4}]
+    assert len({v.point for v in vertices}) == len(vertices) == 2
+    assert bases == len(list(brute_force_bases(poly))) == 4
+
+
 def test_walk_follows_every_tied_row(monkeypatch):
     # Rows tied at the minimum ratio each give a basis of the vertex the
     # pivot reaches, and the walk pivots into all of them. On the games
