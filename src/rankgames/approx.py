@@ -19,9 +19,9 @@ from .games import (
     make_report,
 )
 from .linalg import (
+    RankFactorization,
     as_fraction,
     fraction_matrix,
-    fraction_vector,
     matrix_rank,
     max_abs_entry,
 )
@@ -37,9 +37,10 @@ def svd_truncate(matrix, k):
 
     If the matrix already has rank <= k it is returned unchanged (exact
     shortcut, no floating point involved). Otherwise the leading k singular
-    triples of a float SVD are rationalized factor by factor and summed, so
-    the result provably has rank <= k; the rationalization happens on the
-    rank-one factors, never on their sum, which would not preserve the rank.
+    triples of a float SVD are rationalized factor by factor, and the result
+    is the matrix() of the RankFactorization of those k pairs, so it provably
+    has rank <= k; the rationalization happens on the rank-one factors,
+    never on their sum, which would not preserve the rank.
     Entries too large for the float SVD raise ValueError.
     """
     c = fraction_matrix(matrix)
@@ -47,10 +48,9 @@ def svd_truncate(matrix, k):
         raise ValueError("k must be nonnegative")
     if k >= matrix_rank(c):
         return c
-    m, n = c.shape
-    out = np.full((m, n), Fraction(0), dtype=object)
     if k == 0:
-        return out
+        return RankFactorization(c.shape, ()).matrix()
+    m, n = c.shape
     # every singular value is at most sqrt(m n) times the largest entry, so
     # this keeps the float conversion and the SVD's output finite
     if max_abs_entry(c) * m * n >= sys.float_info.max:
@@ -60,17 +60,14 @@ def svd_truncate(matrix, k):
             f"{sys.float_info.max:.3g}"
         )
     u, s, vt = np.linalg.svd(c.astype(float))
-    for t in range(k):
-        col = fraction_vector(
-            Fraction(u[i, t] * s[t]).limit_denominator(SVD_MAX_DENOMINATOR)
-            for i in range(m)
-        )
-        row = fraction_vector(
-            Fraction(vt[t, j]).limit_denominator(SVD_MAX_DENOMINATOR)
-            for j in range(n)
-        )
-        out = out + np.outer(col, row)
-    return out
+    pairs = tuple(
+        (tuple(Fraction(u[i, t] * s[t]).limit_denominator(SVD_MAX_DENOMINATOR)
+               for i in range(m)),
+         tuple(Fraction(vt[t, j]).limit_denominator(SVD_MAX_DENOMINATOR)
+               for j in range(n)))
+        for t in range(k)
+    )
+    return RankFactorization((m, n), pairs).matrix()
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ from .gamefiles import (
     parse_profile_text,
     report_json,
 )
-from .games import loss
+from .games import _eps_threshold, loss
 from .linalg import as_fraction, matrix_rank
 
 EXIT_OK = 0
@@ -169,15 +169,13 @@ def cmd_verify(args):
     game = load_game(args.game)
     profile = parse_profile_text(args.profile)
     value = loss(game, profile)
+    # a bad eps fails here, before anything is printed
+    threshold = None if args.eps is None else _eps_threshold(game, args.eps)
     print(f"loss = {value}")
-    if args.eps is None:
+    if threshold is None:
         ok = value == 0
         print("verified: exact equilibrium" if ok else "failed: loss is nonzero")
     else:
-        eps = as_fraction(args.eps)
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
-        threshold = eps * game.norm_c
         ok = value <= threshold
         print(
             f"verified: loss <= {threshold} = eps * |A+B|"
@@ -217,7 +215,7 @@ def cmd_rankfact(args):
 
 def cmd_perturb(args):
     game = load_game(args.game)
-    if args.k is None or args.k < 0:
+    if args.k < 0:
         raise ValueError("--k must be a nonnegative integer")
     truncated = svd_truncate(game.c, args.k)
     pert = perturb_game(game, truncated)

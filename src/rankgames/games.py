@@ -201,12 +201,18 @@ def is_exact_equilibrium(game, profile):
     return loss(game, profile) == 0
 
 
-def is_approximate_equilibrium(game, profile, eps):
-    """True when loss(game, profile) <= eps * |a+b| (max-entry scale)."""
+def _eps_threshold(game, eps):
+    """eps * |a+b|, the most loss an eps-approximate equilibrium of the
+    game may have; eps must be nonnegative."""
     eps = as_fraction(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    return loss(game, profile) <= eps * game.norm_c
+    return eps * game.norm_c
+
+
+def is_approximate_equilibrium(game, profile, eps):
+    """True when loss(game, profile) <= eps * |a+b| (max-entry scale)."""
+    return loss(game, profile) <= _eps_threshold(game, eps)
 
 
 def check_deviation_bound(game, profile, eps):

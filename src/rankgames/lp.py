@@ -133,8 +133,8 @@ class StandardForm:
     rows[i] is the integer row (linalg.int_row) of row i's standard columns
     and slack, without its right-hand side; shift[i] is what the constants
     contribute to LP row i, and slack[i] is its (column, sign) or None for
-    an equality. crossed means some upper bound lies below its lower
-    bound, so every right-hand side is infeasible.
+    an equality. An upper bound below its lower bound gives a bound row
+    with a negative right-hand side, which phase 1 finds infeasible.
     """
 
     def __init__(self, lp):
@@ -147,12 +147,10 @@ class StandardForm:
         terms = []
         nstd = 0
         bound_rows = []
-        crossed = False
         for j in range(nvars):
             lo, up = lp.lower[j], lp.upper[j]
             if lo is not None:
                 if up is not None:
-                    crossed = crossed or up < lo
                     bound_rows.append((nstd, up - lo))
                 const.append(lo)
                 terms.append(((nstd, 1),))
@@ -202,7 +200,6 @@ class StandardForm:
             rows.append(int_row(row))
 
         self.lp = lp
-        self.crossed = crossed
         self.const = tuple(const)
         self.terms = tuple(terms)
         self.nstd = nstd
@@ -260,8 +257,6 @@ class StandardForm:
         objective = lp.objective if objective is None else objective
         if len(objective) != lp.nvars:
             raise ValueError("objective length does not match variable count")
-        if self.crossed:
-            return LpSolution("infeasible", None, None)
         ncols = self.ncols
         rows, basis, nart = self.tableau(rhs)
         if nart:

@@ -59,23 +59,24 @@ class PolyhedronVertex:
         return tuple(i for i, e in enumerate(self.strategy) if e > 0)
 
 
-def _side(side, payoff, nonneg_first):
+def _side(side, payoff):
     """One player's polyhedron; payoff[r, i] is response r's payoff against
     the player's pure strategy i.
 
     Rows are the nonnegativity rows -z_i <= 0 and the best-response rows
     payoff[r] . z - payoff_coordinate <= 0, in two blocks with labels 1..m+n
-    in row order; nonneg_first puts the nonnegativity block first.
+    in row order. Labels 1..m belong to the row player, so side P puts its
+    nonnegativity block first and side Q its best-response block.
     """
     responses, slen = payoff.shape
     zero, one = Fraction(0), Fraction(1)
     nonneg = [[-one if c == i else zero for c in range(slen + 1)]
               for i in range(slen)]
     br = [list(row) + [-one] for row in payoff]
-    rows = nonneg + br if nonneg_first else br + nonneg
+    rows = nonneg + br if side == "P" else br + nonneg
     ineqs = np.array(rows, dtype=object)
     ineqs.flags.writeable = False
-    nonneg_at, br_at = (0, slen) if nonneg_first else (responses, 0)
+    nonneg_at, br_at = (0, slen) if side == "P" else (responses, 0)
     return BestResponsePolyhedron(
         side=side,
         strategy_len=slen,
@@ -90,12 +91,9 @@ def build_polyhedra(game):
     """The pair (P side, Q side) of best-response polyhedra of the game.
 
     One construction per player: P responds to x through the columns of b,
-    Q to y through the rows of a. Labels 1..m belong to the row player on
-    both sides, so P lists its nonnegativity rows first and Q its
-    best-response rows first.
+    Q to y through the rows of a.
     """
-    return (_side("P", game.b.T, nonneg_first=True),
-            _side("Q", game.a, nonneg_first=False))
+    return _side("P", game.b.T), _side("Q", game.a)
 
 
 def _start_rows(poly):

@@ -11,6 +11,8 @@ import pytest
 
 from rankgames import (
     block_game,
+    connected_component_count,
+    enumerate_equilibria,
     identity_game,
     load_decomposition,
     load_game,
@@ -22,6 +24,8 @@ from rankgames import (
 from rankgames.cli import build_parser, main
 
 PENNIES = "2 2\n1 -1\n-1 1\n-1 1\n1 -1\n"
+# a 3x3 game with rank(a) = rank(b) = 1
+LOWRANK = "3 3\n1 2 3\n2 4 6\n3 6 9\n1 1 1\n2 2 2\n3 3 3\n"
 
 
 def write_game(tmp_path, name, game):
@@ -104,15 +108,35 @@ def test_components_subcommand(tmp_path, capsys):
     assert doc["results"]["component_bound"] is None
 
     # low-rank payoffs activate the component bound C(d, k+1)^2
-    lowrank = parse_game_text(
-        "3 3\n1 2 3\n2 4 6\n3 6 9\n1 1 1\n2 2 2\n3 3 3\n")
-    game = write_game(tmp_path, "low.txt", lowrank)
+    game = write_game(tmp_path, "low.txt", parse_game_text(LOWRANK))
     assert main(["components", game]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["rank_a"] == 1
     assert doc["results"]["rank_b"] == 1
     assert doc["results"]["component_bound"] == 9  # C(3,2)^2
     assert doc["results"]["component_count"] <= 9
+
+
+@pytest.mark.parametrize("game", [
+    identity_game(3),
+    parse_game_text(LOWRANK),
+    block_game(identity_game(1), rank1_family(3)),
+], ids=["identity3", "lowrank3", "block-identity1-rank1-3"])
+def test_solve_components_mode_matches_components(tmp_path, capsys, game):
+    # solve --mode components and components share one results object, and
+    # its components are those of plain solve
+    path = write_game(tmp_path, "g.txt", game)
+    results = {}
+    for name, argv in [("components", ["components", path]),
+                       ("mode", ["solve", path, "--mode", "components"]),
+                       ("enum", ["solve", path])]:
+        assert main(argv) == 0
+        results[name] = json.loads(capsys.readouterr().out)["results"]
+    assert results["mode"] == results["components"]
+    for key in ("component_count", "components"):
+        assert results["mode"][key] == results["enum"][key]
+    count = connected_component_count(game, enumerate_equilibria(game))
+    assert results["mode"]["component_count"] == count
 
 
 def test_approx_abs_and_rel(tmp_path, capsys):
@@ -146,6 +170,19 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert "loss = 2" in capsys.readouterr().out
     assert main(["verify", game, "--profile", "1,0;0,1", "--eps", "1/8"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("eps, message", [
+    ("-1", "eps must be nonnegative"),
+    ("1/0", "zero denominator in '1/0'"),
+])
+def test_verify_bad_eps_prints_nothing(tmp_path, capsys, eps, message):
+    # eps is checked before the loss line is printed
+    game = write_game(tmp_path, "g.txt", rank1_family(2))
+    assert main(["verify", game, "--profile", "1,0;0,1", "--eps", eps]) == 2
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert streams.err == f"error: {message}\n"
 
 
 def test_bounds_output(capsys):
@@ -214,6 +251,30 @@ def test_non_utf8_input_exit_3(tmp_path, capsys, kind):
                 "--decomp", str(bad)]
     assert main(argv) == 3
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["gen", "block", "--inner", "rank1:x", "--outer", "rank1:2"], 2, "err",
+     "error: --inner: D must be an integer\n"),
+    (["perturb", "GAME", "--k", "-1"], 2, "err",
+     "error: --k must be a nonnegative integer\n"),
+    (["bounds", "--d", "2", "--k", "5"], 0, "out",
+     "component bound: undefined for k = 5 (needs k + 1 <= d)\n"),
+    (["solve", "BADGAME"], 3, "err",
+     "error: header must be two integers: m n\n"),
+    (["approx", "GAME", "--scheme", "rel", "--eps", "1/2",
+      "--decomp", "BADDECOMP"], 3, "err",
+     "error: header must be three integers: k m n\n"),
+], ids=["gen-block-bad-d", "perturb-negative-k", "bounds-undefined",
+        "game-header", "decomp-header"])
+def test_error_branches(tmp_path, capsys, argv, code, stream, text):
+    files = {"GAME": write_game(tmp_path, "g.txt", rank1_family(2)),
+             "BADGAME": tmp_path / "badgame.txt",
+             "BADDECOMP": tmp_path / "baddecomp.txt"}
+    files["BADGAME"].write_text("2 x\n1 2\n3 4\n1 2\n3 4\n")
+    files["BADDECOMP"].write_text("1 2 x\n1 2\n1 2\n")
+    assert main([str(files.get(a, a)) for a in argv]) == code
+    assert getattr(capsys.readouterr(), stream).endswith(text)
 
 
 def test_missing_file_exit_2(tmp_path, capsys):

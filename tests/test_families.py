@@ -139,3 +139,9 @@ def test_find_additive_decomposition():
                                    for i in range(m)])
         assert np.array_equal(rebuilt, mat)
     assert find_additive_decomposition(fraction_matrix([[4, 8], [8, 16]])) is None
+
+
+@pytest.mark.parametrize("family", [identity_game, squared_difference_family])
+def test_family_needs_positive_d(family):
+    with pytest.raises(ValueError, match="d must be positive"):
+        family(0)

@@ -25,7 +25,7 @@ from rankgames import (
     save_game,
     squared_difference_family,
 )
-from rankgames.gamefiles import encode_report, report_json
+from rankgames.gamefiles import _encode, encode_report, report_json
 
 from helpers import random_game
 
@@ -157,3 +157,13 @@ def test_report_json_is_exact_and_versioned():
         return not isinstance(node, float)
 
     assert no_floats(doc)
+
+
+@pytest.mark.parametrize("value, name", [
+    (1.5, "float"),
+    ({"loss": [Fraction(1), 0.5]}, "float"),
+    (np.int64(3), "int64"),
+])
+def test_encode_rejects_unsupported_types(value, name):
+    with pytest.raises(TypeError, match=f"cannot encode {name} into a report"):
+        _encode(value)

@@ -240,3 +240,18 @@ def test_evaluate_matches_the_fraction_reference_and_cross_checks():
                 is_approximate_equilibrium(game, profile, e)
 
     check()
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda g: is_approximate_equilibrium(g, pure_profile(2, 2, 0, 0), -1),
+     ValueError("eps must be nonnegative")),
+    (lambda g: g == 1, False),
+    (repr, "BimatrixGame(2x2, rank_c=1)"),
+], ids=["negative-eps", "eq-non-game", "repr"])
+def test_game_edge_branches(call, expected):
+    game = rank1_family(2)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=str(expected)):
+            call(game)
+    else:
+        assert call(game) == expected

@@ -332,3 +332,12 @@ def test_pivot_path_length_pinned(monkeypatch):
     # grids with no loss-0 cell: 9 cell LPs each
     assert count(lambda: approx_absolute(rank1_family(7), Fraction(1, 5))) == 203
     assert count(lambda: approx_absolute(rank1_family(10), Fraction(1, 5))) == 253
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ([[1, 2]], [1], "coefficient matrix must be square"),
+    ([[1, 0], [0, 1]], [1], "right-hand side length does not match"),
+], ids=["non-square", "short-rhs"])
+def test_solve_linear_system_shape_errors(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        solve_linear_system(a, b)

@@ -234,7 +234,7 @@ def test_standard_form_rows_match_reference_builder():
         form = StandardForm(lp)
         if reference_tableau(lp) is None:
             crossed += 1
-            assert form.crossed and form.solve().status == "infeasible"
+            assert form.solve().status == "infeasible"
             continue
         other = replace(lp, rhs=tuple(rational(6) for _ in range(nrows)))
         for rhs in (lp.rhs, other.rhs):
@@ -304,3 +304,18 @@ def test_bland_pivot_path_golden():
         [0, -1, -1, -2], [[0, 1, 2, 2], [2, 2, 1, 0]], ["=", "="], [2, 1]))
     assert sol.x == (Fraction(1, 2), 0, 0, 1)
     assert sol.objective_value == -2
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda form: form.tableau(()), ValueError,
+     "rhs length does not match row count"),
+    (lambda form: form.solve(rhs=()), ValueError,
+     "rhs length does not match row count"),
+    (lambda form: form.solve(objective=(Fraction(1),)), ValueError,
+     "objective length does not match variable count"),
+    (solve_lp, TypeError, "expected a LinearProgram"),
+], ids=["tableau-rhs", "solve-rhs", "solve-objective", "solve-lp-type"])
+def test_standard_form_argument_errors(call, error, message):
+    form = StandardForm(linear_program([1, 1], [[1, 1]], ["<="], [1]))
+    with pytest.raises(error, match=message):
+        call(form)
