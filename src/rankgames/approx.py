@@ -4,7 +4,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -12,18 +12,21 @@ from . import errors
 from .games import (
     BimatrixGame,
     MixedProfile,
-    _evaluate,
+    _evaluate_rows,
+    _strategy_row,
     is_approximate_equilibrium,
     is_exact_equilibrium,
-    loss,
     make_report,
 )
 from .linalg import (
     RankFactorization,
     as_fraction,
     fraction_matrix,
+    int_row,
     matrix_rank,
     max_abs_entry,
+    pair_row,
+    reduced,
 )
 from .lp import StandardForm, linear_program
 
@@ -114,7 +117,7 @@ def equilibrium_survives_perturbation(pert, profile):
     return is_approximate_equilibrium(pert.perturbed, profile, 3 * pert.eps)
 
 
-def _grid_search(game, factor_rows, axes, objective_y, score, cap=None):
+def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
     """Solve one LP per grid cell; return the best (score, profile) or None.
 
     The LP runs over (x, y, s1, s2). s1 bounds the row player's best pure
@@ -122,14 +125,18 @@ def _grid_search(game, factor_rows, axes, objective_y, score, cap=None):
     role of the single s variable of the one-shot formulation, with m + n
     rows instead of m * n. factor_rows[t] holds coefficients over (x, y);
     a cell picks one interval from each axis and bounds the matching factor
-    row by it. The LP minimizes s1 + s2 - objective_y(cell) . y, with
-    s1 + s2 <= cap when cap is given. Only the factor rows' right-hand
-    sides and the objective differ between cells, so the standard form is
-    built once (lp.StandardForm) and each cell solves it with its own.
-    Cells are walked in product order over the axes; with no axes (a
-    zero-sum game) that is one cell with no factor rows. Infeasible cells
-    are skipped. The lowest score(game, profile) wins and ties go to the
-    earliest cell, so the result is deterministic.
+    row by it. The LP minimizes cell_cost(cell), s1 + s2 minus a linear
+    term in y, with s1 + s2 <= cap when cap is given. Only the factor
+    rows' right-hand sides and the objective differ between cells, so the
+    standard form is built once (lp.StandardForm), and each cell passes
+    its own to StandardForm.solve_rows as integer rows: an interval is
+    kept as int_row([lo, hi]) and cell_cost returns an integer row. Cells
+    are walked in product order over the axes; with no axes (a zero-sum
+    game) that is one cell with no factor rows. Infeasible cells are
+    skipped. A cell's x and y are scored as integer rows,
+    score(game, x_row, y_row), after the checks a MixedProfile makes; the
+    lowest score wins and ties go to the earliest cell, so the result is
+    deterministic. Only the winner becomes a MixedProfile.
 
     The cell count, the product of the axis lengths, is checked against
     errors.MAX_WORK before any LP runs (_axis has already refused any single
@@ -158,20 +165,42 @@ def _grid_search(game, factor_rows, axes, objective_y, score, cap=None):
     form = StandardForm(linear_program(
         [zero] * (m + n + 2), rows, senses,
         rhs + [zero] * (2 * len(factor_rows)), lower=lower))
+    base = int_row(rhs)
+    axes = [[int_row(interval) for interval in axis] for axis in axes]
     best = None
     for cell in product(*axes):
-        objective = [zero] * m + [-c for c in objective_y(cell)] + [one, one]
-        bounds = [e for interval in cell for e in interval]
-        sol = form.solve(rhs + bounds, objective)
-        if sol.status == "infeasible":
+        status, values, _ = form.solve_rows(_cell_rhs(base, cell),
+                                            cell_cost(cell))
+        if status == "infeasible":
             continue
-        if sol.status != "optimal":
+        if status != "optimal":
             raise RuntimeError("cell LP cannot be unbounded; this is a bug")
-        profile = MixedProfile(tuple(sol.x[:m]), tuple(sol.x[m : m + n]))
-        cand = score(game, profile)
+        x_row = _strategy_row(pair_row(values[:m]), "x")
+        y_row = _strategy_row(pair_row(values[m:m + n]), "y")
+        cand = score(game, x_row, y_row)
         if best is None or cand < best[0]:
-            best = (cand, profile)
-    return best
+            best = (cand, x_row, y_row)
+    if best is None:
+        return None
+    return best[0], MixedProfile.from_int_rows(best[1], best[2])
+
+
+def _cell_rhs(base, cell):
+    """The integer row of a cell LP's right-hand sides: the integer row
+    base of the rows' own, then lo and hi of each interval in the cell.
+
+    Over the lcm of base's and the intervals' denominators, this is
+    int_row of the Fractions: each interval is int_row([lo, hi]), so the
+    lcm is that of the entries' own denominators.
+    """
+    den = lcm(base[-1], *(interval[-1] for interval in cell))
+    scale = den // base[-1]
+    row = [scale * e for e in base[:-1]] if scale != 1 else base[:-1]
+    for lo, hi, d in cell:
+        scale = den // d
+        row += (lo * scale, hi * scale)
+    row.append(den)
+    return row
 
 
 def _axis(lo, hi, advance):
@@ -233,15 +262,22 @@ def approx_absolute(game, eps):
                        target / (2 * k * max(abs(e) for e in v_vec)))
         for u_vec, v_vec in factors
     ]
+    v_rows = [int_row(v_vec) for _, v_vec in factors]
+    no_x = [0] * game.m
 
-    def midpoint_objective(cell):
-        centers = [(lo + hi) / 2 for lo, hi in cell]
-        return [
-            sum(center * v_vec[j] for center, (_, v_vec) in zip(centers, factors))
-            for j in range(game.n)
-        ]
+    def midpoint_cost(cell):
+        """s1 + s2 - sum_t center_t v_t . y, the bilinear term linearized at
+        the cell's midpoints, in ints: the center of (lo, hi, d) is
+        (lo + hi) / (2 d), so term t is over 2 d times v_t's denominator."""
+        dens = [2 * d * v[-1] for (_, _, d), v in zip(cell, v_rows)]
+        den = lcm(*dens)
+        y = [0] * game.n
+        for (lo, hi, _), v, dt in zip(cell, v_rows, dens):
+            w = (lo + hi) * (den // dt)
+            y = [e - w * f for e, f in zip(y, v)]
+        return reduced(no_x + y + [den, den, den])
 
-    best = _grid_search(game, factor_rows, axes, midpoint_objective, loss,
+    best = _grid_search(game, factor_rows, axes, midpoint_cost, _loss,
                         cap=game.norm_c)
     if best is None or best[0] > target:
         raise RuntimeError("no cell met the eps * |a+b| target; this is a bug")
@@ -333,7 +369,8 @@ def approx_relative(game, eps, decomp=None):
         degraded = degraded or z_deg or w_deg
         axes += [z_cells, w_cells]
         factor_rows += [list(u_vec) + zero_y, zero_x + list(v_vec)]
-    best = _grid_search(game, factor_rows, axes, lambda cell: zero_y, _gap_ratio)
+    cost = int_row(zero_x + zero_y + [1, 1])
+    best = _grid_search(game, factor_rows, axes, lambda cell: cost, _gap_ratio)
     if best is None:
         raise RuntimeError("every profile lies in some cell; this is a bug")
     if not degraded and best[0] > rho:
@@ -341,7 +378,13 @@ def approx_relative(game, eps, decomp=None):
     return make_report(game, best[1], kind="relative-approximate", parameter=rho)
 
 
-def _gap_ratio(game, profile):
-    """Exact relative gap: loss over the best-response sum (0 at loss 0)."""
-    gap, p1, p2 = _evaluate(game, profile)[:3]
+def _loss(game, x_row, y_row):
+    """Exact loss of the strategies' integer rows."""
+    return _evaluate_rows(game, x_row, y_row)[0]
+
+
+def _gap_ratio(game, x_row, y_row):
+    """Exact relative gap of the strategies' integer rows: loss over the
+    best-response sum (0 at loss 0)."""
+    gap, p1, p2 = _evaluate_rows(game, x_row, y_row)[:3]
     return gap / (gap + p1 + p2) if gap else Fraction(0)

@@ -214,9 +214,14 @@ def cmd_rankfact(args):
 
 
 def cmd_perturb(args):
-    game = load_game(args.game)
+    # both checks come before the game is read; rank 0 truncates A+B to 0,
+    # a change as large as the payoff scale, which perturb_game refuses
     if args.k < 0:
         raise ValueError("--k must be a nonnegative integer")
+    if args.k == 0:
+        raise ValueError("--k must be at least 1: truncating A+B to rank 0 "
+                         "changes it by its whole scale")
+    game = load_game(args.game)
     truncated = svd_truncate(game.c, args.k)
     pert = perturb_game(game, truncated)
     note = (
@@ -285,7 +290,8 @@ def build_parser():
     p = sub.add_parser("perturb", help="truncate the payoff sum to rank k and "
                                        "rewrite the game around it")
     p.add_argument("game")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True,
+                   help="target rank, at least 1")
     p.add_argument("--out", help="game file path (default: stdout)")
     p.set_defaults(func=cmd_perturb)
     return parser

@@ -7,7 +7,7 @@ from math import comb
 
 from .errors import check_work
 from .games import MixedProfile, is_exact_equilibrium, loss, make_report
-from .linalg import solve_linear_system
+from .linalg import pair_row, solve_linear_system
 from .polyhedra import build_polyhedra, enumerate_vertices
 
 
@@ -57,12 +57,16 @@ def enumerate_equilibria(game):
 
     A vertex pair (x, v) and (y, u) is an equilibrium exactly when the two
     binding-label sets jointly cover 1..m+n: every strategy is then either
-    unplayed or a best response. Each label has a posting bitset, bit iq
-    set when Q vertex iq binds it. A P vertex's partners are the AND of the
-    postings of the labels it leaves uncovered, which stops at the first
-    empty AND, walked from the lowest bit. Each report is built once and
-    its exact loss must be zero. Output is sorted by profile and grouped
-    into connected components.
+    unplayed or a best response. Label r + 1 is row r on both sides, so
+    the pairing reads the vertices' tight-row masks: each row has a
+    posting bitset, bit iq set when Q vertex iq is tight at it, and a P
+    vertex's partners are the AND of the postings of its rows not tight
+    (the set bits of full & ~tight), which stops at the first empty AND,
+    walked from the lowest bit. Each profile is made from the two
+    vertices' strategy pairs as integer rows
+    (MixedProfile.from_int_rows), each report is built once, and its exact
+    loss must be zero. Output is sorted by profile and grouped into
+    connected components.
 
     No two cover pairs share a profile. A P vertex binds strategy_len
     independent rows, at most strategy_len - 1 of them nonnegativity rows,
@@ -82,28 +86,34 @@ def enumerate_equilibria(game):
     p, q = build_polyhedra(game)
     p_vertices = enumerate_vertices(p)
     q_vertices = enumerate_vertices(q)
-    full = frozenset(range(1, game.m + game.n + 1))
-    # postings[label] has bit iq set when Q vertex iq binds label
-    postings = dict.fromkeys(full, 0)
+    # postings[r] has bit iq set when Q vertex iq is tight at row r, whose
+    # label is r + 1 on both sides
+    postings = [0] * (game.m + game.n)
     for iq, vq in enumerate(q_vertices):
-        for label in vq.binding:
-            postings[label] |= 1 << iq
+        tight = vq.tight
+        while tight:
+            low = tight & -tight
+            tight ^= low
+            postings[low.bit_length() - 1] |= 1 << iq
+    full = (1 << len(postings)) - 1
     every_q = (1 << len(q_vertices)) - 1
     reports = []
     first = {}
     edges = []
     for ip, vp in enumerate(p_vertices):
         cover = every_q
-        for label in full - vp.binding:
-            cover &= postings[label]
-            if not cover:
-                break
+        uncovered = full & ~vp.tight
+        while uncovered and cover:
+            low = uncovered & -uncovered
+            uncovered ^= low
+            cover &= postings[low.bit_length() - 1]
         while cover:
             low = cover & -cover
             cover ^= low
             iq = low.bit_length() - 1
-            report = make_report(
-                game, MixedProfile(vp.strategy, q_vertices[iq].strategy))
+            profile = MixedProfile.from_int_rows(
+                pair_row(vp.coords[:-1]), pair_row(q_vertices[iq].coords[:-1]))
+            report = make_report(game, profile)
             if report.loss != 0:
                 raise RuntimeError(
                     "binding-cover pair failed the loss check; this is a bug"

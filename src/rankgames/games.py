@@ -101,7 +101,7 @@ class MixedProfile:
 
     Entries are Fractions, nonnegative, each vector summing to exactly 1.
     Both are checked on the vector's integer row (linalg.int_row), which
-    the profile keeps for _evaluate.
+    the profile keeps for _evaluate and reads its supports from.
     """
 
     x: tuple
@@ -110,28 +110,44 @@ class MixedProfile:
     def __post_init__(self):
         x = tuple(as_fraction(e) for e in self.x)
         y = tuple(as_fraction(e) for e in self.y)
-        rows = []
-        for vec, name in ((x, "x"), (y, "y")):
-            if not vec:
-                raise ValueError(f"{name} must be nonempty")
-            row = int_row(vec)
-            den = row.pop()
-            if min(row) < 0:
-                raise ValueError(f"{name} has a negative entry")
-            if sum(row) != den:
-                raise ValueError(f"{name} must sum to 1 exactly")
-            rows.append((row, den))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "_int_form", tuple(rows))
+        object.__setattr__(self, "_int_form", (
+            _strategy_row(int_row(x), "x"), _strategy_row(int_row(y), "y")))
+
+    @classmethod
+    def from_int_rows(cls, x_row, y_row):
+        """The profile whose x and y are the integer rows x_row and y_row
+        (linalg.pair_row): entry j of x is x_row[j] / x_row[-1], with a
+        positive denominator. The rows are checked as the Fractions are."""
+        profile = object.__new__(cls)
+        for name, row in (("x", x_row), ("y", y_row)):
+            _strategy_row(row, name)
+            den = row[-1]
+            object.__setattr__(profile, name,
+                               tuple(Fraction(e, den) for e in row[:-1]))
+        object.__setattr__(profile, "_int_form", (x_row, y_row))
+        return profile
 
     @property
     def support1(self):
-        return tuple(i for i, e in enumerate(self.x) if e > 0)
+        return tuple(i for i, e in enumerate(self._int_form[0][:-1]) if e > 0)
 
     @property
     def support2(self):
-        return tuple(j for j, e in enumerate(self.y) if e > 0)
+        return tuple(j for j, e in enumerate(self._int_form[1][:-1]) if e > 0)
+
+
+def _strategy_row(row, name):
+    """The integer row of a mixed strategy, checked: nonempty, with
+    nonnegative numerators that sum to its positive denominator."""
+    if len(row) < 2:
+        raise ValueError(f"{name} must be nonempty")
+    if min(row) < 0:
+        raise ValueError(f"{name} has a negative entry")
+    if sum(row[:-1]) != row[-1]:
+        raise ValueError(f"{name} must sum to 1 exactly")
+    return row
 
 
 def pure_profile(m, n, i, j):
@@ -154,17 +170,25 @@ def _vectors(game, profile):
 
 
 def _evaluate(game, profile):
+    """(loss, x a y, x b y, max_i (a y)_i, max_j (x b)_j) of the profile:
+    _evaluate_rows on its integer rows."""
+    _check_dimensions(game, profile)
+    return _evaluate_rows(game, *profile._int_form)
+
+
+def _evaluate_rows(game, xs, ys):
     """(loss, x a y, x b y, max_i (a y)_i, max_j (x b)_j) from one a y and
     one x b: the loss's bilinear term x (a+b) y is x a y + x b y.
 
-    All in ints on the integer rows of the game and the profile: with
-    x = xs / dx, y = ys / dy, a = A / da and b = B / db for integer
-    vectors and matrices, a y is (A ys) / (da dy) and x b is (xs B) /
-    (db dx). Fractions are made only for the five results.
+    All in ints on the integer rows of the game and of the strategies,
+    xs and ys with their denominators dx = xs[-1] and dy = ys[-1]: with
+    a = A / da and b = B / db for integer matrices, a y is (A ys) / (da dy)
+    and x b is (xs B) / (db dx). Each product stops at the shorter list, so
+    the denominators never enter it. Fractions are made only for the five
+    results.
     """
-    _check_dimensions(game, profile)
     a_rows, da, bt_rows, db = game._int_form
-    (xs, dx), (ys, dy) = profile._int_form
+    dx, dy = xs[-1], ys[-1]
     ay = [sum(map(mul, row, ys)) for row in a_rows]
     xb = [sum(map(mul, row, xs)) for row in bt_rows]
     best1, best2 = max(ay), max(xb)

@@ -68,8 +68,15 @@ def int_row(entries):
     whose denominator holds its full power. This is where Fractions enter
     the elimination kernel; they leave as Fraction(row[j], row[-1]).
     """
-    den = lcm(*(e.denominator for e in entries))
-    row = [e.numerator * (den // e.denominator) for e in entries]
+    return pair_row([(e.numerator, e.denominator) for e in entries])
+
+
+def pair_row(pairs):
+    """The integer row of (numerator, positive denominator) int pairs: the
+    numerators over the lcm of the denominators, then that lcm. A pair need
+    not be in lowest terms, and then the row may keep a common factor."""
+    den = lcm(*(d for _, d in pairs))
+    row = [n * (den // d) for n, d in pairs]
     row.append(den)
     return row
 

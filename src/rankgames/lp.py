@@ -3,7 +3,7 @@ integer rows inside and Fractions at the interface."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -131,10 +131,15 @@ class StandardForm:
     (terms), and each constraint row, the LP's rows and then one row per
     finite upper bound of a lower-bounded variable, gets its slack column.
     rows[i] is the integer row (linalg.int_row) of row i's standard columns
-    and slack, without its right-hand side; shift[i] is what the constants
-    contribute to LP row i, and slack[i] is its (column, sign) or None for
-    an equality. An upper bound below its lower bound gives a bound row
-    with a negative right-hand side, which phase 1 finds infeasible.
+    and slack, without its right-hand side; shift[i] is the Fraction the
+    constants contribute to LP row i, and slack[i] is its (column, sign) or
+    None for an equality. const and bound_rhs, the bound rows' right-hand
+    sides, are (numerator, denominator) int pairs. An upper bound below its
+    lower bound gives a bound row with a negative right-hand side, which
+    phase 1 finds infeasible.
+
+    solve_rows takes and returns integer rows and pairs, and is what the
+    grid's cells call; solve is the Fraction interface around it.
     """
 
     def __init__(self, lp):
@@ -200,62 +205,79 @@ class StandardForm:
             rows.append(int_row(row))
 
         self.lp = lp
-        self.const = tuple(const)
+        self.const = tuple((c.numerator, c.denominator) for c in const)
         self.terms = tuple(terms)
         self.nstd = nstd
         self.ncols = nstd + nslack
         self.rows = tuple(rows)
         self.shift = tuple(shift)
-        self.bound_rhs = tuple(ub for _, ub in bound_rows)
+        self._shifted = tuple((i, s.numerator, s.denominator)
+                              for i, s in enumerate(shift) if s)
+        self.bound_rhs = tuple((ub.numerator, ub.denominator)
+                               for _, ub in bound_rows)
         self.slack = tuple(slack)
 
     def tableau(self, rhs):
         """The integer rows, crash basis and artificial count of phase 1
-        for the right-hand side rhs of the LP's rows.
+        for the right-hand sides of the LP's rows, given as one integer row
+        rhs (linalg.int_row).
 
         A row whose right-hand side is negative is negated first. Then a
         +1 slack starts basic and every other row gets an artificial
         column, numbered in row order after the ncols standard and slack
         columns. A row's integer form is its rows[i] rescaled to the lcm of
-        its denominator and the right-hand side's, so it equals int_row of
-        the row's Fractions.
+        its denominator and that of the right-hand side in lowest terms, so
+        it equals int_row of the row's Fractions.
         """
-        if len(rhs) != len(self.shift):
+        if len(rhs) != len(self.shift) + 1:
             raise ValueError("rhs length does not match row count")
         ncols = self.ncols
-        bs = [b - s if s else b for b, s in zip(rhs, self.shift)]
+        den = rhs[-1]
+        bs = [(b, den) for b in rhs[:-1]]
+        for i, p, q in self._shifted:
+            bs[i] = (bs[i][0] * q - p * den, den * q)
         bs += self.bound_rhs
         basis = []
         nart = 0
-        for slack, b in zip(self.slack, bs):
+        for slack, (b, _) in zip(self.slack, bs):
             if slack is not None and (slack[1] > 0) != (b < 0):
                 basis.append(slack[0])
             else:
                 basis.append(ncols + nart)
                 nart += 1
         rows = []
-        for coef, b, col in zip(self.rows, bs, basis):
-            den = coef[-1]
-            big = lcm(den, b.denominator)
-            scale = big // den
+        for coef, (b, bden), col in zip(self.rows, bs, basis):
+            g = gcd(b, bden)
+            if g != 1:
+                b, bden = b // g, bden // g
+            cden = coef[-1]
+            big = lcm(cden, bden)
+            scale = big // cden
             if b < 0:
                 scale = -scale
             row = [scale * e for e in coef[:-1]] if scale != 1 else coef[:-1]
             row += [0] * nart
             if col >= ncols:
                 row[col] = big
-            row.append(abs(b.numerator) * (big // b.denominator))
+            row.append(abs(b) * (big // bden))
             row.append(big)
             rows.append(row)
         return rows, basis, nart
 
-    def solve(self, rhs=None, objective=None):
-        """Solve for new right-hand sides of the LP's rows and a new
-        objective; None keeps the LP's own. Both must hold Fractions."""
-        lp = self.lp
-        rhs = lp.rhs if rhs is None else rhs
-        objective = lp.objective if objective is None else objective
-        if len(objective) != lp.nvars:
+    def solve_rows(self, rhs, cost):
+        """Solve for the right-hand sides of the LP's rows and an objective
+        given as integer rows (linalg.int_row): rhs over the rows, cost over
+        the variables.
+
+        Returns (status, values, value). When status is 'optimal', values
+        holds one (numerator, denominator) int pair per variable and value
+        is the pair of the objective's value, each denominator positive and
+        the pairs not always in lowest terms; otherwise both are None. The
+        objective's value is read off the priced-out cost row, whose
+        right-hand side is minus the standard columns' part, plus the
+        constants' part.
+        """
+        if len(cost) != self.lp.nvars + 1:
             raise ValueError("objective length does not match variable count")
         ncols = self.ncols
         rows, basis, nart = self.tableau(rhs)
@@ -263,7 +285,7 @@ class StandardForm:
             _price_out(rows, [0] * ncols + [1] * nart + [0, 1], basis)
             _iterate(rows, basis, ncols + nart)
             if rows.pop()[-2] < 0:
-                return LpSolution("infeasible", None, None)
+                return "infeasible", None, None
             # pivot leftover artificials out; an all-zero row is redundant
             for i in range(len(rows)):
                 if basis[i] >= ncols:
@@ -275,27 +297,50 @@ class StandardForm:
             rows = [reduced(rows[i][:ncols] + rows[i][-2:]) for i in keep]
             basis = [basis[i] for i in keep]
 
-        cost2 = [Fraction(0)] * ncols
-        for cj, terms in zip(objective, self.terms):
-            if cj == 0:
-                continue
-            for t, sign in terms:
-                cost2[t] += cj if sign > 0 else -cj
-        _price_out(rows, int_row(cost2 + [Fraction(0)]), basis)
+        # each standard column belongs to one variable, so the cost row
+        # over them is the variables' row with signs: int_row of the
+        # Fraction costs
+        zrow = [0] * (ncols + 1) + [cost[-1]]
+        for c, terms in zip(cost, self.terms):
+            if c:
+                for t, sign in terms:
+                    zrow[t] = c if sign > 0 else -c
+        _price_out(rows, zrow, basis)
         if _iterate(rows, basis, ncols) == "unbounded":
-            return LpSolution("unbounded", None, None)
+            return "unbounded", None, None
 
-        std = [Fraction(0)] * self.nstd
+        std = [(0, 1)] * self.nstd
         for i, b in enumerate(basis):
             if b < self.nstd:
-                std[b] = Fraction(rows[i][-2], rows[i][-1])
-        x = []
-        for val, terms in zip(self.const, self.terms):
+                std[b] = (rows[i][-2], rows[i][-1])
+        values = []
+        for (p, q), terms in zip(self.const, self.terms):
             for t, sign in terms:
-                val += std[t] if sign > 0 else -std[t]
-            x.append(val)
-        value = sum((cj * xj for cj, xj in zip(objective, x)), Fraction(0))
-        return LpSolution("optimal", tuple(x), value)
+                n, d = std[t]
+                if n:
+                    p, q = p * d + sign * n * q, q * d
+            values.append((p, q))
+        zrow = rows[-1]
+        num, den = -zrow[-2], zrow[-1]
+        cden = cost[-1]
+        for c, (p, q) in zip(cost, self.const):
+            if c and p:
+                num, den = num * q * cden + c * p * den, den * q * cden
+        return "optimal", values, (num, den)
+
+    def solve(self, rhs=None, objective=None):
+        """Solve for new right-hand sides of the LP's rows and a new
+        objective; None keeps the LP's own. Both must hold Fractions: they
+        enter solve_rows as integer rows, and its int pairs leave as the
+        Fractions of the LpSolution."""
+        lp = self.lp
+        status, values, value = self.solve_rows(
+            int_row(lp.rhs if rhs is None else rhs),
+            int_row(lp.objective if objective is None else objective))
+        if status != "optimal":
+            return LpSolution(status, None, None)
+        return LpSolution(status, tuple(Fraction(n, d) for n, d in values),
+                          Fraction(*value))
 
 
 def solve_lp(lp):

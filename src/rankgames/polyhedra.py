@@ -3,11 +3,12 @@
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
 from .errors import check_work
-from .linalg import int_row, min_ratio_rows, pivot, reduced
+from .linalg import as_fraction, int_row, min_ratio_rows, pivot, reduced
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,53 @@ class BestResponsePolyhedron:
         return self.strategy_len + 1
 
 
-@dataclass(frozen=True)
 class PolyhedronVertex:
     """A vertex: point = (strategy coordinates..., payoff); binding holds the
-    1-based labels of the inequalities tight at the point."""
+    1-based labels of the inequalities tight at the point. Two vertices are
+    equal when their points and their bindings are.
 
-    point: tuple
-    binding: frozenset
+    A vertex is kept in ints: coords holds one (numerator, denominator)
+    pair per coordinate, the denominator positive, and tight is the bitmask
+    of the tight rows, bit r for row r, whose label is r + 1. point and
+    binding are built from them on first read. Immutable.
+    """
+
+    __slots__ = ("coords", "tight", "_point", "_binding")
+
+    def __init__(self, point, binding):
+        point, binding = tuple(map(as_fraction, point)), frozenset(binding)
+        self._fill(tuple((e.numerator, e.denominator) for e in point),
+                   sum(1 << (label - 1) for label in binding), point, binding)
+
+    @classmethod
+    def _walked(cls, coords, tight):
+        """The vertex of the walk's int pairs and tight-row mask, whose
+        point and binding are left to be built on first read."""
+        vertex = object.__new__(cls)
+        vertex._fill(coords, tight, None, None)
+        return vertex
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PolyhedronVertex is immutable: cannot set {name}")
+
+    @property
+    def point(self):
+        if self._point is None:
+            object.__setattr__(self, "_point", tuple(
+                Fraction(n, d) for n, d in self.coords))
+        return self._point
+
+    @property
+    def binding(self):
+        if self._binding is None:
+            tight = self.tight
+            object.__setattr__(self, "_binding", frozenset(
+                r + 1 for r in range(tight.bit_length()) if tight >> r & 1))
+        return self._binding
 
     @property
     def strategy(self):
@@ -56,7 +97,18 @@ class PolyhedronVertex:
 
     @property
     def support(self):
-        return tuple(i for i, e in enumerate(self.strategy) if e > 0)
+        return tuple(i for i, (n, _) in enumerate(self.coords[:-1]) if n > 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, PolyhedronVertex):
+            return NotImplemented
+        return self.tight == other.tight and self.point == other.point
+
+    def __hash__(self):
+        return hash((self.point, self.binding))
+
+    def __repr__(self):
+        return f"PolyhedronVertex(point={self.point!r}, binding={self.binding!r})"
 
 
 def _side(side, payoff):
@@ -130,9 +182,9 @@ def enumerate_vertices(poly):
     A basis's tight mask is its nonbasic rows plus the basic slacks at 0.
     It is the set of rows tight at the basis's point, and at a vertex it
     fixes the point (its nonbasic rows and the normalization row form a
-    nonsingular system), so vertices are keyed by it. The point is read
-    from the coordinate rows, and its binding labels from the mask, only
-    when the mask is new.
+    nonsingular system), so vertices are keyed by it. When the mask is
+    new, the vertex keeps it and the coordinate rows' (rhs, denominator)
+    int pairs; no Fraction is made until its point or binding is read.
 
     Each basis costs one pivot, the d that bring in the coordinates
     included; check_work raises CapExceededError before the pivot past
@@ -142,8 +194,10 @@ def enumerate_vertices(poly):
     objective. Bland's simplex method run on that objective from the start
     basis terminates at an optimal basis, whose point is v*, and it makes
     only min-ratio pivots on slack columns; the walk follows every such
-    pivot, so it reaches a basis of v*. Output is sorted by point, so the
-    order is deterministic.
+    pivot, so it reaches a basis of v*. Output is sorted by point, in the
+    order of the Fraction tuples, so the order is deterministic; two points
+    are compared on their int pairs by cross-multiplying (_compare_points),
+    and no two vertices tie, since the mask is a function of the point.
     """
     k, d = poly.ineqs.shape
     rows = []
@@ -177,11 +231,8 @@ def enumerate_vertices(poly):
             if rows[r][-2] == 0:
                 tight |= 1 << i
         if tight not in found:
-            point = tuple(Fraction(rows[r][-2], rows[r][-1])
-                          for r in coord_rows)
-            binding = frozenset(lab for i, lab in enumerate(poly.labels)
-                                if tight >> i & 1)
-            found[tight] = PolyhedronVertex(point=point, binding=binding)
+            found[tight] = PolyhedronVertex._walked(
+                tuple([(rows[r][-2], rows[r][-1]) for r in coord_rows]), tight)
         rest = nonbasic
         while rest:
             low = rest & -rest
@@ -198,7 +249,21 @@ def enumerate_vertices(poly):
                 step = list(rows)
                 pivot(step, r, j)
                 queue.append((step, {**basic, r: j}, key))
-    return tuple(sorted(found.values(), key=lambda v: v.point))
+    return tuple(sorted(found.values(), key=_BY_POINT))
+
+
+def _compare_points(u, v):
+    """-1, 0 or 1 as vertex u's point is below, at or above v's in the
+    order of Fraction tuples, decided on the int pairs: the denominators
+    are positive, so p/q < r/s exactly when p s < r q."""
+    for (p, q), (r, s) in zip(u.coords, v.coords):
+        left, right = p * s, r * q
+        if left != right:
+            return -1 if left < right else 1
+    return 0
+
+
+_BY_POINT = cmp_to_key(_compare_points)
 
 
 def is_nondegenerate(game):
@@ -218,7 +283,7 @@ def is_nondegenerate(game):
     (errors.MAX_WORK) applies to each side.
     """
     return all(
-        len(vertex.binding) == poly.strategy_len
+        vertex.tight.bit_count() == poly.strategy_len
         for poly in build_polyhedra(game)
         for vertex in enumerate_vertices(poly)
     )

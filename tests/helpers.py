@@ -1,9 +1,10 @@
 """Shared generators for the seeded randomized tests, and reference oracles."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from rankgames import BimatrixGame, MixedProfile
+from rankgames import BimatrixGame, MixedProfile, make_report
+from rankgames.approx import _geometric_axis, _interval_axis
 from rankgames.linalg import fraction_vector, int_row, pivot, solve_linear_system
 from rankgames.polyhedra import (
     PolyhedronVertex,
@@ -102,6 +103,50 @@ def reference_cover_pairs(game):
             if full - vp.binding <= vq.binding]
 
 
+def reference_equilibria(game):
+    """Reference equilibrium set: the frozenset cover test on every vertex
+    pair, with each profile built from the vertices' Fraction strategies.
+
+    Returns (reports, components) as enumerate_equilibria must give them:
+    reports in P order, then Q order, each made by make_report on
+    MixedProfile(x, y); components as sorted index tuples, sorted, two
+    equilibria linked when they share a P or a Q vertex.
+    """
+    p, q = (enumerate_vertices(poly) for poly in build_polyhedra(game))
+    full = frozenset(range(1, game.m + game.n + 1))
+    pairs = [(ip, iq) for ip, vp in enumerate(p) for iq, vq in enumerate(q)
+             if full - vp.binding <= vq.binding]
+    reports = [make_report(game, MixedProfile(tuple(p[ip].strategy),
+                                              tuple(q[iq].strategy)))
+               for ip, iq in pairs]
+    component = list(range(len(pairs)))
+    for i, (ip, iq) in enumerate(pairs):
+        for j in range(i):
+            if pairs[j][0] == ip or pairs[j][1] == iq:
+                old, new = component[i], component[j]
+                component = [new if c == old else c for c in component]
+    groups = {}
+    for i, c in enumerate(component):
+        groups.setdefault(c, []).append(i)
+    return reports, tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def reference_vertex_order(poly):
+    """Reference vertex list: the walk's vertices rebuilt from Fractions and
+    sorted by point as Fraction tuples, as enumerate_vertices sorted them
+    before it compared int pairs. Each point is Fraction(n, d) of the
+    vertex's coordinate pairs and each binding the labels r + 1 of the set
+    bits r of its tight-row mask."""
+    rebuilt = [
+        PolyhedronVertex(
+            point=tuple(Fraction(n, d) for n, d in v.coords),
+            binding=frozenset(poly.labels[r] for r in range(len(poly.labels))
+                              if v.tight >> r & 1))
+        for v in enumerate_vertices(poly)
+    ]
+    return tuple(sorted(rebuilt, key=lambda v: v.point))
+
+
 def dense_pivot(rows, r, col):
     """Reference Gauss-Jordan step: the full-width update, on new lists.
 
@@ -190,3 +235,74 @@ def reference_price_out(tableau, zrow, basis):
     tableau.append(zrow)
     for i, b in enumerate(basis):
         pivot(tableau, i, b)
+
+
+def reference_grid_cells(game, eps, scheme, decomp=None):
+    """Reference cell LP inputs of a grid scheme, in Fractions.
+
+    One (rhs, objective) pair per cell, in cell order, as approx built
+    them before its cells moved to integer rows: rhs over the LP's rows
+    (best-response rows, the two sums, the absolute scheme's cap, then lo
+    and hi of each interval) and objective over (x, y, s1, s2), the
+    absolute scheme's bilinear term linearized at the cell's midpoints.
+    """
+    m, n = game.shape
+    zero, one = Fraction(0), Fraction(1)
+    rhs = [zero] * (m + n) + [one, one]
+    if scheme == "abs":
+        factors = game.factorization.pairs
+        k = len(factors)
+        rhs.append(game.norm_c)
+        axes = [_interval_axis(min(u), max(u),
+                               eps * game.norm_c / (2 * k * max(map(abs, v))))
+                for u, v in factors]
+    else:
+        factors = (decomp or game.factorization).pairs
+        axes = [axis for u, v in factors
+                for axis in (_geometric_axis(u, eps)[0],
+                             _geometric_axis(v, eps)[0])]
+    cells = []
+    for cell in product(*axes):
+        y = [zero] * n
+        if scheme == "abs":
+            centers = [(lo + hi) / 2 for lo, hi in cell]
+            y = [sum(center * v[j] for center, (_, v) in zip(centers, factors))
+                 for j in range(n)]
+        cells.append((rhs + [e for interval in cell for e in interval],
+                      [zero] * m + [-c for c in y] + [one, one]))
+    return cells
+
+
+def reference_cost_row(form, objective):
+    """Reference phase-2 cost row of a StandardForm: the Fraction costs of
+    the standard columns, each variable's cost with its term's sign, made
+    an integer row with a zero right-hand side. lp.StandardForm.solve_rows
+    must price out exactly this row."""
+    cost = [Fraction(0)] * form.ncols
+    for c, terms in zip(objective, form.terms):
+        for t, sign in terms:
+            cost[t] += c if sign > 0 else -c
+    return int_row(cost + [Fraction(0)])
+
+
+def drawn_games(st, entries):
+    """A hypothesis strategy for games of 1..4 by 1..4 strategies with
+    payoff entries drawn from the strategy entries."""
+
+    @st.composite
+    def games(draw):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        grid = st.lists(st.lists(entries, min_size=n, max_size=n),
+                        min_size=m, max_size=m)
+        return BimatrixGame(draw(grid), draw(grid))
+
+    return games()
+
+
+def oracle_game_strategies(st):
+    """The two game draws the Fraction oracles run on: rational entries
+    p/q with q up to 7, which reach the lcm scaling of the integer rows,
+    and entries 0..2, whose ties make degenerate vertices frequent."""
+    return {"rational": drawn_games(st, st.builds(Fraction, st.integers(-3, 3),
+                                                  st.integers(1, 7))),
+            "degenerate": drawn_games(st, st.integers(0, 2))}

@@ -3,7 +3,6 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,10 +31,18 @@ from rankgames import (
 )
 
 from rankgames.approx import _geometric_axis, _interval_axis
+from rankgames import lp as lp_module
 from rankgames.errors import MAX_WORK
+from rankgames.linalg import int_row
 from rankgames.lp import StandardForm
 
-from helpers import random_game, random_matrix, reference_tableau
+from helpers import (
+    random_game,
+    random_matrix,
+    reference_cost_row,
+    reference_grid_cells,
+    reference_tableau,
+)
 
 
 def test_svd_truncate_exact_shortcut_and_zero():
@@ -223,11 +230,11 @@ def test_grid_cell_bound_raises_before_any_lp(monkeypatch):
 def test_grid_cell_bound_admits_sqdiff3_at_one_half(monkeypatch):
     calls = []
 
-    def infeasible(form, rhs, objective):
+    def infeasible(form, rhs, cost):
         calls.append(rhs)
-        return SimpleNamespace(status="infeasible")
+        return "infeasible", None, None
 
-    monkeypatch.setattr("rankgames.lp.StandardForm.solve", infeasible)
+    monkeypatch.setattr("rankgames.lp.StandardForm.solve_rows", infeasible)
     with pytest.raises(RuntimeError, match="this is a bug"):
         approx_absolute(squared_difference_family(3), Fraction(1, 2))
     assert len(calls) == 3456 <= MAX_WORK
@@ -267,24 +274,62 @@ NEG = BimatrixGame([[2, -1, 0], [1, 3, -2], [0, 1, 1]],
 
 
 def test_grid_rows_match_reference_builder(monkeypatch):
-    # every cell's phase-1 rows, crash basis and artificial count are those
-    # of the LP rebuilt from Fractions with that cell's right-hand side
+    # each cell passes its right-hand sides and its objective as integer
+    # rows: they are int_row of the Fractions of the reference cells, and
+    # the phase-2 cost row is int_row of the Fraction cost over the
+    # standard columns; every cell's phase-1 rows, crash basis and
+    # artificial count are those of the LP rebuilt from Fractions with that
+    # cell's right-hand side
+    calls = []
     checked = []
+    solve_rows = StandardForm.solve_rows
     tableau = StandardForm.tableau
+    price_out = lp_module._price_out
+
+    def record(form, rhs, cost):
+        calls.append((form, rhs, cost, []))
+        return solve_rows(form, rhs, cost)
 
     def compare(form, rhs):
         out = tableau(form, rhs)
-        assert out == reference_tableau(replace(form.lp, rhs=tuple(rhs)))
-        checked.append(rhs)
+        fractions = tuple(Fraction(e, rhs[-1]) for e in rhs[:-1])
+        assert out == reference_tableau(replace(form.lp, rhs=fractions))
+        checked.append(fractions)
         return out
 
+    def priced(rows, zrow, basis):
+        calls[-1][3].append(list(zrow))
+        price_out(rows, zrow, basis)
+
+    monkeypatch.setattr(StandardForm, "solve_rows", record)
     monkeypatch.setattr(StandardForm, "tableau", compare)
-    approx_absolute(block_game(rank1_family(2), rank1_family(3)), Fraction(1, 2))
-    approx_relative(rank1_family(4), Fraction(1, 4))
-    approx_relative(REL2, Fraction(1, 2), decomp=REL2_DECOMP)
-    cells = len(checked)
+    monkeypatch.setattr(lp_module, "_price_out", priced)
+    feasible = 0
+    for scheme, game, eps, decomp in [
+        ("abs", block_game(rank1_family(2), rank1_family(3)), Fraction(1, 2),
+         None),
+        ("rel", rank1_family(4), Fraction(1, 4), None),
+        ("rel", REL2, Fraction(1, 2), REL2_DECOMP),
+        ("abs", NEG, Fraction(1, 2), None),
+    ]:
+        del calls[:]
+        if scheme == "abs":
+            approx_absolute(game, eps)
+        else:
+            approx_relative(game, eps, decomp=decomp)
+        cells = reference_grid_cells(game, eps, scheme, decomp)
+        assert len(calls) == len(cells)
+        for (form, rhs, cost, zrows), (ref_rhs, objective) in zip(calls, cells):
+            assert rhs == int_row(ref_rhs)
+            assert cost == int_row(objective)
+            phase2 = [z for z in zrows if len(z) == form.ncols + 2]
+            assert phase2 in ([], [reference_cost_row(form, objective)])
+            feasible += len(phase2)
+    # an infeasible cell prices out no phase-2 row; 100 of the 124 are
+    # feasible, so both kinds are checked
+    assert feasible == 100
+    cells = len(checked) - 7
     assert cells == 32 + 49 + 36
-    approx_absolute(NEG, Fraction(1, 2))
     # the cells below 0 flip the factor's >= row, which frees its artificial,
     # or both rows, which moves the artificial to the <= row
     neg = checked[cells:]

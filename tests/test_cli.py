@@ -20,6 +20,7 @@ from rankgames import (
     rank1_family,
     save_game,
     squared_difference_family,
+    svd_truncate,
 )
 from rankgames.cli import build_parser, main
 
@@ -219,6 +220,22 @@ def test_perturb_subcommand(tmp_path, capsys):
     assert main(["perturb", game, "--k", "3", "--out", str(out)]) == 0
     capsys.readouterr()
     assert load_game(out) == squared_difference_family(3)
+
+
+def test_perturb_rank_zero_is_refused_before_the_game_is_read(tmp_path, capsys):
+    # rank 0 can never succeed: c' = 0 differs from c by its whole scale
+    game = write_game(tmp_path, "g.txt", rank1_family(3))
+    for path in (game, str(tmp_path / "absent.txt")):
+        assert main(["perturb", path, "--k", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --k must be at least 1: truncating A+B to "
+                       "rank 0 changes it by its whole scale\n")
+    assert main(["perturb", game, "--k", "1"]) == 0
+    capsys.readouterr()
+    # the library call still answers for rank 0
+    zero = svd_truncate(rank1_family(3).c, 0)
+    assert zero.shape == (3, 3) and all(e == 0 for e in zero.flat)
 
 
 def test_perturb_huge_entry_is_a_usage_error(tmp_path, capsys):

@@ -23,7 +23,13 @@ from rankgames import (
 
 from rankgames import enumeration, errors
 
-from helpers import profile_set, random_game, reference_cover_pairs
+from helpers import (
+    oracle_game_strategies,
+    profile_set,
+    random_game,
+    reference_cover_pairs,
+    reference_equilibria,
+)
 
 ZERO = BimatrixGame([[0, 0], [0, 0]], [[0, 0], [0, 0]])
 # every row is a best response to every y
@@ -152,6 +158,33 @@ def test_pairing_matches_reference_cover_pairs(game):
     # test, in its order (P vertex, then Q vertex)
     assert ([(p.x, p.y) for p in enumerate_equilibria(game).profiles]
             == reference_cover_pairs(game))
+
+
+@pytest.mark.parametrize("kind", ["rational", "degenerate"])
+def test_reports_match_the_fraction_reference(kind):
+    # profiles built from the vertices' integer rows give the reports,
+    # supports and components of the frozenset pairing on Fraction profiles
+    hypothesis = pytest.importorskip("hypothesis")
+    mixed = []
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(oracle_game_strategies(hypothesis.strategies)[kind])
+    def check(game):
+        eqset = enumerate_equilibria(game)
+        reports, components = reference_equilibria(game)
+        assert eqset.reports == tuple(reports)
+        assert eqset.components == components
+        for got, want in zip(eqset.reports, reports):
+            assert all(type(e) is Fraction
+                       for e in (*got.profile.x, *got.profile.y))
+            assert (got.support1, got.support2) == (
+                tuple(i for i, e in enumerate(want.profile.x) if e > 0),
+                tuple(j for j, e in enumerate(want.profile.y) if e > 0))
+        mixed.append(any(len(r.support1) > 1 for r in reports))
+
+    check()
+    assert sum(mixed) >= 20  # the sample must have mixed equilibria
 
 
 def test_block_game_hierarchy_example():

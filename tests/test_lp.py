@@ -15,6 +15,7 @@ from rankgames import (
     solve_linear_system,
 )
 from rankgames import lp as lp_module
+from rankgames.linalg import int_row
 from rankgames.lp import StandardForm
 
 from helpers import reference_price_out, reference_tableau
@@ -216,7 +217,7 @@ def test_standard_form_rows_match_reference_builder():
     def rational(bound):
         return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
 
-    crossed = flipped = 0
+    crossed = flipped = solved = 0
     for _ in range(120):
         nvars, nrows = rng.randint(1, 4), rng.randint(1, 4)
         lower, upper = [], []
@@ -239,12 +240,21 @@ def test_standard_form_rows_match_reference_builder():
         other = replace(lp, rhs=tuple(rational(6) for _ in range(nrows)))
         for rhs in (lp.rhs, other.rhs):
             rows = reference_tableau(replace(lp, rhs=rhs))
-            assert form.tableau(rhs) == rows
+            assert form.tableau(int_row(rhs)) == rows
             flipped += any(b < s for b, s in zip(rhs, form.shift))
         # one form serves any number of solves
         assert form.solve(other.rhs) == solve_lp(other)
         assert form.solve() == solve_lp(lp)
-    assert crossed >= 10 and flipped >= 100
+        # the value read off the cost row is the objective at x
+        negated = tuple(-c for c in lp.objective)
+        for rhs, obj in ((None, lp.objective), (other.rhs, lp.objective),
+                         (None, negated), (other.rhs, negated)):
+            sol = form.solve(rhs, obj)
+            if sol.status == "optimal":
+                solved += 1
+                assert sol.objective_value == sum(
+                    (c * x for c, x in zip(obj, sol.x)), Fraction(0))
+    assert crossed >= 10 and flipped >= 100 and solved >= 80
 
 
 def test_price_out_matches_pricing_every_basic_column(monkeypatch):

@@ -16,7 +16,12 @@ from rankgames import (
     rank1_family,
 )
 
-from helpers import brute_force_bases, brute_force_vertices
+from helpers import (
+    brute_force_bases,
+    brute_force_vertices,
+    oracle_game_strategies,
+    reference_vertex_order,
+)
 
 # an all-ones payoff row side makes every row a best response
 FLAT = BimatrixGame([[1, 1], [1, 1]], [[1, 0], [0, 1]])
@@ -171,6 +176,36 @@ def test_walk_matches_brute_force_on_rational_games():
             assert enumerate_vertices(poly) == brute_force_vertices(poly)
 
     check()
+
+
+@pytest.mark.parametrize("kind", ["rational", "degenerate"])
+def test_walk_order_matches_the_fraction_sort(kind):
+    # the walk sorts its vertices by comparing int pairs; the Fraction
+    # points sorted as tuples must give the same order, points and labels
+    hypothesis = pytest.importorskip("hypothesis")
+    degenerate = []
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(oracle_game_strategies(hypothesis.strategies)[kind])
+    def check(game):
+        for poly in build_polyhedra(game):
+            walked = enumerate_vertices(poly)
+            reference = reference_vertex_order(poly)
+            assert ([(v.point, v.binding) for v in walked]
+                    == [(v.point, v.binding) for v in reference])
+            assert walked == reference
+            for v in walked:
+                assert all(type(e) is Fraction for e in v.point)
+                assert len(v.binding) == v.tight.bit_count()
+                assert v.support == tuple(
+                    i for i, e in enumerate(v.strategy) if e > 0)
+            degenerate.append(any(len(v.binding) > poly.strategy_len
+                                  for v in walked))
+
+    check()
+    # ties on degenerate vertices must be in the sample of both kinds
+    assert sum(degenerate) >= 30
 
 
 def _walked_bases(monkeypatch, poly):
