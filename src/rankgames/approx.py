@@ -118,7 +118,8 @@ def equilibrium_survives_perturbation(pert, profile):
 
 
 def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
-    """Solve one LP per grid cell; return the best (score, profile) or None.
+    """Solve one LP per grid cell until a cell scores exactly 0; return the
+    best (score, profile) or None.
 
     The LP runs over (x, y, s1, s2). s1 bounds the row player's best pure
     payoff against y, s2 the column player's against x; their sum plays the
@@ -136,11 +137,14 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
     skipped. A cell's x and y are scored as integer rows,
     score(game, x_row, y_row), after the checks a MixedProfile makes; the
     lowest score wins and ties go to the earliest cell, so the result is
-    deterministic. Only the winner becomes a MixedProfile.
+    deterministic. A score is never negative, so the first cell that
+    scores 0 is the winner and the search stops there. Only the winner
+    becomes a MixedProfile.
 
     The cell count, the product of the axis lengths, is checked against
     errors.MAX_WORK before any LP runs (_axis has already refused any single
-    axis longer than the bound).
+    axis longer than the bound), so a grid is refused whether or not an
+    early cell would have stopped the search.
     """
     errors.check_work(prod(len(axis) for axis in axes), "cells in the grid")
     m, n = game.shape
@@ -180,6 +184,8 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
         cand = score(game, x_row, y_row)
         if best is None or cand < best[0]:
             best = (cand, x_row, y_row)
+            if not cand:
+                break
     if best is None:
         return None
     return best[0], MixedProfile.from_int_rows(best[1], best[2])
@@ -233,7 +239,8 @@ def approx_absolute(game, eps):
     z_t = x . u_t with step eps|a+b| / (2k max|v_t|), and solve one LP per
     cell: minimize the best-response sum minus the bilinear term linearized
     at the cell midpoints. The candidate with the smallest exact loss wins
-    (ties go to the earliest cell, so the result is deterministic).
+    (ties go to the earliest cell, so the result is deterministic); the
+    search stops at the first cell of loss 0.
 
     One grid always suffices. In a cell, each z_t is within half a step of
     its midpoint, so the linearized objective is within eps|a+b| / (4k) per
@@ -248,7 +255,10 @@ def approx_absolute(game, eps):
 
     Each cell evaluation is a pure function of (game, factorization, cell),
     so cells may be evaluated concurrently as long as the reduction keeps
-    the same (loss, cell order) minimum; the built-in loop is sequential.
+    the same (loss, cell order) minimum: a parallel search may stop early
+    only by returning the earliest cell of loss 0, not the first one to
+    finish. The built-in loop is sequential and stops at its first loss-0
+    cell.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -339,12 +349,12 @@ def approx_relative(game, eps, decomp=None):
     decomp is None). Both factor scores z_t = x . u_t and w_t = v_t . y are
     gridded geometrically with ratio 1 + eps; each cell's LP minimizes the
     best-response sum under the cell constraints, and candidates are ranked
-    by their exact relative gap (loss / best-response sum). In the cell of a
-    true equilibrium the gap is at most rho = 1 - (1+eps)^-2 of the
-    best-response sum, so the best candidate meets s - x(a+b)y <= rho * s;
-    the assertion is enforced unless a zero range minimum forced the
-    weakened leading cell, in which case the best candidate found is
-    returned with its actual numbers.
+    by their exact relative gap (loss / best-response sum); the search stops
+    at the first cell of gap 0. In the cell of a true equilibrium the gap is
+    at most rho = 1 - (1+eps)^-2 of the best-response sum, so the best
+    candidate meets s - x(a+b)y <= rho * s; the assertion is enforced
+    unless a zero range minimum forced the weakened leading cell, in which
+    case the best candidate found is returned with its actual numbers.
     """
     eps = as_fraction(eps)
     if eps <= 0:

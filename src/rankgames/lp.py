@@ -145,15 +145,14 @@ class StandardForm:
     def __init__(self, lp):
         if not isinstance(lp, LinearProgram):
             raise TypeError("expected a LinearProgram")
-        nvars = lp.nvars
 
         # rewrite each variable as a nonnegative combination: x_j = const + sum sign*t
+        zero = Fraction(0)
         const = []
         terms = []
         nstd = 0
         bound_rows = []
-        for j in range(nvars):
-            lo, up = lp.lower[j], lp.upper[j]
+        for lo, up in zip(lp.lower, lp.upper):
             if lo is not None:
                 if up is not None:
                     bound_rows.append((nstd, up - lo))
@@ -165,50 +164,47 @@ class StandardForm:
                 terms.append(((nstd, -1),))
                 nstd += 1
             else:
-                const.append(Fraction(0))
+                const.append(zero)
                 terms.append(((nstd, 1), (nstd + 1, -1)))
                 nstd += 2
+        shifted = [(j, c) for j, c in enumerate(const) if c]
 
-        raw = []
-        shift = []
-        for i in range(lp.lhs.shape[0]):
-            coeffs = [Fraction(0)] * nstd
-            s = Fraction(0)
-            for j in range(nvars):
-                a = lp.lhs[i, j]
-                if a == 0:
-                    continue
-                s += a * const[j]
-                for t, sign in terms[j]:
-                    coeffs[t] += a if sign > 0 else -a
-            raw.append((coeffs, lp.senses[i]))
-            shift.append(s)
-        for t, _ in bound_rows:
-            coeffs = [Fraction(0)] * nstd
-            coeffs[t] = Fraction(1)
-            raw.append((coeffs, "<="))
-
-        nslack = sum(1 for _, sense in raw if sense != "=")
+        # each standard column belongs to one variable and a slack is +-1,
+        # so a row's integer form is its LP row's int_row with the ints
+        # scattered onto the columns and the slack at +-den
+        senses = lp.senses + ("<=",) * len(bound_rows)
+        ncols = nstd + sum(1 for sense in senses if sense != "=")
         rows = []
+        shift = []
+        for coef in map(int_row, lp.lhs):
+            row = [0] * ncols + [coef[-1]]
+            for a, ts in zip(coef, terms):
+                if a:
+                    for t, sign in ts:
+                        row[t] = a if sign > 0 else -a
+            rows.append(row)
+            shift.append(Fraction(sum(coef[j] * c for j, c in shifted),
+                                  coef[-1]) if shifted else zero)
+        for t, _ in bound_rows:
+            row = [0] * ncols + [1]
+            row[t] = 1
+            rows.append(row)
         slack = []
-        k = 0
-        for coeffs, sense in raw:
-            row = coeffs + [Fraction(0)] * nslack
+        k = nstd
+        for row, sense in zip(rows, senses):
             if sense == "=":
                 slack.append(None)
             else:
                 sign = 1 if sense == "<=" else -1
-                row[nstd + k] = Fraction(sign)
-                slack.append((nstd + k, sign))
+                row[k] = sign * row[-1]
+                slack.append((k, sign))
                 k += 1
-            # a positive row scale changes no sign and no ratio within a row
-            rows.append(int_row(row))
 
         self.lp = lp
         self.const = tuple((c.numerator, c.denominator) for c in const)
         self.terms = tuple(terms)
         self.nstd = nstd
-        self.ncols = nstd + nslack
+        self.ncols = ncols
         self.rows = tuple(rows)
         self.shift = tuple(shift)
         self._shifted = tuple((i, s.numerator, s.denominator)

@@ -30,6 +30,7 @@ from rankgames import (
     svd_truncate,
 )
 
+from rankgames import approx as approx_module
 from rankgames.approx import _geometric_axis, _interval_axis
 from rankgames import lp as lp_module
 from rankgames.errors import MAX_WORK
@@ -227,6 +228,27 @@ def test_grid_cell_bound_raises_before_any_lp(monkeypatch):
             scheme(rank1_family(2), Fraction(1, 10**9))
 
 
+def test_grid_cell_bound_holds_when_the_first_cell_has_loss_0(monkeypatch):
+    # the bound is on the whole grid, checked before any LP runs, so a grid
+    # whose search would stop at its first cell is refused all the same
+    calls = []
+    solve_rows = StandardForm.solve_rows
+
+    def count(form, rhs, cost):
+        calls.append(rhs)
+        return solve_rows(form, rhs, cost)
+
+    game, eps = rank1_family(5), Fraction(1, 50)  # two axes of 82 cells
+    with monkeypatch.context() as mp:
+        mp.setattr("rankgames.approx.StandardForm", _no_lp)
+        with pytest.raises(CapExceededError, match="6724 cells in the grid"):
+            approx_relative(game, eps)
+    monkeypatch.setattr("rankgames.errors.MAX_WORK", 6724)
+    monkeypatch.setattr(StandardForm, "solve_rows", count)
+    rep = approx_relative(game, eps)
+    assert (rep.profile, rep.loss, len(calls)) == (pure_profile(5, 5, 0, 0), 0, 1)
+
+
 def test_grid_cell_bound_admits_sqdiff3_at_one_half(monkeypatch):
     calls = []
 
@@ -277,33 +299,26 @@ def test_grid_rows_match_reference_builder(monkeypatch):
     # each cell passes its right-hand sides and its objective as integer
     # rows: they are int_row of the Fractions of the reference cells, and
     # the phase-2 cost row is int_row of the Fraction cost over the
-    # standard columns; every cell's phase-1 rows, crash basis and
-    # artificial count are those of the LP rebuilt from Fractions with that
-    # cell's right-hand side
+    # standard columns. The search stops at its first loss-0 cell, so the
+    # cells it solves are a prefix of the reference cells. Every reference
+    # cell's phase-1 rows, crash basis and artificial count, solved or not,
+    # are those of the LP rebuilt from Fractions with that cell's
+    # right-hand side
     calls = []
-    checked = []
     solve_rows = StandardForm.solve_rows
-    tableau = StandardForm.tableau
     price_out = lp_module._price_out
 
     def record(form, rhs, cost):
         calls.append((form, rhs, cost, []))
         return solve_rows(form, rhs, cost)
 
-    def compare(form, rhs):
-        out = tableau(form, rhs)
-        fractions = tuple(Fraction(e, rhs[-1]) for e in rhs[:-1])
-        assert out == reference_tableau(replace(form.lp, rhs=fractions))
-        checked.append(fractions)
-        return out
-
     def priced(rows, zrow, basis):
         calls[-1][3].append(list(zrow))
         price_out(rows, zrow, basis)
 
     monkeypatch.setattr(StandardForm, "solve_rows", record)
-    monkeypatch.setattr(StandardForm, "tableau", compare)
     monkeypatch.setattr(lp_module, "_price_out", priced)
+    grids = []
     feasible = 0
     for scheme, game, eps, decomp in [
         ("abs", block_game(rank1_family(2), rank1_family(3)), Fraction(1, 2),
@@ -314,28 +329,87 @@ def test_grid_rows_match_reference_builder(monkeypatch):
     ]:
         del calls[:]
         if scheme == "abs":
-            approx_absolute(game, eps)
+            rep = approx_absolute(game, eps)
         else:
-            approx_relative(game, eps, decomp=decomp)
+            rep = approx_relative(game, eps, decomp=decomp)
         cells = reference_grid_cells(game, eps, scheme, decomp)
-        assert len(calls) == len(cells)
+        grids.append((len(calls), len(cells), rep.loss))
         for (form, rhs, cost, zrows), (ref_rhs, objective) in zip(calls, cells):
             assert rhs == int_row(ref_rhs)
             assert cost == int_row(objective)
             phase2 = [z for z in zrows if len(z) == form.ncols + 2]
             assert phase2 in ([], [reference_cost_row(form, objective)])
             feasible += len(phase2)
-    # an infeasible cell prices out no phase-2 row; 100 of the 124 are
-    # feasible, so both kinds are checked
-    assert feasible == 100
-    cells = len(checked) - 7
-    assert cells == 32 + 49 + 36
+        form = calls[0][0]
+        for ref_rhs, _ in cells:
+            assert form.tableau(int_row(ref_rhs)) == reference_tableau(
+                replace(form.lp, rhs=tuple(ref_rhs)))
+    # (cells solved, cells in the grid, loss): REL2 has no loss-0 cell, so
+    # its search is exhaustive, and an infeasible cell prices out no
+    # phase-2 row; 31 of the 43 solved cells are feasible, so both kinds
+    # are checked
+    assert grids == [(5, 32, 0), (1, 49, 0), (36, 36, Fraction(3, 8)),
+                     (1, 7, 0)]
+    assert feasible == 31
     # the cells below 0 flip the factor's >= row, which frees its artificial,
     # or both rows, which moves the artificial to the <= row
-    neg = checked[cells:]
-    assert len(neg) == 7
-    assert [(lo < 0, hi < 0) for lo, hi in (rhs[-2:] for rhs in neg)] == [
+    assert [(lo < 0, hi < 0) for lo, hi in (rhs[-2:] for rhs, _ in cells)] == [
         (True, True), (True, True), (True, False)] + [(False, False)] * 4
+
+
+def test_early_stop_picks_the_exhaustive_argmin(monkeypatch):
+    # the search stops at its first score-0 cell. Shifted by 1, no score
+    # is 0, so the same search solves every cell; its argmin must be the
+    # same cell, since 0 is the least score and ties go to the earliest
+    # cell
+    grid_search = approx_module._grid_search
+    solve_rows = StandardForm.solve_rows
+    solved = []
+    runs = []
+
+    def count(form, rhs, cost):
+        solved.append(rhs)
+        return solve_rows(form, rhs, cost)
+
+    def both(game, factor_rows, axes, cell_cost, score, cap=None):
+        del solved[:]
+        early = grid_search(game, factor_rows, axes, cell_cost, score, cap)
+        stopped = len(solved)
+        del solved[:]
+        full = grid_search(game, factor_rows, axes, cell_cost,
+                           lambda *args: score(*args) + 1, cap)
+        assert full == (early[0] + 1, early[1])
+        runs.append((stopped, len(solved), early[0] == 0))
+        return early
+
+    monkeypatch.setattr(StandardForm, "solve_rows", count)
+    monkeypatch.setattr(approx_module, "_grid_search", both)
+    block = block_game(rank1_family(2), rank1_family(3))
+    half = Fraction(1, 2)
+    approx_absolute(rank1_family(5), Fraction(1, 10))
+    approx_relative(rank1_family(4), Fraction(1, 4))
+    approx_absolute(block, half)
+    approx_relative(block, half)
+    approx_relative(REL2, half, decomp=REL2_DECOMP)
+    approx_absolute(NEG, half)
+    rng = random.Random(18)
+    for _ in range(4):
+        # a random 4 x 4 game whose payoff sum is the positive u v^T
+        a = random_matrix(rng, 4, 4, -99, 99)
+        u, v = ([Fraction(rng.randint(1, 9)) for _ in range(4)]
+                for _ in range(2))
+        game = BimatrixGame(a, [[ui * vj - e for e, vj in zip(row, v)]
+                                for row, ui in zip(a, u)])
+        approx_absolute(game, Fraction(1, 4))
+        approx_relative(game, half, decomp=RankFactorization(
+            (4, 4), ((tuple(u), tuple(v)),)))
+    assert len(runs) == 14
+    # a search stops only at a score-0 cell, and a grid with no such cell
+    # is searched in full
+    for stopped, cells, exact in runs:
+        assert stopped == cells or (exact and stopped < cells)
+    assert sum(stopped < cells for stopped, cells, _ in runs) >= 8
+    assert sum(not exact for _, _, exact in runs) >= 3
 
 
 def _pair(u, v):
