@@ -21,7 +21,15 @@ def _content_lines(text):
 
 
 def _parse_fraction(token, where):
+    """The Fraction of a token, as Fraction(token) parses it. A token of an
+    optional sign and ASCII digits is read by int(), which skips
+    Fraction's regex; every other token, such as 1_000 (which int() takes
+    and some Fraction versions refuse) or non-ASCII digits, goes to
+    Fraction(token)."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
     try:
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(token))
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise GameFormatError(f"{where}: bad entry {token!r}") from exc

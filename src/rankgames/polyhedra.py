@@ -3,12 +3,12 @@
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 import numpy as np
 
 from .errors import check_work
-from .linalg import as_fraction, int_row, min_ratio_rows, pivot, reduced
+from .linalg import as_fraction, min_ratio_rows, pivot, reduced
 
 
 @dataclass(frozen=True)
@@ -19,17 +19,26 @@ class BestResponsePolyhedron:
     column, sum x = 1. side 'Q' is the column player's: points (y, u) with
     a y <= u per row, y >= 0, sum y = 1.
 
-    Inequality rows are stored as ineqs z <= 0 and carry 1-based labels
-    1..m+n, the convention the vertex-census and joint-cover statements are
-    written in: labels 1..m are the row player's strategies (x_i >= 0 on the
-    P side, row i's best-response inequality on the Q side) and labels
-    m+1..m+n are the column player's (column j's best-response inequality on
-    the P side, y_j >= 0 on the Q side).
+    The polyhedron keeps its payoff rows as ints over one positive
+    denominator: payoff[r][i] / den is response r's payoff against the
+    player's pure strategy i (the rows of b^T on side P, of a on side Q,
+    taken from the game's integer form). Two polyhedra are equal, and hash
+    equal, when their fields are: equal games give equal polyhedra.
+
+    ineqs, the inequality rows ineqs z <= 0 as a read-only object array of
+    Fractions, is built from the payoff rows on first read; the vertex walk
+    never reads it. Rows carry 1-based labels 1..m+n, the convention the
+    vertex-census and joint-cover statements are written in: labels 1..m
+    are the row player's strategies (x_i >= 0 on the P side, row i's
+    best-response inequality on the Q side) and labels m+1..m+n are the
+    column player's (column j's best-response inequality on the P side,
+    y_j >= 0 on the Q side).
     """
 
     side: str
     strategy_len: int
-    ineqs: np.ndarray
+    payoff: tuple
+    den: int
     labels: tuple
     br_labels: frozenset
     nonneg_labels: frozenset
@@ -37,6 +46,22 @@ class BestResponsePolyhedron:
     @property
     def dim(self):
         return self.strategy_len + 1
+
+    @cached_property
+    def ineqs(self):
+        """The nonnegativity rows -z_i <= 0 and the best-response rows
+        payoff[r] . z / den - payoff_coordinate <= 0, in two blocks in label
+        order: side P puts its nonnegativity block first, side Q its
+        best-response block."""
+        slen, den = self.strategy_len, self.den
+        zero, one = Fraction(0), Fraction(1)
+        nonneg = [[-one if c == i else zero for c in range(slen + 1)]
+                  for i in range(slen)]
+        br = [[Fraction(e, den) for e in row] + [-one] for row in self.payoff]
+        ineqs = np.array(nonneg + br if self.side == "P" else br + nonneg,
+                         dtype=object)
+        ineqs.flags.writeable = False
+        return ineqs
 
 
 class PolyhedronVertex:
@@ -111,29 +136,23 @@ class PolyhedronVertex:
         return f"PolyhedronVertex(point={self.point!r}, binding={self.binding!r})"
 
 
-def _side(side, payoff):
-    """One player's polyhedron; payoff[r, i] is response r's payoff against
-    the player's pure strategy i.
+def _side(side, payoff, den):
+    """One player's polyhedron over the integer rows payoff, over den:
+    payoff[r][i] / den is response r's payoff against the player's pure
+    strategy i.
 
-    Rows are the nonnegativity rows -z_i <= 0 and the best-response rows
-    payoff[r] . z - payoff_coordinate <= 0, in two blocks with labels 1..m+n
-    in row order. Labels 1..m belong to the row player, so side P puts its
-    nonnegativity block first and side Q its best-response block.
+    Labels 1..m+n number the rows of two blocks, the nonnegativity rows and
+    the best-response rows. Labels 1..m belong to the row player, so side P
+    puts its nonnegativity block first and side Q its best-response block.
     """
-    responses, slen = payoff.shape
-    zero, one = Fraction(0), Fraction(1)
-    nonneg = [[-one if c == i else zero for c in range(slen + 1)]
-              for i in range(slen)]
-    br = [list(row) + [-one] for row in payoff]
-    rows = nonneg + br if side == "P" else br + nonneg
-    ineqs = np.array(rows, dtype=object)
-    ineqs.flags.writeable = False
+    responses, slen = len(payoff), len(payoff[0])
     nonneg_at, br_at = (0, slen) if side == "P" else (responses, 0)
     return BestResponsePolyhedron(
         side=side,
         strategy_len=slen,
-        ineqs=ineqs,
-        labels=tuple(range(1, len(rows) + 1)),
+        payoff=tuple(map(tuple, payoff)),
+        den=den,
+        labels=tuple(range(1, responses + slen + 1)),
         br_labels=frozenset(range(br_at + 1, br_at + responses + 1)),
         nonneg_labels=frozenset(range(nonneg_at + 1, nonneg_at + slen + 1)),
     )
@@ -142,53 +161,88 @@ def _side(side, payoff):
 def build_polyhedra(game):
     """The pair (P side, Q side) of best-response polyhedra of the game.
 
-    One construction per player: P responds to x through the columns of b,
-    Q to y through the rows of a.
+    One construction per player, on the game's integer rows: P responds to
+    x through the columns of b (the rows of b^T), Q to y through the rows
+    of a.
     """
-    return _side("P", game.b.T), _side("Q", game.a)
+    a_rows, da, bt_rows, db = game._int_form
+    return _side("P", bt_rows, db), _side("Q", a_rows, da)
 
 
-def _start_rows(poly):
-    """Inequality rows set to equality at the walk's start basis.
+def _start_tableau(poly):
+    """The walk's start tableau in slack space, written down from the
+    payoff rows M = poly.payoff over D = poly.den.
 
-    The first pure strategy, its lowest-indexed best-response row, and the
-    nonnegativity rows of every other strategy. The point is that strategy
-    with its best payoff, so every inequality holds, and these rows together
-    with the normalization row fix each coordinate, so the basis is
-    nonsingular.
+    The start basis is the first pure strategy with its best response r*,
+    the lowest-indexed row among those tied at the largest payoff against
+    strategy 1. Its nonbasic slacks are r*'s and those of the nonnegativity
+    rows of strategies 2.., which are x_2, x_3, ... themselves. So
+    x_1 = 1 - sum_{i>=2} x_i, the payoff is v = M_{r*} x / D + s_{r*}, and
+    every other best-response row r has s_r = v - M_r x / D. Each is an
+    integer row in the nonbasic slacks, with the right-hand side at
+    row[-2]: one per basic slack (x_1's nonnegativity row and every
+    best-response row but r*'s), in row order, then the payoff row.
+
+    Returns (rows, basic), basic[t] being the row whose slack is basic in
+    tableau row t; the payoff row, last, has none.
     """
-    labels = poly.labels
-    nonneg = [r for r, lab in enumerate(labels) if lab in poly.nonneg_labels]
-    br = [r for r, lab in enumerate(labels) if lab in poly.br_labels]
-    # column 0 of a best-response row is that response's payoff against the
-    # first strategy; max keeps the lowest-indexed of the tied rows
-    return nonneg[1:] + [max(br, key=lambda r: poly.ineqs[r, 0])]
+    payoff, den, slen = poly.payoff, poly.den, poly.strategy_len
+    width = len(poly.labels) + 2
+    nonneg = min(poly.nonneg_labels) - 1  # strategy i's row is nonneg + i
+    br = min(poly.br_labels) - 1  # response r's row is br + r
+    first = [row[0] for row in payoff]
+    best = first.index(max(first))
+    top = payoff[best]
+    value = [0] * width
+    value[nonneg + 1:nonneg + slen] = [top[0] - e for e in top[1:]]
+    value[br + best] = -den
+    value[-2:] = top[0], den
+    x1 = [0] * width
+    x1[nonneg:nonneg + slen] = [1] * slen
+    x1[-2:] = 1, 1
+    start = {nonneg: x1}
+    for r, resp in enumerate(payoff):
+        if r != best:
+            row = value[:]
+            for i in range(1, slen):
+                row[nonneg + i] -= resp[0] - resp[i]
+            row[br + r] = den
+            row[-2] -= resp[0]
+            start[br + r] = row
+    basic = sorted(start)
+    return [reduced(start[s]) for s in basic] + [reduced(value)], basic
 
 
 def enumerate_vertices(poly):
     """All vertices, each with its complete binding label set.
 
-    Pivot walk over the feasible bases. The tableau has one row per
-    inequality, G_i z + s_i = 0 with slack s_i >= 0, and the normalization
-    row. The point coordinates z are free: they are pivoted in once and stay
-    basic, so a basis is the set of strategy_len inequality rows whose
-    slacks are nonbasic, kept as a bitmask with bit r for row r. From each
-    basis every nonbasic slack is tried as the entering variable, and every
-    basic slack row tied at the minimum ratio gives a neighbour, degenerate
-    ratio-0 pivots included; a seen-set of these masks makes each basis
-    pivot into the walk once. The rows are integer rows (linalg.int_row)
-    with the right-hand side at row[-2].
+    Pivot walk over the feasible bases, in slack space. Each inequality
+    row r has a slack s_r >= 0, and x_i is itself the slack of strategy
+    i's nonnegativity row, so the tableau needs no coordinate columns: it
+    has one row per basic slack and the payoff row, which expresses v and
+    which the ratio test never reads (_start_tableau writes it down from
+    the payoff rows; ineqs is never read). A basis is the set of
+    strategy_len rows whose slacks are nonbasic, kept as a bitmask with bit
+    r for row r. From each basis every nonbasic slack is tried as the
+    entering variable, and every basic slack row tied at the minimum ratio
+    gives a neighbour, degenerate ratio-0 pivots included; a seen-set of
+    these masks makes each basis pivot into the walk once.
 
     A basis's tight mask is its nonbasic rows plus the basic slacks at 0.
     It is the set of rows tight at the basis's point, and at a vertex it
     fixes the point (its nonbasic rows and the normalization row form a
     nonsingular system), so vertices are keyed by it. When the mask is
-    new, the vertex keeps it and the coordinate rows' (rhs, denominator)
-    int pairs; no Fraction is made until its point or binding is read.
+    new, the vertex keeps it and its coordinates as (rhs, denominator) int
+    pairs: x_i is the right-hand side of its slack's row when that slack
+    is basic and 0 when it is not, v the payoff row's. No Fraction is made
+    until its point or binding is read.
 
-    Each basis costs one pivot, the d that bring in the coordinates
-    included; check_work raises CapExceededError before the pivot past
-    errors.MAX_WORK.
+    Each basis past the first costs one pivot. check_work raises
+    CapExceededError before the pivot that would take d plus the bases
+    seen past errors.MAX_WORK. The d stands for the d pivots a walk in
+    (strategy, payoff) space spends bringing the coordinates in; counting
+    it keeps the bound where it was, so the same games are admitted and
+    refused: identity_game(12), 4095 bases a side, stays refused.
 
     Completeness: every vertex v* is the unique optimum of some linear
     objective. Bland's simplex method run on that objective from the start
@@ -199,40 +253,27 @@ def enumerate_vertices(poly):
     are compared on their int pairs by cross-multiplying (_compare_points),
     and no two vertices tie, since the mask is a function of the point.
     """
-    k, d = poly.ineqs.shape
-    rows = []
-    for r in range(k):
-        row = int_row(list(poly.ineqs[r]))
-        den = row.pop()
-        row += [0] * (k + 1) + [den]
-        row[d + r] = den
-        rows.append(row)
-    rows.append([1] * (d - 1) + [0] * (k + 1) + [1, 1])
-    free = _start_rows(poly) + [k]
-    coord_rows = []
-    for c in range(d):
-        r = next(r for r in free if rows[r][c] != 0)
-        pivot(rows, r, c)
-        free.remove(r)
-        coord_rows.append(r)
-    # the coordinates never leave, so their unit columns are never read;
-    # a coordinate row may keep a common factor once its unit entry is gone
-    rows = [reduced(row[d:]) for row in rows]
-    slack_rows = [r for r in range(k) if r not in coord_rows]
-    basic = {r: r for r in slack_rows}  # tableau row -> its basic slack
-    nonbasic = sum(1 << r for r in range(k) if r not in basic)
+    d = poly.dim
+    nonneg = sorted(label - 1 for label in poly.nonneg_labels)
+    rows, basic = _start_tableau(poly)
+    slack_rows = range(len(basic))
+    nonbasic = (1 << len(poly.labels)) - 1
+    for i in basic:
+        nonbasic ^= 1 << i
     seen = {nonbasic}
     queue = deque([(rows, basic, nonbasic)])
     found = {}
     while queue:
         rows, basic, nonbasic = queue.popleft()
         tight = nonbasic
-        for r, i in basic.items():
+        for r, i in enumerate(basic):
             if rows[r][-2] == 0:
                 tight |= 1 << i
         if tight not in found:
-            found[tight] = PolyhedronVertex._walked(
-                tuple([(rows[r][-2], rows[r][-1]) for r in coord_rows]), tight)
+            coords = [(0, 1) if nonbasic >> i & 1
+                      else tuple(rows[basic.index(i)][-2:]) for i in nonneg]
+            coords.append(tuple(rows[-1][-2:]))
+            found[tight] = PolyhedronVertex._walked(tuple(coords), tight)
         rest = nonbasic
         while rest:
             low = rest & -rest
@@ -243,12 +284,13 @@ def enumerate_vertices(poly):
                 key = nonbasic ^ low | 1 << basic[r]
                 if key in seen:
                     continue
-                # the pivot into this basis is number d + len(seen)
                 check_work(d + len(seen), "or more bases in a vertex walk")
                 seen.add(key)
                 step = list(rows)
                 pivot(step, r, j)
-                queue.append((step, {**basic, r: j}, key))
+                entered = basic[:]
+                entered[r] = j
+                queue.append((step, entered, key))
     return tuple(sorted(found.values(), key=_BY_POINT))
 
 

@@ -5,7 +5,13 @@ from itertools import combinations, product
 
 from rankgames import BimatrixGame, MixedProfile, make_report
 from rankgames.approx import _geometric_axis, _interval_axis
-from rankgames.linalg import fraction_vector, int_row, pivot, solve_linear_system
+from rankgames.linalg import (
+    fraction_vector,
+    int_row,
+    pivot,
+    reduced,
+    solve_linear_system,
+)
 from rankgames.polyhedra import (
     PolyhedronVertex,
     build_polyhedra,
@@ -145,6 +151,45 @@ def reference_vertex_order(poly):
         for v in enumerate_vertices(poly)
     ]
     return tuple(sorted(rebuilt, key=lambda v: v.point))
+
+
+def reference_walk_start(poly):
+    """Reference start tableau of the vertex walk, built by pivots in
+    (strategy, payoff) space from the Fraction ineqs and then cut down to
+    slack space; polyhedra._start_tableau must give the same rows.
+
+    One integer row [G_r | e_r | 0] per Fraction inequality row of ineqs
+    (linalg.int_row) and the normalization row [1..1 0 | 0 | 1]; a pivot
+    brings each of the d coordinates in on the start rows (the
+    nonnegativity rows of strategies 2.., the lowest-indexed best-response
+    row tied at the largest payoff against strategy 1, and the
+    normalization row); then the coordinate columns are dropped. Returns
+    (rows, basic) in polyhedra._start_tableau's layout: the basic-slack rows
+    in row order, then the payoff coordinate's row, and the rows whose
+    slacks are basic.
+    """
+    k, d = poly.ineqs.shape
+    rows = []
+    for r in range(k):
+        row = int_row(list(poly.ineqs[r]))
+        den = row.pop()
+        row += [0] * (k + 1) + [den]
+        row[d + r] = den
+        rows.append(row)
+    rows.append([1] * (d - 1) + [0] * (k + 1) + [1, 1])
+    nonneg = [r for r, lab in enumerate(poly.labels) if lab in poly.nonneg_labels]
+    br = [r for r, lab in enumerate(poly.labels) if lab in poly.br_labels]
+    # max keeps the first of the rows tied at the largest column-0 entry
+    free = nonneg[1:] + [max(br, key=lambda r: poly.ineqs[r, 0])] + [k]
+    coord_rows = []
+    for c in range(d):
+        r = next(r for r in free if rows[r][c] != 0)
+        pivot(rows, r, c)
+        free.remove(r)
+        coord_rows.append(r)
+    rows = [reduced(row[d:]) for row in rows]
+    basic = [r for r in range(k) if r not in coord_rows]
+    return [rows[r] for r in basic] + [rows[coord_rows[-1]]], basic
 
 
 def dense_pivot(rows, r, col):

@@ -203,7 +203,8 @@ def test_cap_guard():
 
 
 def test_base_bound_boundary(monkeypatch):
-    # rank1(7) walks exactly 70 bases a side: 8 coordinate pivots, then 62
+    # rank1(7) walks 63 bases a side; the guard's last count is d = 8 plus
+    # the 62 bases seen before the last one: 70
     monkeypatch.setattr(errors, "MAX_WORK", 70)
     assert len(enumerate_equilibria(rank1_family(7)).reports) == 13
     monkeypatch.setattr(errors, "MAX_WORK", 69)

@@ -59,6 +59,28 @@ def test_decimal_entries_parse_exactly():
     assert format_game_text(g) == "1 1\n5/2\n-3/4\n"
 
 
+@pytest.mark.parametrize("token", [
+    "+5", "-0", "007", "1_000", "\u0663", "1.5", "1e3", "3/4", "-3/-4",
+    "\u00bd", "0x10", "x", "9" * 5000,
+], ids=["plus", "minus-zero", "leading-zeros", "underscore", "arabic-indic",
+        "decimal", "exponent", "ratio", "negative-denominator", "vulgar-half",
+        "hex", "letter", "5000-digits"])
+def test_entry_tokens_parse_as_fraction_does(token):
+    # a sign and ASCII digits skip Fraction's string parser; the tokens
+    # accepted and their values must still be Fraction's on the running
+    # Python (3.10's Fraction refuses 1_000, which int() takes, and int()
+    # also takes non-ASCII digits)
+    text = f"1 1\n{token}\n0\n"
+    try:
+        want = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(GameFormatError, match="bad entry"):
+            parse_game_text(text)
+    else:
+        got = parse_game_text(text).a[0, 0]
+        assert type(got) is Fraction and got == want
+
+
 @pytest.mark.parametrize("bad", [
     "",
     "2\n1 2\n3 4\n",

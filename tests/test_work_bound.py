@@ -24,7 +24,8 @@ def _fail(*args, **kwargs):
 def test_every_guard_reads_max_work(monkeypatch):
     monkeypatch.setattr(errors, "MAX_WORK", 69)
     f = Fraction
-    # the vertex walk: rank1(7) walks 70 bases a side
+    # the vertex walk: its count on rank1(7), d = 8 plus the bases seen,
+    # reaches 70 a side
     for walk in (enumerate_equilibria, is_nondegenerate):
         with pytest.raises(CapExceededError, match="above the bound 69"):
             walk(rank1_family(7))
