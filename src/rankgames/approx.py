@@ -28,7 +28,7 @@ from .linalg import (
     pair_row,
     reduced,
 )
-from .lp import StandardForm, linear_program
+from .lp import StandardForm
 
 # svd_truncate rounds each float factor entry to the nearest Fraction whose
 # denominator is at most this.
@@ -124,14 +124,18 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
     The LP runs over (x, y, s1, s2). s1 bounds the row player's best pure
     payoff against y, s2 the column player's against x; their sum plays the
     role of the single s variable of the one-shot formulation, with m + n
-    rows instead of m * n. factor_rows[t] holds coefficients over (x, y);
-    a cell picks one interval from each axis and bounds the matching factor
-    row by it. The LP minimizes cell_cost(cell), s1 + s2 minus a linear
-    term in y, with s1 + s2 <= cap when cap is given. Only the factor
-    rows' right-hand sides and the objective differ between cells, so the
-    standard form is built once (lp.StandardForm), and each cell passes
-    its own to StandardForm.solve_rows as integer rows: an interval is
-    kept as int_row([lo, hi]) and cell_cost returns an integer row. Cells
+    rows instead of m * n. factor_rows[t] is the integer row
+    (linalg.int_row) of coefficients over (x, y); a cell picks one interval
+    from each axis and bounds the matching factor row by it. The LP
+    minimizes cell_cost(cell), s1 + s2 minus a linear term in y, with
+    s1 + s2 <= cap when cap is given. The LP's rows are written as integer
+    rows from the game's integer form (game._int_form), each reduced, so
+    each is int_row of its Fractions. Only the factor rows' right-hand
+    sides and the objective differ between cells, so the standard form is
+    built once (lp.StandardForm), and each cell passes its own to
+    StandardForm.solve_rows: an interval is kept as int_row([lo, hi]), a
+    cell's right-hand sides are the rows' own pairs and then (lo, d) and
+    (hi, d) for each interval, and cell_cost returns an integer row. Cells
     are walked in product order over the axes; with no axes (a zero-sum
     game) that is one cell with no factor rows. Infeasible cells are
     skipped. A cell's x and y are scored as integer rows,
@@ -148,33 +152,27 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
     """
     errors.check_work(prod(len(axis) for axis in axes), "cells in the grid")
     m, n = game.shape
-    zero, one = Fraction(0), Fraction(1)
-    rows = [[zero] * m + list(game.a[i]) + [-one, zero] for i in range(m)]
-    rows += [list(game.b[:, j]) + [zero] * n + [zero, -one] for j in range(n)]
-    rows += [[one] * m + [zero] * n + [zero, zero],
-             [zero] * m + [one] * n + [zero, zero]]
+    a_rows, a_den, bt_rows, bt_den = game._int_form
+    rows = [reduced([0] * m + row + [-a_den, 0, a_den]) for row in a_rows]
+    rows += [reduced(row + [0] * n + [0, -bt_den, bt_den]) for row in bt_rows]
+    rows += [[1] * m + [0] * (n + 2) + [1], [0] * m + [1] * n + [0, 0, 1]]
     senses = ["<="] * (m + n) + ["=", "="]
-    rhs = [zero] * (m + n) + [one, one]
+    base = [(0, 1)] * (m + n) + [(1, 1), (1, 1)]
     if cap is not None:
-        rows.append([zero] * (m + n) + [one, one])
+        rows.append([0] * (m + n) + [1, 1, 1])
         senses.append("<=")
-        rhs.append(cap)
+        base.append((cap.numerator, cap.denominator))
     for row in factor_rows:
-        row = row + [zero, zero]
+        row = row[:-1] + [0, 0, row[-1]]
         rows += [row, row]
         senses += [">=", "<="]
-    lower = [zero] * (m + n) + [None, None]
-    # the factor bounds and the objective are placeholders: each cell
-    # passes its own to the one standard form
-    form = StandardForm(linear_program(
-        [zero] * (m + n + 2), rows, senses,
-        rhs + [zero] * (2 * len(factor_rows)), lower=lower))
-    base = int_row(rhs)
+    form = StandardForm(rows, senses, [0] * (m + n) + [None, None],
+                        [None] * (m + n + 2))
     axes = [[int_row(interval) for interval in axis] for axis in axes]
     best = None
     for cell in product(*axes):
-        status, values, _ = form.solve_rows(_cell_rhs(base, cell),
-                                            cell_cost(cell))
+        rhs = base + [p for lo, hi, d in cell for p in ((lo, d), (hi, d))]
+        status, values, _ = form.solve_rows(rhs, cell_cost(cell))
         if status == "infeasible":
             continue
         if status != "optimal":
@@ -189,24 +187,6 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
     if best is None:
         return None
     return best[0], MixedProfile.from_int_rows(best[1], best[2])
-
-
-def _cell_rhs(base, cell):
-    """The integer row of a cell LP's right-hand sides: the integer row
-    base of the rows' own, then lo and hi of each interval in the cell.
-
-    Over the lcm of base's and the intervals' denominators, this is
-    int_row of the Fractions: each interval is int_row([lo, hi]), so the
-    lcm is that of the entries' own denominators.
-    """
-    den = lcm(base[-1], *(interval[-1] for interval in cell))
-    scale = den // base[-1]
-    row = [scale * e for e in base[:-1]] if scale != 1 else base[:-1]
-    for lo, hi, d in cell:
-        scale = den // d
-        row += (lo * scale, hi * scale)
-    row.append(den)
-    return row
 
 
 def _axis(lo, hi, advance):
@@ -266,7 +246,7 @@ def approx_absolute(game, eps):
     factors = game.factorization.pairs
     k = len(factors)
     target = eps * game.norm_c
-    factor_rows = [list(u_vec) + [Fraction(0)] * game.n for u_vec, _ in factors]
+    factor_rows = [int_row(list(u_vec) + [0] * game.n) for u_vec, _ in factors]
     axes = [
         _interval_axis(min(u_vec), max(u_vec),
                        target / (2 * k * max(abs(e) for e in v_vec)))
@@ -369,7 +349,7 @@ def approx_relative(game, eps, decomp=None):
         raise ValueError("decomposition does not reconstruct a+b")
     rho = 1 - 1 / (1 + eps) ** 2
 
-    zero_x, zero_y = [Fraction(0)] * game.m, [Fraction(0)] * game.n
+    zero_x, zero_y = [0] * game.m, [0] * game.n
     axes = []
     factor_rows = []
     degraded = False
@@ -378,7 +358,8 @@ def approx_relative(game, eps, decomp=None):
         w_cells, w_deg = _geometric_axis(v_vec, eps)
         degraded = degraded or z_deg or w_deg
         axes += [z_cells, w_cells]
-        factor_rows += [list(u_vec) + zero_y, zero_x + list(v_vec)]
+        factor_rows += [int_row(list(u_vec) + zero_y),
+                        int_row(zero_x + list(v_vec))]
     cost = int_row(zero_x + zero_y + [1, 1])
     best = _grid_search(game, factor_rows, axes, lambda cell: cost, _gap_ratio)
     if best is None:

@@ -23,9 +23,9 @@ class BimatrixGame:
 
     Immutable after construction; the payoff sum c = a + b and its largest
     absolute entry norm_c (the scale every approximation guarantee is
-    measured against) are computed once and frozen. The rank factorization
-    of c, which rank_c counts and the grid schemes grid, is built on first
-    read and kept.
+    measured against) are built on first read, c read-only like a and b,
+    and kept, as is the rank factorization of c, which rank_c counts and
+    the grid schemes grid. Equilibrium enumeration reads none of them.
 
     Note the zero-sum corner: when a + b = 0, norm_c = 0 and the threshold
     eps * norm_c collapses to 0 for every eps, so only exact equilibria pass
@@ -40,10 +40,20 @@ class BimatrixGame:
             raise ValueError("payoff matrices must share a shape")
         self.a = a
         self.b = b
-        self.c = a + b
-        self.norm_c = max_abs_entry(self.c)
-        for arr in (self.a, self.b, self.c):
+        for arr in (self.a, self.b):
             arr.flags.writeable = False
+
+    @cached_property
+    def c(self):
+        """The payoff sum a + b, read-only."""
+        c = self.a + self.b
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def norm_c(self):
+        """max_abs_entry(c), the scale of the approximation guarantees."""
+        return max_abs_entry(self.c)
 
     @cached_property
     def factorization(self):

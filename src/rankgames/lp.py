@@ -122,37 +122,36 @@ def _iterate(tableau, basis, ncols):
 
 
 class StandardForm:
-    """The standard-form rewrite of a LinearProgram, built once and solved
-    for any right-hand side and objective.
+    """The standard-form rewrite of an LP, built once and solved for any
+    right-hand side and objective.
 
-    Building it is the work of a solve that does not depend on the
-    right-hand sides of the LP's rows or on its objective. Each variable is
-    rewritten as const + a signed sum of nonnegative standard columns
-    (terms), and each constraint row, the LP's rows and then one row per
-    finite upper bound of a lower-bounded variable, gets its slack column.
-    rows[i] is the integer row (linalg.int_row) of row i's standard columns
-    and slack, without its right-hand side; shift[i] is the Fraction the
-    constants contribute to LP row i, and slack[i] is its (column, sign) or
-    None for an equality. const and bound_rhs, the bound rows' right-hand
-    sides, are (numerator, denominator) int pairs. An upper bound below its
-    lower bound gives a bound row with a negative right-hand side, which
-    phase 1 finds infeasible.
+    lhs holds the LP's rows as integer rows (linalg.int_row) over its
+    variables, senses their senses, and lower and upper the variables'
+    bounds (a rational, or None for an unbounded side). Building the form
+    is the work of a solve that does not depend on the right-hand sides of
+    the LP's rows or on its objective. Each variable is rewritten as
+    const + a signed sum of nonnegative standard columns (terms), and each
+    constraint row, the LP's rows and then one row per finite upper bound
+    of a lower-bounded variable, gets its slack column. rows[i] is the
+    integer row of row i's standard columns and slack, without its
+    right-hand side, and slack[i] is its (column, sign) or None for an
+    equality. const and bound_rhs, the bound rows' right-hand sides, are
+    (numerator, denominator) int pairs, as are the right-hand sides that
+    tableau and solve_rows take. An upper bound below its lower bound
+    gives a bound row with a negative right-hand side, which phase 1 finds
+    infeasible.
 
     solve_rows takes and returns integer rows and pairs, and is what the
-    grid's cells call; solve is the Fraction interface around it.
+    grid's cells and solve_lp call.
     """
 
-    def __init__(self, lp):
-        if not isinstance(lp, LinearProgram):
-            raise TypeError("expected a LinearProgram")
-
+    def __init__(self, lhs, senses, lower, upper):
         # rewrite each variable as a nonnegative combination: x_j = const + sum sign*t
-        zero = Fraction(0)
         const = []
         terms = []
         nstd = 0
         bound_rows = []
-        for lo, up in zip(lp.lower, lp.upper):
+        for lo, up in zip(lower, upper):
             if lo is not None:
                 if up is not None:
                     bound_rows.append((nstd, up - lo))
@@ -164,27 +163,29 @@ class StandardForm:
                 terms.append(((nstd, -1),))
                 nstd += 1
             else:
-                const.append(zero)
+                const.append(0)
                 terms.append(((nstd, 1), (nstd + 1, -1)))
                 nstd += 2
         shifted = [(j, c) for j, c in enumerate(const) if c]
 
         # each standard column belongs to one variable and a slack is +-1,
-        # so a row's integer form is its LP row's int_row with the ints
-        # scattered onto the columns and the slack at +-den
-        senses = lp.senses + ("<=",) * len(bound_rows)
+        # so a row's integer form is its LP row's ints scattered onto the
+        # columns, with the slack at +-den; the constants shift row i's
+        # right-hand side by the pair kept in _shifted
+        senses = tuple(senses) + ("<=",) * len(bound_rows)
         ncols = nstd + sum(1 for sense in senses if sense != "=")
         rows = []
-        shift = []
-        for coef in map(int_row, lp.lhs):
+        shifts = []
+        for i, coef in enumerate(lhs):
             row = [0] * ncols + [coef[-1]]
             for a, ts in zip(coef, terms):
                 if a:
                     for t, sign in ts:
                         row[t] = a if sign > 0 else -a
             rows.append(row)
-            shift.append(Fraction(sum(coef[j] * c for j, c in shifted),
-                                  coef[-1]) if shifted else zero)
+            s = Fraction(sum(coef[j] * c for j, c in shifted), coef[-1])
+            if s:
+                shifts.append((i, s.numerator, s.denominator))
         for t, _ in bound_rows:
             row = [0] * ncols + [1]
             row[t] = 1
@@ -200,23 +201,20 @@ class StandardForm:
                 slack.append((k, sign))
                 k += 1
 
-        self.lp = lp
         self.const = tuple((c.numerator, c.denominator) for c in const)
         self.terms = tuple(terms)
         self.nstd = nstd
         self.ncols = ncols
         self.rows = tuple(rows)
-        self.shift = tuple(shift)
-        self._shifted = tuple((i, s.numerator, s.denominator)
-                              for i, s in enumerate(shift) if s)
+        self._shifted = tuple(shifts)
         self.bound_rhs = tuple((ub.numerator, ub.denominator)
                                for _, ub in bound_rows)
         self.slack = tuple(slack)
 
     def tableau(self, rhs):
         """The integer rows, crash basis and artificial count of phase 1
-        for the right-hand sides of the LP's rows, given as one integer row
-        rhs (linalg.int_row).
+        for the right-hand sides of the LP's rows, given as one
+        (numerator, positive denominator) pair per row.
 
         A row whose right-hand side is negative is negated first. Then a
         +1 slack starts basic and every other row gets an artificial
@@ -225,13 +223,13 @@ class StandardForm:
         its denominator and that of the right-hand side in lowest terms, so
         it equals int_row of the row's Fractions.
         """
-        if len(rhs) != len(self.shift) + 1:
+        if len(rhs) + len(self.bound_rhs) != len(self.rows):
             raise ValueError("rhs length does not match row count")
         ncols = self.ncols
-        den = rhs[-1]
-        bs = [(b, den) for b in rhs[:-1]]
+        bs = list(rhs)
         for i, p, q in self._shifted:
-            bs[i] = (bs[i][0] * q - p * den, den * q)
+            b, den = bs[i]
+            bs[i] = (b * q - p * den, den * q)
         bs += self.bound_rhs
         basis = []
         nart = 0
@@ -261,9 +259,10 @@ class StandardForm:
         return rows, basis, nart
 
     def solve_rows(self, rhs, cost):
-        """Solve for the right-hand sides of the LP's rows and an objective
-        given as integer rows (linalg.int_row): rhs over the rows, cost over
-        the variables.
+        """Solve for the right-hand sides of the LP's rows, one
+        (numerator, positive denominator) pair per row as tableau takes
+        them, and an objective given as the integer row cost
+        (linalg.int_row) over the variables.
 
         Returns (status, values, value). When status is 'optimal', values
         holds one (numerator, denominator) int pair per variable and value
@@ -273,7 +272,7 @@ class StandardForm:
         right-hand side is minus the standard columns' part, plus the
         constants' part.
         """
-        if len(cost) != self.lp.nvars + 1:
+        if len(cost) != len(self.terms) + 1:
             raise ValueError("objective length does not match variable count")
         ncols = self.ncols
         rows, basis, nart = self.tableau(rhs)
@@ -324,27 +323,24 @@ class StandardForm:
                 num, den = num * q * cden + c * p * den, den * q * cden
         return "optimal", values, (num, den)
 
-    def solve(self, rhs=None, objective=None):
-        """Solve for new right-hand sides of the LP's rows and a new
-        objective; None keeps the LP's own. Both must hold Fractions: they
-        enter solve_rows as integer rows, and its int pairs leave as the
-        Fractions of the LpSolution."""
-        lp = self.lp
-        status, values, value = self.solve_rows(
-            int_row(lp.rhs if rhs is None else rhs),
-            int_row(lp.objective if objective is None else objective))
-        if status != "optimal":
-            return LpSolution(status, None, None)
-        return LpSolution(status, tuple(Fraction(n, d) for n, d in values),
-                          Fraction(*value))
-
 
 def solve_lp(lp):
     """Solve an LP exactly.
 
     Two-phase simplex on the standard-form rewrite of the problem, built as
-    a StandardForm and solved once. Bland's rule picks both the entering and
-    the leaving variable, so the run never cycles and is fully
+    a StandardForm from the integer rows of lp's rows and solved once: the
+    right-hand sides enter solve_rows as int pairs, and its pairs leave as
+    the Fractions of the LpSolution. Bland's rule picks both the entering
+    and the leaving variable, so the run never cycles and is fully
     deterministic.
     """
-    return StandardForm(lp).solve()
+    if not isinstance(lp, LinearProgram):
+        raise TypeError("expected a LinearProgram")
+    form = StandardForm([int_row(row) for row in lp.lhs], lp.senses,
+                        lp.lower, lp.upper)
+    status, values, value = form.solve_rows(
+        [(b.numerator, b.denominator) for b in lp.rhs], int_row(lp.objective))
+    if status != "optimal":
+        return LpSolution(status, None, None)
+    return LpSolution(status, tuple(Fraction(n, d) for n, d in values),
+                      Fraction(*value))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from itertools import combinations, product
 
-from rankgames import BimatrixGame, MixedProfile, make_report
+from rankgames import BimatrixGame, MixedProfile, linear_program, make_report
 from rankgames.approx import _geometric_axis, _interval_axis
 from rankgames.linalg import (
     fraction_vector,
@@ -217,7 +217,7 @@ def reference_tableau(lp):
     of artificials), or None when an upper bound lies below its lower
     bound. lp.StandardForm.tableau must give exactly these rows.
     """
-    const, terms, bound_rows = [], [], []
+    terms, bound_rows = [], []
     nstd = 0
     for lo, up in zip(lp.lower, lp.upper):
         if lo is not None:
@@ -225,26 +225,21 @@ def reference_tableau(lp):
                 if up < lo:
                     return None
                 bound_rows.append((nstd, up - lo))
-            const.append(lo)
             terms.append(((nstd, 1),))
             nstd += 1
         elif up is not None:
-            const.append(up)
             terms.append(((nstd, -1),))
             nstd += 1
         else:
-            const.append(Fraction(0))
             terms.append(((nstd, 1), (nstd + 1, -1)))
             nstd += 2
     raw = []
-    for i in range(lp.lhs.shape[0]):
+    for row, sense, b in zip(lp.lhs, lp.senses, reference_shifted_rhs(lp)):
         coeffs = [Fraction(0)] * nstd
-        shift = Fraction(0)
-        for j, a in enumerate(lp.lhs[i]):
-            shift += a * const[j]
-            for t, sign in terms[j]:
+        for a, ts in zip(row, terms):
+            for t, sign in ts:
                 coeffs[t] += sign * a
-        raw.append((coeffs, lp.senses[i], lp.rhs[i] - shift))
+        raw.append((coeffs, sense, b))
     for t, ub in bound_rows:
         coeffs = [Fraction(0)] * nstd
         coeffs[t] = Fraction(1)
@@ -271,6 +266,17 @@ def reference_tableau(lp):
         ext = [Fraction(int(col == c)) for c in range(ncols, ncols + nart)]
         out.append(int_row(row[:-1] + ext + [row[-1]]))
     return out, basis, nart
+
+
+def reference_shifted_rhs(lp):
+    """The right-hand sides of an LP's rows less the constants' shift, as
+    reference_tableau rewrites them: each variable is its lower bound, else
+    its upper bound, else 0, plus nonnegative columns. The tableau negates
+    exactly the rows whose shifted right-hand side is negative."""
+    const = [lo if lo is not None else up if up is not None else Fraction(0)
+             for lo, up in zip(lp.lower, lp.upper)]
+    return [b - sum((a * c for a, c in zip(row, const)), Fraction(0))
+            for row, b in zip(lp.lhs, lp.rhs)]
 
 
 def reference_price_out(tableau, zrow, basis):
@@ -316,6 +322,42 @@ def reference_grid_cells(game, eps, scheme, decomp=None):
         cells.append((rhs + [e for interval in cell for e in interval],
                       [zero] * m + [-c for c in y] + [one, one]))
     return cells
+
+
+def reference_grid_lp(game, scheme, decomp=None):
+    """Reference LP of a grid scheme, in Fractions, as approx built it
+    before its rows moved to integer rows: over (x, y, s1, s2), the
+    best-response rows, the two sums, the absolute scheme's cap
+    s1 + s2 <= |a+b|, then a >= and a <= row for each factor row, the
+    absolute scheme's u_t . x and the relative scheme's u_t . x and
+    v_t . y. The factor rows' right-hand sides and the objective are 0
+    placeholders: reference_grid_cells gives each cell's. int_row of each
+    row is the grid's StandardForm input row.
+    """
+    m, n = game.shape
+    zero, one = Fraction(0), Fraction(1)
+    if scheme == "abs":
+        factor_rows = [list(u) + [zero] * n for u, _ in game.factorization.pairs]
+    else:
+        factor_rows = [row for u, v in (decomp or game.factorization).pairs
+                       for row in (list(u) + [zero] * n, [zero] * m + list(v))]
+    rows = [[zero] * m + list(game.a[i]) + [-one, zero] for i in range(m)]
+    rows += [list(game.b[:, j]) + [zero] * n + [zero, -one] for j in range(n)]
+    rows += [[one] * m + [zero] * n + [zero, zero],
+             [zero] * m + [one] * n + [zero, zero]]
+    senses = ["<="] * (m + n) + ["=", "="]
+    rhs = [zero] * (m + n) + [one, one]
+    if scheme == "abs":
+        rows.append([zero] * (m + n) + [one, one])
+        senses.append("<=")
+        rhs.append(game.norm_c)
+    for row in factor_rows:
+        row = row + [zero, zero]
+        rows += [row, row]
+        senses += [">=", "<="]
+    return linear_program([zero] * (m + n + 2), rows, senses,
+                          rhs + [zero] * (2 * len(factor_rows)),
+                          lower=[zero] * (m + n) + [None, None])
 
 
 def reference_cost_row(form, objective):

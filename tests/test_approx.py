@@ -42,6 +42,7 @@ from helpers import (
     random_matrix,
     reference_cost_row,
     reference_grid_cells,
+    reference_grid_lp,
     reference_tableau,
 )
 
@@ -295,15 +296,25 @@ NEG = BimatrixGame([[2, -1, 0], [1, 3, -2], [0, 1, 1]],
                    [[-5, -5, -3], [-2, -5, 1], [2, 3, 1]])
 
 
+# a game whose integer rows share a factor with their common denominator:
+# a's third row is (2, 0, 4) over 2 and b's second column (3, 0, 6) over 3,
+# so the grid's best-response rows must be reduced to be int_row of their
+# Fractions; no cell of its absolute grid at eps 1 has loss 0
+SHARED = BimatrixGame(
+    [["3/2", 0, "1/2"], [0, "1/2", 1], [1, 0, 2]],
+    [["1/3", 1, 0], [0, 0, "1/3"], ["2/3", 2, "4/3"]])
+
+
 def test_grid_rows_match_reference_builder(monkeypatch):
-    # each cell passes its right-hand sides and its objective as integer
-    # rows: they are int_row of the Fractions of the reference cells, and
-    # the phase-2 cost row is int_row of the Fraction cost over the
-    # standard columns. The search stops at its first loss-0 cell, so the
-    # cells it solves are a prefix of the reference cells. Every reference
-    # cell's phase-1 rows, crash basis and artificial count, solved or not,
-    # are those of the LP rebuilt from Fractions with that cell's
-    # right-hand side
+    # each cell passes its right-hand sides as int pairs, the values of the
+    # reference cells' Fractions, and its objective as an integer row, int_row
+    # of the reference cell's; the phase-2 cost row is int_row of the
+    # Fraction cost over the standard columns. The search stops at its
+    # first loss-0 cell, so the cells it solves are a prefix of the
+    # reference cells. The grid's standard form is built on int_row of
+    # each row of the reference Fraction LP, and every reference cell's
+    # phase-1 rows, crash basis and artificial count, solved or not, are
+    # those of that LP with the cell's right-hand side
     calls = []
     solve_rows = StandardForm.solve_rows
     price_out = lp_module._price_out
@@ -325,6 +336,7 @@ def test_grid_rows_match_reference_builder(monkeypatch):
          None),
         ("rel", rank1_family(4), Fraction(1, 4), None),
         ("rel", REL2, Fraction(1, 2), REL2_DECOMP),
+        ("abs", SHARED, Fraction(1), None),
         ("abs", NEG, Fraction(1, 2), None),
     ]:
         del calls[:]
@@ -334,23 +346,30 @@ def test_grid_rows_match_reference_builder(monkeypatch):
             rep = approx_relative(game, eps, decomp=decomp)
         cells = reference_grid_cells(game, eps, scheme, decomp)
         grids.append((len(calls), len(cells), rep.loss))
-        for (form, rhs, cost, zrows), (ref_rhs, objective) in zip(calls, cells):
-            assert rhs == int_row(ref_rhs)
+        form = calls[0][0]
+        for (_, rhs, cost, zrows), (ref_rhs, objective) in zip(calls, cells):
+            assert [Fraction(b, d) for b, d in rhs] == ref_rhs
             assert cost == int_row(objective)
             phase2 = [z for z in zrows if len(z) == form.ncols + 2]
             assert phase2 in ([], [reference_cost_row(form, objective)])
             feasible += len(phase2)
-        form = calls[0][0]
+            assert form.tableau(rhs) == form.tableau(
+                [(b.numerator, b.denominator) for b in ref_rhs])
+        lp = reference_grid_lp(game, scheme, decomp)
+        assert form.rows == StandardForm(
+            [int_row(row) for row in lp.lhs], lp.senses, lp.lower,
+            lp.upper).rows
         for ref_rhs, _ in cells:
-            assert form.tableau(int_row(ref_rhs)) == reference_tableau(
-                replace(form.lp, rhs=tuple(ref_rhs)))
-    # (cells solved, cells in the grid, loss): REL2 has no loss-0 cell, so
-    # its search is exhaustive, and an infeasible cell prices out no
-    # phase-2 row; 31 of the 43 solved cells are feasible, so both kinds
-    # are checked
+            assert form.tableau(
+                [(b.numerator, b.denominator) for b in ref_rhs]
+            ) == reference_tableau(replace(lp, rhs=tuple(ref_rhs)))
+    # (cells solved, cells in the grid, loss): REL2 and SHARED have no
+    # loss-0 cell, so their searches are exhaustive, and an infeasible
+    # cell prices out no phase-2 row; 51 of the 67 solved cells are
+    # feasible, so both kinds are checked
     assert grids == [(5, 32, 0), (1, 49, 0), (36, 36, Fraction(3, 8)),
-                     (1, 7, 0)]
-    assert feasible == 31
+                     (24, 24, Fraction(247, 6831)), (1, 7, 0)]
+    assert feasible == 51
     # the cells below 0 flip the factor's >= row, which frees its artificial,
     # or both rows, which moves the artificial to the <= row
     assert [(lo < 0, hi < 0) for lo, hi in (rhs[-2:] for rhs, _ in cells)] == [

@@ -16,9 +16,13 @@ from rankgames import (
 )
 from rankgames import lp as lp_module
 from rankgames.linalg import int_row
-from rankgames.lp import StandardForm
+from rankgames.lp import LpSolution, StandardForm
 
-from helpers import reference_price_out, reference_tableau
+from helpers import (
+    reference_price_out,
+    reference_shifted_rhs,
+    reference_tableau,
+)
 
 
 def test_known_optimum_bounded():
@@ -208,6 +212,27 @@ def test_rational_lps_agree_with_brute_force_vertex_oracle():
     assert len(optimal) >= 30  # the sample must actually exercise the solver
 
 
+def _standard_form(lp):
+    """The StandardForm of a LinearProgram, built from int_row of each of
+    its rows, as solve_lp builds it."""
+    return StandardForm([int_row(row) for row in lp.lhs], lp.senses,
+                        lp.lower, lp.upper)
+
+
+def _pairs(rhs):
+    return [(b.numerator, b.denominator) for b in rhs]
+
+
+def _solve(form, rhs, objective):
+    """form.solve_rows on Fraction right-hand sides and objective, its
+    pairs made Fractions as solve_lp makes them."""
+    status, values, value = form.solve_rows(_pairs(rhs), int_row(objective))
+    if status != "optimal":
+        return LpSolution(status, None, None)
+    return LpSolution(status, tuple(Fraction(n, d) for n, d in values),
+                      Fraction(*value))
+
+
 def test_standard_form_rows_match_reference_builder():
     # bounds of every kind: constants shift the rows' right-hand sides, free
     # variables split in two, finite boxes add bound rows; negative
@@ -232,24 +257,23 @@ def test_standard_form_rows_match_reference_builder():
             [[rational(4) for _ in range(nvars)] for _ in range(nrows)],
             [rng.choice(["<=", ">=", "="]) for _ in range(nrows)],
             [rational(6) for _ in range(nrows)], lower, upper)
-        form = StandardForm(lp)
+        form = _standard_form(lp)
         if reference_tableau(lp) is None:
             crossed += 1
-            assert form.solve().status == "infeasible"
+            assert _solve(form, lp.rhs, lp.objective).status == "infeasible"
             continue
         other = replace(lp, rhs=tuple(rational(6) for _ in range(nrows)))
-        for rhs in (lp.rhs, other.rhs):
-            rows = reference_tableau(replace(lp, rhs=rhs))
-            assert form.tableau(int_row(rhs)) == rows
-            flipped += any(b < s for b, s in zip(rhs, form.shift))
+        for ref in (lp, other):
+            assert form.tableau(_pairs(ref.rhs)) == reference_tableau(ref)
+            flipped += any(b < 0 for b in reference_shifted_rhs(ref))
         # one form serves any number of solves
-        assert form.solve(other.rhs) == solve_lp(other)
-        assert form.solve() == solve_lp(lp)
+        assert _solve(form, other.rhs, lp.objective) == solve_lp(other)
+        assert _solve(form, lp.rhs, lp.objective) == solve_lp(lp)
         # the value read off the cost row is the objective at x
         negated = tuple(-c for c in lp.objective)
-        for rhs, obj in ((None, lp.objective), (other.rhs, lp.objective),
-                         (None, negated), (other.rhs, negated)):
-            sol = form.solve(rhs, obj)
+        for rhs, obj in ((lp.rhs, lp.objective), (other.rhs, lp.objective),
+                         (lp.rhs, negated), (other.rhs, negated)):
+            sol = _solve(form, rhs, obj)
             if sol.status == "optimal":
                 solved += 1
                 assert sol.objective_value == sum(
@@ -319,13 +343,14 @@ def test_bland_pivot_path_golden():
 @pytest.mark.parametrize("call, error, message", [
     (lambda form: form.tableau(()), ValueError,
      "rhs length does not match row count"),
-    (lambda form: form.solve(rhs=()), ValueError,
+    (lambda form: form.solve_rows((), [1, 1, 1]), ValueError,
      "rhs length does not match row count"),
-    (lambda form: form.solve(objective=(Fraction(1),)), ValueError,
+    (lambda form: form.solve_rows([(1, 1)], [1, 1]), ValueError,
      "objective length does not match variable count"),
     (solve_lp, TypeError, "expected a LinearProgram"),
 ], ids=["tableau-rhs", "solve-rhs", "solve-objective", "solve-lp-type"])
 def test_standard_form_argument_errors(call, error, message):
-    form = StandardForm(linear_program([1, 1], [[1, 1]], ["<="], [1]))
+    # the rows of linear_program([1, 1], [[1, 1]], ["<="], [1])
+    form = StandardForm([[1, 1, 1]], ["<="], [0, 0], [None, None])
     with pytest.raises(error, match=message):
         call(form)
