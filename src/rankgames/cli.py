@@ -90,8 +90,11 @@ def cmd_gen(args):
 
 
 def _components_results(game, eqset):
-    rank_a = matrix_rank(game.a)
-    rank_b = matrix_rank(game.b)
+    # rank b^T = rank b, and the integer rows are a and b^T over one
+    # denominator each
+    a_rows, _, bt_rows, _ = game._int_form
+    rank_a = matrix_rank(a_rows)
+    rank_b = matrix_rank(bt_rows)
     k = max(rank_a, rank_b)
     bound = None
     if game.m == game.n and k + 1 <= game.m:

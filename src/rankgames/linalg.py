@@ -88,31 +88,41 @@ def reduced(row):
 
 
 def pivot(rows, r, col):
-    """One exact Gauss-Jordan step on a list of integer rows, in place.
+    """One exact exchange step on a list of dictionary rows, in place.
 
     A row is a list of Python ints, the numerators and then one positive
-    row denominator (see int_row), divided by its gcd. Row r is scaled so
-    its col entry is 1, then col is cleared from every other row, all in
-    integer arithmetic. Changed rows are replaced by new lists, never
-    mutated, so a reference to an earlier row stays valid. This is the
-    package's only elimination kernel: rank, solve, rank factorization, the
-    simplex and the vertex walk differ only in how they choose (r, col).
+    row denominator (see int_row), divided by its gcd. Each row expresses
+    one basic variable in the nonbasic ones, and its entries are the
+    coefficients of the nonbasic variables, one slot each, then the
+    right-hand side; a basic variable has no column. The step lets the
+    variable of slot col enter row r's basis, and the variable that leaves
+    takes slot col. Row r is scaled so its col entry is 1, and col is
+    cleared from every other row, all in integer arithmetic; the leaving
+    variable's column, a unit column until now, lands in slot col. Changed
+    rows are replaced by new lists, never mutated, so a reference to an
+    earlier row stays valid. This is the package's only elimination
+    kernel: rank, solve, rank factorization, the simplex and the vertex
+    walk differ only in how they choose (r, col).
 
     A row of denominator den and col entry f becomes (p/g) row - (f/g) prow
     over (p/g) den, where prow is the scaled pivot row, p = prow[col] its
-    denominator and g = gcd(p, f). The subtraction runs only on the
-    columns where prow is nonzero; slack, artificial and block-diagonal
-    columns make the others most of a tableau. Each row keeps its own
-    denominator: a Bareiss tableau with one common determinant would
-    rescale every row at every pivot, rows with f == 0 included.
+    denominator and g = gcd(p, f). The pivot row's slot col is first set to
+    sign * den, the leaving column's entry there, and every other row's
+    slot col to 0, its entry in the leaving column before the step; the
+    subtraction then runs only on the columns where prow is nonzero. A
+    full tableau would also carry each basic variable's unit column, 0 or
+    the row's own denominator, which leaves a row's gcd as it is: every
+    slot holds the integer the full tableau holds in that column. Each row
+    keeps its own denominator: a Bareiss tableau with one common
+    determinant would rescale every row at every pivot, rows with f == 0
+    included.
     """
-    prow = rows[r]
-    if prow[col] != prow[-1]:
-        sign = 1 if prow[col] > 0 else -1
-        prow = [sign * e for e in prow[:-1]]
-        prow.append(prow[col])
-        rows[r] = prow = reduced(prow)
-    p = prow[col]
+    a, den = rows[r][col], rows[r][-1]
+    prow = [-e for e in rows[r][:-1]] if a < 0 else rows[r][:-1]
+    prow[col] = den if a > 0 else -den
+    prow.append(abs(a))
+    rows[r] = prow = reduced(prow)
+    p = prow[-1]
     support = [(j, b) for j, b in enumerate(prow[:-1]) if b]
     for i, row in enumerate(rows):
         if i != r:
@@ -121,6 +131,7 @@ def pivot(rows, r, col):
                 g = gcd(p, f)
                 q, s = p // g, f // g
                 row = [q * e for e in row] if q != 1 else row[:]
+                row[col] = 0
                 for j, b in support:
                     row[j] -= s * b
                 rows[i] = reduced(row)
@@ -146,8 +157,29 @@ def min_ratio_rows(rows, candidates, col):
 
 
 def matrix_rank(matrix):
-    """Exact rank: the pair count of rank_factorize."""
-    return rank_factorize(matrix).rank
+    """Exact rank: the pivot count of one elimination on integer rows.
+
+    Columns are scanned left to right, and in each the first remaining row
+    with a nonzero entry is the pivot and leaves after its step, as in
+    rank_factorize, but no pair is built. A nonempty list of equal-length,
+    nonempty rows of Python ints, such as a game's integer form, is taken
+    over denominator 1 as it is; any other matrix goes through
+    fraction_matrix and int_row first.
+    """
+    if (isinstance(matrix, list) and matrix and matrix[0]
+            and all(len(row) == len(matrix[0])
+                    and all(type(e) is int for e in row) for row in matrix)):
+        rows = [[*row, 1] for row in matrix]
+    else:
+        rows = [int_row(row) for row in fraction_matrix(matrix).tolist()]
+    rank = 0
+    for col in range(len(rows[0]) - 1):
+        k = next((k for k, row in enumerate(rows) if row[col]), None)
+        if k is not None:
+            pivot(rows, k, col)
+            del rows[k]
+            rank += 1
+    return rank
 
 
 def solve_linear_system(a, b):
@@ -155,6 +187,9 @@ def solve_linear_system(a, b):
 
     Returns a tuple of Fractions, or None when the system has no unique
     solution (singular matrix, whether inconsistent or underdetermined).
+    Column col is brought into the basis of row col, so the right-hand
+    sides end up as the solution; each step reads only the columns not yet
+    brought in and the right-hand side.
     """
     a = fraction_matrix(a)
     n, nc = a.shape
@@ -207,11 +242,13 @@ def rank_factorize(matrix):
     Columns are scanned left to right, and in each the first remaining row
     of the residual with a nonzero entry is the pivot. Rows are never
     swapped, and each pivot row leaves the list after its step, so the list
-    always holds the residual of the peel so far. Each pivot gives one pair
-    (u, v): u is the pivot column of the residual taken before the step,
-    with 0 on the rows already peeled, and v is the pivot row divided by the
-    pivot. Each pair is scaled so the first nonzero entry of its u, which is
-    the pivot itself, is positive. The pair count is the exact rank.
+    always holds the residual of the peel so far on the columns not yet
+    scanned. Each pivot gives one pair (u, v): u is the pivot column of the
+    residual taken before the step, with 0 on the rows already peeled, and
+    v is the pivot row divided by the pivot, read on the columns after the
+    pivot's: it is 0 on the earlier columns and 1 on the pivot's own. Each
+    pair is scaled so the first nonzero entry of its u, which is the pivot
+    itself, is positive. The pair count is the exact rank.
     """
     mat = fraction_matrix(matrix)
     m = mat.shape[0]
@@ -227,8 +264,9 @@ def rank_factorize(matrix):
                     u[i] = Fraction(sign * rest[col], rest[-1])
                 pivot(rows, k, col)
                 v = rows.pop(k)
-                pairs.append((tuple(u),
-                              tuple(Fraction(sign * e, v[-1]) for e in v[:-1])))
+                pairs.append((tuple(u), (Fraction(0),) * col + (
+                    Fraction(sign),
+                    *(Fraction(sign * e, v[-1]) for e in v[col + 1:-1]))))
                 del left[k]
                 break
     return RankFactorization(shape=mat.shape, pairs=tuple(pairs))

@@ -89,28 +89,40 @@ def linear_program(objective, lhs, senses, rhs, lower=None, upper=None):
     )
 
 
-def _price_out(tableau, zrow, basis):
-    """Append the integer cost row zrow to the tableau and price out the
-    basic columns. Each is a unit column of the constraint rows, so no
-    pivot changes the cost row's entry in another basic column: only the
-    columns where zrow is nonzero need a pivot."""
-    tableau.append(zrow)
-    for i, b in enumerate(basis):
-        if zrow[b]:
-            pivot(tableau, i, b)
+def _price_out(tableau, zrow, basis, nonbasic):
+    """Append the cost row of the integer row zrow, whose entries run over
+    all the variables in index order before its right-hand side and
+    denominator, priced out on the basis: over the nonbasic slots it is
+    c_N - sum_b c_b row_b, with c the entries of zrow, the sum running over
+    the basic variables whose cost is nonzero. A full tableau would price
+    these out with one pivot each; here it is one integer row combination
+    over the lcm of their rows' denominators, then reduced."""
+    priced = [(zrow[b], row) for b, row in zip(basis, tableau) if zrow[b]]
+    big = lcm(*(row[-1] for _, row in priced))
+    out = [zrow[j] * big for j in nonbasic]
+    out.append(zrow[-2] * big)
+    for c, row in priced:
+        s = c * (big // row[-1])
+        out = [e - s * f for e, f in zip(out, row)]
+    out.append(zrow[-1] * big)
+    tableau.append(reduced(out))
 
 
-def _iterate(tableau, basis, ncols):
+def _iterate(tableau, basis, nonbasic):
     """Run Bland-rule simplex iterations; return 'optimal' or 'unbounded'.
 
-    The constraint rows come first, one per basis entry; the last row holds
-    the reduced costs, so one pivot updates both. Rows are integer rows
-    (linalg.int_row): signs are read off the ints. Of the rows tied at the
-    minimum ratio, the one with the least basic variable leaves.
+    The tableau is in dictionary form: the constraint rows come first, row
+    i expressing basic variable basis[i] over the nonbasic variables, slot
+    j holding variable nonbasic[j]; the last row holds the reduced costs,
+    so one pivot updates both. Rows are integer rows (linalg.int_row):
+    signs are read off the ints. Bland's rule runs on variable indices, not
+    slots: the lowest-indexed nonbasic variable with a negative reduced
+    cost enters, and of the rows tied at the minimum ratio, the one with
+    the least basic variable leaves and takes the entering slot.
     """
     while True:
-        zrow = tableau[-1]
-        col = next((j for j in range(ncols) if zrow[j] < 0), None)
+        col = min((j for j, e in enumerate(tableau[-1][:-2]) if e < 0),
+                  key=nonbasic.__getitem__, default=None)
         if col is None:
             return "optimal"
         tied = min_ratio_rows(tableau, range(len(basis)), col)
@@ -118,7 +130,7 @@ def _iterate(tableau, basis, ncols):
             return "unbounded"
         leave = min(tied, key=basis.__getitem__)
         pivot(tableau, leave, col)
-        basis[leave] = col
+        basis[leave], nonbasic[col] = nonbasic[col], basis[leave]
 
 
 class StandardForm:
@@ -133,16 +145,19 @@ class StandardForm:
     const + a signed sum of nonnegative standard columns (terms), and each
     constraint row, the LP's rows and then one row per finite upper bound
     of a lower-bounded variable, gets its slack column. rows[i] is the
-    integer row of row i's standard columns and slack, without its
-    right-hand side, and slack[i] is its (column, sign) or None for an
-    equality. const and bound_rhs, the bound rows' right-hand sides, are
-    (numerator, denominator) int pairs, as are the right-hand sides that
-    tableau and solve_rows take. An upper bound below its lower bound
-    gives a bound row with a negative right-hand side, which phase 1 finds
-    infeasible.
+    integer row of row i's standard columns, without its slack or its
+    right-hand side, and slack[i] is its slack's (column, sign) or None
+    for an equality: a slack column is +-1 on its own row and 0 on the
+    others, so the rows leave it out, and tableau writes it only when the
+    slack starts nonbasic. const and bound_rhs, the bound rows' right-hand
+    sides, are (numerator, denominator) int pairs, as are the right-hand
+    sides that tableau and solve_rows take. An upper bound below its lower
+    bound gives a bound row with a negative right-hand side, which phase 1
+    finds infeasible.
 
     solve_rows takes and returns integer rows and pairs, and is what the
-    grid's cells and solve_lp call.
+    grid's cells and solve_lp call. Its simplex runs on dictionary rows
+    (linalg.pivot): no row carries a column for a basic variable.
     """
 
     def __init__(self, lhs, senses, lower, upper):
@@ -168,16 +183,15 @@ class StandardForm:
                 nstd += 2
         shifted = [(j, c) for j, c in enumerate(const) if c]
 
-        # each standard column belongs to one variable and a slack is +-1,
-        # so a row's integer form is its LP row's ints scattered onto the
-        # columns, with the slack at +-den; the constants shift row i's
-        # right-hand side by the pair kept in _shifted
+        # each standard column belongs to one variable, so a row's integer
+        # form is its LP row's ints scattered onto the columns; the
+        # constants shift row i's right-hand side by the pair kept in
+        # _shifted
         senses = tuple(senses) + ("<=",) * len(bound_rows)
-        ncols = nstd + sum(1 for sense in senses if sense != "=")
         rows = []
         shifts = []
         for i, coef in enumerate(lhs):
-            row = [0] * ncols + [coef[-1]]
+            row = [0] * nstd + [coef[-1]]
             for a, ts in zip(coef, terms):
                 if a:
                     for t, sign in ts:
@@ -187,24 +201,22 @@ class StandardForm:
             if s:
                 shifts.append((i, s.numerator, s.denominator))
         for t, _ in bound_rows:
-            row = [0] * ncols + [1]
+            row = [0] * nstd + [1]
             row[t] = 1
             rows.append(row)
         slack = []
         k = nstd
-        for row, sense in zip(rows, senses):
+        for sense in senses:
             if sense == "=":
                 slack.append(None)
             else:
-                sign = 1 if sense == "<=" else -1
-                row[k] = sign * row[-1]
-                slack.append((k, sign))
+                slack.append((k, 1 if sense == "<=" else -1))
                 k += 1
 
         self.const = tuple((c.numerator, c.denominator) for c in const)
         self.terms = tuple(terms)
         self.nstd = nstd
-        self.ncols = ncols
+        self.ncols = k
         self.rows = tuple(rows)
         self._shifted = tuple(shifts)
         self.bound_rhs = tuple((ub.numerator, ub.denominator)
@@ -212,16 +224,22 @@ class StandardForm:
         self.slack = tuple(slack)
 
     def tableau(self, rhs):
-        """The integer rows, crash basis and artificial count of phase 1
-        for the right-hand sides of the LP's rows, given as one
-        (numerator, positive denominator) pair per row.
+        """The dictionary rows, crash basis, nonbasic variables and
+        artificial count of phase 1 for the right-hand sides of the LP's
+        rows, given as one (numerator, positive denominator) pair per row.
 
         A row whose right-hand side is negative is negated first. Then a
         +1 slack starts basic and every other row gets an artificial
-        column, numbered in row order after the ncols standard and slack
-        columns. A row's integer form is its rows[i] rescaled to the lcm of
-        its denominator and that of the right-hand side in lowest terms, so
-        it equals int_row of the row's Fractions.
+        variable, numbered in row order after the ncols standard and slack
+        columns. The basis is one variable per row, and the nonbasic list,
+        one variable per slot, is the standard columns and then the slacks
+        that do not start basic, in index order; every artificial starts
+        basic. A row holds its entries in the nonbasic slots, then its
+        right-hand side and its denominator: its rows[i] rescaled to the
+        lcm of its denominator and that of the right-hand side in lowest
+        terms, so it equals int_row of the row's Fractions over the
+        nonbasic columns (a basic column holds 0 or 1 and leaves the row's
+        gcd as it is).
         """
         if len(rhs) + len(self.bound_rhs) != len(self.rows):
             raise ValueError("rhs length does not match row count")
@@ -232,15 +250,22 @@ class StandardForm:
             bs[i] = (b * q - p * den, den * q)
         bs += self.bound_rhs
         basis = []
+        nonbasic = list(range(self.nstd))
+        slots = []  # the slot of each row's slack when it is nonbasic
         nart = 0
         for slack, (b, _) in zip(self.slack, bs):
             if slack is not None and (slack[1] > 0) != (b < 0):
                 basis.append(slack[0])
+                slots.append(None)
             else:
                 basis.append(ncols + nart)
                 nart += 1
+                slots.append(None if slack is None else len(nonbasic))
+                if slack is not None:
+                    nonbasic.append(slack[0])
+        zeros = [0] * (len(nonbasic) - self.nstd)
         rows = []
-        for coef, (b, bden), col in zip(self.rows, bs, basis):
+        for coef, (b, bden), at in zip(self.rows, bs, slots):
             g = gcd(b, bden)
             if g != 1:
                 b, bden = b // g, bden // g
@@ -250,13 +275,15 @@ class StandardForm:
             if b < 0:
                 scale = -scale
             row = [scale * e for e in coef[:-1]] if scale != 1 else coef[:-1]
-            row += [0] * nart
-            if col >= ncols:
-                row[col] = big
+            row += zeros
+            if at is not None:
+                # a slack is nonbasic only when its sign, after the
+                # negation, is -1
+                row[at] = -big
             row.append(abs(b) * (big // bden))
             row.append(big)
             rows.append(row)
-        return rows, basis, nart
+        return rows, basis, nonbasic, nart
 
     def solve_rows(self, rhs, cost):
         """Solve for the right-hand sides of the LP's rows, one
@@ -275,22 +302,30 @@ class StandardForm:
         if len(cost) != len(self.terms) + 1:
             raise ValueError("objective length does not match variable count")
         ncols = self.ncols
-        rows, basis, nart = self.tableau(rhs)
+        rows, basis, nonbasic, nart = self.tableau(rhs)
         if nart:
-            _price_out(rows, [0] * ncols + [1] * nart + [0, 1], basis)
-            _iterate(rows, basis, ncols + nart)
+            _price_out(rows, [0] * ncols + [1] * nart + [0, 1], basis,
+                       nonbasic)
+            _iterate(rows, basis, nonbasic)
             if rows.pop()[-2] < 0:
                 return "infeasible", None, None
-            # pivot leftover artificials out; an all-zero row is redundant
+            # pivot leftover artificials out on the lowest-indexed
+            # non-artificial variable with a nonzero entry; a row with none
+            # is redundant
             for i in range(len(rows)):
                 if basis[i] >= ncols:
-                    col = next((j for j in range(ncols) if rows[i][j] != 0), None)
-                    if col is not None:
-                        pivot(rows, i, col)
-                        basis[i] = col
-            keep = [i for i in range(len(rows)) if basis[i] < ncols]
-            rows = [reduced(rows[i][:ncols] + rows[i][-2:]) for i in keep]
-            basis = [basis[i] for i in keep]
+                    row = rows[i]
+                    j = min((j for j, v in enumerate(nonbasic)
+                             if v < ncols and row[j]),
+                            key=nonbasic.__getitem__, default=None)
+                    if j is not None:
+                        pivot(rows, i, j)
+                        basis[i], nonbasic[j] = nonbasic[j], basis[i]
+            keep = [j for j, v in enumerate(nonbasic) if v < ncols]
+            rows = [reduced([row[j] for j in keep] + row[-2:])
+                    for row, b in zip(rows, basis) if b < ncols]
+            basis = [b for b in basis if b < ncols]
+            nonbasic = [nonbasic[j] for j in keep]
 
         # each standard column belongs to one variable, so the cost row
         # over them is the variables' row with signs: int_row of the
@@ -300,8 +335,8 @@ class StandardForm:
             if c:
                 for t, sign in terms:
                     zrow[t] = c if sign > 0 else -c
-        _price_out(rows, zrow, basis)
-        if _iterate(rows, basis, ncols) == "unbounded":
+        _price_out(rows, zrow, basis, nonbasic)
+        if _iterate(rows, basis, nonbasic) == "unbounded":
             return "unbounded", None, None
 
         std = [(0, 1)] * self.nstd

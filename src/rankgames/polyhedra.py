@@ -170,47 +170,41 @@ def build_polyhedra(game):
 
 
 def _start_tableau(poly):
-    """The walk's start tableau in slack space, written down from the
+    """The walk's start dictionary in slack space, written down from the
     payoff rows M = poly.payoff over D = poly.den.
 
     The start basis is the first pure strategy with its best response r*,
     the lowest-indexed row among those tied at the largest payoff against
-    strategy 1. Its nonbasic slacks are r*'s and those of the nonnegativity
-    rows of strategies 2.., which are x_2, x_3, ... themselves. So
+    strategy 1. Its nonbasic slacks are those of the nonnegativity rows of
+    strategies 2.., which are x_2, x_3, ... themselves, and r*'s. So
     x_1 = 1 - sum_{i>=2} x_i, the payoff is v = M_{r*} x / D + s_{r*}, and
     every other best-response row r has s_r = v - M_r x / D. Each is an
-    integer row in the nonbasic slacks, with the right-hand side at
-    row[-2]: one per basic slack (x_1's nonnegativity row and every
-    best-response row but r*'s), in row order, then the payoff row.
+    integer row over the nonbasic slacks, one slot each in that order
+    (x_2, ..., then s_{r*}), with the right-hand side at row[-2]: one per
+    basic slack (x_1's nonnegativity row and every best-response row but
+    r*'s), in row order, then the payoff row.
 
-    Returns (rows, basic), basic[t] being the row whose slack is basic in
-    tableau row t; the payoff row, last, has none.
+    Returns (rows, basic, nonbasic): basic[t] is the row whose slack is
+    basic in tableau row t, and nonbasic[j] the row whose slack holds
+    slot j; the payoff row, last, has no basic slack.
     """
     payoff, den, slen = poly.payoff, poly.den, poly.strategy_len
-    width = len(poly.labels) + 2
     nonneg = min(poly.nonneg_labels) - 1  # strategy i's row is nonneg + i
     br = min(poly.br_labels) - 1  # response r's row is br + r
     first = [row[0] for row in payoff]
     best = first.index(max(first))
     top = payoff[best]
-    value = [0] * width
-    value[nonneg + 1:nonneg + slen] = [top[0] - e for e in top[1:]]
-    value[br + best] = -den
-    value[-2:] = top[0], den
-    x1 = [0] * width
-    x1[nonneg:nonneg + slen] = [1] * slen
-    x1[-2:] = 1, 1
-    start = {nonneg: x1}
+    value = [top[0] - e for e in top[1:]] + [-den, top[0], den]
+    start = {nonneg: [1] * (slen - 1) + [0, 1, 1]}
     for r, resp in enumerate(payoff):
         if r != best:
-            row = value[:]
-            for i in range(1, slen):
-                row[nonneg + i] -= resp[0] - resp[i]
-            row[br + r] = den
-            row[-2] -= resp[0]
+            row = [v - resp[0] + e for v, e in zip(value, resp[1:])]
+            row += [-den, top[0] - resp[0], den]
             start[br + r] = row
     basic = sorted(start)
-    return [reduced(start[s]) for s in basic] + [reduced(value)], basic
+    nonbasic = [nonneg + i for i in range(1, slen)] + [br + best]
+    return ([reduced(start[s]) for s in basic] + [reduced(value)], basic,
+            nonbasic)
 
 
 def enumerate_vertices(poly):
@@ -218,15 +212,19 @@ def enumerate_vertices(poly):
 
     Pivot walk over the feasible bases, in slack space. Each inequality
     row r has a slack s_r >= 0, and x_i is itself the slack of strategy
-    i's nonnegativity row, so the tableau needs no coordinate columns: it
-    has one row per basic slack and the payoff row, which expresses v and
-    which the ratio test never reads (_start_tableau writes it down from
-    the payoff rows; ineqs is never read). A basis is the set of
-    strategy_len rows whose slacks are nonbasic, kept as a bitmask with bit
-    r for row r. From each basis every nonbasic slack is tried as the
-    entering variable, and every basic slack row tied at the minimum ratio
-    gives a neighbour, degenerate ratio-0 pivots included; a seen-set of
-    these masks makes each basis pivot into the walk once.
+    i's nonnegativity row, so the tableau needs no coordinate columns. It
+    is a dictionary: one row per basic slack and the payoff row, which
+    expresses v and which the ratio test never reads, each over the
+    strategy_len nonbasic slacks, one slot each (_start_tableau writes it
+    down from the payoff rows; ineqs is never read). A basis is the set of
+    rows whose slacks are nonbasic, kept as a bitmask with bit r for row r,
+    beside the list of the basic rows, one per tableau row, and the list of
+    the nonbasic rows, one per slot. From each basis every nonbasic slack
+    is tried as the entering variable, in ascending row order, and every
+    basic slack row tied at the minimum ratio gives a neighbour, degenerate
+    ratio-0 pivots included; the leaving slack takes the entering one's
+    slot. A seen-set of the masks makes each basis pivot into the walk
+    once.
 
     A basis's tight mask is its nonbasic rows plus the basic slacks at 0.
     It is the set of rows tight at the basis's point, and at a vertex it
@@ -255,42 +253,36 @@ def enumerate_vertices(poly):
     """
     d = poly.dim
     nonneg = sorted(label - 1 for label in poly.nonneg_labels)
-    rows, basic = _start_tableau(poly)
+    rows, basic, nonbasic = _start_tableau(poly)
     slack_rows = range(len(basic))
-    nonbasic = (1 << len(poly.labels)) - 1
-    for i in basic:
-        nonbasic ^= 1 << i
-    seen = {nonbasic}
-    queue = deque([(rows, basic, nonbasic)])
+    mask = sum(1 << i for i in nonbasic)
+    seen = {mask}
+    queue = deque([(rows, basic, nonbasic, mask)])
     found = {}
     while queue:
-        rows, basic, nonbasic = queue.popleft()
-        tight = nonbasic
+        rows, basic, nonbasic, mask = queue.popleft()
+        tight = mask
         for r, i in enumerate(basic):
             if rows[r][-2] == 0:
                 tight |= 1 << i
         if tight not in found:
-            coords = [(0, 1) if nonbasic >> i & 1
+            coords = [(0, 1) if mask >> i & 1
                       else tuple(rows[basic.index(i)][-2:]) for i in nonneg]
             coords.append(tuple(rows[-1][-2:]))
             found[tight] = PolyhedronVertex._walked(tuple(coords), tight)
-        rest = nonbasic
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
+        for j, col in sorted(zip(nonbasic, range(len(nonbasic)))):
             # no row at all is an unbounded edge
-            for r in min_ratio_rows(rows, slack_rows, j):
-                key = nonbasic ^ low | 1 << basic[r]
+            for r in min_ratio_rows(rows, slack_rows, col):
+                key = mask ^ 1 << j | 1 << basic[r]
                 if key in seen:
                     continue
                 check_work(d + len(seen), "or more bases in a vertex walk")
                 seen.add(key)
                 step = list(rows)
-                pivot(step, r, j)
-                entered = basic[:]
-                entered[r] = j
-                queue.append((step, entered, key))
+                pivot(step, r, col)
+                entered, left = basic[:], nonbasic[:]
+                entered[r], left[col] = j, basic[r]
+                queue.append((step, entered, left, key))
     return tuple(sorted(found.values(), key=_BY_POINT))
 
 

@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from rankgames import BimatrixGame, MixedProfile, linear_program, make_report
 from rankgames.approx import _geometric_axis, _interval_axis
 from rankgames.linalg import (
     fraction_vector,
     int_row,
-    pivot,
     reduced,
     solve_linear_system,
 )
@@ -184,7 +184,7 @@ def reference_walk_start(poly):
     coord_rows = []
     for c in range(d):
         r = next(r for r in free if rows[r][c] != 0)
-        pivot(rows, r, c)
+        full_pivot(rows, r, c)
         free.remove(r)
         coord_rows.append(r)
     rows = [reduced(row[d:]) for row in rows]
@@ -192,17 +192,85 @@ def reference_walk_start(poly):
     return [rows[r] for r in basic] + [rows[coord_rows[-1]]], basic
 
 
-def dense_pivot(rows, r, col):
-    """Reference Gauss-Jordan step: the full-width update, on new lists.
+def full_pivot(rows, r, col):
+    """Reference Gauss-Jordan step on full-tableau integer rows, in place:
+    the kernel as it was before it moved to dictionary rows.
 
-    Row r is divided by its col entry and every other row has that multiple
-    of it subtracted on every column, zero or not. linalg.pivot must give
-    exactly these rows.
+    A row is a list of Python ints, the numerators and then one positive
+    row denominator, divided by its gcd, with a column for every variable,
+    basic or not. Row r is scaled so its col entry is 1, then col is
+    cleared from every other row; changed rows are replaced by new lists.
+    linalg.pivot on the dictionary rows must leave these rows restricted
+    to the nonbasic columns (dictionary_rows), integer for integer.
+    """
+    prow = rows[r]
+    if prow[col] != prow[-1]:
+        sign = 1 if prow[col] > 0 else -1
+        prow = [sign * e for e in prow[:-1]]
+        prow.append(prow[col])
+        rows[r] = prow = reduced(prow)
+    p = prow[col]
+    support = [(j, b) for j, b in enumerate(prow[:-1]) if b]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            if f:
+                g = gcd(p, f)
+                q, s = p // g, f // g
+                row = [q * e for e in row] if q != 1 else row[:]
+                for j, b in support:
+                    row[j] -= s * b
+                rows[i] = reduced(row)
+
+
+def full_rows(rows, basis, nonbasic):
+    """The full-tableau integer rows of dictionary rows: constraint row i
+    has its entries on the nonbasic columns, its denominator on basis[i]'s
+    column and 0 on the other basic ones; a row past the constraint rows
+    (a cost row) is 0 on every basic column."""
+    width = len(basis) + len(nonbasic)
+    out = []
+    for i, row in enumerate(rows):
+        full = [0] * width + row[-2:]
+        for v, e in zip(nonbasic, row):
+            full[v] = e
+        if i < len(basis):
+            full[basis[i]] = row[-1]
+        out.append(full)
+    return out
+
+
+def dictionary_rows(rows, nonbasic):
+    """Full-tableau rows restricted to the nonbasic columns, in slot
+    order, then the right-hand side and the denominator; not reduced, so
+    comparing with linalg.pivot's rows also checks that the dropped basic
+    columns left each row's gcd as it was."""
+    return [[row[v] for v in nonbasic] + row[-2:] for row in rows]
+
+
+def dense_pivot(rows, r, col):
+    """Reference exchange step in Fractions: the full-width update, on new
+    lists.
+
+    Row r is divided by its col entry p and every other row has that
+    multiple of it subtracted on every column, zero or not. Column col,
+    the entering variable's, then holds the leaving variable's column: 1/p
+    on row r and -f/p on a row whose col entry was f. linalg.pivot must
+    give exactly these rows.
     """
     p = rows[r][col]
     prow = [e / p for e in rows[r]]
-    return [prow if i == r else [a - row[col] * b for a, b in zip(row, prow)]
-            for i, row in enumerate(rows)]
+    prow[col] = 1 / p
+    out = []
+    for i, row in enumerate(rows):
+        if i == r:
+            out.append(prow)
+        else:
+            f = row[col]
+            new = [a - f * b for a, b in zip(row, prow)]
+            new[col] = -f / p
+            out.append(new)
+    return out
 
 
 def reference_tableau(lp):
@@ -213,9 +281,11 @@ def reference_tableau(lp):
     gets its slack and its right-hand side minus the constants' shift, a
     row with a negative right-hand side is negated, a +1 slack starts basic
     and every other row gets an artificial column, and each full row
-    becomes an integer row only at the end. Returns (rows, basis, number
-    of artificials), or None when an upper bound lies below its lower
-    bound. lp.StandardForm.tableau must give exactly these rows.
+    becomes an integer row only at the end. Returns (rows, basis,
+    nonbasic, number of artificials), the full rows restricted to the
+    nonbasic columns in index order (dictionary_rows), or None when an
+    upper bound lies below its lower bound. lp.StandardForm.tableau must
+    give exactly these.
     """
     terms, bound_rows = [], []
     nstd = 0
@@ -265,7 +335,8 @@ def reference_tableau(lp):
     for row, col in zip(rows, basis):
         ext = [Fraction(int(col == c)) for c in range(ncols, ncols + nart)]
         out.append(int_row(row[:-1] + ext + [row[-1]]))
-    return out, basis, nart
+    nonbasic = [c for c in range(ncols + nart) if c not in basis]
+    return dictionary_rows(out, nonbasic), basis, nonbasic, nart
 
 
 def reference_shifted_rhs(lp):
@@ -280,12 +351,13 @@ def reference_shifted_rhs(lp):
 
 
 def reference_price_out(tableau, zrow, basis):
-    """Reference pricing: append the integer cost row zrow and pivot on
-    every basic column, whether its cost entry is zero or not.
-    lp._price_out must leave exactly these rows."""
+    """Reference pricing on a full tableau: append the integer cost row
+    zrow and pivot on every basic column, whether its cost entry is zero
+    or not. Restricted to the nonbasic columns (dictionary_rows), these
+    are the rows lp._price_out must leave."""
     tableau.append(zrow)
     for i, b in enumerate(basis):
-        pivot(tableau, i, b)
+        full_pivot(tableau, i, b)
 
 
 def reference_grid_cells(game, eps, scheme, decomp=None):

@@ -323,9 +323,9 @@ def test_grid_rows_match_reference_builder(monkeypatch):
         calls.append((form, rhs, cost, []))
         return solve_rows(form, rhs, cost)
 
-    def priced(rows, zrow, basis):
+    def priced(rows, zrow, basis, nonbasic):
         calls[-1][3].append(list(zrow))
-        price_out(rows, zrow, basis)
+        price_out(rows, zrow, basis, nonbasic)
 
     monkeypatch.setattr(StandardForm, "solve_rows", record)
     monkeypatch.setattr(lp_module, "_price_out", priced)

@@ -26,7 +26,12 @@ from rankgames import (
 from rankgames import linalg, lp, polyhedra
 from rankgames.linalg import int_row, pivot
 
-from helpers import dense_pivot, random_matrix
+from helpers import (
+    dense_pivot,
+    dictionary_rows,
+    full_pivot,
+    random_matrix,
+)
 
 
 def test_as_fraction_accepts_exact_inputs():
@@ -74,8 +79,17 @@ def test_matrix_rank_matches_float_rank_on_random_int_matrices():
     rng = random.Random(20260819)
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        mat = fraction_matrix(random_matrix(rng, m, n, -4, 4))
+        ints = random_matrix(rng, m, n, -4, 4)
+        mat = fraction_matrix(ints)
         assert matrix_rank(mat) == np.linalg.matrix_rank(mat.astype(float))
+        # a list of rows of Python ints is eliminated as it is
+        assert matrix_rank(ints) == matrix_rank(mat)
+    # a list that is not a matrix of ints goes through fraction_matrix
+    assert matrix_rank([[1, "1/2"], [2, 1]]) == 1
+    with pytest.raises(ValueError, match="rows have unequal lengths"):
+        matrix_rank([[1, 2], [3]])
+    with pytest.raises(ValueError, match="at least one row"):
+        matrix_rank([[]])
 
 
 def test_solve_linear_system_exact():
@@ -271,6 +285,9 @@ def test_int_row_round_trip():
 
 
 def test_pivot_equals_dense_gauss_jordan_step():
+    # the dense Fraction oracle is the Gauss-Jordan step with the entering
+    # column replaced by the leaving variable's, as an exchange step leaves
+    # it
     hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
@@ -309,17 +326,64 @@ def test_pivot_never_mutates_a_row_it_replaces():
     check()
 
 
+def test_pivot_matches_full_tableau_on_exchange_chains():
+    # chains of 50 exchanges on seeded integer tableaux: after every step
+    # the dictionary rows equal, integer for integer, the full-tableau rows
+    # restricted to the nonbasic columns. The last row is a cost row, with
+    # no basic variable of its own. The samples take pivots on rows with a
+    # zero right-hand side, negative pivots, and rows with f == 0
+    rng = random.Random(2111)
+    ratio0 = negative = untouched = steps = 0
+    for _ in range(40):
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        rows, full = [], []
+        for i in range(m + 1):
+            entries = [Fraction(rng.choice([0, 0, rng.randint(-9, 9)]),
+                                rng.randint(1, 6)) for _ in range(n)]
+            rhs = Fraction(rng.choice([0, rng.randint(-9, 9)]),
+                           rng.randint(1, 4))
+            unit = [Fraction(int(i == k)) for k in range(m)]
+            rows.append(int_row(entries + [rhs]))
+            full.append(int_row(entries + unit + [rhs]))
+        basis, nonbasic = list(range(n, n + m)), list(range(n))
+        for _ in range(50):
+            choices = [(r, j) for r in range(m) for j in range(n) if rows[r][j]]
+            if not choices:
+                break
+            r, j = rng.choice(choices)
+            ratio0 += rows[r][-2] == 0
+            negative += rows[r][j] < 0
+            untouched += sum(1 for row in rows if row[j] == 0)
+            pivot(rows, r, j)
+            full_pivot(full, r, nonbasic[j])
+            basis[r], nonbasic[j] = nonbasic[j], basis[r]
+            assert rows == dictionary_rows(full, nonbasic)
+            _assert_canonical(rows)
+            steps += 1
+    assert steps >= 1500
+    assert min(ratio0, negative, untouched) >= 200
+
+
 def test_pivot_path_length_pinned(monkeypatch):
     # the golden profiles pin where a run ends; these counts also pin how
-    # many elimination steps it takes to get there
+    # many elimination steps it takes to get there: kernel pivots, plus one
+    # row elimination per basic variable with a nonzero cost that a price-
+    # out folds into the cost row, as many as a full tableau would pivot on
     calls = []
 
     def counting(rows, r, col):
         calls.append(None)
         pivot(rows, r, col)
 
+    price_out = lp._price_out
+
+    def pricing(rows, zrow, basis, nonbasic):
+        calls.extend(None for b in basis if zrow[b])
+        price_out(rows, zrow, basis, nonbasic)
+
     for module in (linalg, lp, polyhedra):
         monkeypatch.setattr(module, "pivot", counting)
+    monkeypatch.setattr(lp, "_price_out", pricing)
 
     def count(run):
         calls.clear()

@@ -19,6 +19,8 @@ from rankgames.linalg import int_row
 from rankgames.lp import LpSolution, StandardForm
 
 from helpers import (
+    dictionary_rows,
+    full_rows,
     reference_price_out,
     reference_shifted_rhs,
     reference_tableau,
@@ -282,18 +284,21 @@ def test_standard_form_rows_match_reference_builder():
 
 
 def test_price_out_matches_pricing_every_basic_column(monkeypatch):
-    # _price_out pivots only on the basic columns with a nonzero cost; the
-    # others are unit columns whose cost entry no pivot changes, so pricing
-    # every basic column must leave the same rows, in phase 1 and phase 2
+    # _price_out folds in only the rows of the basic variables with a
+    # nonzero cost, in one row combination over the nonbasic slots; the
+    # reference pivots on every basic column of the full tableau, whose
+    # other basic columns are unit columns no pivot changes. Restricted to
+    # the nonbasic columns, the reference rows must be the dictionary rows
+    # integer for integer, in phase 1 and phase 2
     rng = random.Random(617)
     price_out = lp_module._price_out
     calls = []
 
-    def checked(tableau, zrow, basis):
-        expected = list(tableau)
+    def checked(tableau, zrow, basis, nonbasic):
+        expected = full_rows(tableau, basis, nonbasic)
         reference_price_out(expected, zrow, basis)
-        price_out(tableau, zrow, basis)
-        assert tableau == expected
+        price_out(tableau, zrow, basis, nonbasic)
+        assert tableau == dictionary_rows(expected, nonbasic)
         calls.append(None)
 
     monkeypatch.setattr(lp_module, "_price_out", checked)

@@ -19,6 +19,7 @@ from rankgames import (
 from helpers import (
     brute_force_bases,
     brute_force_vertices,
+    dictionary_rows,
     oracle_game_strategies,
     reference_vertex_order,
     reference_walk_start,
@@ -75,14 +76,14 @@ def test_polyhedra_compare_and_hash_by_their_game():
 
 
 def _check_start(poly):
-    rows, basic = polyhedra._start_tableau(poly)
+    # the reference rows, over every slack, restricted to the nonbasic
+    # slacks in _start_tableau's slot order, are the start rows integer
+    # for integer
+    rows, basic, nonbasic = polyhedra._start_tableau(poly)
     want_rows, want_basic = reference_walk_start(poly)
     assert basic == want_basic
-
-    def values(rows):
-        return [[Fraction(e, row[-1]) for e in row[:-1]] for row in rows]
-
-    assert values(rows) == values(want_rows)
+    assert sorted(basic + nonbasic) == list(range(len(poly.labels)))
+    assert rows == dictionary_rows(want_rows, nonbasic)
     first = [row[0] for row in poly.payoff]
     return first.count(max(first)) > 1
 
