@@ -126,16 +126,17 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
     role of the single s variable of the one-shot formulation, with m + n
     rows instead of m * n. factor_rows[t] is the integer row
     (linalg.int_row) of coefficients over (x, y); a cell picks one interval
-    from each axis and bounds the matching factor row by it. The LP
+    from each axis and bounds the matching factor row by it, an interval
+    being the triple (lo, hi, d) = int_row([lo / d, hi / d]). The LP
     minimizes cell_cost(cell), s1 + s2 minus a linear term in y, with
     s1 + s2 <= cap when cap is given. The LP's rows are written as integer
     rows from the game's integer form (game._int_form), each reduced, so
     each is int_row of its Fractions. Only the factor rows' right-hand
     sides and the objective differ between cells, so the standard form is
     built once (lp.StandardForm), and each cell passes its own to
-    StandardForm.solve_rows: an interval is kept as int_row([lo, hi]), a
-    cell's right-hand sides are the rows' own pairs and then (lo, d) and
-    (hi, d) for each interval, and cell_cost returns an integer row. Cells
+    StandardForm.solve_rows: a cell's right-hand sides are the rows' own
+    pairs and then (lo, d) and (hi, d) for each interval, and cell_cost
+    returns an integer row. Cells
     are walked in product order over the axes; with no axes (a zero-sum
     game) that is one cell with no factor rows. Infeasible cells are
     skipped. A cell's x and y are scored as integer rows,
@@ -168,7 +169,6 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
         senses += [">=", "<="]
     form = StandardForm(rows, senses, [0] * (m + n) + [None, None],
                         [None] * (m + n + 2))
-    axes = [[int_row(interval) for interval in axis] for axis in axes]
     best = None
     for cell in product(*axes):
         rhs = base + [p for lo, hi, d in cell for p in ((lo, d), (hi, d))]
@@ -209,7 +209,14 @@ def _axis(lo, hi, advance):
 
 
 def _interval_axis(lo, hi, step):
-    return _axis(lo, hi, lambda a: a + step)
+    """_axis(lo, hi, a -> a + step) in ints, each cell the reduced triple
+    (lo, hi, d) = int_row of its two Fraction ends: the ends are walked as
+    numerators over one common denominator, the lcm of the three given."""
+    den = lcm(lo.denominator, hi.denominator, step.denominator)
+    lo, hi, step = (v.numerator * (den // v.denominator)
+                    for v in (lo, hi, step))
+    return [tuple(reduced([a, b, den]))
+            for a, b in _axis(lo, hi, lambda a: a + step)]
 
 
 def approx_absolute(game, eps):
@@ -357,7 +364,8 @@ def approx_relative(game, eps, decomp=None):
         z_cells, z_deg = _geometric_axis(u_vec, eps)
         w_cells, w_deg = _geometric_axis(v_vec, eps)
         degraded = degraded or z_deg or w_deg
-        axes += [z_cells, w_cells]
+        axes += [[int_row(cell) for cell in cells]
+                 for cells in (z_cells, w_cells)]
         factor_rows += [int_row(list(u_vec) + zero_y),
                         int_row(zero_x + list(v_vec))]
     cost = int_row(zero_x + zero_y + [1, 1])

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import GameFormatError
 from .games import BimatrixGame, MixedProfile
@@ -20,32 +21,48 @@ def _content_lines(text):
     return out
 
 
-def _parse_fraction(token, where):
-    """The Fraction of a token, as Fraction(token) parses it. A token of an
-    optional sign and ASCII digits is read by int(), which skips
-    Fraction's regex; every other token, such as 1_000 (which int() takes
-    and some Fraction versions refuse) or non-ASCII digits, goes to
-    Fraction(token)."""
+def _parse_pair(token, where):
+    """The (numerator, positive denominator) of a token in lowest terms,
+    as Fraction(token) parses it. A token of an optional sign and ASCII
+    digits is read by int(), which skips Fraction's regex; every other
+    token, such as 1_000 (which int() takes and some Fraction versions
+    refuse) or non-ASCII digits, goes to Fraction(token)."""
     digits = token[1:] if token[:1] in ("+", "-") else token
     try:
         if digits.isascii() and digits.isdigit():
-            return Fraction(int(token))
-        return Fraction(token)
+            return int(token), 1
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise GameFormatError(f"{where}: bad entry {token!r}") from exc
+    return value.numerator, value.denominator
 
 
-def _parse_row(line, count, where):
+def _parse_fraction(token, where):
+    return Fraction(*_parse_pair(token, where))
+
+
+def _parse_row(line, count, where, parse=_parse_fraction):
     tokens = line.split()
     if len(tokens) != count:
         raise GameFormatError(
             f"{where}: expected {count} entries, found {len(tokens)}"
         )
-    return [_parse_fraction(t, where) for t in tokens]
+    return [parse(t, where) for t in tokens]
+
+
+def _int_matrix(rows):
+    """Rows of (numerator, denominator) pairs as integer rows over the
+    lcm of the denominators: (rows, lcm), as games._int_rows writes the
+    matrix of their Fractions."""
+    den = lcm(*(d for row in rows for _, d in row))
+    return [[n * (den // d) for n, d in row] for row in rows], den
 
 
 def parse_game_text(text):
-    """Parse a game file: header 'm n', then m rows of a, then m rows of b."""
+    """Parse a game file: header 'm n', then m rows of a, then m rows of b.
+
+    The game is built from its integer rows, with no Fraction made for an
+    integer entry; a and b are built when they are read."""
     lines = _content_lines(text)
     if not lines:
         raise GameFormatError("empty game file")
@@ -62,9 +79,12 @@ def parse_game_text(text):
         raise GameFormatError(
             f"expected {2 * m} payoff rows after the header, found {len(lines) - 1}"
         )
-    a = [_parse_row(lines[1 + i], n, f"a row {i + 1}") for i in range(m)]
-    b = [_parse_row(lines[1 + m + i], n, f"b row {i + 1}") for i in range(m)]
-    return BimatrixGame(a, b)
+    a = [_parse_row(lines[1 + i], n, f"a row {i + 1}", _parse_pair)
+         for i in range(m)]
+    b = [_parse_row(lines[1 + m + i], n, f"b row {i + 1}", _parse_pair)
+         for i in range(m)]
+    return BimatrixGame._from_int_form(*_int_matrix(a),
+                                       *_int_matrix(list(zip(*b))))
 
 
 def format_game_text(game):
@@ -176,11 +196,27 @@ def _encode(value):
     raise TypeError(f"cannot encode {type(value).__name__} into a report")
 
 
+def _pair_text(n, d):
+    """str(Fraction(n, d)) for ints n and d > 0, with no Fraction made."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _row_texts(row):
+    """The entry strings of an integer row, str of each Fraction."""
+    den = row[-1]
+    return [_pair_text(e, den) for e in row[:-1]]
+
+
 def encode_report(report):
-    """EquilibriumReport -> plain dict with exact fraction strings."""
+    """EquilibriumReport -> plain dict with exact fraction strings; x and y
+    are written from the profile's integer rows."""
+    xs, ys = report.profile._int_form
     return {
-        "x": [str(e) for e in report.profile.x],
-        "y": [str(e) for e in report.profile.y],
+        "x": _row_texts(xs),
+        "y": _row_texts(ys),
         "loss": str(report.loss),
         "payoff1": str(report.payoff1),
         "payoff2": str(report.payoff2),

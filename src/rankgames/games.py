@@ -12,8 +12,8 @@ from .linalg import (
     fraction_matrix,
     fraction_vector,
     int_row,
-    max_abs_entry,
     rank_factorize,
+    reduced,
 )
 
 
@@ -21,11 +21,15 @@ class BimatrixGame:
     """Two-player game in matrix form: payoffs a for the row player, b for
     the column player.
 
-    Immutable after construction; the payoff sum c = a + b and its largest
-    absolute entry norm_c (the scale every approximation guarantee is
-    measured against) are built on first read, c read-only like a and b,
-    and kept, as is the rank factorization of c, which rank_c counts and
-    the grid schemes grid. Equilibrium enumeration reads none of them.
+    Immutable after construction. A game keeps a and b^T as integer rows
+    over one common denominator each (_int_form), and every public value
+    is built on first read and kept: a and b as read-only Fraction arrays
+    (a game built from them keeps them as given), the payoff sum c = a + b,
+    read-only like a and b, and its largest absolute entry norm_c (the
+    scale every approximation guarantee is measured against), as is the
+    rank factorization of c, which rank_c counts and the grid schemes
+    grid. Equilibrium enumeration reads none of them, and a game read from
+    a game file (_from_int_form) builds none until one is read.
 
     Note the zero-sum corner: when a + b = 0, norm_c = 0 and the threshold
     eps * norm_c collapses to 0 for every eps, so only exact equilibria pass
@@ -38,27 +42,59 @@ class BimatrixGame:
         b = fraction_matrix(b)
         if a.shape != b.shape:
             raise ValueError("payoff matrices must share a shape")
+        self._shape = a.shape
         self.a = a
         self.b = b
         for arr in (self.a, self.b):
             arr.flags.writeable = False
 
+    @classmethod
+    def _from_int_form(cls, a_rows, a_den, bt_rows, bt_den):
+        """The game whose _int_form is (a_rows, a_den, bt_rows, bt_den),
+        each matrix over the lcm of its entries' reduced denominators (as
+        _int_rows writes it), with a and b left to be built on first read."""
+        game = object.__new__(cls)
+        game._shape = (len(a_rows), len(bt_rows))
+        game._int_form = (a_rows, a_den, bt_rows, bt_den)
+        return game
+
+    @cached_property
+    def a(self):
+        a_rows, da = self._int_form[:2]
+        return _read_only([[Fraction(e, da) for e in row] for row in a_rows])
+
+    @cached_property
+    def b(self):
+        bt_rows, db = self._int_form[2:]
+        return _read_only([[Fraction(e, db) for e in row]
+                           for row in zip(*bt_rows)])
+
+    @cached_property
+    def _c_rows(self):
+        """The integer rows of c = a + b, each reduced, so each is int_row
+        of its Fraction row: with a = A / da and b = B / db,
+        c_ij = (A_ij db + B_ij da) / (da db)."""
+        a_rows, da, bt_rows, db = self._int_form
+        den = da * db
+        return [reduced([e * db + f * da for e, f in zip(row, b_row)] + [den])
+                for row, b_row in zip(a_rows, zip(*bt_rows))]
+
     @cached_property
     def c(self):
         """The payoff sum a + b, read-only."""
-        c = self.a + self.b
-        c.flags.writeable = False
-        return c
+        return _read_only([_fractions(row) for row in self._c_rows])
 
     @cached_property
     def norm_c(self):
         """max_abs_entry(c), the scale of the approximation guarantees."""
-        return max_abs_entry(self.c)
+        return max(Fraction(max(map(abs, row[:-1])), row[-1])
+                   for row in self._c_rows)
 
     @cached_property
     def factorization(self):
-        """linalg.rank_factorize(c): the pairs (u, v) with c = sum u v^T."""
-        return rank_factorize(self.c)
+        """linalg.rank_factorize of c's integer rows: the pairs (u, v)
+        with c = sum u v^T."""
+        return rank_factorize(rows=self._c_rows)
 
     @property
     def rank_c(self):
@@ -74,24 +110,21 @@ class BimatrixGame:
 
     @property
     def shape(self):
-        return self.a.shape
+        return self._shape
 
     @property
     def m(self):
-        return self.a.shape[0]
+        return self._shape[0]
 
     @property
     def n(self):
-        return self.a.shape[1]
+        return self._shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, BimatrixGame):
             return NotImplemented
-        return (
-            self.shape == other.shape
-            and bool(np.array_equal(self.a, other.a))
-            and bool(np.array_equal(self.b, other.b))
-        )
+        # each integer form is the one form of its matrix
+        return self.shape == other.shape and self._int_form == other._int_form
 
     def __repr__(self):
         return f"BimatrixGame({self.m}x{self.n}, rank_c={self.rank_c})"
@@ -105,25 +138,31 @@ def _int_rows(matrix):
     return [flat[k:k + n] for k in range(0, len(flat) - 1, n)], flat[-1]
 
 
-@dataclass(frozen=True)
+def _read_only(rows):
+    """The read-only object array of rows of Fractions."""
+    arr = np.array(rows, dtype=object)
+    arr.flags.writeable = False
+    return arr
+
+
 class MixedProfile:
     """A mixed-strategy pair: x for the row player, y for the column player.
 
     Entries are Fractions, nonnegative, each vector summing to exactly 1.
     Both are checked on the vector's integer row (linalg.int_row), which
-    the profile keeps for _evaluate and reads its supports from.
+    the profile keeps for _evaluate and reads its supports from. A profile
+    made from integer rows (from_int_rows) builds x and y on first read.
+    Two profiles are equal, and hash equal, when their x and y are.
+    Immutable.
     """
 
-    x: tuple
-    y: tuple
+    __slots__ = ("_int_form", "_x", "_y")
 
-    def __post_init__(self):
-        x = tuple(as_fraction(e) for e in self.x)
-        y = tuple(as_fraction(e) for e in self.y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "_int_form", (
-            _strategy_row(int_row(x), "x"), _strategy_row(int_row(y), "y")))
+    def __init__(self, x, y):
+        x = tuple(as_fraction(e) for e in x)
+        y = tuple(as_fraction(e) for e in y)
+        self._fill((_strategy_row(int_row(x), "x"),
+                    _strategy_row(int_row(y), "y")), x, y)
 
     @classmethod
     def from_int_rows(cls, x_row, y_row):
@@ -131,13 +170,42 @@ class MixedProfile:
         (linalg.pair_row): entry j of x is x_row[j] / x_row[-1], with a
         positive denominator. The rows are checked as the Fractions are."""
         profile = object.__new__(cls)
-        for name, row in (("x", x_row), ("y", y_row)):
-            _strategy_row(row, name)
-            den = row[-1]
-            object.__setattr__(profile, name,
-                               tuple(Fraction(e, den) for e in row[:-1]))
-        object.__setattr__(profile, "_int_form", (x_row, y_row))
+        profile._fill((_strategy_row(x_row, "x"), _strategy_row(y_row, "y")),
+                      None, None)
         return profile
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MixedProfile is immutable: cannot set {name}")
+
+    def __reduce__(self):
+        return MixedProfile.from_int_rows, self._int_form
+
+    @property
+    def x(self):
+        if self._x is None:
+            object.__setattr__(self, "_x", _fractions(self._int_form[0]))
+        return self._x
+
+    @property
+    def y(self):
+        if self._y is None:
+            object.__setattr__(self, "_y", _fractions(self._int_form[1]))
+        return self._y
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __repr__(self):
+        return f"MixedProfile(x={self.x!r}, y={self.y!r})"
 
     @property
     def support1(self):
@@ -146,6 +214,12 @@ class MixedProfile:
     @property
     def support2(self):
         return tuple(j for j, e in enumerate(self._int_form[1][:-1]) if e > 0)
+
+
+def _fractions(row):
+    """The Fraction entries of an integer row."""
+    den = row[-1]
+    return tuple(Fraction(e, den) for e in row[:-1])
 
 
 def _strategy_row(row, name):
@@ -170,7 +244,8 @@ def pure_profile(m, n, i, j):
 
 
 def _check_dimensions(game, profile):
-    if len(profile.x) != game.m or len(profile.y) != game.n:
+    xs, ys = profile._int_form
+    if len(xs) - 1 != game.m or len(ys) - 1 != game.n:
         raise ValueError("profile dimensions do not match the game")
 
 

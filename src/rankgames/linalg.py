@@ -236,8 +236,13 @@ class RankFactorization:
         return total
 
 
-def rank_factorize(matrix):
+def rank_factorize(matrix=None, *, rows=None):
     """Canonical rank factorization by iterated rank-one peeling.
+
+    The matrix is anything fraction_matrix takes. A caller that already
+    holds the matrix as integer rows, int_row of each row (a game's payoff
+    sum, say), passes them as rows instead, and no Fraction is read; the
+    pivots and the pairs are the same.
 
     Columns are scanned left to right, and in each the first remaining row
     of the residual with a nonzero entry is the pivot. Rows are never
@@ -250,12 +255,14 @@ def rank_factorize(matrix):
     pair is scaled so the first nonzero entry of its u, which is the pivot
     itself, is positive. The pair count is the exact rank.
     """
-    mat = fraction_matrix(matrix)
-    m = mat.shape[0]
-    rows = [int_row(row) for row in mat.tolist()]
+    if rows is None:
+        rows = [int_row(row) for row in fraction_matrix(matrix).tolist()]
+    else:
+        rows = list(rows)
+    m, n = len(rows), len(rows[0]) - 1
     left = list(range(m))  # original index of each remaining row
     pairs = []
-    for col in range(mat.shape[1]):
+    for col in range(n):
         for k, row in enumerate(rows):
             if row[col] != 0:
                 sign = 1 if row[col] > 0 else -1
@@ -269,4 +276,4 @@ def rank_factorize(matrix):
                     *(Fraction(sign * e, v[-1]) for e in v[col + 1:-1]))))
                 del left[k]
                 break
-    return RankFactorization(shape=mat.shape, pairs=tuple(pairs))
+    return RankFactorization(shape=(m, n), pairs=tuple(pairs))

@@ -376,8 +376,9 @@ def reference_grid_cells(game, eps, scheme, decomp=None):
         factors = game.factorization.pairs
         k = len(factors)
         rhs.append(game.norm_c)
-        axes = [_interval_axis(min(u), max(u),
-                               eps * game.norm_c / (2 * k * max(map(abs, v))))
+        axes = [[(Fraction(lo, d), Fraction(hi, d)) for lo, hi, d in
+                 _interval_axis(min(u), max(u),
+                                eps * game.norm_c / (2 * k * max(map(abs, v))))]
                 for u, v in factors]
     else:
         factors = (decomp or game.factorization).pairs

@@ -175,10 +175,11 @@ def test_absolute_guards():
 
 def test_grid_axes():
     f = Fraction
-    # the last cell is cut at the range maximum
-    assert _interval_axis(f(0), f(1), f(3, 10)) == [
-        (0, f(3, 10)), (f(3, 10), f(3, 5)), (f(3, 5), f(9, 10)), (f(9, 10), 1)]
-    assert _interval_axis(f(2), f(2), f(1)) == [(2, 2)]
+    # the last cell is cut at the range maximum; an interval axis keeps
+    # each cell as the integer row of its two ends
+    assert _interval_axis(f(0), f(1), f(3, 10)) == [tuple(int_row(cell)) for cell in [
+        (0, f(3, 10)), (f(3, 10), f(3, 5)), (f(3, 5), f(9, 10)), (f(9, 10), 1)]]
+    assert _interval_axis(f(2), f(2), f(1)) == [tuple(int_row([2, 2]))]
     assert _geometric_axis([f(1), f(3)], f(1)) == ([(1, 2), (2, 3)], False)
     assert _geometric_axis([f(2), f(2)], f(1)) == ([(2, 2)], False)
     assert _geometric_axis([f(0), f(0)], f(1)) == ([(0, 0)], False)

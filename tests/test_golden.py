@@ -1,10 +1,12 @@
-"""Golden digests: sha256 pins over seeded grid, LP and vertex-walk results.
+"""Golden digests: sha256 pins over seeded grid, LP, vertex-walk and CLI
+results.
 
 Each digest hashes the repr of every result of one seeded sample, so any
 change to what the grid schemes, the simplex or the vertex walk return,
-down to the integer pairs a vertex keeps, changes it. A change to the
-elimination kernel or to a pivot rule that is meant to alter results has
-to re-pin these on purpose.
+down to the integer pairs a vertex keeps, changes it, and so does any
+change to the bytes, exit code or error text of a CLI command. A change to
+the elimination kernel or to a pivot rule that is meant to alter results
+has to re-pin these on purpose.
 """
 
 import random
@@ -24,6 +26,7 @@ from rankgames import (
     linear_program,
     solve_lp,
 )
+from rankgames.cli import main
 from rankgames.lp import StandardForm
 
 
@@ -169,3 +172,70 @@ def test_walk_results_digest():
     assert len(results) >= 400 and degenerate >= 100
     assert _digest(results) == (
         "6e740358d585bd8694fb9634bc70f5076e94b0f9c9473b33ffda5af910678d09")
+
+
+def _token(rng, value):
+    """value written as one of the entry spellings a game file takes:
+    p/q, p/q unreduced, a signed or zero-padded integer, or a decimal."""
+    style = rng.randrange(5)
+    if value.denominator == 1 and style < 3:
+        n = value.numerator
+        return [str(n), f"+{n}" if n >= 0 else str(n), f"{n:04d}"][style]
+    if style == 3 and 1000 % value.denominator == 0:
+        return f"{float(value):.3f}"
+    k = rng.randint(1, 3)
+    return f"{value.numerator * k}/{value.denominator * k}"
+
+
+def _game_file(rng, game):
+    """The text of a game file for game, each entry in a drawn spelling."""
+    lines = [f"# drawn game\n{game.m} {game.n}"]
+    for mat in (game.a, game.b):
+        lines += [" ".join(_token(rng, e) for e in row) for row in mat]
+    return "\n".join(lines) + "\n"
+
+
+def _cli_games(rng):
+    """(game, command tail) pairs: fractional low-rank games for both grid
+    schemes, drawn games with ties for both solve modes, and families."""
+    for _ in range(30):
+        game, _ = _grid_game(rng, rng.randint(0, 2))
+        eps = f"{rng.randint(2, 5)}/3"
+        yield game, ["approx", "--scheme", "abs", "--eps", eps]
+        yield game, ["approx", "--scheme", "rel", "--eps", eps]
+    for _ in range(30):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        if rng.random() < 0.5:
+            game = BimatrixGame(*([[rng.randint(0, 2) for _ in range(n)]
+                                   for _ in range(m)] for _ in range(2)))
+        else:
+            game = BimatrixGame(_matrix(rng, m, n, 3, 4),
+                                _matrix(rng, m, n, 3, 4))
+        yield game, ["solve"]
+        yield game, ["solve", "--mode", "components"]
+    for game in (identity_game(3), block_game(identity_game(2),
+                                              identity_game(1))):
+        yield game, ["solve"]
+        yield game, ["solve", "--mode", "components"]
+
+
+def test_cli_results_digest(tmp_path, monkeypatch, capsys):
+    """stdout, stderr and the exit code of cli.main on seeded game files
+    whose entries are written in every spelling the parser takes."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(2201)
+    results = []
+    codes = Counter()
+    for t, (game, cmd) in enumerate(_cli_games(rng)):
+        name = f"g{t}.txt"
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(_game_file(rng, game))
+        code = main([cmd[0], name, *cmd[1:]])
+        out, err = capsys.readouterr()
+        codes[code] += 1
+        results.append((code, out, err))
+    # a relative grid refuses a game whose own factorization has a
+    # negative entry (exit 2); every other command succeeds
+    assert codes == {0: 121, 2: 3}
+    assert _digest(results) == (
+        "69b7a92878e97c0084d376080610db5f540bd30f4481cd09436a21dd8bc143e8")
