@@ -2,10 +2,10 @@
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import GameFormatError
-from .games import BimatrixGame, MixedProfile
+from .games import BimatrixGame, MixedProfile, _int_matrix
 from .linalg import RankFactorization
 
 SCHEMA_VERSION = 1
@@ -48,14 +48,6 @@ def _parse_row(line, count, where, parse=_parse_fraction):
             f"{where}: expected {count} entries, found {len(tokens)}"
         )
     return [parse(t, where) for t in tokens]
-
-
-def _int_matrix(rows):
-    """Rows of (numerator, denominator) pairs as integer rows over the
-    lcm of the denominators: (rows, lcm), as games._int_rows writes the
-    matrix of their Fractions."""
-    den = lcm(*(d for row in rows for _, d in row))
-    return [[n * (den // d) for n, d in row] for row in rows], den
 
 
 def parse_game_text(text):

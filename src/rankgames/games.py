@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 
 import numpy as np
@@ -42,20 +43,18 @@ class BimatrixGame:
         b = fraction_matrix(b)
         if a.shape != b.shape:
             raise ValueError("payoff matrices must share a shape")
-        self._shape = a.shape
-        self.a = a
-        self.b = b
-        for arr in (self.a, self.b):
+        for arr in (a, b):
             arr.flags.writeable = False
+        vars(self).update(_shape=a.shape, a=a, b=b)
 
     @classmethod
     def _from_int_form(cls, a_rows, a_den, bt_rows, bt_den):
         """The game whose _int_form is (a_rows, a_den, bt_rows, bt_den),
         each matrix over the lcm of its entries' reduced denominators (as
-        _int_rows writes it), with a and b left to be built on first read."""
+        _int_matrix writes it), with a and b left to be built on first read."""
         game = object.__new__(cls)
-        game._shape = (len(a_rows), len(bt_rows))
-        game._int_form = (a_rows, a_den, bt_rows, bt_den)
+        vars(game).update(_shape=(len(a_rows), len(bt_rows)),
+                          _int_form=(a_rows, a_den, bt_rows, bt_den))
         return game
 
     @cached_property
@@ -106,7 +105,9 @@ class BimatrixGame:
         denominator): each matrix as integer rows over one common
         denominator, entry [i][j] being rows[i][j] / den. Built on first
         use, so a game that is never evaluated never pays for it."""
-        return (*_int_rows(self.a), *_int_rows(self.b.T))
+        a, bt = ([[(e.numerator, e.denominator) for e in row] for row in mat]
+                 for mat in (self.a.tolist(), self.b.T.tolist()))
+        return (*_int_matrix(a), *_int_matrix(bt))
 
     @property
     def shape(self):
@@ -130,12 +131,13 @@ class BimatrixGame:
         return f"BimatrixGame({self.m}x{self.n}, rank_c={self.rank_c})"
 
 
-def _int_rows(matrix):
-    """The rows of a Fraction matrix as ints over its one common
-    denominator, the lcm of its entries' denominators: (rows, den)."""
-    flat = int_row(matrix.ravel().tolist())
-    n = matrix.shape[1]
-    return [flat[k:k + n] for k in range(0, len(flat) - 1, n)], flat[-1]
+def _int_matrix(rows):
+    """Rows of (numerator, positive denominator) pairs, each in lowest
+    terms, as integer rows over the lcm of the denominators: (rows, lcm).
+    The one common-denominator form of a matrix, whether its entries come
+    from a game file's tokens or from Fractions."""
+    den = lcm(*(d for row in rows for _, d in row))
+    return [[n * (den // d) for n, d in row] for row in rows], den
 
 
 def _read_only(rows):
@@ -156,13 +158,12 @@ class MixedProfile:
     Immutable.
     """
 
-    __slots__ = ("_int_form", "_x", "_y")
-
     def __init__(self, x, y):
         x = tuple(as_fraction(e) for e in x)
         y = tuple(as_fraction(e) for e in y)
-        self._fill((_strategy_row(int_row(x), "x"),
-                    _strategy_row(int_row(y), "y")), x, y)
+        vars(self).update(_int_form=(_strategy_row(int_row(x), "x"),
+                                     _strategy_row(int_row(y), "y")),
+                          x=x, y=y)
 
     @classmethod
     def from_int_rows(cls, x_row, y_row):
@@ -170,31 +171,20 @@ class MixedProfile:
         (linalg.pair_row): entry j of x is x_row[j] / x_row[-1], with a
         positive denominator. The rows are checked as the Fractions are."""
         profile = object.__new__(cls)
-        profile._fill((_strategy_row(x_row, "x"), _strategy_row(y_row, "y")),
-                      None, None)
+        vars(profile).update(_int_form=(_strategy_row(x_row, "x"),
+                                        _strategy_row(y_row, "y")))
         return profile
-
-    def _fill(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MixedProfile is immutable: cannot set {name}")
 
-    def __reduce__(self):
-        return MixedProfile.from_int_rows, self._int_form
-
-    @property
+    @cached_property
     def x(self):
-        if self._x is None:
-            object.__setattr__(self, "_x", _fractions(self._int_form[0]))
-        return self._x
+        return _fractions(self._int_form[0])
 
-    @property
+    @cached_property
     def y(self):
-        if self._y is None:
-            object.__setattr__(self, "_y", _fractions(self._int_form[1]))
-        return self._y
+        return _fractions(self._int_form[1])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -332,14 +322,11 @@ def check_deviation_bound(game, profile, eps):
     pair by pair rather than through the two maxima, which makes it a useful
     cross-check of the loss formula.
     """
-    eps = as_fraction(eps)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    bound = _eps_threshold(game, eps)
     x, y = _vectors(game, profile)
     ay = game.a @ y
     xb = x @ game.b
     base = x @ game.c @ y
-    bound = eps * game.norm_c
     for i in range(game.m):
         for j in range(game.n):
             if ay[i] + xb[j] - base > bound:

@@ -75,42 +75,33 @@ class PolyhedronVertex:
     binding are built from them on first read. Immutable.
     """
 
-    __slots__ = ("coords", "tight", "_point", "_binding")
-
     def __init__(self, point, binding):
         point, binding = tuple(map(as_fraction, point)), frozenset(binding)
-        self._fill(tuple((e.numerator, e.denominator) for e in point),
-                   sum(1 << (label - 1) for label in binding), point, binding)
+        vars(self).update(
+            coords=tuple((e.numerator, e.denominator) for e in point),
+            tight=sum(1 << (label - 1) for label in binding),
+            point=point, binding=binding)
 
     @classmethod
     def _walked(cls, coords, tight):
         """The vertex of the walk's int pairs and tight-row mask, whose
         point and binding are left to be built on first read."""
         vertex = object.__new__(cls)
-        vertex._fill(coords, tight, None, None)
+        vars(vertex).update(coords=coords, tight=tight)
         return vertex
-
-    def _fill(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PolyhedronVertex is immutable: cannot set {name}")
 
-    @property
+    @cached_property
     def point(self):
-        if self._point is None:
-            object.__setattr__(self, "_point", tuple(
-                Fraction(n, d) for n, d in self.coords))
-        return self._point
+        return tuple(Fraction(n, d) for n, d in self.coords)
 
-    @property
+    @cached_property
     def binding(self):
-        if self._binding is None:
-            tight = self.tight
-            object.__setattr__(self, "_binding", frozenset(
-                r + 1 for r in range(tight.bit_length()) if tight >> r & 1))
-        return self._binding
+        tight = self.tight
+        return frozenset(r + 1 for r in range(tight.bit_length())
+                         if tight >> r & 1)
 
     @property
     def strategy(self):

@@ -1,5 +1,6 @@
 """Integer forms against the Fraction path they replace: games read from a
-game file, profiles made from integer rows, and the report's number text."""
+game file, profiles made from integer rows, the report's number text, and
+the Fraction views the enumeration and grid paths never build."""
 
 import copy
 import pickle
@@ -8,7 +9,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rankgames import BimatrixGame, MixedProfile, make_report, parse_game_text
+from rankgames import (
+    BimatrixGame,
+    MixedProfile,
+    approx_absolute,
+    block_game,
+    enumerate_equilibria,
+    enumerate_vertices,
+    enumeration,
+    format_game_text,
+    identity_game,
+    make_report,
+    parse_game_text,
+    rank1_family,
+)
 from rankgames.gamefiles import _pair_text, encode_report
 from rankgames.linalg import int_row, rank_factorize
 
@@ -118,12 +132,42 @@ def test_profiles_match_across_constructors():
         encoded = encode_report(make_report(game, fresh))
         assert encoded["x"] == [str(e) for e in want.x]
         assert encoded["y"] == [str(e) for e in want.y]
-        for other in (copy.copy(got), pickle.loads(pickle.dumps(got))):
+        for other in (copy.copy(got), copy.deepcopy(got),
+                      pickle.loads(pickle.dumps(got))):
             assert other == want and hash(other) == hash(want)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError,
+                           match="^MixedProfile is immutable: cannot set x$"):
             got.x = want.x
 
     check()
+
+
+def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch):
+    """Enumerating a loaded game's equilibria and encoding its reports
+    builds no vertex's point or binding and no profile's x or y, and the
+    absolute grid's winning profile has neither x nor y: these paths read
+    the integer forms only."""
+    walked = []
+
+    def recording(poly):
+        vertices = enumerate_vertices(poly)
+        walked.extend(vertices)
+        return vertices
+
+    monkeypatch.setattr(enumeration, "enumerate_vertices", recording)
+    reports = []
+    for game in (rank1_family(5), block_game(identity_game(2), rank1_family(3))):
+        eqset = enumerate_equilibria(parse_game_text(format_game_text(game)))
+        for report in eqset.reports:
+            encode_report(report)
+        reports += eqset.reports
+    assert walked and reports
+    assert not any({"point", "binding"} & set(vars(v)) for v in walked)
+    assert not any({"x", "y"} & set(vars(r.profile)) for r in reports)
+    game = parse_game_text(format_game_text(rank1_family(4)))
+    report = approx_absolute(game, Fraction(1, 10))
+    assert report.loss == 0
+    assert not {"x", "y"} & set(vars(report.profile))
 
 
 def test_pair_text_equals_str_of_the_fraction():

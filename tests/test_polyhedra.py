@@ -1,5 +1,7 @@
 """Best-response polyhedra: vertex census, labels, and degeneracy detection."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from rankgames import (
     BimatrixGame,
     CapExceededError,
+    PolyhedronVertex,
     block_game,
     build_polyhedra,
     enumerate_vertices,
@@ -160,6 +163,27 @@ def test_vertices_lie_on_their_binding_rows():
             lhs = sum(r * e for r, e in zip(row, v.point))
             assert lhs <= 0
             assert (label in v.binding) == (lhs == 0)
+
+
+def test_vertices_copy_pickle_and_refuse_assignment():
+    # walked vertices copy before their point and binding are built, and a
+    # constructed vertex with both given
+    f = Fraction
+    made = PolyhedronVertex((f(1, 2), f(1, 2), f(9, 2)), {1, 2})
+    vertices = [*enumerate_vertices(build_polyhedra(identity_game(2))[0]),
+                made]
+    copies = [(copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v)))
+              for v in vertices]
+    for v, others in zip(vertices, copies):
+        for other in others:
+            assert other == v and v == other and hash(other) == hash(v)
+            assert (other.coords, other.tight) == (v.coords, v.tight)
+            assert (other.point, other.binding) == (v.point, v.binding)
+        for name, value in (("point", v.point), ("tight", 0), ("other", 1)):
+            with pytest.raises(AttributeError, match=(
+                    f"^PolyhedronVertex is immutable: cannot set {name}$")):
+                setattr(v, name, value)
+    assert made.coords == ((1, 2), (1, 2), (9, 2)) and made.tight == 0b11
 
 
 def test_nondegeneracy_detection():
