@@ -379,11 +379,12 @@ def approx_relative(game, eps, decomp=None):
 
 def _loss(game, x_row, y_row):
     """Exact loss of the strategies' integer rows."""
-    return _evaluate_rows(game, x_row, y_row)[0]
+    return Fraction(*_evaluate_rows(game, x_row, y_row)[0])
 
 
 def _gap_ratio(game, x_row, y_row):
     """Exact relative gap of the strategies' integer rows: loss over the
     best-response sum (0 at loss 0)."""
-    gap, p1, p2 = _evaluate_rows(game, x_row, y_row)[:3]
+    gap, p1, p2 = (Fraction(*pair)
+                   for pair in _evaluate_rows(game, x_row, y_row)[:3])
     return gap / (gap + p1 + p2) if gap else Fraction(0)

@@ -91,10 +91,10 @@ def cmd_gen(args):
 
 def _components_results(game, eqset):
     # rank b^T = rank b, and the integer rows are a and b^T over one
-    # denominator each
+    # denominator each, so equal rows (b = a^T) have one rank
     a_rows, _, bt_rows, _ = game._int_form
     rank_a = matrix_rank(a_rows)
-    rank_b = matrix_rank(bt_rows)
+    rank_b = rank_a if bt_rows == a_rows else matrix_rank(bt_rows)
     k = max(rank_a, rank_b)
     bound = None
     if game.m == game.n and k + 1 <= game.m:

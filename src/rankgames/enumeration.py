@@ -8,7 +8,7 @@ from math import comb
 from .errors import check_work
 from .games import MixedProfile, is_exact_equilibrium, loss, make_report
 from .linalg import pair_row, solve_linear_system
-from .polyhedra import build_polyhedra, enumerate_vertices
+from .polyhedra import _vertex_lists
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,10 @@ def enumerate_equilibria(game):
     vertex (an x) or a Q vertex (a y) are linked, each to the first one
     with that vertex. The walk's bound on its bases (errors.MAX_WORK)
     bounds both vertex lists, so also the pairing; it is the only guard.
+    A symmetric game (b = a^T) walks P only: its Q list is P's relabelled
+    (polyhedra._vertex_lists).
     """
-    p, q = build_polyhedra(game)
-    p_vertices = enumerate_vertices(p)
-    q_vertices = enumerate_vertices(q)
+    p_vertices, q_vertices = _vertex_lists(game)
     # postings[r] has bit iq set when Q vertex iq is tight at row r, whose
     # label is r + 1 on both sides
     postings = [0] * (game.m + game.n)

@@ -57,6 +57,9 @@ class BimatrixGame:
                           _int_form=(a_rows, a_den, bt_rows, bt_den))
         return game
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BimatrixGame is immutable: cannot set {name}")
+
     @cached_property
     def a(self):
         a_rows, da = self._int_form[:2]
@@ -245,10 +248,11 @@ def _vectors(game, profile):
 
 
 def _evaluate(game, profile):
-    """(loss, x a y, x b y, max_i (a y)_i, max_j (x b)_j) of the profile:
-    _evaluate_rows on its integer rows."""
+    """(loss, x a y, x b y, max_i (a y)_i, max_j (x b)_j) of the profile
+    as Fractions: _evaluate_rows on its integer rows."""
     _check_dimensions(game, profile)
-    return _evaluate_rows(game, *profile._int_form)
+    return tuple(Fraction(*pair)
+                 for pair in _evaluate_rows(game, *profile._int_form))
 
 
 def _evaluate_rows(game, xs, ys):
@@ -259,8 +263,9 @@ def _evaluate_rows(game, xs, ys):
     xs and ys with their denominators dx = xs[-1] and dy = ys[-1]: with
     a = A / da and b = B / db for integer matrices, a y is (A ys) / (da dy)
     and x b is (xs B) / (db dx). Each product stops at the shorter list, so
-    the denominators never enter it. Fractions are made only for the five
-    results.
+    the denominators never enter it. Each result is a (numerator, positive
+    denominator) pair, not reduced, so a caller makes a Fraction only of
+    what it reads.
     """
     a_rows, da, bt_rows, db = game._int_form
     dx, dy = xs[-1], ys[-1]
@@ -270,11 +275,11 @@ def _evaluate_rows(game, xs, ys):
     p1, p2 = sum(map(mul, xs, ay)), sum(map(mul, xb, ys))
     gap = (best1 * dx - p1) * db + (best2 * dy - p2) * da
     return (
-        Fraction(gap, da * db * dx * dy),
-        Fraction(p1, da * dx * dy),
-        Fraction(p2, db * dx * dy),
-        Fraction(best1, da * dy),
-        Fraction(best2, db * dx),
+        (gap, da * db * dx * dy),
+        (p1, da * dx * dy),
+        (p2, db * dx * dy),
+        (best1, da * dy),
+        (best2, db * dx),
     )
 
 
@@ -377,7 +382,9 @@ def make_report(game, profile, kind="exact", parameter=None):
     """Evaluate a profile into an EquilibriumReport."""
     if kind not in ("exact", "eps-approximate", "relative-approximate"):
         raise ValueError(f"unknown report kind {kind!r}")
-    gap, p1, p2 = _evaluate(game, profile)[:3]
+    _check_dimensions(game, profile)
+    gap, p1, p2 = (Fraction(*pair) for pair
+                   in _evaluate_rows(game, *profile._int_form)[:3])
     return EquilibriumReport(
         profile=profile,
         loss=gap,

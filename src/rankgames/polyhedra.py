@@ -291,6 +291,35 @@ def _compare_points(u, v):
 _BY_POINT = cmp_to_key(_compare_points)
 
 
+def _vertex_lists(game):
+    """The game's P vertex list, then its Q vertex list, each as
+    enumerate_vertices gives it; a generator, so a caller that stops after
+    the P list never walks Q.
+
+    When the two polyhedra have the same payoff rows and denominator
+    (exactly when b = a^T, the integer form of a matrix being canonical),
+    they are one polytope with the label blocks swapped: Q's row r is P's
+    row (r + m) mod 2m (von Stengel 2002). Q's vertices are then P's with
+    the two m-bit halves of each tight mask swapped, and their coordinates
+    are P's, so the list is already sorted by point. A degenerate vertex
+    may keep other int pairs than a walk of Q would reach it with, but the
+    same point and tight mask, so the two lists are equal. Both walks
+    would count the same bases, so the work bound refuses the same games.
+    Other games walk both sides.
+    """
+    p, q = build_polyhedra(game)
+    p_vertices = enumerate_vertices(p)
+    yield p_vertices
+    if p.payoff != q.payoff or p.den != q.den:
+        yield enumerate_vertices(q)
+        return
+    m = p.strategy_len
+    low = (1 << m) - 1
+    yield tuple(PolyhedronVertex._walked(v.coords,
+                                         v.tight >> m | (v.tight & low) << m)
+                for v in p_vertices)
+
+
 def is_nondegenerate(game):
     """Nondegeneracy of the game, checked on the polyhedron vertices.
 
@@ -305,10 +334,11 @@ def is_nondegenerate(game):
     unplayed strategies plus its best-response labels. So it has more best
     responses than its support size exactly when it binds more than
     strategy_len labels; no vertex binds fewer. The walk's bound on its bases
-    (errors.MAX_WORK) applies to each side.
+    (errors.MAX_WORK) applies to each side walked (_vertex_lists), and a
+    degenerate P vertex stops the check before Q is walked.
     """
     return all(
-        vertex.tight.bit_count() == poly.strategy_len
-        for poly in build_polyhedra(game)
-        for vertex in enumerate_vertices(poly)
+        vertex.tight.bit_count() == len(vertex.coords) - 1
+        for vertices in _vertex_lists(game)
+        for vertex in vertices
     )

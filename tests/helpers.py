@@ -96,6 +96,21 @@ def brute_force_vertices(poly):
     return tuple(seen[p] for p in sorted(seen))
 
 
+def two_sided_vertex_lists(game):
+    """The P and Q vertex lists, each walked by enumerate_vertices on its
+    own polyhedron: the reference for polyhedra._vertex_lists, which
+    relabels P's list for a symmetric game instead of walking Q."""
+    return tuple(enumerate_vertices(poly) for poly in build_polyhedra(game))
+
+
+def two_sided_nondegenerate(game):
+    """is_nondegenerate on both walked sides: no vertex binds more labels
+    than its polyhedron's strategy_len."""
+    return all(vertex.tight.bit_count() == poly.strategy_len
+               for poly in build_polyhedra(game)
+               for vertex in enumerate_vertices(poly))
+
+
 def reference_cover_pairs(game):
     """Reference vertex pairing: test every (P vertex, Q vertex) pair.
 
@@ -103,7 +118,7 @@ def reference_cover_pairs(game):
     P vertex leaves unbound. Returns the (x, y) strategy pairs in P order,
     then Q order, the order enumerate_equilibria must report them in.
     """
-    p, q = (enumerate_vertices(poly) for poly in build_polyhedra(game))
+    p, q = two_sided_vertex_lists(game)
     full = frozenset(range(1, game.m + game.n + 1))
     return [(vp.strategy, vq.strategy) for vp in p for vq in q
             if full - vp.binding <= vq.binding]
@@ -113,12 +128,13 @@ def reference_equilibria(game):
     """Reference equilibrium set: the frozenset cover test on every vertex
     pair, with each profile built from the vertices' Fraction strategies.
 
-    Returns (reports, components) as enumerate_equilibria must give them:
-    reports in P order, then Q order, each made by make_report on
-    MixedProfile(x, y); components as sorted index tuples, sorted, two
-    equilibria linked when they share a P or a Q vertex.
+    Both polyhedra are walked (two_sided_vertex_lists). Returns (reports,
+    components) as enumerate_equilibria must give them: reports in P
+    order, then Q order, each made by make_report on MixedProfile(x, y);
+    components as sorted index tuples, sorted, two equilibria linked when
+    they share a P or a Q vertex.
     """
-    p, q = (enumerate_vertices(poly) for poly in build_polyhedra(game))
+    p, q = two_sided_vertex_lists(game)
     full = frozenset(range(1, game.m + game.n + 1))
     pairs = [(ip, iq) for ip, vp in enumerate(p) for iq, vq in enumerate(q)
              if full - vp.binding <= vq.binding]

@@ -1,5 +1,7 @@
 """Game container, loss, deviation bounds, and the QP objective identity."""
 
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -15,10 +17,12 @@ from rankgames import (
     best_response_values,
     check_deviation_bound,
     enumerate_equilibria,
+    format_game_text,
     is_approximate_equilibrium,
     is_exact_equilibrium,
     loss,
     make_report,
+    parse_game_text,
     payoffs,
     pure_profile,
     qp_objective,
@@ -40,6 +44,29 @@ def test_game_container_basics():
     assert g.norm_c == 16
     assert g == BimatrixGame(g.a, g.b)
     assert g != rank1_family(3)
+
+
+def test_games_refuse_assignment_and_copy_pickle():
+    """A game refuses assignment, so a and b cannot fall out of step with
+    the integer form that ==, loss and the walk read, and a constructed or
+    loaded game survives copy, deepcopy and pickle, views built or not."""
+    built = rank1_family(3)
+    built.rank_c
+    for game in (built, rank1_family(3),
+                 parse_game_text(format_game_text(rank1_family(3))),
+                 BimatrixGame([[1, 0]], [[0, Fraction(1, 2)]])):
+        for other in (game, copy.copy(game), copy.deepcopy(game),
+                      pickle.loads(pickle.dumps(game))):
+            assert other == game and other.shape == game.shape
+            assert np.array_equal(other.a, game.a)
+            assert np.array_equal(other.b, game.b)
+            assert other.rank_c == game.rank_c
+            for name in ("a", "c", "norm_c", "_int_form"):
+                with pytest.raises(
+                        AttributeError,
+                        match=f"^BimatrixGame is immutable: cannot set {name}$"):
+                    setattr(other, name, rank1_family(2).a)
+    assert built == rank1_family(3)
 
 
 def test_one_factorization_per_game(monkeypatch, capsys):

@@ -15,7 +15,6 @@ from rankgames import (
     approx_absolute,
     block_game,
     enumerate_equilibria,
-    enumerate_vertices,
     enumeration,
     format_game_text,
     identity_game,
@@ -25,6 +24,7 @@ from rankgames import (
 )
 from rankgames.gamefiles import _pair_text, encode_report
 from rankgames.linalg import int_row, rank_factorize
+from rankgames.polyhedra import _vertex_lists
 
 
 def _spellings(value):
@@ -149,12 +149,12 @@ def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch):
     the integer forms only."""
     walked = []
 
-    def recording(poly):
-        vertices = enumerate_vertices(poly)
-        walked.extend(vertices)
-        return vertices
+    def recording(game):
+        for vertices in _vertex_lists(game):
+            walked.extend(vertices)
+            yield vertices
 
-    monkeypatch.setattr(enumeration, "enumerate_vertices", recording)
+    monkeypatch.setattr(enumeration, "_vertex_lists", recording)
     reports = []
     for game in (rank1_family(5), block_game(identity_game(2), rank1_family(3))):
         eqset = enumerate_equilibria(parse_game_text(format_game_text(game)))

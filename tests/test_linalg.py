@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rankgames import (
+    BimatrixGame,
     approx_absolute,
     approx_relative,
     as_fraction,
@@ -393,8 +394,12 @@ def test_pivot_path_length_pinned(monkeypatch):
     # both grids stop at their first cell, whose pure profile has loss 0
     assert count(lambda: approx_absolute(rank1_family(5), Fraction(1, 10))) == 12
     assert count(lambda: approx_relative(rank1_family(4), Fraction(1, 4))) == 13
-    # two vertex walks of 30 pivots, one per basis past the first
-    assert count(lambda: enumerate_equilibria(identity_game(5))) == 60
+    # one vertex walk of 30 pivots, one per basis past the first: the game
+    # is symmetric, so its Q vertices are P's relabelled; its twin with
+    # b = 2 I is not, and walks both sides
+    assert count(lambda: enumerate_equilibria(identity_game(5))) == 30
+    twin = BimatrixGame(identity_game(5).a, 2 * identity_game(5).b)
+    assert count(lambda: enumerate_equilibria(twin)) == 60
     # grids with no loss-0 cell: 9 cell LPs each
     assert count(lambda: approx_absolute(rank1_family(7), Fraction(1, 5))) == 203
     assert count(lambda: approx_absolute(rank1_family(10), Fraction(1, 5))) == 253

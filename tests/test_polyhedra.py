@@ -12,6 +12,7 @@ from rankgames import (
     PolyhedronVertex,
     block_game,
     build_polyhedra,
+    enumerate_equilibria,
     enumerate_vertices,
     identity_game,
     is_nondegenerate,
@@ -24,12 +25,19 @@ from helpers import (
     brute_force_vertices,
     dictionary_rows,
     oracle_game_strategies,
+    reference_equilibria,
     reference_vertex_order,
     reference_walk_start,
+    two_sided_nondegenerate,
+    two_sided_vertex_lists,
 )
 
 # an all-ones payoff row side makes every row a best response
 FLAT = BimatrixGame([[1, 1], [1, 1]], [[1, 0], [0, 1]])
+# a = [[3, 0], [0, 1]] / 2 and b^T = [[3, 0], [0, 1]] / 3: equal integer
+# rows over different denominators, so P and Q are different polytopes
+SCALED_TRANSPOSE = BimatrixGame([[Fraction(3, 2), 0], [0, Fraction(1, 2)]],
+                                [[1, 0], [0, Fraction(1, 3)]])
 
 
 def test_label_layout():
@@ -374,3 +382,78 @@ def test_walk_follows_every_tied_row(monkeypatch):
 
     check()
     assert sum(degenerate) >= 30  # the sample must have degenerate vertices
+
+
+def test_symmetric_games_relabel_p_for_q():
+    """On a drawn symmetric game (b = a^T, entries in -2..2, so many are
+    degenerate), the Q list relabelled from P's equals the walked Q list,
+    vertex for vertex and in order, and enumeration and the
+    nondegeneracy check agree with the two-sided path. A degenerate vertex
+    may be reached from another basis on the two paths, so the lists are
+    compared by ==, on point and tight mask, never by coords."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    degenerate, other_pairs = [], []
+
+    @st.composite
+    def games(draw):
+        n = draw(st.integers(1, 5))
+        a = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+        return BimatrixGame(a, [list(col) for col in zip(*a)])
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(games())
+    def check(game):
+        p_list, q_list = polyhedra._vertex_lists(game)
+        want = two_sided_vertex_lists(game)
+        assert (p_list, q_list) == want
+        other_pairs.append([v.coords for v in q_list]
+                           != [v.coords for v in want[1]])
+        eqset = enumerate_equilibria(game)
+        reports, components = reference_equilibria(game)
+        assert eqset.reports == tuple(reports)
+        assert eqset.components == components
+        nondegenerate = two_sided_nondegenerate(game)
+        assert is_nondegenerate(game) == nondegenerate
+        degenerate.append(not nondegenerate)
+
+    check()
+    assert sum(degenerate) >= 50 and sum(other_pairs) >= 20
+
+
+@pytest.mark.parametrize("game, sides", [
+    (identity_game(3), ["P"]),
+    (rank1_family(4), ["P"]),
+    (block_game(identity_game(2), rank1_family(2)), ["P"]),
+    (SCALED_TRANSPOSE, ["P", "Q"]),
+    (BimatrixGame(rank1_family(3).a, 2 * rank1_family(3).b), ["P", "Q"]),
+], ids=["identity3", "rank1-4", "block", "scaled-transpose", "b-2a-transpose"])
+def test_only_symmetric_games_skip_the_q_walk(monkeypatch, game, sides):
+    want_lists = two_sided_vertex_lists(game)
+    want_reports, want_components = reference_equilibria(game)
+    want_nondegenerate = two_sided_nondegenerate(game)
+    walked = []
+    walk = polyhedra.enumerate_vertices
+
+    def recording(poly):
+        walked.append(poly.side)
+        return walk(poly)
+
+    monkeypatch.setattr(polyhedra, "enumerate_vertices", recording)
+    assert tuple(polyhedra._vertex_lists(game)) == want_lists
+    assert walked == sides
+    eqset = enumerate_equilibria(game)
+    assert eqset.reports == tuple(want_reports)
+    assert eqset.components == want_components
+    assert is_nondegenerate(game) == want_nondegenerate
+
+
+def test_one_sided_walk_keeps_the_refusal():
+    # one walk of P counts the bases a walk of Q would, so identity_game(12)
+    # is refused with the message of the two-sided path
+    message = "^4097 or more bases in a vertex walk, above the bound 4096$"
+    for run in (enumerate_equilibria, is_nondegenerate):
+        with pytest.raises(CapExceededError, match=message):
+            run(identity_game(12))
