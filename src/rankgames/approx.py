@@ -12,6 +12,7 @@ from . import errors
 from .games import (
     BimatrixGame,
     MixedProfile,
+    _eps_threshold,
     _evaluate_rows,
     _strategy_row,
     is_approximate_equilibrium,
@@ -252,7 +253,7 @@ def approx_absolute(game, eps):
         raise ValueError("eps must be positive")
     factors = game.factorization.pairs
     k = len(factors)
-    target = eps * game.norm_c
+    target = _eps_threshold(game, eps)
     factor_rows = [int_row(list(u_vec) + [0] * game.n) for u_vec, _ in factors]
     axes = [
         _interval_axis(min(u_vec), max(u_vec),

@@ -90,11 +90,12 @@ def cmd_gen(args):
 
 
 def _components_results(game, eqset):
-    # rank b^T = rank b, and the integer rows are a and b^T over one
-    # denominator each, so equal rows (b = a^T) have one rank
+    # rank b^T = rank b, and a common denominator does not change a rank, so
+    # each is ranked over 1; equal rows (b = a^T) have one rank
     a_rows, _, bt_rows, _ = game._int_form
-    rank_a = matrix_rank(a_rows)
-    rank_b = rank_a if bt_rows == a_rows else matrix_rank(bt_rows)
+    rank_a = matrix_rank(rows=[[*row, 1] for row in a_rows])
+    rank_b = (rank_a if bt_rows == a_rows
+              else matrix_rank(rows=[[*row, 1] for row in bt_rows]))
     k = max(rank_a, rank_b)
     bound = None
     if game.m == game.n and k + 1 <= game.m:
@@ -155,7 +156,7 @@ def cmd_approx(args):
         report = approx_absolute(game, eps)
         results = {
             "equilibrium": encode_report(report),
-            "target": eps * game.norm_c,
+            "target": _eps_threshold(game, eps),
         }
     else:
         decomp = load_decomposition(args.decomp) if args.decomp else None

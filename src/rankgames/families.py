@@ -1,6 +1,7 @@
 """Construction of bimatrix game families with controlled payoff-sum rank."""
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -17,11 +18,10 @@ def rank1_family(d):
     """
     if d < 1:
         raise ValueError("d must be positive")
-    a = np.empty((d, d), dtype=object)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            a[i - 1, j - 1] = Fraction(2 * i * j - i * i + j * j)
-    return BimatrixGame(a, a.T)
+    a = [[2 * i * j - i * i + j * j for j in range(1, d + 1)]
+         for i in range(1, d + 1)]
+    # b^T = a: both integer forms are a's rows over denominator 1
+    return BimatrixGame._from_int_form(a, 1, a, 1)
 
 
 def squared_difference_family(d):
@@ -45,10 +45,8 @@ def identity_game(d):
     """
     if d < 1:
         raise ValueError("d must be positive")
-    eye = np.full((d, d), Fraction(0), dtype=object)
-    for i in range(d):
-        eye[i, i] = Fraction(1)
-    return BimatrixGame(eye, eye.copy())
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    return BimatrixGame._from_int_form(eye, 1, eye, 1)
 
 
 def block_game(inner, outer):
@@ -56,20 +54,23 @@ def block_game(inner, outer):
     bottom-right, zeros elsewhere, for both payoff matrices.
 
     Both components must be square. The payoff-sum rank is the sum of the
-    component ranks.
+    component ranks. Each matrix is written from the components' integer
+    forms, over the lcm of their denominators, as _int_matrix writes it.
     """
     if inner.m != inner.n or outer.m != outer.n:
         raise ValueError("block components must be square games")
-    d1, d2 = inner.m, outer.m
-    d = d1 + d2
 
-    def diag(top, bottom):
-        mat = np.full((d, d), Fraction(0), dtype=object)
-        mat[:d1, :d1] = top
-        mat[d1:, d1:] = bottom
-        return mat
+    def diag(top, top_den, bottom, bottom_den):
+        den = lcm(top_den, bottom_den)
+        s, t = den // top_den, den // bottom_den
+        right, left = [0] * len(bottom), [0] * len(top)
+        return ([[e * s for e in row] + right for row in top]
+                + [left + [e * t for e in row] for row in bottom]), den
 
-    return BimatrixGame(diag(inner.a, outer.a), diag(inner.b, outer.b))
+    a1, da1, bt1, db1 = inner._int_form
+    a2, da2, bt2, db2 = outer._int_form
+    return BimatrixGame._from_int_form(*diag(a1, da1, a2, da2),
+                                       *diag(bt1, db1, bt2, db2))
 
 
 def polynomial_kernel_matrix(g, coeffs):

@@ -80,10 +80,11 @@ def parse_game_text(text):
 
 
 def format_game_text(game):
+    """The game file of a game, written from its integer rows."""
+    a_rows, da, bt_rows, db = game._int_form
     lines = [f"{game.m} {game.n}"]
-    for mat in (game.a, game.b):
-        for i in range(game.m):
-            lines.append(" ".join(str(mat[i, j]) for j in range(game.n)))
+    lines += (" ".join(_row_texts((*row, da))) for row in a_rows)
+    lines += (" ".join(_row_texts((*row, db))) for row in zip(*bt_rows))
     return "\n".join(lines) + "\n"
 
 
@@ -169,11 +170,9 @@ def parse_profile_text(text):
 
 
 def format_profile_text(profile):
-    return (
-        ",".join(str(e) for e in profile.x)
-        + ";"
-        + ",".join(str(e) for e in profile.y)
-    )
+    """'x1,..,xm;y1,..,yn', written from the profile's integer rows."""
+    xs, ys = profile._int_form
+    return ",".join(_row_texts(xs)) + ";" + ",".join(_row_texts(ys))
 
 
 def _encode(value):

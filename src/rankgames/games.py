@@ -22,15 +22,15 @@ class BimatrixGame:
     """Two-player game in matrix form: payoffs a for the row player, b for
     the column player.
 
-    Immutable after construction. A game keeps a and b^T as integer rows
-    over one common denominator each (_int_form), and every public value
-    is built on first read and kept: a and b as read-only Fraction arrays
-    (a game built from them keeps them as given), the payoff sum c = a + b,
-    read-only like a and b, and its largest absolute entry norm_c (the
-    scale every approximation guarantee is measured against), as is the
-    rank factorization of c, which rank_c counts and the grid schemes
-    grid. Equilibrium enumeration reads none of them, and a game read from
-    a game file (_from_int_form) builds none until one is read.
+    Immutable. A game's one state is its integer form (_int_form): a and
+    b^T as integer rows over one common denominator each, which ==, loss,
+    the vertex walk and the grid read. Every public value is built from
+    it on first read and kept: a and b as read-only Fraction arrays, the
+    payoff sum c = a + b, read-only like them, and its largest absolute
+    entry norm_c (the scale every approximation guarantee is measured
+    against), as is the rank factorization of c, which rank_c counts and
+    the grid schemes grid. A copy, a deep copy or an unpickled game
+    carries the integer form only, and builds its views again.
 
     Note the zero-sum corner: when a + b = 0, norm_c = 0 and the threshold
     eps * norm_c collapses to 0 for every eps, so only exact equilibria pass
@@ -43,19 +43,23 @@ class BimatrixGame:
         b = fraction_matrix(b)
         if a.shape != b.shape:
             raise ValueError("payoff matrices must share a shape")
-        for arr in (a, b):
-            arr.flags.writeable = False
-        vars(self).update(_shape=a.shape, a=a, b=b)
+        a, bt = ([[(e.numerator, e.denominator) for e in row] for row in mat]
+                 for mat in (a.tolist(), b.T.tolist()))
+        vars(self).update(_shape=(len(a), len(bt)),
+                          _int_form=(*_int_matrix(a), *_int_matrix(bt)))
 
     @classmethod
     def _from_int_form(cls, a_rows, a_den, bt_rows, bt_den):
         """The game whose _int_form is (a_rows, a_den, bt_rows, bt_den),
         each matrix over the lcm of its entries' reduced denominators (as
-        _int_matrix writes it), with a and b left to be built on first read."""
+        _int_matrix writes it)."""
         game = object.__new__(cls)
         vars(game).update(_shape=(len(a_rows), len(bt_rows)),
                           _int_form=(a_rows, a_den, bt_rows, bt_den))
         return game
+
+    def __reduce__(self):
+        return self._from_int_form, self._int_form
 
     def __setattr__(self, name, value):
         raise AttributeError(f"BimatrixGame is immutable: cannot set {name}")
@@ -101,16 +105,6 @@ class BimatrixGame:
     @property
     def rank_c(self):
         return self.factorization.rank
-
-    @cached_property
-    def _int_form(self):
-        """(rows of a, its denominator, rows of b transposed, its
-        denominator): each matrix as integer rows over one common
-        denominator, entry [i][j] being rows[i][j] / den. Built on first
-        use, so a game that is never evaluated never pays for it."""
-        a, bt = ([[(e.numerator, e.denominator) for e in row] for row in mat]
-                 for mat in (self.a.tolist(), self.b.T.tolist()))
-        return (*_int_matrix(a), *_int_matrix(bt))
 
     @property
     def shape(self):

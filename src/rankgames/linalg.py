@@ -156,22 +156,18 @@ def min_ratio_rows(rows, candidates, col):
     return tied
 
 
-def matrix_rank(matrix):
+def matrix_rank(matrix=None, *, rows=None):
     """Exact rank: the pivot count of one elimination on integer rows.
 
-    Columns are scanned left to right, and in each the first remaining row
-    with a nonzero entry is the pivot and leaves after its step, as in
-    rank_factorize, but no pair is built. A nonempty list of equal-length,
-    nonempty rows of Python ints, such as a game's integer form, is taken
-    over denominator 1 as it is; any other matrix goes through
-    fraction_matrix and int_row first.
+    The matrix and the rows are those rank_factorize takes. Columns are
+    scanned left to right, and in each the first remaining row with a
+    nonzero entry is the pivot and leaves after its step, as in
+    rank_factorize, but no pair is built.
     """
-    if (isinstance(matrix, list) and matrix and matrix[0]
-            and all(len(row) == len(matrix[0])
-                    and all(type(e) is int for e in row) for row in matrix)):
-        rows = [[*row, 1] for row in matrix]
-    else:
+    if rows is None:
         rows = [int_row(row) for row in fraction_matrix(matrix).tolist()]
+    else:
+        rows = list(rows)
     rank = 0
     for col in range(len(rows[0]) - 1):
         k = next((k for k, row in enumerate(rows) if row[col]), None)

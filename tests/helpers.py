@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+import numpy as np
+
 from rankgames import BimatrixGame, MixedProfile, linear_program, make_report
 from rankgames.approx import _geometric_axis, _interval_axis
 from rankgames.linalg import (
@@ -42,6 +44,38 @@ def random_profile(rng, m, n):
 def profile_set(reports):
     """The set of profiles behind a report list (order-insensitive compare)."""
     return {r.profile for r in reports}
+
+
+def reference_block_game(inner, outer):
+    """Reference block-diagonal composition on NumPy object arrays of
+    Fractions, as families.block_game built it before it composed the
+    components' integer forms: inner's a and b top left, outer's bottom
+    right, zeros elsewhere, made a game by BimatrixGame(a, b)."""
+    d1, d = inner.m, inner.m + outer.m
+
+    def diag(top, bottom):
+        mat = np.full((d, d), Fraction(0), dtype=object)
+        mat[:d1, :d1] = top
+        mat[d1:, d1:] = bottom
+        return mat
+
+    return BimatrixGame(diag(inner.a, outer.a), diag(inner.b, outer.b))
+
+
+def reference_game_text(game):
+    """Reference game file writer: str of each Fraction of a, then of b,
+    as gamefiles.format_game_text wrote it before it read integer rows."""
+    lines = [f"{game.m} {game.n}"]
+    for mat in (game.a, game.b):
+        for i in range(game.m):
+            lines.append(" ".join(str(mat[i, j]) for j in range(game.n)))
+    return "\n".join(lines) + "\n"
+
+
+def reference_profile_text(profile):
+    """Reference profile writer: str of each Fraction of x and of y."""
+    return (",".join(str(e) for e in profile.x) + ";"
+            + ",".join(str(e) for e in profile.y))
 
 
 def reference_evaluate(game, profile):

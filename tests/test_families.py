@@ -21,7 +21,7 @@ from rankgames import (
     squared_difference_family,
 )
 
-from helpers import random_matrix
+from helpers import random_matrix, reference_block_game
 
 
 def test_rank1_family_formula():
@@ -75,6 +75,65 @@ def test_block_game_layout_and_rank():
     assert g.rank_c == identity_game(2).rank_c + rank1_family(2).rank_c
     with pytest.raises(ValueError):
         block_game(BimatrixGame([[1, 2]], [[0, 0]]), identity_game(2))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_integer_families_match_the_fraction_builder(d):
+    """rank1_family and identity_game write the integer form that
+    BimatrixGame writes from their Fraction payoffs."""
+    a = [[Fraction(2 * i * j - i * i + j * j) for j in range(1, d + 1)]
+         for i in range(1, d + 1)]
+    eye = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for got, want in ((rank1_family(d), BimatrixGame(a, np.array(a).T)),
+                      (identity_game(d), BimatrixGame(eye, eye))):
+        assert got._int_form == want._int_form and got.shape == want.shape
+        assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+
+
+def test_block_game_matches_the_fraction_builder():
+    """block_game, which composes its components' integer forms, gives the
+    game of the NumPy Fraction builder (helpers.reference_block_game):
+    the same integer form, a and b, on drawn square components with
+    fractional entries and on family games, nested blocks included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    families = {"rank1": rank1_family, "identity": identity_game,
+                "sqdiff": squared_difference_family}
+
+    def square(d):
+        matrix = st.lists(st.lists(entries, min_size=d, max_size=d),
+                          min_size=d, max_size=d)
+        return st.tuples(matrix, matrix)
+
+    leaves = st.one_of(
+        st.integers(1, 3).flatmap(square),
+        st.tuples(st.sampled_from(sorted(families)), st.integers(1, 3)))
+    trees = st.recursive(
+        leaves, lambda kids: st.tuples(st.just("block"), kids, kids),
+        max_leaves=4)
+
+    def build(spec, compose):
+        if isinstance(spec[0], list):
+            return BimatrixGame(*spec)
+        if spec[0] == "block":
+            return compose(build(spec[1], compose), build(spec[2], compose))
+        return families[spec[0]](spec[1])
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.tuples(st.just("block"), trees, trees))
+    def check(spec):
+        got = build(spec, block_game)
+        want = build(spec, reference_block_game)
+        assert got._int_form == want._int_form and got == want
+        assert got.shape == want.shape
+        for name in ("a", "b"):
+            view, ref = getattr(got, name), getattr(want, name)
+            assert np.array_equal(view, ref) and view.shape == ref.shape
+            assert all(type(e) is Fraction for e in view.flat)
+
+    check()
 
 
 def test_polynomial_kernel_matches_squared_difference():

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from rankgames import (
+    BimatrixGame,
     GameFormatError,
     MixedProfile,
+    block_game,
     format_decomposition_text,
     format_game_text,
     format_profile_text,
+    identity_game,
     load_decomposition,
     load_game,
     make_report,
@@ -27,7 +30,12 @@ from rankgames import (
 )
 from rankgames.gamefiles import _encode, encode_report, report_json
 
-from helpers import random_game
+from helpers import (
+    random_game,
+    random_profile,
+    reference_game_text,
+    reference_profile_text,
+)
 
 
 def test_game_text_frozen_layout():
@@ -41,6 +49,20 @@ def test_game_round_trip_random():
     for _ in range(20):
         g = random_game(rng, rng.randint(1, 5), rng.randint(1, 5))
         assert parse_game_text(format_game_text(g)) == g
+    # the writer reads integer rows; its text is str of each Fraction, on
+    # integer and fractional games, built, loaded and composed
+    for _ in range(20):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a, b = ([[Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                  for _ in range(n)] for _ in range(m)] for _ in range(2))
+        g, corner = BimatrixGame(a, b), BimatrixGame([a[0][:1]], [b[0][:1]])
+        for game in (g, parse_game_text(reference_game_text(g)),
+                     random_game(rng, m, n), squared_difference_family(n),
+                     block_game(corner, identity_game(m)),
+                     block_game(rank1_family(m), block_game(corner, corner))):
+            text = format_game_text(game)
+            assert text == reference_game_text(game)
+            assert parse_game_text(text) == game
 
 
 def test_game_text_fractions_and_comments():
@@ -138,6 +160,18 @@ def test_profile_round_trip():
     text = format_profile_text(p)
     assert text == "1/3,2/3;0,1/2,1/2"
     assert parse_profile_text(text) == p
+    # the writer reads integer rows, reduced or not; its text is str of
+    # each Fraction
+    rng = random.Random(56)
+    for _ in range(20):
+        q = random_profile(rng, rng.randint(1, 5), rng.randint(1, 5))
+        xs, ys = q._int_form
+        k = rng.randint(1, 4)
+        for r in (q, MixedProfile.from_int_rows([k * e for e in xs],
+                                                [k * e for e in ys])):
+            text = format_profile_text(r)
+            assert text == reference_profile_text(r)
+            assert parse_profile_text(text) == r == q
 
 
 @pytest.mark.parametrize("bad", [

@@ -67,6 +67,22 @@ def test_games_refuse_assignment_and_copy_pickle():
                         match=f"^BimatrixGame is immutable: cannot set {name}$"):
                     setattr(other, name, rank1_family(2).a)
     assert built == rank1_family(3)
+    # a copy carries the integer form only: taken after the views are
+    # built, it builds its own again, read-only, on first read
+    for game in (rank1_family(3),
+                 parse_game_text(format_game_text(rank1_family(3))),
+                 BimatrixGame([[1, 0]], [[0, Fraction(1, 2)]])):
+        views = [getattr(game, name) for name in ("a", "b", "c")]
+        for other in (copy.copy(game), copy.deepcopy(game),
+                      pickle.loads(pickle.dumps(game))):
+            assert not {"a", "b", "c"} & set(vars(other))
+            assert other._int_form == game._int_form
+            for name, view in zip(("a", "b", "c"), views):
+                got = getattr(other, name)
+                assert not got.flags.writeable
+                assert np.array_equal(got, view) and got.shape == view.shape
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0, 0] = Fraction(9)
 
 
 def test_one_factorization_per_game(monkeypatch, capsys):

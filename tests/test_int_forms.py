@@ -26,6 +26,8 @@ from rankgames.gamefiles import _pair_text, encode_report
 from rankgames.linalg import int_row, rank_factorize
 from rankgames.polyhedra import _vertex_lists
 
+from helpers import reference_game_text
+
 
 def _spellings(value):
     """The ways a drawn game file writes value: p/q, unreduced, signed,
@@ -75,6 +77,8 @@ def test_loaded_games_match_the_fraction_path():
         assert not {"a", "b", "c"} & set(vars(game))
         assert game._int_form == ref._int_form
         assert game == ref
+        # the writer reads integer rows and writes str of each Fraction
+        assert format_game_text(game) == reference_game_text(ref)
         for name in ("a", "b", "c"):
             got, want = getattr(game, name), getattr(ref, name)
             assert np.array_equal(got, want) and got.shape == want.shape

@@ -83,9 +83,10 @@ def test_matrix_rank_matches_float_rank_on_random_int_matrices():
         ints = random_matrix(rng, m, n, -4, 4)
         mat = fraction_matrix(ints)
         assert matrix_rank(mat) == np.linalg.matrix_rank(mat.astype(float))
-        # a list of rows of Python ints is eliminated as it is
+        # a list of int rows goes through fraction_matrix, as any matrix;
+        # its integer rows over denominator 1 are passed as rows
         assert matrix_rank(ints) == matrix_rank(mat)
-    # a list that is not a matrix of ints goes through fraction_matrix
+        assert matrix_rank(rows=[[*r, 1] for r in ints]) == matrix_rank(mat)
     assert matrix_rank([[1, "1/2"], [2, 1]]) == 1
     with pytest.raises(ValueError, match="rows have unequal lengths"):
         matrix_rank([[1, 2], [3]])
