@@ -168,8 +168,7 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
         row = row[:-1] + [0, 0, row[-1]]
         rows += [row, row]
         senses += [">=", "<="]
-    form = StandardForm(rows, senses, [0] * (m + n) + [None, None],
-                        [None] * (m + n + 2))
+    form = StandardForm(rows, senses, [False] * (m + n) + [True, True])
     best = None
     for cell in product(*axes):
         rhs = base + [p for lo, hi, d in cell for p in ((lo, d), (hi, d))]
@@ -297,6 +296,23 @@ def solve_zero_sum(game):
     return make_report(game, approx_absolute(game, 1).profile)
 
 
+def _reaches(a, hi, p, power):
+    """Whether a p^power >= hi, for a >= 0 and p > 1, without the exact
+    power when a square does: a p^k for k = 1, 2, 4, ... while k <= power,
+    and the first that reaches hi decides, since p^k <= p^power. Only when
+    none does, and the last k is not power itself, is p^power computed."""
+    num, den, k = p.numerator, p.denominator, 1
+    # a p^k >= hi, cross-multiplied: y num >= x den
+    x, y = hi.numerator * a.denominator, a.numerator * hi.denominator
+    while k <= power:
+        if x * den <= y * num:
+            return True
+        if 2 * k > power:
+            break
+        num, den, k = num * num, den * den, 2 * k
+    return k != power and hi <= a * p ** power
+
+
 def _geometric_axis(entries, eps):
     """Geometric cell list covering [min, max] of the entries, plus a flag
     for the zero-minimum extension.
@@ -308,8 +324,8 @@ def _geometric_axis(entries, eps):
     rejected: relative certificates need nonnegative scales.
 
     The walk from a > 0 reaches hi within errors.MAX_WORK cells exactly
-    when hi <= a (1+eps)^MAX_WORK, so a longer axis is refused by that one
-    comparison before any cell is built.
+    when hi <= a (1+eps)^MAX_WORK (_reaches), so a longer axis is refused
+    before any cell is built.
     """
     lo, hi = min(entries), max(entries)
     if lo < 0:
@@ -319,7 +335,7 @@ def _geometric_axis(entries, eps):
         return a * (1 + eps)
 
     def walk(a):
-        if hi > a * (1 + eps) ** errors.MAX_WORK:
+        if not _reaches(a, hi, 1 + eps, errors.MAX_WORK):
             errors.check_work(errors.MAX_WORK + 1,
                               "or more cells on a grid axis")
         return _axis(a, hi, advance)
@@ -347,13 +363,16 @@ def approx_relative(game, eps, decomp=None):
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if decomp is None:
+    # the game's own factorization is c's exact peel: only a decomposition
+    # the caller passes is checked against the game
+    given = decomp is not None
+    if not given:
         decomp = game.factorization
-    if decomp.shape != game.shape:
+    elif decomp.shape != game.shape:
         raise ValueError("decomposition shape does not match the game")
     if not decomp.nonnegative:
         raise ValueError("decomposition must be entrywise nonnegative")
-    if not np.array_equal(decomp.matrix(), game.c):
+    if given and not np.array_equal(decomp.matrix(), game.c):
         raise ValueError("decomposition does not reconstruct a+b")
     rho = 1 - 1 / (1 + eps) ** 2
 

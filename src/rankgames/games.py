@@ -9,8 +9,8 @@ from operator import mul
 import numpy as np
 
 from .linalg import (
+    _fraction_rows,
     as_fraction,
-    fraction_matrix,
     fraction_vector,
     int_row,
     rank_factorize,
@@ -39,12 +39,12 @@ class BimatrixGame:
     """
 
     def __init__(self, a, b):
-        a = fraction_matrix(a)
-        b = fraction_matrix(b)
-        if a.shape != b.shape:
+        a = _fraction_rows(a)
+        b = _fraction_rows(b)
+        if (len(a), len(a[0])) != (len(b), len(b[0])):
             raise ValueError("payoff matrices must share a shape")
         a, bt = ([[(e.numerator, e.denominator) for e in row] for row in mat]
-                 for mat in (a.tolist(), b.T.tolist()))
+                 for mat in (a, zip(*b)))
         vars(self).update(_shape=(len(a), len(bt)),
                           _int_form=(*_int_matrix(a), *_int_matrix(bt)))
 

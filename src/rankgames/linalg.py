@@ -37,8 +37,9 @@ def fraction_vector(entries):
     return vec
 
 
-def fraction_matrix(rows):
-    """Build a 2-d object array of Fractions from nested sequences."""
+def _fraction_rows(rows):
+    """Nested sequences as a list of equal-length lists of Fractions
+    (as_fraction), at least one by one: fraction_matrix's rows."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
         rows = rows.tolist()
     rows = [list(r) for r in rows]
@@ -47,10 +48,14 @@ def fraction_matrix(rows):
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise ValueError("rows have unequal lengths")
-    mat = np.empty((len(rows), n), dtype=object)
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            mat[i, j] = as_fraction(e)
+    return [[as_fraction(e) for e in row] for row in rows]
+
+
+def fraction_matrix(rows):
+    """Build a 2-d object array of Fractions from nested sequences."""
+    rows = _fraction_rows(rows)
+    mat = np.empty((len(rows), len(rows[0])), dtype=object)
+    mat[:] = rows
     return mat
 
 
@@ -156,26 +161,34 @@ def min_ratio_rows(rows, candidates, col):
     return tied
 
 
-def matrix_rank(matrix=None, *, rows=None):
-    """Exact rank: the pivot count of one elimination on integer rows.
+def _peel(rows):
+    """The pivots of one elimination on integer rows, the rank peel: yield
+    (col, k, rows) for each, rows the residual before the step.
 
-    The matrix and the rows are those rank_factorize takes. Columns are
-    scanned left to right, and in each the first remaining row with a
-    nonzero entry is the pivot and leaves after its step, as in
-    rank_factorize, but no pair is built.
+    Columns are scanned left to right, and in each the first remaining row
+    with a nonzero entry, row k, is the pivot. Rows are never swapped, and
+    each pivot row leaves the list after its step, so the list always holds
+    the residual of the peel so far on the columns not yet scanned. The
+    step runs when the generator resumes.
     """
-    if rows is None:
-        rows = [int_row(row) for row in fraction_matrix(matrix).tolist()]
-    else:
-        rows = list(rows)
-    rank = 0
+    rows = list(rows)
     for col in range(len(rows[0]) - 1):
         k = next((k for k, row in enumerate(rows) if row[col]), None)
         if k is not None:
+            yield col, k, rows
             pivot(rows, k, col)
             del rows[k]
-            rank += 1
-    return rank
+
+
+def matrix_rank(matrix=None, *, rows=None):
+    """Exact rank: the pivot count of the rank peel (_peel).
+
+    The matrix and the rows are those rank_factorize takes, which reads a
+    pair off each of the same pivots.
+    """
+    if rows is None:
+        rows = [int_row(row) for row in fraction_matrix(matrix).tolist()]
+    return sum(1 for _ in _peel(rows))
 
 
 def solve_linear_system(a, b):
@@ -240,36 +253,27 @@ def rank_factorize(matrix=None, *, rows=None):
     sum, say), passes them as rows instead, and no Fraction is read; the
     pivots and the pairs are the same.
 
-    Columns are scanned left to right, and in each the first remaining row
-    of the residual with a nonzero entry is the pivot. Rows are never
-    swapped, and each pivot row leaves the list after its step, so the list
-    always holds the residual of the peel so far on the columns not yet
-    scanned. Each pivot gives one pair (u, v): u is the pivot column of the
-    residual taken before the step, with 0 on the rows already peeled, and
-    v is the pivot row divided by the pivot, read on the columns after the
-    pivot's: it is 0 on the earlier columns and 1 on the pivot's own. Each
-    pair is scaled so the first nonzero entry of its u, which is the pivot
-    itself, is positive. The pair count is the exact rank.
+    Each pivot of the rank peel (_peel) gives one pair (u, v), read off
+    the residual before its step: u is the pivot column, with 0 on the rows
+    already peeled, and v is the pivot row divided by the pivot, read on
+    the columns after the pivot's: it is 0 on the earlier columns and 1 on
+    the pivot's own. Each pair is scaled so the first nonzero entry of its
+    u, which is the pivot itself, is positive. The pair count is the exact
+    rank.
     """
     if rows is None:
         rows = [int_row(row) for row in fraction_matrix(matrix).tolist()]
-    else:
-        rows = list(rows)
     m, n = len(rows), len(rows[0]) - 1
     left = list(range(m))  # original index of each remaining row
     pairs = []
-    for col in range(n):
-        for k, row in enumerate(rows):
-            if row[col] != 0:
-                sign = 1 if row[col] > 0 else -1
-                u = [Fraction(0)] * m
-                for i, rest in zip(left, rows):
-                    u[i] = Fraction(sign * rest[col], rest[-1])
-                pivot(rows, k, col)
-                v = rows.pop(k)
-                pairs.append((tuple(u), (Fraction(0),) * col + (
-                    Fraction(sign),
-                    *(Fraction(sign * e, v[-1]) for e in v[col + 1:-1]))))
-                del left[k]
-                break
+    for col, k, rest in _peel(rows):
+        row = rest[k]
+        sign = 1 if row[col] > 0 else -1
+        u = [Fraction(0)] * m
+        for i, r in zip(left, rest):
+            u[i] = Fraction(sign * r[col], r[-1])
+        a = abs(row[col])
+        pairs.append((tuple(u), (Fraction(0),) * col + (
+            Fraction(sign), *(Fraction(e, a) for e in row[col + 1:-1]))))
+        del left[k]
     return RankFactorization(shape=(m, n), pairs=tuple(pairs))

@@ -134,76 +134,35 @@ def _iterate(tableau, basis, nonbasic):
 
 
 class StandardForm:
-    """The standard-form rewrite of an LP, built once and solved for any
-    right-hand side and objective.
+    """The standard-form rewrite of an LP over nonnegative and free
+    variables, built once and solved for any right-hand side and objective.
 
     lhs holds the LP's rows as integer rows (linalg.int_row) over its
-    variables, senses their senses, and lower and upper the variables'
-    bounds (a rational, or None for an unbounded side). Building the form
-    is the work of a solve that does not depend on the right-hand sides of
-    the LP's rows or on its objective. Each variable is rewritten as
-    const + a signed sum of nonnegative standard columns (terms), and each
-    constraint row, the LP's rows and then one row per finite upper bound
-    of a lower-bounded variable, gets its slack column. rows[i] is the
-    integer row of row i's standard columns, without its slack or its
-    right-hand side, and slack[i] is its slack's (column, sign) or None
-    for an equality: a slack column is +-1 on its own row and 0 on the
-    others, so the rows leave it out, and tableau writes it only when the
-    slack starts nonbasic. const and bound_rhs, the bound rows' right-hand
-    sides, are (numerator, denominator) int pairs, as are the right-hand
-    sides that tableau and solve_rows take. An upper bound below its lower
-    bound gives a bound row with a negative right-hand side, which phase 1
-    finds infeasible.
+    variables, senses their senses, and free one flag per variable: a
+    nonnegative variable is one nonnegative standard column, and a free one
+    the difference of two. Building the form is the work of a solve that
+    does not depend on the right-hand sides of the LP's rows or on its
+    objective. Each row gets its slack column. rows[i] is the integer row
+    of row i's standard columns, without its slack or its right-hand side,
+    and slack[i] is its slack's (column, sign) or None for an equality: a
+    slack column is +-1 on its own row and 0 on the others, so the rows
+    leave it out, and tableau writes it only when the slack starts
+    nonbasic. General bounds are solve_lp's to reduce (_reduce_bounds).
 
     solve_rows takes and returns integer rows and pairs, and is what the
     grid's cells and solve_lp call. Its simplex runs on dictionary rows
     (linalg.pivot): no row carries a column for a basic variable.
     """
 
-    def __init__(self, lhs, senses, lower, upper):
-        # rewrite each variable as a nonnegative combination: x_j = const + sum sign*t
-        const = []
-        terms = []
-        nstd = 0
-        bound_rows = []
-        for lo, up in zip(lower, upper):
-            if lo is not None:
-                if up is not None:
-                    bound_rows.append((nstd, up - lo))
-                const.append(lo)
-                terms.append(((nstd, 1),))
-                nstd += 1
-            elif up is not None:
-                const.append(up)
-                terms.append(((nstd, -1),))
-                nstd += 1
-            else:
-                const.append(0)
-                terms.append(((nstd, 1), (nstd + 1, -1)))
-                nstd += 2
-        shifted = [(j, c) for j, c in enumerate(const) if c]
-
+    def __init__(self, lhs, senses, free):
         # each standard column belongs to one variable, so a row's integer
-        # form is its LP row's ints scattered onto the columns; the
-        # constants shift row i's right-hand side by the pair kept in
-        # _shifted
-        senses = tuple(senses) + ("<=",) * len(bound_rows)
-        rows = []
-        shifts = []
-        for i, coef in enumerate(lhs):
-            row = [0] * nstd + [coef[-1]]
-            for a, ts in zip(coef, terms):
-                if a:
-                    for t, sign in ts:
-                        row[t] = a if sign > 0 else -a
-            rows.append(row)
-            s = Fraction(sum(coef[j] * c for j, c in shifted), coef[-1])
-            if s:
-                shifts.append((i, s.numerator, s.denominator))
-        for t, _ in bound_rows:
-            row = [0] * nstd + [1]
-            row[t] = 1
-            rows.append(row)
+        # form is its LP row's ints laid onto the columns, negated on the
+        # second column of a free variable
+        free = tuple(free)
+        nstd = len(free) + sum(free)
+        rows = [[e for a, f in zip(coef, free)
+                 for e in ((a, -a) if f else (a,))] + [coef[-1]]
+                for coef in lhs]
         slack = []
         k = nstd
         for sense in senses:
@@ -213,14 +172,10 @@ class StandardForm:
                 slack.append((k, 1 if sense == "<=" else -1))
                 k += 1
 
-        self.const = tuple((c.numerator, c.denominator) for c in const)
-        self.terms = tuple(terms)
+        self.free = free
         self.nstd = nstd
         self.ncols = k
         self.rows = tuple(rows)
-        self._shifted = tuple(shifts)
-        self.bound_rhs = tuple((ub.numerator, ub.denominator)
-                               for _, ub in bound_rows)
         self.slack = tuple(slack)
 
     def tableau(self, rhs):
@@ -241,19 +196,14 @@ class StandardForm:
         nonbasic columns (a basic column holds 0 or 1 and leaves the row's
         gcd as it is).
         """
-        if len(rhs) + len(self.bound_rhs) != len(self.rows):
+        if len(rhs) != len(self.rows):
             raise ValueError("rhs length does not match row count")
         ncols = self.ncols
-        bs = list(rhs)
-        for i, p, q in self._shifted:
-            b, den = bs[i]
-            bs[i] = (b * q - p * den, den * q)
-        bs += self.bound_rhs
         basis = []
         nonbasic = list(range(self.nstd))
         slots = []  # the slot of each row's slack when it is nonbasic
         nart = 0
-        for slack, (b, _) in zip(self.slack, bs):
+        for slack, (b, _) in zip(self.slack, rhs):
             if slack is not None and (slack[1] > 0) != (b < 0):
                 basis.append(slack[0])
                 slots.append(None)
@@ -265,7 +215,7 @@ class StandardForm:
                     nonbasic.append(slack[0])
         zeros = [0] * (len(nonbasic) - self.nstd)
         rows = []
-        for coef, (b, bden), at in zip(self.rows, bs, slots):
+        for coef, (b, bden), at in zip(self.rows, rhs, slots):
             g = gcd(b, bden)
             if g != 1:
                 b, bden = b // g, bden // g
@@ -295,11 +245,10 @@ class StandardForm:
         holds one (numerator, denominator) int pair per variable and value
         is the pair of the objective's value, each denominator positive and
         the pairs not always in lowest terms; otherwise both are None. The
-        objective's value is read off the priced-out cost row, whose
-        right-hand side is minus the standard columns' part, plus the
-        constants' part.
+        objective's value is minus the right-hand side of the priced-out
+        cost row.
         """
-        if len(cost) != len(self.terms) + 1:
+        if len(cost) != len(self.free) + 1:
             raise ValueError("objective length does not match variable count")
         ncols = self.ncols
         rows, basis, nonbasic, nart = self.tableau(rhs)
@@ -327,14 +276,11 @@ class StandardForm:
             basis = [b for b in basis if b < ncols]
             nonbasic = [nonbasic[j] for j in keep]
 
-        # each standard column belongs to one variable, so the cost row
-        # over them is the variables' row with signs: int_row of the
-        # Fraction costs
-        zrow = [0] * (ncols + 1) + [cost[-1]]
-        for c, terms in zip(cost, self.terms):
-            if c:
-                for t, sign in terms:
-                    zrow[t] = c if sign > 0 else -c
+        # the cost row over the standard columns is the variables' row,
+        # laid out as the rows are: int_row of the Fraction costs
+        zrow = [e for c, f in zip(cost, self.free)
+                for e in ((c, -c) if f else (c,))]
+        zrow += [0] * (ncols - self.nstd + 1) + [cost[-1]]
         _price_out(rows, zrow, basis, nonbasic)
         if _iterate(rows, basis, nonbasic) == "unbounded":
             return "unbounded", None, None
@@ -344,38 +290,72 @@ class StandardForm:
             if b < self.nstd:
                 std[b] = (rows[i][-2], rows[i][-1])
         values = []
-        for (p, q), terms in zip(self.const, self.terms):
-            for t, sign in terms:
-                n, d = std[t]
+        cols = iter(std)
+        for f in self.free:
+            p, q = 0, 1
+            for sign in ((1, -1) if f else (1,)):
+                n, d = next(cols)
                 if n:
                     p, q = p * d + sign * n * q, q * d
             values.append((p, q))
-        zrow = rows[-1]
-        num, den = -zrow[-2], zrow[-1]
-        cden = cost[-1]
-        for c, (p, q) in zip(cost, self.const):
-            if c and p:
-                num, den = num * q * cden + c * p * den, den * q * cden
-        return "optimal", values, (num, den)
+        return "optimal", values, (-rows[-1][-2], rows[-1][-1])
+
+
+def _reduce_bounds(lp):
+    """The bounded-variable reduction of lp (Chvátal, Linear Programming,
+    1983), in Fractions: (the LP over nonnegative and free variables t,
+    one (constant, sign) pair per variable).
+
+    x_j = lo_j + t_j, or up_j - t_j when only an upper bound is given, and
+    a free x_j is t_j, free. Each row's right-hand side is shifted by A
+    times the constants, and each box adds the row t_j <= up_j - lo_j,
+    after the LP's rows and in variable order. An upper bound below its
+    lower bound gives a bound row with a negative right-hand side, which
+    phase 1 finds infeasible. The reduction of a reduced LP is itself, with
+    every pair (0, 1).
+    """
+    shift, boxes, lower = [], [], []
+    for j, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
+        lower.append(None if lo is None and up is None else 0)
+        if lo is None and up is not None:
+            shift.append((up, -1))
+        else:
+            shift.append((Fraction(0) if lo is None else lo, 1))
+            if lo is not None and up is not None:
+                boxes.append(j)
+    rows = lp.lhs.tolist()
+    rhs = [b - sum(a * c for a, (c, _) in zip(row, shift))
+           for row, b in zip(rows, lp.rhs)]
+    rows = [[a * s for a, (_, s) in zip(row, shift)] for row in rows]
+    for j in boxes:
+        rows.append([int(i == j) for i in range(lp.nvars)])
+        rhs.append(lp.upper[j] - lp.lower[j])
+    objective = [c * s for c, (_, s) in zip(lp.objective, shift)]
+    return linear_program(objective, rows, lp.senses + ("<=",) * len(boxes),
+                          rhs, lower), shift
 
 
 def solve_lp(lp):
     """Solve an LP exactly.
 
-    Two-phase simplex on the standard-form rewrite of the problem, built as
-    a StandardForm from the integer rows of lp's rows and solved once: the
-    right-hand sides enter solve_rows as int pairs, and its pairs leave as
-    the Fractions of the LpSolution. Bland's rule picks both the entering
-    and the leaving variable, so the run never cycles and is fully
-    deterministic.
+    Its bounds are reduced once (_reduce_bounds), and the reduced LP's
+    rows become the integer rows of a StandardForm, solved once: the
+    right-hand sides enter solve_rows as int pairs, and x and the
+    objective's value leave as the Fractions of the LpSolution, the
+    constants added back. Two-phase simplex with Bland's rule picking both
+    the entering and the leaving variable, so the run never cycles and is
+    fully deterministic.
     """
     if not isinstance(lp, LinearProgram):
         raise TypeError("expected a LinearProgram")
-    form = StandardForm([int_row(row) for row in lp.lhs], lp.senses,
-                        lp.lower, lp.upper)
+    red, shift = _reduce_bounds(lp)
+    form = StandardForm([int_row(row) for row in red.lhs], red.senses,
+                        [lo is None for lo in red.lower])
     status, values, value = form.solve_rows(
-        [(b.numerator, b.denominator) for b in lp.rhs], int_row(lp.objective))
+        [(b.numerator, b.denominator) for b in red.rhs],
+        int_row(red.objective))
     if status != "optimal":
         return LpSolution(status, None, None)
-    return LpSolution(status, tuple(Fraction(n, d) for n, d in values),
-                      Fraction(*value))
+    x = tuple(c + s * Fraction(*t) for (c, s), t in zip(shift, values))
+    return LpSolution(status, x, Fraction(*value) + sum(
+        e * c for e, (c, _) in zip(lp.objective, shift)))

@@ -485,13 +485,13 @@ def reference_grid_lp(game, scheme, decomp=None):
 
 def reference_cost_row(form, objective):
     """Reference phase-2 cost row of a StandardForm: the Fraction costs of
-    the standard columns, each variable's cost with its term's sign, made
-    an integer row with a zero right-hand side. lp.StandardForm.solve_rows
-    must price out exactly this row."""
-    cost = [Fraction(0)] * form.ncols
-    for c, terms in zip(objective, form.terms):
-        for t, sign in terms:
-            cost[t] += c if sign > 0 else -c
+    the standard columns, each variable's cost, negated on the second
+    column of a free variable, made an integer row with a zero right-hand
+    side. lp.StandardForm.solve_rows must price out exactly this row."""
+    cost = []
+    for c, free in zip(objective, form.free):
+        cost += [c, -c] if free else [c]
+    cost += [Fraction(0)] * (form.ncols - len(cost))
     return int_row(cost + [Fraction(0)])
 
 

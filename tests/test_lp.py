@@ -1,6 +1,7 @@
 """Exact simplex solver: known optima, degenerate cases, and a vertex oracle."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -215,30 +216,51 @@ def test_rational_lps_agree_with_brute_force_vertex_oracle():
 
 
 def _standard_form(lp):
-    """The StandardForm of a LinearProgram, built from int_row of each of
-    its rows, as solve_lp builds it."""
-    return StandardForm([int_row(row) for row in lp.lhs], lp.senses,
-                        lp.lower, lp.upper)
+    """The StandardForm solve_lp builds for a LinearProgram: on the integer
+    rows of its bounds' reduction, with a free flag for each variable the
+    reduction leaves free."""
+    red = lp_module._reduce_bounds(lp)[0]
+    return StandardForm([int_row(row) for row in red.lhs], red.senses,
+                        [lo is None for lo in red.lower])
 
 
 def _pairs(rhs):
     return [(b.numerator, b.denominator) for b in rhs]
 
 
-def _solve(form, rhs, objective):
-    """form.solve_rows on Fraction right-hand sides and objective, its
-    pairs made Fractions as solve_lp makes them."""
-    status, values, value = form.solve_rows(_pairs(rhs), int_row(objective))
+def _solve(form, lp):
+    """form.solve_rows on the right-hand sides and objective of lp's
+    bounds' reduction, its pairs made Fractions and the constants added
+    back as solve_lp does."""
+    red, shift = lp_module._reduce_bounds(lp)
+    status, values, value = form.solve_rows(_pairs(red.rhs),
+                                            int_row(red.objective))
     if status != "optimal":
         return LpSolution(status, None, None)
-    return LpSolution(status, tuple(Fraction(n, d) for n, d in values),
-                      Fraction(*value))
+    x = tuple(c + s * Fraction(n, d) for (c, s), (n, d) in zip(shift, values))
+    return LpSolution(status, x, Fraction(*value) + sum(
+        e * c for e, (c, _) in zip(lp.objective, shift)))
+
+
+def _random_bounds(rng, nvars, rational):
+    """Bounds of every kind: a lower bound, an upper bound alone, none, a
+    box whose upper bound may lie below its lower bound, and 0."""
+    lower, upper = [], []
+    for _ in range(nvars):
+        lo, up = rng.choice([(rational(3), None), (None, rational(3)),
+                             (None, None), (rational(3), rational(4)),
+                             (0, None)])
+        lower.append(lo)
+        upper.append(up)
+    return lower, upper
 
 
 def test_standard_form_rows_match_reference_builder():
     # bounds of every kind: constants shift the rows' right-hand sides, free
     # variables split in two, finite boxes add bound rows; negative
-    # right-hand sides flip rows, and the flips move the artificials
+    # right-hand sides flip rows, and the flips move the artificials. The
+    # form is built on the reduction solve_lp runs, and its tableau must be
+    # the reference's, rebuilt from the bounded LP's Fractions
     rng = random.Random(523)
 
     def rational(bound):
@@ -247,13 +269,7 @@ def test_standard_form_rows_match_reference_builder():
     crossed = flipped = solved = 0
     for _ in range(120):
         nvars, nrows = rng.randint(1, 4), rng.randint(1, 4)
-        lower, upper = [], []
-        for _ in range(nvars):
-            lo, up = rng.choice([(rational(3), None), (None, rational(3)),
-                                 (None, None), (rational(3), rational(4)),
-                                 (0, None)])
-            lower.append(lo)
-            upper.append(up)
+        lower, upper = _random_bounds(rng, nvars, rational)
         lp = linear_program(
             [rational(5) for _ in range(nvars)],
             [[rational(4) for _ in range(nvars)] for _ in range(nrows)],
@@ -262,25 +278,91 @@ def test_standard_form_rows_match_reference_builder():
         form = _standard_form(lp)
         if reference_tableau(lp) is None:
             crossed += 1
-            assert _solve(form, lp.rhs, lp.objective).status == "infeasible"
+            assert _solve(form, lp).status == "infeasible"
             continue
         other = replace(lp, rhs=tuple(rational(6) for _ in range(nrows)))
+        assert _standard_form(other).rows == form.rows
         for ref in (lp, other):
-            assert form.tableau(_pairs(ref.rhs)) == reference_tableau(ref)
+            red = lp_module._reduce_bounds(ref)[0]
+            assert form.tableau(_pairs(red.rhs)) == reference_tableau(ref)
             flipped += any(b < 0 for b in reference_shifted_rhs(ref))
         # one form serves any number of solves
-        assert _solve(form, other.rhs, lp.objective) == solve_lp(other)
-        assert _solve(form, lp.rhs, lp.objective) == solve_lp(lp)
+        assert _solve(form, other) == solve_lp(other)
+        assert _solve(form, lp) == solve_lp(lp)
         # the value read off the cost row is the objective at x
         negated = tuple(-c for c in lp.objective)
         for rhs, obj in ((lp.rhs, lp.objective), (other.rhs, lp.objective),
                          (lp.rhs, negated), (other.rhs, negated)):
-            sol = _solve(form, rhs, obj)
+            sol = _solve(form, replace(lp, rhs=rhs, objective=obj))
             if sol.status == "optimal":
                 solved += 1
                 assert sol.objective_value == sum(
                     (c * x for c, x in zip(obj, sol.x)), Fraction(0))
     assert crossed >= 10 and flipped >= 100 and solved >= 80
+
+
+def test_bounds_reduce_to_nonnegative_and_free_variables(monkeypatch):
+    # solve_lp on an LP with general bounds is solve_lp on the LP reduced
+    # by hand to nonnegative and free variables t: x = lo + t, or up - t
+    # with an upper bound alone, a box adding the row t <= up - lo after
+    # the LP's rows. The same pivots, in the same order, and the same
+    # LpSolution once the constants are added back
+    rng = random.Random(2604)
+
+    def rational(bound):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+
+    pivots = []
+    pivot = lp_module.pivot
+
+    def recorded(rows, r, col):
+        pivots.append((r, col))
+        pivot(rows, r, col)
+
+    monkeypatch.setattr(lp_module, "pivot", recorded)
+    statuses = Counter()
+    for _ in range(300):
+        nvars, nrows = rng.randint(1, 4), rng.randint(0, 4)
+        lower, upper = _random_bounds(rng, nvars, rational)
+        rows = [[rational(4) for _ in range(nvars)] for _ in range(nrows)]
+        senses = [rng.choice(["<=", ">=", "="]) for _ in range(nrows)]
+        rhs = [rational(6) for _ in range(nrows)]
+        objective = [rational(5) for _ in range(nvars)]
+        lp = linear_program(objective, rows, senses, rhs, lower, upper)
+
+        const = [Fraction(0) if lo is None and up is None else
+                 lo if lo is not None else up for lo, up in zip(lower, upper)]
+        sign = [-1 if lo is None and up is not None else 1
+                for lo, up in zip(lower, upper)]
+        hand = linear_program(
+            [c * s for c, s in zip(objective, sign)],
+            [[a * s for a, s in zip(row, sign)] for row in rows]
+            + [[int(i == j) for i in range(nvars)] for j in range(nvars)
+               if lower[j] is not None and upper[j] is not None],
+            senses + ["<="] * sum(lo is not None and up is not None
+                                  for lo, up in zip(lower, upper)),
+            [b - sum(a * c for a, c in zip(row, const))
+             for row, b in zip(rows, rhs)]
+            + [up - lo for lo, up in zip(lower, upper)
+               if lo is not None and up is not None],
+            lower=[None if lo is None and up is None else 0
+                   for lo, up in zip(lower, upper)])
+        assert all(up is None for up in hand.upper)
+
+        del pivots[:]
+        sol = solve_lp(lp)
+        path = pivots[:]
+        del pivots[:]
+        ref = solve_lp(hand)
+        assert path == pivots
+        statuses[sol.status] += 1
+        if ref.status != "optimal":
+            assert sol == ref
+            continue
+        assert sol == LpSolution(
+            "optimal", tuple(c + s * t for c, s, t in zip(const, sign, ref.x)),
+            ref.objective_value + sum(e * c for e, c in zip(objective, const)))
+    assert min(statuses.values()) >= 30 and len(statuses) == 3
 
 
 def test_price_out_matches_pricing_every_basic_column(monkeypatch):
@@ -356,6 +438,6 @@ def test_bland_pivot_path_golden():
 ], ids=["tableau-rhs", "solve-rhs", "solve-objective", "solve-lp-type"])
 def test_standard_form_argument_errors(call, error, message):
     # the rows of linear_program([1, 1], [[1, 1]], ["<="], [1])
-    form = StandardForm([[1, 1, 1]], ["<="], [0, 0], [None, None])
+    form = StandardForm([[1, 1, 1]], ["<="], [False, False])
     with pytest.raises(error, match=message):
         call(form)
