@@ -1,7 +1,7 @@
 """Approximation machinery: truncation, perturbation, and grid-LP schemes."""
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
@@ -289,11 +289,12 @@ def solve_zero_sum(game):
     its LP admits exactly the equilibria: s1 + s2 is at least
     x (a+b) y = 0, with equality only when x and y are mutual best
     responses. The target check, loss <= eps |a+b| = 0, is then an exact
-    loss-0 certificate, which makes payoff1 the game value.
+    loss-0 certificate, which makes payoff1 the game value, so
+    approx_absolute's report is returned as the exact one.
     """
     if game.norm_c != 0:
         raise ValueError("game is not zero-sum: a + b has a nonzero entry")
-    return make_report(game, approx_absolute(game, 1).profile)
+    return replace(approx_absolute(game, 1), kind="exact", parameter=None)
 
 
 def _reaches(a, hi, p, power):
@@ -372,7 +373,8 @@ def approx_relative(game, eps, decomp=None):
         raise ValueError("decomposition shape does not match the game")
     if not decomp.nonnegative:
         raise ValueError("decomposition must be entrywise nonnegative")
-    if given and not np.array_equal(decomp.matrix(), game.c):
+    # both sides are reduced integer rows, the one form of their rows
+    if given and decomp._int_rows() != game._c_rows:
         raise ValueError("decomposition does not reconstruct a+b")
     rho = 1 - 1 / (1 + eps) ** 2
 

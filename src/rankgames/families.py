@@ -6,7 +6,7 @@ from math import lcm
 import numpy as np
 
 from .games import BimatrixGame
-from .linalg import as_fraction, fraction_matrix, fraction_vector
+from .linalg import _fraction_rows, as_fraction, fraction_vector
 
 
 def rank1_family(d):
@@ -106,7 +106,7 @@ def polynomial_kernel_game(g, coeffs):
     Generalizes squared_difference_family, which is the kernel p(t) = -t^2
     on the grid g = (1, ..., d)."""
     mat = polynomial_kernel_matrix(g, coeffs)
-    return BimatrixGame(mat, mat.copy())
+    return BimatrixGame(mat, mat)
 
 
 def additive_to_zero_sum(game, u, v):
@@ -136,12 +136,10 @@ def find_additive_decomposition(matrix):
     Returns (u, v) as Fraction tuples, or None when the matrix is not
     additively separable.
     """
-    c = fraction_matrix(matrix)
-    m, n = c.shape
-    u = tuple(c[i, 0] - c[0, 0] for i in range(m))
-    v = tuple(c[0, j] for j in range(n))
-    for i in range(m):
-        for j in range(n):
-            if c[i, j] != u[i] + v[j]:
-                return None
+    c = _fraction_rows(matrix)
+    u = tuple(row[0] - c[0][0] for row in c)
+    v = tuple(c[0])
+    for ui, row in zip(u, c):
+        if any(e != ui + vj for e, vj in zip(row, v)):
+            return None
     return u, v

@@ -39,7 +39,8 @@ def fraction_vector(entries):
 
 def _fraction_rows(rows):
     """Nested sequences as a list of equal-length lists of Fractions
-    (as_fraction), at least one by one: fraction_matrix's rows."""
+    (as_fraction), at least one by one: the one reader of matrix input,
+    which fraction_matrix, the games and every kernel entry call."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
         rows = rows.tolist()
     rows = [list(r) for r in rows]
@@ -187,7 +188,7 @@ def matrix_rank(matrix=None, *, rows=None):
     pair off each of the same pivots.
     """
     if rows is None:
-        rows = [int_row(row) for row in fraction_matrix(matrix).tolist()]
+        rows = [int_row(row) for row in _fraction_rows(matrix)]
     return sum(1 for _ in _peel(rows))
 
 
@@ -200,14 +201,14 @@ def solve_linear_system(a, b):
     sides end up as the solution; each step reads only the columns not yet
     brought in and the right-hand side.
     """
-    a = fraction_matrix(a)
-    n, nc = a.shape
-    if n != nc:
+    a = _fraction_rows(a)
+    n = len(a)
+    if len(a[0]) != n:
         raise ValueError("coefficient matrix must be square")
-    b = fraction_vector(b)
+    b = [as_fraction(e) for e in b]
     if len(b) != n:
         raise ValueError("right-hand side length does not match")
-    rows = [int_row(ra + [rb]) for ra, rb in zip(a.tolist(), b.tolist())]
+    rows = [int_row(ra + [rb]) for ra, rb in zip(a, b)]
     for col in range(n):
         r = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if r is None:
@@ -221,11 +222,17 @@ def solve_linear_system(a, b):
 class RankFactorization:
     """Sum-of-outer-products form C = sum of u v^T over the stored pairs.
 
-    The number of pairs equals the exact rank.
+    The number of pairs equals the exact rank. Every u has shape[0]
+    entries and every v shape[1].
     """
 
     shape: tuple[int, int]
     pairs: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...]
+
+    def __post_init__(self):
+        m, n = self.shape
+        if any(len(u) != m or len(v) != n for u, v in self.pairs):
+            raise ValueError("pair vectors do not match the shape")
 
     @property
     def rank(self):
@@ -237,12 +244,23 @@ class RankFactorization:
         relative approximation scheme needs from its input."""
         return all(e >= 0 for u, v in self.pairs for e in (*u, *v))
 
-    def matrix(self):
+    def _int_rows(self):
+        """The integer rows of sum u v^T, each reduced, so each is int_row
+        of its Fraction row. With U and V the integer rows of a pair's u
+        and v, over du and dv, row i sums U_i V / (du dv) over the pairs,
+        as numerators over the lcm of their du dv."""
         m, n = self.shape
-        total = np.full((m, n), Fraction(0), dtype=object)
-        for u, v in self.pairs:
-            total = total + np.outer(fraction_vector(u), fraction_vector(v))
-        return total
+        uv = [[int_row(map(as_fraction, w)) for w in p] for p in self.pairs]
+        den = lcm(*(u[-1] * v[-1] for u, v in uv))
+        return [reduced([sum(u[i] * v[j] * (den // (u[-1] * v[-1]))
+                             for u, v in uv) for j in range(n)] + [den])
+                for i in range(m)]
+
+    def matrix(self):
+        """sum u v^T as an object array of Fractions."""
+        rows = [[Fraction(e, row[-1]) for e in row[:-1]]
+                for row in self._int_rows()]
+        return np.array(rows, dtype=object).reshape(self.shape)
 
 
 def rank_factorize(matrix=None, *, rows=None):
@@ -262,7 +280,7 @@ def rank_factorize(matrix=None, *, rows=None):
     rank.
     """
     if rows is None:
-        rows = [int_row(row) for row in fraction_matrix(matrix).tolist()]
+        rows = [int_row(row) for row in _fraction_rows(matrix)]
     m, n = len(rows), len(rows[0]) - 1
     left = list(range(m))  # original index of each remaining row
     pairs = []

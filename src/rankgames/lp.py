@@ -5,12 +5,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .linalg import (
+    _fraction_rows,
     as_fraction,
-    fraction_matrix,
-    fraction_vector,
     int_row,
     min_ratio_rows,
     pivot,
@@ -24,12 +21,13 @@ SENSES = ("<=", "=", ">=")
 class LinearProgram:
     """Minimize objective . x subject to lhs x (senses) rhs and variable bounds.
 
-    A None in lower/upper means that side is unbounded. Row order is part of
-    the problem identity: the solver is deterministic for a fixed row order.
+    lhs holds the rows as tuples of Fractions. A None in lower/upper means
+    that side is unbounded. Row order is part of the problem identity: the
+    solver is deterministic for a fixed row order.
     """
 
     objective: tuple
-    lhs: np.ndarray
+    lhs: tuple
     senses: tuple
     rhs: tuple
     lower: tuple
@@ -61,27 +59,25 @@ def _bound_list(bounds, nvars, default):
 
 def linear_program(objective, lhs, senses, rhs, lower=None, upper=None):
     """Validate and pack an LP. lower defaults to all 0, upper to all None."""
-    objective = tuple(fraction_vector(objective).tolist())
+    objective = tuple(as_fraction(e) for e in objective)
     nvars = len(objective)
     if nvars == 0:
         raise ValueError("need at least one variable")
     rows = [list(r) for r in lhs]
     if rows:
-        mat = fraction_matrix(rows)
-        if mat.shape[1] != nvars:
+        rows = _fraction_rows(rows)
+        if len(rows[0]) != nvars:
             raise ValueError("constraint row length does not match variable count")
-    else:
-        mat = np.empty((0, nvars), dtype=object)
     senses = tuple(senses)
-    rhs = tuple(fraction_vector(rhs).tolist())
-    if len(senses) != mat.shape[0] or len(rhs) != mat.shape[0]:
+    rhs = tuple(as_fraction(e) for e in rhs)
+    if len(senses) != len(rows) or len(rhs) != len(rows):
         raise ValueError("senses/rhs length does not match row count")
     for s in senses:
         if s not in SENSES:
             raise ValueError(f"unknown sense {s!r}")
     return LinearProgram(
         objective=objective,
-        lhs=mat,
+        lhs=tuple(map(tuple, rows)),
         senses=senses,
         rhs=rhs,
         lower=_bound_list(lower, nvars, Fraction(0)),
@@ -312,27 +308,27 @@ def _reduce_bounds(lp):
     after the LP's rows and in variable order. An upper bound below its
     lower bound gives a bound row with a negative right-hand side, which
     phase 1 finds infeasible. The reduction of a reduced LP is itself, with
-    every pair (0, 1).
+    every pair (0, 1). lp is valid, so the reduced LP is built directly.
     """
     shift, boxes, lower = [], [], []
     for j, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
-        lower.append(None if lo is None and up is None else 0)
+        lower.append(None if lo is None and up is None else Fraction(0))
         if lo is None and up is not None:
             shift.append((up, -1))
         else:
             shift.append((Fraction(0) if lo is None else lo, 1))
             if lo is not None and up is not None:
                 boxes.append(j)
-    rows = lp.lhs.tolist()
     rhs = [b - sum(a * c for a, (c, _) in zip(row, shift))
-           for row, b in zip(rows, lp.rhs)]
-    rows = [[a * s for a, (_, s) in zip(row, shift)] for row in rows]
+           for row, b in zip(lp.lhs, lp.rhs)]
+    rows = [tuple(a * s for a, (_, s) in zip(row, shift)) for row in lp.lhs]
     for j in boxes:
-        rows.append([int(i == j) for i in range(lp.nvars)])
+        rows.append(tuple(Fraction(int(i == j)) for i in range(lp.nvars)))
         rhs.append(lp.upper[j] - lp.lower[j])
-    objective = [c * s for c, (_, s) in zip(lp.objective, shift)]
-    return linear_program(objective, rows, lp.senses + ("<=",) * len(boxes),
-                          rhs, lower), shift
+    objective = tuple(c * s for c, (_, s) in zip(lp.objective, shift))
+    senses = lp.senses + ("<=",) * len(boxes)
+    return LinearProgram(objective, tuple(rows), senses, tuple(rhs),
+                         tuple(lower), (None,) * lp.nvars), shift
 
 
 def solve_lp(lp):

@@ -496,11 +496,27 @@ def test_relative_guards():
     with pytest.raises(ValueError):
         approx_relative(g, Fraction(1, 2), decomp=RankFactorization(
             shape=(2, 2), pairs=(_pair((1, 2), (1, 2)),)))
+    with pytest.raises(TypeError, match="got float$"):
+        approx_relative(g, Fraction(1, 2), decomp=RankFactorization(
+            shape=(2, 2), pairs=(((2.0, 4.0), (2.0, 4.0)),)))
     zero = BimatrixGame([[0]], [[0]])
     fivezeros = RankFactorization(
         shape=(1, 1), pairs=tuple(_pair((0,), (0,)) for _ in range(5)))
     # five factors, each a one-cell axis: one cell LP, no rank guard
     assert approx_relative(zero, Fraction(1, 2), decomp=fivezeros).loss == 0
+
+
+def test_rank_factorization_refuses_pairs_off_its_shape():
+    # c = [[1, 2], [1, 2]]: a u of one entry would broadcast in matrix()
+    g = BimatrixGame([[1, 0], [0, 1]], [[0, 2], [1, 1]])
+    for pair in (_pair((1,), (1, 2)), _pair((1, 1), (1,)),
+                 _pair((1, 1, 1), (1, 2)), _pair((1, 1), (1, 2, 0))):
+        with pytest.raises(ValueError,
+                           match="^pair vectors do not match the shape$"):
+            RankFactorization((2, 2), (_pair((1, 1), (1, 2)), pair))
+    decomp = RankFactorization((2, 2), (_pair((1, 1), (1, 2)),))
+    rep = approx_relative(g, Fraction(1, 4), decomp=decomp)
+    assert rep == approx_relative(g, Fraction(1, 4))
 
 
 def test_nonnegative_follows_the_pairs():

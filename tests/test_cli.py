@@ -282,14 +282,26 @@ def test_non_utf8_input_exit_3(tmp_path, capsys, kind):
     (["approx", "GAME", "--scheme", "rel", "--eps", "1/2",
       "--decomp", "BADDECOMP"], 3, "err",
      "error: header must be three integers: k m n\n"),
+    (["approx", "GAME", "--scheme", "rel", "--eps", "1/2",
+      "--decomp", "OFFDECOMP"], 2, "err",
+     "error: decomposition does not reconstruct a+b\n"),
+    (["approx", "GAME", "--scheme", "rel", "--eps", "1/2",
+      "--decomp", "SHORTDECOMP"], 3, "err",
+     "error: u vector 1: expected 2 entries, found 1\n"),
 ], ids=["gen-block-bad-d", "perturb-negative-k", "bounds-undefined",
-        "game-header", "decomp-header"])
+        "game-header", "decomp-header", "decomp-off-the-game",
+        "decomp-short-u"])
 def test_error_branches(tmp_path, capsys, argv, code, stream, text):
     files = {"GAME": write_game(tmp_path, "g.txt", rank1_family(2)),
              "BADGAME": tmp_path / "badgame.txt",
-             "BADDECOMP": tmp_path / "baddecomp.txt"}
+             "BADDECOMP": tmp_path / "baddecomp.txt",
+             "OFFDECOMP": tmp_path / "offdecomp.txt",
+             "SHORTDECOMP": tmp_path / "shortdecomp.txt"}
     files["BADGAME"].write_text("2 x\n1 2\n3 4\n1 2\n3 4\n")
     files["BADDECOMP"].write_text("1 2 x\n1 2\n1 2\n")
+    # a + b of rank1_family(2) is (2, 4)(2, 4)^T
+    files["OFFDECOMP"].write_text("1 2 2\n2 4\n2 5\n")
+    files["SHORTDECOMP"].write_text("1 2 2\n2\n2 4\n")
     assert main([str(files.get(a, a)) for a in argv]) == code
     assert getattr(capsys.readouterr(), stream).endswith(text)
 

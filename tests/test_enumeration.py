@@ -17,11 +17,12 @@ from rankgames import (
     enumerate_equilibria,
     identity_game,
     loss,
+    make_report,
     rank1_family,
     solve_zero_sum,
 )
 
-from rankgames import enumeration, errors
+from rankgames import enumeration, errors, games
 
 from helpers import (
     oracle_game_strategies,
@@ -264,6 +265,29 @@ def test_solve_zero_sum_tied_game_golden():
     rep = solve_zero_sum(g)
     assert (rep.profile, rep.loss, rep.payoff1) == (
         MixedProfile((1, 0), (0, 1, 0)), 0, 0)
+
+
+def test_solve_zero_sum_builds_one_report(monkeypatch):
+    """The winner's report is evaluated once, by approx_absolute: its loss
+    0 is certified there, since the target eps |a+b| is 0, and the report
+    is make_report's with kind 'exact'. (The grid scores its one cell
+    through approx's own reference to _evaluate_rows, not counted here.)"""
+    calls = []
+    evaluate = games._evaluate_rows
+
+    def counting(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    monkeypatch.setattr(games, "_evaluate_rows", counting)
+    for a in ([[1, -1], [-1, 1]], [[1, 0], [0, 0]], [[1, 0, 0], [-1, 0, 0]],
+              [[0, "1/2"], [3, -2], [1, 1]]):
+        game = BimatrixGame(a, [[-Fraction(e) for e in row] for row in a])
+        calls.clear()
+        rep = solve_zero_sum(game)
+        assert len(calls) == 1
+        assert rep == make_report(game, rep.profile)
+        assert (rep.kind, rep.parameter, rep.loss) == ("exact", None, 0)
 
 
 def test_solve_zero_sum_on_tied_games():

@@ -12,18 +12,27 @@ import pytest
 from rankgames import (
     BimatrixGame,
     MixedProfile,
+    RankFactorization,
     approx_absolute,
+    approx_relative,
     block_game,
     enumerate_equilibria,
     enumeration,
+    find_additive_decomposition,
     format_game_text,
     identity_game,
+    linear_program,
     make_report,
+    matrix_rank,
     parse_game_text,
     rank1_family,
+    solve_linear_system,
+    solve_lp,
 )
+from rankgames import approx, families, linalg, lp
 from rankgames.gamefiles import _pair_text, encode_report
 from rankgames.linalg import int_row, rank_factorize
+from rankgames.lp import LpSolution
 from rankgames.polyhedra import _vertex_lists
 
 from helpers import reference_game_text
@@ -149,8 +158,9 @@ def test_profiles_match_across_constructors():
 def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch):
     """Enumerating a loaded game's equilibria and encoding its reports
     builds no vertex's point or binding and no profile's x or y, and the
-    absolute grid's winning profile has neither x nor y: these paths read
-    the integer forms only."""
+    absolute grid's winning profile has neither x nor y, and the relative
+    grid checks a decomposition it is passed without building c: these
+    paths read the integer forms only."""
     walked = []
 
     def recording(game):
@@ -172,6 +182,43 @@ def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch):
     report = approx_absolute(game, Fraction(1, 10))
     assert report.loss == 0
     assert not {"x", "y"} & set(vars(report.profile))
+    decomp = rank1_family(4).factorization
+    game = parse_game_text(format_game_text(rank1_family(4)))
+    assert approx_relative(game, Fraction(1, 4), decomp=decomp).loss == 0
+    assert "c" not in vars(game)
+
+
+def test_kernel_entries_build_no_fraction_arrays(monkeypatch):
+    """The exact kernels, the LP and the additive split read Fraction input
+    as rows (linalg._fraction_rows), and a passed decomposition is checked
+    on integer rows: with fraction_matrix, fraction_vector and
+    RankFactorization.matrix patched to raise, each still gives its
+    answer."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction array was built")
+
+    for module in (linalg, lp, approx, families):
+        for name in ("fraction_matrix", "fraction_vector"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(RankFactorization, "matrix", refuse)
+    matrix = [[1, "1/2", 0], [2, 1, 0], [0, 0, Fraction(3, 4)]]
+    assert matrix_rank(matrix) == 2
+    fact = rank_factorize(matrix)
+    assert fact.rank == 2
+    assert [[sum(u[i] * v[j] for u, v in fact.pairs) for j in range(3)]
+            for i in range(3)] == [[Fraction(e) for e in row] for row in matrix]
+    assert solve_linear_system([[2, 1], [1, "-1/3"]], [3, 0]) == (
+        Fraction(3, 5), Fraction(9, 5))
+    assert solve_linear_system([[1, 2], [2, 4]], [1, 2]) is None
+    # the box 0 <= x_1 <= 1 becomes a bound row, and the optimum sits on it
+    assert solve_lp(linear_program(
+        [-1, -1], [[1, 2], [3, 1]], ["<=", "<="], [4, 6], upper=[None, 1])
+    ) == LpSolution("optimal", (Fraction(5, 3), Fraction(1)), Fraction(-8, 3))
+    assert find_additive_decomposition([[1, 2], [3, 4]]) == ((0, 2), (1, 2))
+    assert find_additive_decomposition([[1, 2], [3, 5]]) is None
+    game = rank1_family(3)
+    decomp = rank_factorize([[4, 8, 12], [8, 16, 24], [12, 24, 36]])
+    assert approx_relative(game, Fraction(1, 4), decomp=decomp).loss == 0
 
 
 def test_pair_text_equals_str_of_the_fraction():

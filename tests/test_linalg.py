@@ -9,6 +9,7 @@ import pytest
 
 from rankgames import (
     BimatrixGame,
+    RankFactorization,
     approx_absolute,
     approx_relative,
     as_fraction,
@@ -116,6 +117,25 @@ def test_rank_factorize_reconstructs_and_counts_random():
         assert fact.shape == (m, n)
         assert fact.rank == matrix_rank(mat) == len(fact.pairs)
         assert np.array_equal(fact.matrix(), mat)
+
+
+def test_factorization_rows_match_the_outer_product_sum():
+    """matrix() and the integer rows a passed decomposition is checked on
+    are the sum of the pairs' outer products, here summed in Fractions."""
+    rng = random.Random(27)
+    for _ in range(300):
+        m, n, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3)
+        pairs = tuple(
+            tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                        for _ in range(size)) for size in (m, n))
+            for _ in range(k))
+        want = [[sum((u[i] * v[j] for u, v in pairs), Fraction(0))
+                 for j in range(n)] for i in range(m)]
+        fact = RankFactorization((m, n), pairs)
+        assert fact._int_rows() == [int_row(row) for row in want]
+        got = fact.matrix()
+        assert got.shape == (m, n) and got.tolist() == want
+        assert all(type(e) is Fraction for e in got.flat)
 
 
 def test_rank_factorize_sign_convention():

@@ -107,6 +107,20 @@ def test_validation_errors():
         linear_program([1], [[1]], ["<="], [1], lower=[0, 0])
 
 
+def test_lhs_is_tuple_rows_of_fractions():
+    lp = linear_program([1, 0], [[1, "1/2"], (2, Fraction(1, 3))],
+                        ["<=", "="], [1, 2], upper=[3, None])
+    red, _ = lp_module._reduce_bounds(lp)
+    assert lp.lhs == ((1, Fraction(1, 2)), (2, Fraction(1, 3)))
+    # the box 0 <= x_0 <= 3 adds one bound row after the LP's rows
+    assert red.lhs == lp.lhs + ((1, 0),)
+    for rows in (lp.lhs, red.lhs):
+        assert type(rows) is tuple
+        assert all(type(row) is tuple for row in rows)
+        assert all(type(e) is Fraction for row in rows for e in row)
+    assert linear_program([1], [], [], []).lhs == ()
+
+
 def _random_lp(rng, nvars, nrows, box):
     rows = [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(nrows)]
     senses = [rng.choice(["<=", ">=", "="]) for _ in range(nrows)]
@@ -398,7 +412,7 @@ def test_row_permutation_keeps_objective():
     for _ in range(25):
         lp = _random_lp(rng, rng.randint(2, 4), rng.randint(2, 4), box=15)
         sol = solve_lp(lp)
-        order = list(range(lp.lhs.shape[0]))
+        order = list(range(len(lp.lhs)))
         rng.shuffle(order)
         shuffled = linear_program(
             lp.objective,
