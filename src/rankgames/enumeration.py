@@ -1,30 +1,52 @@
 """Equilibrium enumeration: vertex pairing and support pairs."""
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from .errors import check_work
-from .games import MixedProfile, is_exact_equilibrium, loss, make_report
+from .games import (
+    MixedProfile,
+    _evaluate_rows,
+    _report,
+    _strategy_row,
+    is_exact_equilibrium,
+    loss,
+)
 from .linalg import pair_row, solve_linear_system
 from .polyhedra import _vertex_lists
 
 
-@dataclass(frozen=True)
 class EquilibriumSet:
     """Extreme equilibria plus their partition into connected components.
 
-    reports are sorted by profile; components holds sorted index tuples into
-    reports, themselves sorted by first index.
+    Built by enumerate_equilibria only. found keeps, for each equilibrium
+    in profile order, what the walk's certificate computed: the triple
+    (x_row, y_row, values) of the integer rows (linalg.pair_row) and the
+    (numerator, denominator) pairs of the loss and the two payoffs
+    (games._evaluate_rows). profiles and reports are built from them on
+    first read and kept; components holds sorted index tuples into them,
+    themselves sorted by first index.
+    Immutable: assignment raises AttributeError. A copy, a deep copy or an
+    unpickled set carries the views built so far.
     """
 
-    reports: tuple
-    components: tuple
+    def __init__(self, found, components):
+        vars(self).update(_found=found, components=components)
 
-    @property
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EquilibriumSet is immutable: cannot set {name}")
+
+    @cached_property
     def profiles(self):
-        return tuple(r.profile for r in self.reports)
+        return tuple(MixedProfile.from_int_rows(xs, ys)
+                     for xs, ys, _ in self._found)
+
+    @cached_property
+    def reports(self):
+        return tuple(_report(profile, values) for profile, (_, _, values)
+                     in zip(self.profiles, self._found))
 
     @property
     def component_count(self):
@@ -62,19 +84,21 @@ def enumerate_equilibria(game):
     posting bitset, bit iq set when Q vertex iq is tight at it, and a P
     vertex's partners are the AND of the postings of its rows not tight
     (the set bits of full & ~tight), which stops at the first empty AND,
-    walked from the lowest bit. Each profile is made from the two
-    vertices' strategy pairs as integer rows
-    (MixedProfile.from_int_rows), each report is built once, and its exact
-    loss must be zero. Output is sorted by profile and grouped into
-    connected components.
+    walked from the lowest bit. Each cover pair is certified on integer
+    rows, with no Fraction made: the two vertices' strategies, as rows
+    (linalg.pair_row), must be mixed strategies (games._strategy_row), and
+    the loss's numerator from one games._evaluate_rows call must be 0.
+    The set keeps the rows and that evaluation, and builds each profile
+    and report from them, once, only when profiles or reports is read.
+    Output is sorted by profile and grouped into connected components.
 
     No two cover pairs share a profile. A P vertex binds strategy_len
     independent rows, at most strategy_len - 1 of them nonnegativity rows,
     so some best-response row is tight and v = max_j x b_j is fixed by x.
     Each P vertex thus has its own x, and likewise each Q vertex its own y.
     Both vertex lists come sorted by point, hence by strategy, so pairing
-    in P order and then in Q index order yields the reports already sorted
-    by profile.
+    in P order and then in Q index order yields the equilibria already
+    sorted by profile.
 
     The components are those of the extreme-equilibrium graph of Avis,
     Rosenberg, Savani and von Stengel (2010), whose nodes are the P and Q
@@ -97,7 +121,7 @@ def enumerate_equilibria(game):
             postings[low.bit_length() - 1] |= 1 << iq
     full = (1 << len(postings)) - 1
     every_q = (1 << len(q_vertices)) - 1
-    reports = []
+    found = []
     first = {}
     edges = []
     for ip, vp in enumerate(p_vertices):
@@ -111,27 +135,26 @@ def enumerate_equilibria(game):
             low = cover & -cover
             cover ^= low
             iq = low.bit_length() - 1
-            profile = MixedProfile.from_int_rows(
-                pair_row(vp.coords[:-1]), pair_row(q_vertices[iq].coords[:-1]))
-            report = make_report(game, profile)
-            if report.loss != 0:
+            xs = _strategy_row(pair_row(vp.coords[:-1]), "x")
+            ys = _strategy_row(pair_row(q_vertices[iq].coords[:-1]), "y")
+            values = _evaluate_rows(game, xs, ys)[:3]
+            if values[0][0] != 0:
                 raise RuntimeError(
                     "binding-cover pair failed the loss check; this is a bug"
                 )
-            i = len(reports)
-            reports.append(report)
+            i = len(found)
+            found.append((xs, ys, values))
             edges += [(i, first.setdefault((0, ip), i)),
                       (i, first.setdefault((1, iq), i))]
-    return EquilibriumSet(reports=tuple(reports),
-                          components=_component_partition(len(reports), edges))
+    return EquilibriumSet(tuple(found), _component_partition(len(found), edges))
 
 
 def connected_component_count(game, eqset):
     """Number of connected components spanned by an enumerated set.
 
     An independent audit: two equilibria are linked when both cross
-    pairings pass the exact loss check, which takes O(E^2) checks. It can
-    also audit an EquilibriumSet built elsewhere.
+    pairings pass the exact loss check, which takes O(E^2) checks. It
+    reads the set's profiles only, not its components.
     """
     profiles = eqset.profiles
     edges = [

@@ -377,8 +377,15 @@ def make_report(game, profile, kind="exact", parameter=None):
     if kind not in ("exact", "eps-approximate", "relative-approximate"):
         raise ValueError(f"unknown report kind {kind!r}")
     _check_dimensions(game, profile)
-    gap, p1, p2 = (Fraction(*pair) for pair
-                   in _evaluate_rows(game, *profile._int_form)[:3])
+    return _report(profile, _evaluate_rows(game, *profile._int_form)[:3],
+                   kind, parameter)
+
+
+def _report(profile, values, kind="exact", parameter=None):
+    """The EquilibriumReport of a profile whose loss and payoffs are the
+    first three (numerator, denominator) pairs of _evaluate_rows, values:
+    make_report's builder, and the one of enumeration's lazy reports."""
+    gap, p1, p2 = (Fraction(*pair) for pair in values)
     return EquilibriumReport(
         profile=profile,
         loss=gap,

@@ -1,5 +1,8 @@
 """Equilibrium enumeration, components, support oracle, and zero-sum solving."""
 
+import copy
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,7 +25,8 @@ from rankgames import (
     solve_zero_sum,
 )
 
-from rankgames import enumeration, errors, games
+from rankgames import cli, enumeration, errors, games
+from rankgames.gamefiles import save_game
 
 from helpers import (
     oracle_game_strategies,
@@ -193,6 +197,83 @@ def test_block_game_hierarchy_example():
     eqset = enumerate_equilibria(g)
     assert len(eqset.reports) == 23
     assert len(eqset.reports) >= block_hierarchy_count(5, 3) == 15
+
+
+@pytest.mark.parametrize("game", [
+    rank1_family(5), identity_game(4),
+    block_game(identity_game(2), rank1_family(3)),
+], ids=["rank1-5", "identity4", "block-identity2-rank1-3"])
+def test_each_equilibrium_is_evaluated_once(game, monkeypatch, tmp_path, capsys):
+    """The walk's certificate evaluates each equilibrium once, and the
+    reports are built from that evaluation: reading reports and profiles,
+    twice each, or the default solve, which encodes every report, makes
+    no second _evaluate_rows call."""
+    calls = []
+    evaluate = games._evaluate_rows
+
+    def counting(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    for module in (games, enumeration):
+        monkeypatch.setattr(module, "_evaluate_rows", counting, raising=False)
+    eqset = enumerate_equilibria(game)
+    for _ in range(2):
+        reports, profiles = eqset.reports, eqset.profiles
+    assert len(calls) == len(reports) == len(profiles) > 0
+    path = tmp_path / "game.txt"
+    save_game(path, game)
+    calls.clear()
+    assert cli.main(["solve", str(path)]) == 0
+    assert len(calls) == json.loads(capsys.readouterr().out)["results"]["count"]
+    monkeypatch.undo()
+    for report, profile in zip(reports, profiles):
+        assert report.profile is profile
+        assert report == make_report(game, profile)
+
+
+def _off_by_one(game, xs, ys):
+    """_evaluate_rows with the loss's numerator raised by 1."""
+    (gap, den), *rest = games._evaluate_rows(game, xs, ys)
+    return ((gap + 1, den), *rest)
+
+
+def test_certificate_refuses_a_nonzero_gap(monkeypatch, tmp_path, capsys):
+    # a cover pair whose integer gap is not 0 is a bug in the pairing:
+    # the walk raises, and every command that enumerates exits 5
+    monkeypatch.setattr(enumeration, "_evaluate_rows", _off_by_one)
+    message = "binding-cover pair failed the loss check"
+    game = rank1_family(3)
+    with pytest.raises(RuntimeError, match=message):
+        enumerate_equilibria(game)
+    path = tmp_path / "game.txt"
+    save_game(path, game)
+    for argv in (["solve", str(path), "--mode", "components"],
+                 ["components", str(path)], ["solve", str(path)]):
+        assert cli.main(argv) == cli.EXIT_INTERNAL
+        streams = capsys.readouterr()
+        assert message in streams.err and streams.out == ""
+
+
+def test_equilibrium_set_copies_and_refuses_assignment():
+    # copies carry the rows and any views already built; both give the
+    # views of a fresh enumeration
+    game = block_game(identity_game(2), rank1_family(3))
+    for read_first in (False, True):
+        eqset = enumerate_equilibria(game)
+        if read_first:
+            eqset.reports
+        copies = [copy.copy(eqset), copy.deepcopy(eqset),
+                  pickle.loads(pickle.dumps(eqset))]
+        want = enumerate_equilibria(game)
+        for other in (eqset, *copies):
+            assert (other.reports, other.profiles, other.components) == (
+                want.reports, want.profiles, want.components)
+            assert other.component_count == want.component_count
+    for name in ("reports", "profiles", "components", "component_count",
+                 "_found", "other"):
+        with pytest.raises(AttributeError):
+            setattr(eqset, name, ())
 
 
 def test_cap_guard():

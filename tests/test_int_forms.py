@@ -29,8 +29,8 @@ from rankgames import (
     solve_linear_system,
     solve_lp,
 )
-from rankgames import approx, families, linalg, lp
-from rankgames.gamefiles import _pair_text, encode_report
+from rankgames import approx, cli, families, linalg, lp
+from rankgames.gamefiles import _pair_text, encode_report, load_game
 from rankgames.linalg import int_row, rank_factorize
 from rankgames.lp import LpSolution
 from rankgames.polyhedra import _vertex_lists
@@ -155,12 +155,14 @@ def test_profiles_match_across_constructors():
     check()
 
 
-def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch):
+def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch, tmp_path,
+                                                    capsys):
     """Enumerating a loaded game's equilibria and encoding its reports
-    builds no vertex's point or binding and no profile's x or y, and the
-    absolute grid's winning profile has neither x nor y, and the relative
-    grid checks a decomposition it is passed without building c: these
-    paths read the integer forms only."""
+    builds no vertex's point or binding and no profile's x or y, the
+    components mode builds no report and no profile at all, the absolute
+    grid's winning profile has neither x nor y, and the relative grid
+    checks a decomposition it is passed without building c: these paths
+    read the integer forms only."""
     walked = []
 
     def recording(game):
@@ -178,6 +180,25 @@ def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch):
     assert walked and reports
     assert not any({"point", "binding"} & set(vars(v)) for v in walked)
     assert not any({"x", "y"} & set(vars(r.profile)) for r in reports)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the components mode built a report or profile")
+
+    for game in (identity_game(5), block_game(identity_game(2), rank1_family(3))):
+        path = tmp_path / "game.txt"
+        path.write_text(format_game_text(game))
+        with monkeypatch.context() as patch:
+            for name in ("make_report", "_report"):
+                patch.setattr(enumeration, name, refuse, raising=False)
+            patch.setattr(MixedProfile, "from_int_rows", classmethod(refuse))
+            assert cli.main(["solve", str(path), "--mode", "components"]) == 0
+            assert cli.main(["components", str(path)]) == 0
+            game = load_game(path)
+            eqset = enumerate_equilibria(game)
+            cli._components_results(game, eqset)
+        assert not {"reports", "profiles"} & set(vars(eqset))
+        assert len(eqset.reports) == sum(map(len, eqset.components))
+    capsys.readouterr()
     game = parse_game_text(format_game_text(rank1_family(4)))
     report = approx_absolute(game, Fraction(1, 10))
     assert report.loss == 0
