@@ -6,8 +6,6 @@ from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
-import numpy as np
-
 from . import errors
 from .games import (
     BimatrixGame,
@@ -63,6 +61,8 @@ def svd_truncate(matrix, k):
             "svd_truncate: the largest |entry| times m*n must stay below "
             f"{sys.float_info.max:.3g}"
         )
+    import numpy as np  # the one float computation in the package
+
     u, s, vt = np.linalg.svd(c.astype(float))
     pairs = tuple(
         (tuple(Fraction(u[i, t] * s[t]).limit_denominator(SVD_MAX_DENOMINATOR)

@@ -78,12 +78,18 @@ def cmd_gen(args):
     if args.family == "block":
         if not args.inner or not args.outer:
             raise ValueError("family 'block' needs --inner and --outer")
+        if args.d is not None:
+            raise ValueError("family 'block' takes no --d: its components "
+                             "set the dimension")
         inner = _parse_component_spec(args.inner, "--inner")
         outer = _parse_component_spec(args.outer, "--outer")
         game = block_game(inner(), outer())
     else:
         if args.d is None:
             raise ValueError(f"family {args.family!r} needs --d")
+        if args.inner or args.outer:
+            raise ValueError("--inner and --outer are read by family 'block' "
+                             "only")
         game = _FAMILIES[args.family](args.d)
     _emit(format_game_text(game), args.out, f"rank(A+B) = {game.rank_c}")
     return EXIT_OK
@@ -143,6 +149,8 @@ def cmd_components(args):
 
 
 def cmd_approx(args):
+    if args.decomp and args.scheme != "rel":
+        raise ValueError("--decomp is read by --scheme rel only")
     game = load_game(args.game)
     eps = as_fraction(args.eps)
     params = {

@@ -10,6 +10,7 @@ from .games import (
     MixedProfile,
     _evaluate_rows,
     _report,
+    _rows_over,
     _strategy_row,
     is_exact_equilibrium,
     loss,
@@ -181,12 +182,14 @@ def enumerate_by_supports(game):
     """
     m, n = game.shape
     check_work(comb(m + n, m) - 1, "support pairs")
+    a_rows, da, bt_rows, db = game._int_form
+    a, bt = _rows_over(a_rows, da), _rows_over(bt_rows, db)
     out = {}
     for size in range(1, min(m, n) + 1):
         for rows in combinations(range(m), size):
             for cols in combinations(range(n), size):
-                y = _equalizer(game.a, rows, cols)
-                x = None if y is None else _equalizer(game.b.T, cols, rows)
+                y = _equalizer(a, rows, cols)
+                x = None if y is None else _equalizer(bt, cols, rows)
                 if x is None:
                     continue
                 profile = MixedProfile(x, y)
@@ -201,13 +204,13 @@ def enumerate_by_supports(game):
 def _equalizer(payoff, rows, cols):
     """The strategy on cols that makes the payoff rows in rows indifferent.
 
-    payoff[i, j] is row i's payoff against pure strategy j. Solves for the
+    payoff[i][j] is row i's payoff against pure strategy j. Solves for the
     weights on cols and the common value u, and returns the full strategy
     (zero off cols) when every weight is positive and no row outside rows
     pays more than u; otherwise, or when the system is singular, None.
     """
     size = len(rows)
-    system = [[payoff[i, j] for j in cols] + [Fraction(-1)] for i in rows]
+    system = [[payoff[i][j] for j in cols] + [Fraction(-1)] for i in rows]
     system.append([Fraction(1)] * size + [Fraction(0)])
     sol = solve_linear_system(system, [Fraction(0)] * size + [Fraction(1)])
     if sol is None:
@@ -215,13 +218,12 @@ def _equalizer(payoff, rows, cols):
     weights, u = sol[:-1], sol[-1]
     if any(e <= 0 for e in weights):
         return None
-    responses, strategy_len = payoff.shape
-    strategy = [Fraction(0)] * strategy_len
+    strategy = [Fraction(0)] * len(payoff[0])
     for j, e in zip(cols, weights):
         strategy[j] = e
     if any(
-        sum(payoff[i, j] * strategy[j] for j in cols) > u
-        for i in range(responses)
+        sum(payoff[i][j] * strategy[j] for j in cols) > u
+        for i in range(len(payoff))
         if i not in rows
     ):
         return None

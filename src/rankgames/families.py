@@ -3,10 +3,8 @@
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
-from .games import BimatrixGame
-from .linalg import _fraction_rows, as_fraction, fraction_vector
+from .games import BimatrixGame, _rows_over
+from .linalg import _array, _fraction_rows, as_fraction
 
 
 def rank1_family(d):
@@ -80,24 +78,26 @@ def polynomial_kernel_matrix(g, coeffs):
     matrix has rank at most (deg+1)(deg+2)/2 regardless of the grid g,
     because each power (g_i - g_j)^t expands into deg+1 separable terms.
     """
+    return _array(_kernel_rows(g, coeffs))
+
+
+def _kernel_rows(g, coeffs):
+    """polynomial_kernel_matrix's entries as lists of Fraction rows, p
+    evaluated by Horner's rule: the rows of the matrix and of the game."""
     g = [as_fraction(e) for e in g]
     coeffs = [as_fraction(e) for e in coeffs]
     if not g:
         raise ValueError("grid g must be nonempty")
     if not coeffs:
         raise ValueError("need at least one coefficient")
-    d = len(g)
-    mat = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            t = g[i] - g[j]
-            acc = Fraction(0)
-            power = Fraction(1)
-            for c in coeffs:
-                acc += c * power
-                power *= t
-            mat[i, j] = acc
-    return mat
+
+    def p(t):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc
+
+    return [[p(gi - gj) for gj in g] for gi in g]
 
 
 def polynomial_kernel_game(g, coeffs):
@@ -105,8 +105,8 @@ def polynomial_kernel_game(g, coeffs):
 
     Generalizes squared_difference_family, which is the kernel p(t) = -t^2
     on the grid g = (1, ..., d)."""
-    mat = polynomial_kernel_matrix(g, coeffs)
-    return BimatrixGame(mat, mat)
+    rows = _kernel_rows(g, coeffs)
+    return BimatrixGame(rows, rows)
 
 
 def additive_to_zero_sum(game, u, v):
@@ -117,16 +117,17 @@ def additive_to_zero_sum(game, u, v):
     payoff changes by an amount outside their own control, which is why the
     equilibria (and the whole best-response structure) are preserved.
     """
-    u = fraction_vector(u)
-    v = fraction_vector(v)
+    u = [as_fraction(e) for e in u]
+    v = [as_fraction(e) for e in v]
     if len(u) != game.m or len(v) != game.n:
         raise ValueError("u/v lengths must match the game dimensions")
-    for i in range(game.m):
-        for j in range(game.n):
-            if game.c[i, j] != u[i] + v[j]:
-                raise ValueError("payoff sum is not u_i + v_j at every entry")
-    a2 = game.a - np.outer(np.full(game.m, Fraction(1), dtype=object), v)
-    b2 = game.b - np.outer(u, np.full(game.n, Fraction(1), dtype=object))
+    a_rows, da, bt_rows, db = game._int_form
+    a2 = [[e - vj for e, vj in zip(row, v)] for row in _rows_over(a_rows, da)]
+    b2 = [[e - ui for e in row]
+          for ui, row in zip(u, _rows_over(zip(*bt_rows), db))]
+    # a' + b' = c - u_i - v_j, which is 0 exactly when c splits as required
+    if any(p + q for r1, r2 in zip(a2, b2) for p, q in zip(r1, r2)):
+        raise ValueError("payoff sum is not u_i + v_j at every entry")
     return BimatrixGame(a2, b2)
 
 

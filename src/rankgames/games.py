@@ -6,12 +6,10 @@ from functools import cached_property
 from math import lcm
 from operator import mul
 
-import numpy as np
-
 from .linalg import (
+    _array,
     _fraction_rows,
     as_fraction,
-    fraction_vector,
     int_row,
     rank_factorize,
     reduced,
@@ -67,13 +65,12 @@ class BimatrixGame:
     @cached_property
     def a(self):
         a_rows, da = self._int_form[:2]
-        return _read_only([[Fraction(e, da) for e in row] for row in a_rows])
+        return _array(_rows_over(a_rows, da), writeable=False)
 
     @cached_property
     def b(self):
         bt_rows, db = self._int_form[2:]
-        return _read_only([[Fraction(e, db) for e in row]
-                           for row in zip(*bt_rows)])
+        return _array(_rows_over(zip(*bt_rows), db), writeable=False)
 
     @cached_property
     def _c_rows(self):
@@ -88,7 +85,7 @@ class BimatrixGame:
     @cached_property
     def c(self):
         """The payoff sum a + b, read-only."""
-        return _read_only([_fractions(row) for row in self._c_rows])
+        return _array(list(map(_fractions, self._c_rows)), writeable=False)
 
     @cached_property
     def norm_c(self):
@@ -137,11 +134,9 @@ def _int_matrix(rows):
     return [[n * (den // d) for n, d in row] for row in rows], den
 
 
-def _read_only(rows):
-    """The read-only object array of rows of Fractions."""
-    arr = np.array(rows, dtype=object)
-    arr.flags.writeable = False
-    return arr
+def _rows_over(rows, den):
+    """The Fraction rows of integer rows over the one denominator den."""
+    return [[Fraction(e, den) for e in row] for row in rows]
 
 
 class MixedProfile:
@@ -236,11 +231,6 @@ def _check_dimensions(game, profile):
         raise ValueError("profile dimensions do not match the game")
 
 
-def _vectors(game, profile):
-    _check_dimensions(game, profile)
-    return fraction_vector(profile.x), fraction_vector(profile.y)
-
-
 def _evaluate(game, profile):
     """(loss, x a y, x b y, max_i (a y)_i, max_j (x b)_j) of the profile
     as Fractions: _evaluate_rows on its integer rows."""
@@ -322,15 +312,18 @@ def check_deviation_bound(game, profile, eps):
     cross-check of the loss formula.
     """
     bound = _eps_threshold(game, eps)
-    x, y = _vectors(game, profile)
-    ay = game.a @ y
-    xb = x @ game.b
-    base = x @ game.c @ y
-    for i in range(game.m):
-        for j in range(game.n):
-            if ay[i] + xb[j] - base > bound:
-                return False
-    return True
+    _check_dimensions(game, profile)
+    x, y = profile.x, profile.y
+    a_rows, da, bt_rows, db = game._int_form
+    ay = [_dot(row, y) for row in _rows_over(a_rows, da)]
+    xb = [_dot(x, col) for col in _rows_over(bt_rows, db)]
+    base = _dot(x, [_dot(_fractions(row), y) for row in game._c_rows])
+    return all(p + q - base <= bound for p in ay for q in xb)
+
+
+def _dot(u, v):
+    """The Fraction dot product of two equal-length sequences."""
+    return sum(map(mul, u, v), Fraction(0))
 
 
 def qp_objective(game, profile):
@@ -342,15 +335,14 @@ def qp_objective(game, profile):
     different computation from loss(); the two agree on every profile, which
     is what makes the program's optima the equilibria.
     """
-    x, y = _vectors(game, profile)
+    _check_dimensions(game, profile)
     m, n = game.shape
-    half = game.c * Fraction(1, 2)
-    q = np.full((m + n, m + n), Fraction(0), dtype=object)
-    q[:m, m:] = half
-    q[m:, :m] = half.T
-    z = np.concatenate([x, y])
+    half = [[e / 2 for e in _fractions(row)] for row in game._c_rows]
+    q = ([[Fraction(0)] * m + row for row in half]
+         + [list(col) + [Fraction(0)] * n for col in zip(*half)])
+    z = profile.x + profile.y
     s = sum(best_response_values(game, profile), Fraction(0))
-    return Fraction(s - z @ q @ z)
+    return s - _dot(z, [_dot(row, z) for row in q])
 
 
 @dataclass(frozen=True)

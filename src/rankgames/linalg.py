@@ -3,12 +3,25 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Integral
 
-import numpy as np
+
+def _array(rows, writeable=True):
+    """The NumPy object array of rows, a list of Fractions or a list of
+    equal-length lists of them: the one builder of every array the package
+    returns, and, with svd_truncate's float SVD, its one use of NumPy,
+    imported on the first call. The views of an immutable value are built
+    read-only (writeable=False)."""
+    import numpy as np
+
+    arr = np.array(rows, dtype=object)
+    arr.flags.writeable = writeable
+    return arr
 
 
 def as_fraction(value):
-    """Convert an int, a string like '-3/4', or a Fraction to a Fraction.
+    """Convert an int (a NumPy integer too), a string like '-3/4', or a
+    Fraction to a Fraction.
 
     Floats are rejected on purpose: everything in this package is exact, and a
     float slipping in here would silently poison that. Rationalize floats
@@ -16,13 +29,17 @@ def as_fraction(value):
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
+    # the exact-type test first: an isinstance test against Integral, an
+    # abstract class, costs several times as much, once per payoff entry
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in {value!r}") from exc
+    if isinstance(value, Integral):
+        return Fraction(int(value))
     raise TypeError(
         f"expected int, fraction string, or Fraction, got {type(value).__name__}"
     )
@@ -30,19 +47,13 @@ def as_fraction(value):
 
 def fraction_vector(entries):
     """Build a 1-d object array of Fractions."""
-    entries = list(entries)
-    vec = np.empty(len(entries), dtype=object)
-    for i, e in enumerate(entries):
-        vec[i] = as_fraction(e)
-    return vec
+    return _array([as_fraction(e) for e in entries])
 
 
 def _fraction_rows(rows):
-    """Nested sequences as a list of equal-length lists of Fractions
-    (as_fraction), at least one by one: the one reader of matrix input,
-    which fraction_matrix, the games and every kernel entry call."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        rows = rows.tolist()
+    """Nested sequences, or a 2-d array, as a list of equal-length lists of
+    Fractions (as_fraction), at least one by one: the one reader of matrix
+    input, which fraction_matrix, the games and every kernel entry call."""
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")
@@ -54,15 +65,20 @@ def _fraction_rows(rows):
 
 def fraction_matrix(rows):
     """Build a 2-d object array of Fractions from nested sequences."""
-    rows = _fraction_rows(rows)
-    mat = np.empty((len(rows), len(rows[0])), dtype=object)
-    mat[:] = rows
-    return mat
+    return _array(_fraction_rows(rows))
 
 
 def max_abs_entry(matrix):
-    """Largest absolute value of any entry, as a Fraction."""
-    return Fraction(max(abs(e) for e in np.asarray(matrix).flat))
+    """Largest absolute value of any entry, as a Fraction: of a vector, a
+    matrix or deeper nested sequences, lists or arrays alike."""
+    return Fraction(max(map(abs, _flat(matrix))))
+
+
+def _flat(values):
+    """The numbers in nested sequences of any depth, in order."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        return [values]
+    return [e for part in values for e in _flat(part)]
 
 
 def int_row(entries):
@@ -260,7 +276,8 @@ class RankFactorization:
         """sum u v^T as an object array of Fractions."""
         rows = [[Fraction(e, row[-1]) for e in row[:-1]]
                 for row in self._int_rows()]
-        return np.array(rows, dtype=object).reshape(self.shape)
+        # the reshape keeps the shape of a matrix with no rows
+        return _array(rows).reshape(self.shape)
 
 
 def rank_factorize(matrix=None, *, rows=None):

@@ -5,10 +5,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
-import numpy as np
-
 from .errors import check_work
-from .linalg import as_fraction, min_ratio_rows, pivot, reduced
+from .linalg import _array, as_fraction, min_ratio_rows, pivot, reduced
 
 
 @dataclass(frozen=True)
@@ -58,10 +56,8 @@ class BestResponsePolyhedron:
         nonneg = [[-one if c == i else zero for c in range(slen + 1)]
                   for i in range(slen)]
         br = [[Fraction(e, den) for e in row] + [-one] for row in self.payoff]
-        ineqs = np.array(nonneg + br if self.side == "P" else br + nonneg,
-                         dtype=object)
-        ineqs.flags.writeable = False
-        return ineqs
+        return _array(nonneg + br if self.side == "P" else br + nonneg,
+                      writeable=False)
 
 
 class PolyhedronVertex:

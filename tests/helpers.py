@@ -6,9 +6,17 @@ from math import gcd
 
 import numpy as np
 
-from rankgames import BimatrixGame, MixedProfile, linear_program, make_report
+from rankgames import (
+    BimatrixGame,
+    MixedProfile,
+    best_response_values,
+    linear_program,
+    make_report,
+)
 from rankgames.approx import _geometric_axis, _interval_axis
+from rankgames.games import _eps_threshold
 from rankgames.linalg import (
+    as_fraction,
     fraction_vector,
     int_row,
     reduced,
@@ -89,6 +97,75 @@ def reference_evaluate(game, profile):
     ay, xb = game.a @ y, x @ game.b
     best1, best2, p1, p2 = max(ay), max(xb), x @ ay, xb @ y
     return best1 + best2 - p1 - p2, p1, p2, best1, best2
+
+
+def reference_check_deviation_bound(game, profile, eps):
+    """Reference pure-deviation check on NumPy object arrays of Fractions,
+    as games.check_deviation_bound computed it before it moved to lists."""
+    bound = _eps_threshold(game, eps)
+    x, y = fraction_vector(profile.x), fraction_vector(profile.y)
+    ay = game.a @ y
+    xb = x @ game.b
+    base = x @ game.c @ y
+    for i in range(game.m):
+        for j in range(game.n):
+            if ay[i] + xb[j] - base > bound:
+                return False
+    return True
+
+
+def reference_qp_objective(game, profile):
+    """Reference QP objective s - z Q z on a NumPy block matrix, as
+    games.qp_objective computed it before it moved to lists."""
+    x, y = fraction_vector(profile.x), fraction_vector(profile.y)
+    m, n = game.shape
+    half = game.c * Fraction(1, 2)
+    q = np.full((m + n, m + n), Fraction(0), dtype=object)
+    q[:m, m:] = half
+    q[m:, :m] = half.T
+    z = np.concatenate([x, y])
+    s = sum(best_response_values(game, profile), Fraction(0))
+    return Fraction(s - z @ q @ z)
+
+
+def reference_additive_to_zero_sum(game, u, v):
+    """Reference zero-sum rewrite with np.outer, as
+    families.additive_to_zero_sum computed it before it moved to lists."""
+    u = fraction_vector(u)
+    v = fraction_vector(v)
+    if len(u) != game.m or len(v) != game.n:
+        raise ValueError("u/v lengths must match the game dimensions")
+    for i in range(game.m):
+        for j in range(game.n):
+            if game.c[i, j] != u[i] + v[j]:
+                raise ValueError("payoff sum is not u_i + v_j at every entry")
+    a2 = game.a - np.outer(np.full(game.m, Fraction(1), dtype=object), v)
+    b2 = game.b - np.outer(u, np.full(game.n, Fraction(1), dtype=object))
+    return BimatrixGame(a2, b2)
+
+
+def reference_polynomial_kernel_matrix(g, coeffs):
+    """Reference kernel matrix p(g_i - g_j), filled cell by cell into a
+    NumPy object array with p summed by powers, as
+    families.polynomial_kernel_matrix built it before it built rows."""
+    g = [as_fraction(e) for e in g]
+    coeffs = [as_fraction(e) for e in coeffs]
+    if not g:
+        raise ValueError("grid g must be nonempty")
+    if not coeffs:
+        raise ValueError("need at least one coefficient")
+    d = len(g)
+    mat = np.empty((d, d), dtype=object)
+    for i in range(d):
+        for j in range(d):
+            t = g[i] - g[j]
+            acc = Fraction(0)
+            power = Fraction(1)
+            for c in coeffs:
+                acc += c * power
+                power *= t
+            mat[i, j] = acc
+    return mat
 
 
 def brute_force_bases(poly):

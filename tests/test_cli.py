@@ -65,6 +65,30 @@ def test_gen_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["approx", "{game}", "--scheme", "abs", "--eps", "1/10",
+      "--decomp", "/nonexistent"], "--decomp is read by --scheme rel only"),
+    (["gen", "rank1", "--d", "3", "--inner", "identity:2"],
+     "--inner and --outer are read by family 'block' only"),
+    (["gen", "identity", "--d", "3", "--outer", "rank1:2"],
+     "--inner and --outer are read by family 'block' only"),
+    (["gen", "block", "--inner", "identity:2", "--outer", "rank1:3",
+      "--d", "4"],
+     "family 'block' takes no --d: its components set the dimension"),
+], ids=["approx-abs-decomp", "gen-inner", "gen-outer", "gen-block-d"])
+def test_options_the_command_would_ignore_exit_2(tmp_path, capsys, argv,
+                                                 message):
+    game = write_game(tmp_path, "g.txt", rank1_family(2))
+    out = tmp_path / "out.txt"
+    argv = [arg.format(game=game) for arg in argv]
+    assert main(argv) == 2
+    assert main([*argv, "--out", str(out)]) == 2
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert streams.err == f"error: {message}\n" * 2
+    assert not out.exists()
+
+
 def test_solve_enum_json(tmp_path, capsys):
     game = write_game(tmp_path, "g.txt", rank1_family(4))
     assert main(["solve", game]) == 0
@@ -425,3 +449,75 @@ def test_parser_shared_across_calls_matches_fresh_runs(tmp_path, capsys):
         assert (code, streams.out, streams.err) == (
             fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert build_parser.cache_info().currsize == 1
+
+
+# Runs every command but perturb through cli.main in a fresh interpreter,
+# in the working directory it is given, and prints one JSON line: each
+# command's exit code and output, and whether NumPy was imported. With
+# "block" as its argument, NumPy is made unimportable first.
+_COMMAND_RUN = """
+import contextlib, io, json, sys
+if sys.argv[1:] == ["block"]:
+    sys.modules["numpy"] = None
+import rankgames
+from rankgames.cli import main
+open("pennies.txt", "w").write(%r)
+runs = []
+for argv in %r:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([argv, code, out.getvalue(), err.getvalue()])
+print(json.dumps({"runs": runs,
+                  "numpy": sys.modules.get("numpy") is not None}))
+"""
+
+_NUMPY_FREE_COMMANDS = [
+    ["gen", "rank1", "--d", "4", "--out", "r4.txt"],
+    ["gen", "sqdiff", "--d", "4", "--out", "sq4.txt"],
+    ["gen", "identity", "--d", "3", "--out", "id3.txt"],
+    ["gen", "block", "--inner", "identity:2", "--outer", "rank1:2",
+     "--out", "blk.txt"],
+    ["solve", "r4.txt"],
+    ["solve", "sq4.txt"],
+    ["solve", "pennies.txt", "--mode", "zerosum"],
+    ["solve", "blk.txt", "--mode", "components"],
+    ["components", "id3.txt"],
+    ["approx", "r4.txt", "--scheme", "abs", "--eps", "1/10"],
+    ["approx", "r4.txt", "--scheme", "rel", "--eps", "1/4"],
+    ["rankfact", "r4.txt", "--out", "r4dec.txt"],
+    ["approx", "r4.txt", "--scheme", "rel", "--eps", "1/4",
+     "--decomp", "r4dec.txt"],
+    ["verify", "r4.txt", "--profile", "1,0,0,0;1,0,0,0"],
+    ["verify", "r4.txt", "--profile", "1,0,0,0;0,1,0,0", "--eps", "1/8"],
+    ["bounds", "--d", "4", "--k", "1"],
+]
+
+
+def test_commands_import_no_numpy(tmp_path):
+    """import rankgames and every command but perturb run with NumPy
+    unimportable, and exit and print as they do with it; without the
+    block, those runs leave NumPy unimported until a game's a is read,
+    which builds a NumPy object array."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = _COMMAND_RUN % (PENNIES, _NUMPY_FREE_COMMANDS)
+    results = {}
+    for mode in ("block", "open"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        run = subprocess.run([sys.executable, "-c", script, mode], cwd=cwd,
+                             capture_output=True, text=True, env=env,
+                             timeout=120, check=True)
+        results[mode] = json.loads(run.stdout)
+    assert results["block"] == results["open"]
+    assert results["open"]["numpy"] is False
+    assert [code for _, code, _, _ in results["open"]["runs"]] == \
+        [0] * len(_NUMPY_FREE_COMMANDS)
+
+    read_a = ("import sys\nfrom rankgames import rank1_family\n"
+              "game = rank1_family(2)\nbefore = 'numpy' in sys.modules\n"
+              "game.a\nprint(before, 'numpy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", read_a], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert run.stdout.split() == ["False", "True"]

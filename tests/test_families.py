@@ -21,7 +21,12 @@ from rankgames import (
     squared_difference_family,
 )
 
-from helpers import random_matrix, reference_block_game
+from helpers import (
+    random_matrix,
+    reference_additive_to_zero_sum,
+    reference_block_game,
+    reference_polynomial_kernel_matrix,
+)
 
 
 def test_rank1_family_formula():
@@ -181,6 +186,55 @@ def test_additive_to_zero_sum_rejects_bad_split():
         additive_to_zero_sum(g, [4, 8], [0, 8])
     with pytest.raises(ValueError):
         additive_to_zero_sum(g, [4], [0, 8])
+
+
+def test_list_constructors_match_the_numpy_references():
+    """additive_to_zero_sum and the polynomial kernel, built on lists, give
+    exactly what their NumPy object-array bodies gave, on rectangular
+    games and grids of entries p/q: equal games, equal refusals, and a
+    writeable object array of Fractions of the same shape and entries."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+    @st.composite
+    def splits(draw):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        u = draw(st.lists(entries, min_size=m, max_size=m))
+        v = draw(st.lists(entries, min_size=n, max_size=n))
+        a = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                          min_size=m, max_size=m))
+        b = [[u[i] + v[j] - a[i][j] for j in range(n)] for i in range(m)]
+        if draw(st.booleans()):  # break the split at one entry
+            i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+            b[i][j] += draw(st.sampled_from([Fraction(-1, 2), Fraction(3)]))
+        return BimatrixGame(a, b), u, v
+
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(splits(), st.lists(entries, min_size=1, max_size=5),
+                      st.lists(entries, min_size=1, max_size=4))
+    def check(split, grid, coeffs):
+        game, u, v = split
+        assert outcome(additive_to_zero_sum, game, u, v) == \
+            outcome(reference_additive_to_zero_sum, game, u, v)
+        assert outcome(additive_to_zero_sum, game, u[1:], v) == \
+            outcome(reference_additive_to_zero_sum, game, u[1:], v)
+        got = polynomial_kernel_matrix(grid, coeffs)
+        want = reference_polynomial_kernel_matrix(grid, coeffs)
+        assert (got.dtype, got.shape, got.flags.writeable) == \
+            (want.dtype, want.shape, True)
+        assert got.tolist() == want.tolist()
+        assert all(type(e) is Fraction for e in got.flat)
+        assert polynomial_kernel_game(grid, coeffs) == BimatrixGame(want, want)
+
+    check()
 
 
 def test_find_additive_decomposition():

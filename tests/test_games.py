@@ -31,7 +31,13 @@ from rankgames import (
 from rankgames import cli, linalg
 from rankgames.games import _evaluate
 
-from helpers import random_game, random_profile, reference_evaluate
+from helpers import (
+    random_game,
+    random_profile,
+    reference_check_deviation_bound,
+    reference_evaluate,
+    reference_qp_objective,
+)
 
 
 def test_game_container_basics():
@@ -282,6 +288,54 @@ def test_evaluate_matches_the_fraction_reference_and_cross_checks():
         for e in (eps, tight):
             assert check_deviation_bound(game, profile, e) == \
                 is_approximate_equilibrium(game, profile, e)
+
+    check()
+
+
+def test_list_cross_checks_match_the_numpy_references():
+    """qp_objective and check_deviation_bound, on lists of Fractions, give
+    exactly what their NumPy object-array bodies gave, on rectangular games
+    and profiles of entries p/q, at a drawn eps and at the eps where the
+    loss sits exactly on the threshold; a profile of the wrong size is
+    refused by both."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    weights = st.builds(Fraction, st.integers(0, 5), st.integers(1, 6))
+
+    def simplex_point(d):
+        return st.lists(weights, min_size=d, max_size=d).filter(any).map(
+            lambda w: tuple(e / sum(w) for e in w))
+
+    @st.composite
+    def cases(draw):
+        m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        matrix = st.lists(st.lists(entries, min_size=n, max_size=n),
+                          min_size=m, max_size=m)
+        game = BimatrixGame(draw(matrix), draw(matrix))
+        profile = MixedProfile(draw(simplex_point(m)), draw(simplex_point(n)))
+        eps = draw(st.builds(Fraction, st.integers(0, 8), st.integers(1, 8)))
+        return game, profile, eps
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        game, profile, eps = case
+        got = qp_objective(game, profile)
+        assert type(got) is Fraction
+        assert got == reference_qp_objective(game, profile)
+        tight = loss(game, profile) / game.norm_c if game.norm_c else Fraction(0)
+        for e in (eps, tight, tight / 2):
+            assert check_deviation_bound(game, profile, e) is \
+                reference_check_deviation_bound(game, profile, e)
+        wrong = MixedProfile((1,) + (0,) * game.m, profile.y)
+        for call in (qp_objective, reference_qp_objective):
+            with pytest.raises(ValueError):
+                call(game, wrong)
+        for call in (check_deviation_bound, reference_check_deviation_bound):
+            with pytest.raises(ValueError):
+                call(game, wrong, eps)
 
     check()
 

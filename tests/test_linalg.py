@@ -20,10 +20,12 @@ from rankgames import (
     identity_game,
     matrix_rank,
     max_abs_entry,
+    polynomial_kernel_matrix,
     rank1_family,
     rank_factorize,
     solve_linear_system,
     squared_difference_family,
+    svd_truncate,
 )
 from rankgames import linalg, lp, polyhedra
 from rankgames.linalg import int_row, pivot
@@ -66,6 +68,54 @@ def test_fraction_vector_and_norm():
     assert list(v) == [Fraction(1, 2), Fraction(-3), Fraction(0)]
     assert max_abs_entry(fraction_matrix([[1, -7], [2, 5]])) == 7
     assert max_abs_entry(fraction_matrix([[0, 0]])) == 0
+
+
+def test_max_abs_entry_reads_vectors_nested_lists_and_arrays():
+    assert max_abs_entry([3, 0, -5]) == 5
+    assert max_abs_entry((Fraction(-7, 2), 1)) == Fraction(7, 2)
+    assert max_abs_entry([[1, -7], [2, 5]]) == 7
+    assert max_abs_entry(fraction_vector([0, "-9/4"])) == Fraction(9, 4)
+    assert max_abs_entry(np.array([[1, -8], [2, 5]], dtype=np.int64)) == 8
+    assert type(max_abs_entry(np.array([[3]], dtype=np.int64))) is Fraction
+    with pytest.raises(ValueError):
+        max_abs_entry([])
+
+
+def test_array_input_reads_as_its_rows():
+    """A 2-d array is read row by row like nested lists: NumPy integers and
+    Fractions are taken, floats are refused."""
+    rows = [[1, -2, 3], [0, 4, -5]]
+    want = BimatrixGame(rows, rows)
+    assert BimatrixGame(np.array(rows, dtype=np.int64),
+                        np.array(rows, dtype=np.int64)) == want
+    arr = fraction_matrix(rows)
+    assert BimatrixGame(arr, arr) == want
+    assert fraction_matrix(np.array(rows, dtype=np.int32)).tolist() == \
+        arr.tolist()
+    with pytest.raises(TypeError, match="got float"):
+        BimatrixGame(np.array(rows, dtype=float), rows)
+    with pytest.raises(TypeError):
+        fraction_matrix(np.array([[0.5]]))
+
+
+def test_returned_arrays_are_object_arrays_writeable_unless_views():
+    """Every matrix the package returns is an object array of Fractions;
+    a game's a, b and c and a polyhedron's ineqs are read-only views, and
+    the rest are the caller's to write."""
+    game = rank1_family(3)
+    views = [game.a, game.b, game.c,
+             *(p.ineqs for p in polyhedra.build_polyhedra(game))]
+    # svd_truncate's exact shortcut (rank <= k) and its float SVD
+    owned = [fraction_matrix([[1, 2]]), fraction_vector([1, "1/2"]),
+             game.factorization.matrix(),
+             polynomial_kernel_matrix([1, 2], [0, 1]),
+             svd_truncate([[1, 2], [2, 4]], 1),
+             svd_truncate([[1, 2], [3, 4]], 1)]
+    for arr, writeable in ([(v, False) for v in views]
+                           + [(o, True) for o in owned]):
+        assert arr.dtype == object
+        assert arr.flags.writeable is writeable
+        assert all(type(e) is Fraction for e in arr.flat)
 
 
 def test_matrix_rank_known_values():
