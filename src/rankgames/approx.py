@@ -137,7 +137,9 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
     built once (lp.StandardForm), and each cell passes its own to
     StandardForm.solve_rows: a cell's right-hand sides are the rows' own
     pairs and then (lo, d) and (hi, d) for each interval, and cell_cost
-    returns an integer row. Cells
+    returns an integer row. The form re-solves each cell from the last
+    optimal dictionary and keeps that optimum only when it is certified
+    unique, so a cell's result does not depend on the cells before it. Cells
     are walked in product order over the axes; with no axes (a zero-sum
     game) that is one cell with no factor rows. Infeasible cells are
     skipped. A cell's x and y are scored as integer rows,
@@ -244,8 +246,11 @@ def approx_absolute(game, eps):
     so cells may be evaluated concurrently as long as the reduction keeps
     the same (loss, cell order) minimum: a parallel search may stop early
     only by returning the earliest cell of loss 0, not the first one to
-    finish. The built-in loop is sequential and stops at its first loss-0
-    cell.
+    finish. The grid's lp.StandardForm keeps the dictionary of its last
+    optimal solve, to start the next cell from, so a concurrent search
+    needs one form per worker; a cell's result is the same whichever
+    cells its form solved before. The built-in loop is sequential and
+    stops at its first loss-0 cell.
     """
     eps = as_fraction(eps)
     if eps <= 0:

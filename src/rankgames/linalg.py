@@ -178,6 +178,27 @@ def min_ratio_rows(rows, candidates, col):
     return tied
 
 
+def min_dual_ratio_cols(zrow, row):
+    """The slots tied at the least ratio zrow[j] / -row[j], in slot order,
+    over those whose row entry is negative; [] if none is.
+
+    These are the entering candidates of a dual simplex step in which row
+    leaves: zrow is the cost row, whose entries are the reduced costs, and
+    both are integer rows over the same nonbasic slots. Each row's
+    denominator is common to all the ratios and cancels, so two ratios
+    compare by cross-multiplying, as in min_ratio_rows.
+    """
+    tied, best = [], None
+    for j, (d, a) in enumerate(zip(zrow[:-2], row[:-2])):
+        if a < 0:
+            diff = -1 if best is None else d * best[1] + best[0] * a
+            if diff < 0:
+                tied, best = [], (d, -a)
+            if diff <= 0:
+                tied.append(j)
+    return tied
+
+
 def _peel(rows):
     """The pivots of one elimination on integer rows, the rank peel: yield
     (col, k, rows) for each, rows the residual before the step.

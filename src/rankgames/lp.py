@@ -9,6 +9,7 @@ from .linalg import (
     _fraction_rows,
     as_fraction,
     int_row,
+    min_dual_ratio_cols,
     min_ratio_rows,
     pivot,
     reduced,
@@ -147,7 +148,11 @@ class StandardForm:
 
     solve_rows takes and returns integer rows and pairs, and is what the
     grid's cells and solve_lp call. Its simplex runs on dictionary rows
-    (linalg.pivot): no row carries a column for a basic variable.
+    (linalg.pivot): no row carries a column for a basic variable. The form
+    keeps the dictionary of its last optimal solve, from which the next
+    solve starts warm; that is its one state, and results do not depend
+    on it (see solve_rows). twin maps each standard column of a free
+    variable to the other.
     """
 
     def __init__(self, lhs, senses, free):
@@ -168,11 +173,22 @@ class StandardForm:
                 slack.append((k, 1 if sense == "<=" else -1))
                 k += 1
 
+        # each standard column of a free variable maps to the other
+        twin = {}
+        col = 0
+        for f in free:
+            if f:
+                twin[col], twin[col + 1] = col + 1, col
+            col += 1 + f
+
         self.free = free
         self.nstd = nstd
         self.ncols = k
         self.rows = tuple(rows)
         self.slack = tuple(slack)
+        self.twin = twin
+        # (rhs, rows, basis, nonbasic) of the last optimal solve
+        self._kept = None
 
     def tableau(self, rhs):
         """The dictionary rows, crash basis, nonbasic variables and
@@ -194,6 +210,10 @@ class StandardForm:
         """
         if len(rhs) != len(self.rows):
             raise ValueError("rhs length does not match row count")
+        return self._tableau(rhs)
+
+    def _tableau(self, rhs):
+        """tableau without its length check, which solve_rows makes."""
         ncols = self.ncols
         basis = []
         nonbasic = list(range(self.nstd))
@@ -243,11 +263,38 @@ class StandardForm:
         the pairs not always in lowest terms; otherwise both are None. The
         objective's value is minus the right-hand side of the priced-out
         cost row.
+
+        The form keeps the dictionary of its last optimal solve, and a
+        solve first re-solves from a copy of it (_warm). A warm optimum is
+        returned only when it is certified unique; otherwise the cold
+        two-phase solve runs, and its dictionary is the one kept. So the
+        result is a function of rhs and cost alone, whatever the form
+        solved before: the status, and the values and value read as
+        Fractions, are the cold solve's. The kept dictionary is the form's
+        one state, so concurrent solves need one form each.
         """
         if len(cost) != len(self.free) + 1:
             raise ValueError("objective length does not match variable count")
+        if len(rhs) != len(self.rows):
+            raise ValueError("rhs length does not match row count")
+        # the cost row over the standard columns is the variables' row,
+        # laid out as the rows are: int_row of the Fraction costs
+        zrow = [e for c, f in zip(cost, self.free)
+                for e in ((c, -c) if f else (c,))]
+        zrow += [0] * (self.ncols - self.nstd + 1) + [cost[-1]]
+        if self._kept is not None:
+            result = self._warm(rhs, zrow)
+            if result is not None:
+                return result
+        return self._cold(rhs, zrow)
+
+    def _cold(self, rhs, zrow):
+        """The two-phase solve from tableau(rhs), for the cost row zrow
+        over all the columns. Its optimal dictionary is kept, but not one
+        from which phase 1 dropped a redundant row: a change in that row's
+        right-hand side cannot be read off the others."""
         ncols = self.ncols
-        rows, basis, nonbasic, nart = self.tableau(rhs)
+        rows, basis, nonbasic, nart = self._tableau(rhs)
         if nart:
             _price_out(rows, [0] * ncols + [1] * nart + [0, 1], basis,
                        nonbasic)
@@ -272,15 +319,93 @@ class StandardForm:
             basis = [b for b in basis if b < ncols]
             nonbasic = [nonbasic[j] for j in keep]
 
-        # the cost row over the standard columns is the variables' row,
-        # laid out as the rows are: int_row of the Fraction costs
-        zrow = [e for c, f in zip(cost, self.free)
-                for e in ((c, -c) if f else (c,))]
-        zrow += [0] * (ncols - self.nstd + 1) + [cost[-1]]
         _price_out(rows, zrow, basis, nonbasic)
         if _iterate(rows, basis, nonbasic) == "unbounded":
             return "unbounded", None, None
+        self._kept = ((list(rhs), rows, basis, nonbasic)
+                      if len(basis) == len(self.rows) else None)
+        return self._optimum(rows, basis)
 
+    def _warm(self, rhs, zrow):
+        """The solve from a copy of the kept dictionary, or None when the
+        cold solve must run.
+
+        A change of delta in row i's right-hand side moves the dictionary's
+        right-hand sides by delta B^-1 e_i, which is sign times the column
+        of row i's slack, of that (column, sign) pair: the slack's slot
+        when it is nonbasic, and the unit column of its own row when it is
+        basic. An equality row has no slack, so a change there goes cold.
+        Dual simplex steps on the kept cost row, which an optimum leaves
+        nonnegative, then restore primal feasibility or prove the LP
+        infeasible: the row with the least basic variable among those with
+        a negative right-hand side leaves, and the variable entering it is
+        the least-indexed of linalg.min_dual_ratio_cols, a Bland-type rule
+        that cannot cycle. The new cost is priced out and _iterate
+        finishes.
+
+        The optimum is certified unique when every nonbasic reduced cost
+        is positive, but for a free variable's second column while its
+        first is basic, or the reverse: that column is minus its twin's,
+        its reduced cost is 0, and entering it changes neither the free
+        variable's value nor any other. An optimum not certified may not be
+        the one the cold solve finds, so it is dropped (None). Infeasible
+        and unbounded are proofs, and stand.
+        """
+        old, rows, basis, nonbasic = self._kept
+        rows, basis, nonbasic = rows[:], basis[:], nonbasic[:]
+        moves = []  # (sign times numerator, denominator, slack column)
+        for (b, d), (b0, d0), slack in zip(rhs, old, self.slack):
+            num = b * d0 - b0 * d
+            if num:
+                if slack is None:
+                    return None
+                moves.append((slack[1] * num, d * d0, slack[0]))
+        if moves:
+            slot = {v: j for j, v in enumerate(nonbasic)}
+            den = lcm(*(d for _, d, _ in moves))
+            own = [0] * len(basis)  # a basic slack's move, over den
+            via = []  # a nonbasic slack's move over den, and its slot
+            for n, d, k in moves:
+                n *= den // d
+                if k in slot:
+                    via.append((n, slot[k]))
+                else:
+                    own[basis.index(k)] += n
+            # the cost row's right-hand side is not read: the new cost is
+            # priced out after the dual steps
+            for i, row in enumerate(rows[:-1]):
+                s = own[i] * row[-1] + sum(n * row[j] for n, j in via)
+                if s:
+                    g = gcd(s, den)
+                    q = den // g
+                    rows[i] = reduced([q * e for e in row[:-2]]
+                                      + [q * row[-2] + s // g, q * row[-1]])
+        while True:
+            leave = min((i for i in range(len(basis)) if rows[i][-2] < 0),
+                        key=basis.__getitem__, default=None)
+            if leave is None:
+                break
+            tied = min_dual_ratio_cols(rows[-1], rows[leave])
+            if not tied:
+                return "infeasible", None, None
+            col = min(tied, key=nonbasic.__getitem__)
+            pivot(rows, leave, col)
+            basis[leave], nonbasic[col] = nonbasic[col], basis[leave]
+        rows.pop()
+        _price_out(rows, zrow, basis, nonbasic)
+        if _iterate(rows, basis, nonbasic) == "unbounded":
+            return "unbounded", None, None
+        basic = set(basis)
+        twin = self.twin
+        if any(not d and twin.get(v) not in basic
+               for d, v in zip(rows[-1][:-2], nonbasic)):
+            return None
+        self._kept = (list(rhs), rows, basis, nonbasic)
+        return self._optimum(rows, basis)
+
+    def _optimum(self, rows, basis):
+        """The optimal result of an optimal dictionary: the variables'
+        values, each read off its standard columns, and the value."""
         std = [(0, 1)] * self.nstd
         for i, b in enumerate(basis):
             if b < self.nstd:

@@ -29,6 +29,22 @@ from rankgames.polyhedra import (
 )
 
 
+# a rank-1 game whose factor u = (3, 1, -2) takes negative values: at eps
+# 1/2 its axis has cells entirely below 0, whose factor rows have negative
+# right-hand sides on both sides
+NEG = BimatrixGame([[2, -1, 0], [1, 3, -2], [0, 1, 1]],
+                   [[-5, -5, -3], [-2, -5, 1], [2, 3, 1]])
+
+
+# a game whose integer rows share a factor with their common denominator:
+# a's third row is (2, 0, 4) over 2 and b's second column (3, 0, 6) over 3,
+# so the grid's best-response rows must be reduced to be int_row of their
+# Fractions; no cell of its absolute grid at eps 1 has loss 0
+SHARED = BimatrixGame(
+    [["3/2", 0, "1/2"], [0, "1/2", 1], [1, 0, 2]],
+    [["1/3", 1, 0], [0, 0, "1/3"], ["2/3", 2, "4/3"]])
+
+
 def random_matrix(rng, m, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 

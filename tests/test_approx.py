@@ -38,6 +38,8 @@ from rankgames.linalg import int_row
 from rankgames.lp import StandardForm
 
 from helpers import (
+    NEG,
+    SHARED,
     random_game,
     random_matrix,
     reference_cost_row,
@@ -290,22 +292,6 @@ def test_golden_profiles():
     assert rep.parameter == Fraction(5, 9)
 
 
-# a rank-1 game whose factor u = (3, 1, -2) takes negative values: at eps
-# 1/2 its axis has cells entirely below 0, whose factor rows have negative
-# right-hand sides on both sides
-NEG = BimatrixGame([[2, -1, 0], [1, 3, -2], [0, 1, 1]],
-                   [[-5, -5, -3], [-2, -5, 1], [2, 3, 1]])
-
-
-# a game whose integer rows share a factor with their common denominator:
-# a's third row is (2, 0, 4) over 2 and b's second column (3, 0, 6) over 3,
-# so the grid's best-response rows must be reduced to be int_row of their
-# Fractions; no cell of its absolute grid at eps 1 has loss 0
-SHARED = BimatrixGame(
-    [["3/2", 0, "1/2"], [0, "1/2", 1], [1, 0, 2]],
-    [["1/3", 1, 0], [0, 0, "1/3"], ["2/3", 2, "4/3"]])
-
-
 def test_grid_rows_match_reference_builder(monkeypatch):
     # each cell passes its right-hand sides as int pairs, the values of the
     # reference cells' Fractions, and its objective as an integer row, int_row
@@ -319,19 +305,29 @@ def test_grid_rows_match_reference_builder(monkeypatch):
     calls = []
     solve_rows = StandardForm.solve_rows
     price_out = lp_module._price_out
+    warm = StandardForm._warm
 
     def record(form, rhs, cost):
-        calls.append((form, rhs, cost, []))
-        return solve_rows(form, rhs, cost)
+        calls.append([form, rhs, cost, [], False, None])
+        result = solve_rows(form, rhs, cost)
+        calls[-1][5] = result[0]
+        return result
 
     def priced(rows, zrow, basis, nonbasic):
         calls[-1][3].append(list(zrow))
         price_out(rows, zrow, basis, nonbasic)
 
+    def recorded(form, rhs, zrow):
+        result = warm(form, rhs, zrow)
+        calls[-1][4] = result is None
+        return result
+
     monkeypatch.setattr(StandardForm, "solve_rows", record)
     monkeypatch.setattr(lp_module, "_price_out", priced)
+    monkeypatch.setattr(StandardForm, "_warm", recorded)
     grids = []
     feasible = 0
+    uncertified = 0
     for scheme, game, eps, decomp in [
         ("abs", block_game(rank1_family(2), rank1_family(3)), Fraction(1, 2),
          None),
@@ -348,12 +344,19 @@ def test_grid_rows_match_reference_builder(monkeypatch):
         cells = reference_grid_cells(game, eps, scheme, decomp)
         grids.append((len(calls), len(cells), rep.loss))
         form = calls[0][0]
-        for (_, rhs, cost, zrows), (ref_rhs, objective) in zip(calls, cells):
+        for (_, rhs, cost, zrows, cold_again, status), (ref_rhs, objective) \
+                in zip(calls, cells):
             assert [Fraction(b, d) for b, d in rhs] == ref_rhs
             assert cost == int_row(objective)
+            # a feasible cell prices its cost out once, and once more when
+            # its warm optimum is not certified unique and the cold solve
+            # runs (no grid changes an equality row, so only then does
+            # _warm give None); an infeasible cell prices out none
             phase2 = [z for z in zrows if len(z) == form.ncols + 2]
-            assert phase2 in ([], [reference_cost_row(form, objective)])
-            feasible += len(phase2)
+            feasible += status == "optimal"
+            uncertified += cold_again
+            count = 1 + cold_again if status == "optimal" else 0
+            assert phase2 == [reference_cost_row(form, objective)] * count
             assert form.tableau(rhs) == form.tableau(
                 [(b.numerator, b.denominator) for b in ref_rhs])
         lp = reference_grid_lp(game, scheme, decomp)
@@ -371,6 +374,9 @@ def test_grid_rows_match_reference_builder(monkeypatch):
     assert grids == [(5, 32, 0), (1, 49, 0), (36, 36, Fraction(3, 8)),
                      (24, 24, Fraction(247, 6831)), (1, 7, 0)]
     assert feasible == 51
+    # one cell of the block grid and five of REL2's have warm optima not
+    # certified unique, so the twice-priced path is checked too
+    assert uncertified == 6
     # the cells below 0 flip the factor's >= row, which frees its artificial,
     # or both rows, which moves the artificial to the <= row
     assert [(lo < 0, hi < 0) for lo, hi in (rhs[-2:] for rhs, _ in cells)] == [

@@ -1,6 +1,7 @@
 """Exact-arithmetic building blocks: conversion, rank, solving, factoring."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -436,6 +437,45 @@ def test_pivot_matches_full_tableau_on_exchange_chains():
     assert min(ratio0, negative, untouched) >= 200
 
 
+def test_min_dual_ratio_cols_matches_fraction_reference():
+    # the entering candidates of a dual simplex step: over the slots where
+    # the leaving row is negative, those tied at the least reduced cost
+    # over minus the row's entry, each read as Fractions of its own row;
+    # small drawn entries make ties, zero reduced costs and rows with no
+    # negative entry all common
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = Counter()
+
+    def rows(n, entries):
+        return st.builds(lambda e, b, d: e + [b, d],
+                         st.lists(entries, min_size=n, max_size=n),
+                         st.integers(-9, 9), st.integers(1, 6))
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 6))
+        return (draw(rows(n, st.integers(0, 4))),
+                draw(rows(n, st.integers(-4, 4))))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        zrow, row = case
+        ratios = {j: Fraction(zrow[j], zrow[-1]) / Fraction(-a, row[-1])
+                  for j, a in enumerate(row[:-2]) if a < 0}
+        least = min(ratios.values(), default=None)
+        tied = [j for j, r in ratios.items() if r == least]
+        assert linalg.min_dual_ratio_cols(zrow, row) == tied
+        seen["none"] += not tied
+        seen["ties"] += len(tied) > 1
+        seen["zero"] += least == 0
+
+    check()
+    assert min(seen.values()) >= 30
+
+
 def test_pivot_path_length_pinned(monkeypatch):
     # the golden profiles pin where a run ends; these counts also pin how
     # many elimination steps it takes to get there: kernel pivots, plus one
@@ -471,9 +511,13 @@ def test_pivot_path_length_pinned(monkeypatch):
     assert count(lambda: enumerate_equilibria(identity_game(5))) == 30
     twin = BimatrixGame(identity_game(5).a, 2 * identity_game(5).b)
     assert count(lambda: enumerate_equilibria(twin)) == 60
-    # grids with no loss-0 cell: 9 cell LPs each
-    assert count(lambda: approx_absolute(rank1_family(7), Fraction(1, 5))) == 203
-    assert count(lambda: approx_absolute(rank1_family(10), Fraction(1, 5))) == 253
+    # grids with no loss-0 cell: 9 cell LPs each. The first cell solves
+    # cold and each later one re-solves from the last optimal dictionary;
+    # in rank1(7) two warm optima are not certified unique and solve cold
+    # again. rank1(8) at 1/7 is the benchmark's 13-cell grid
+    assert count(lambda: approx_absolute(rank1_family(7), Fraction(1, 5))) == 109
+    assert count(lambda: approx_absolute(rank1_family(10), Fraction(1, 5))) == 76
+    assert count(lambda: approx_absolute(rank1_family(8), Fraction(1, 7))) == 82
 
 
 @pytest.mark.parametrize("a, b, message", [

@@ -9,9 +9,11 @@ from itertools import combinations
 import pytest
 
 from rankgames import (
+    block_game,
     fraction_matrix,
     fraction_vector,
     linear_program,
+    rank1_family,
     solve_lp,
     solve_linear_system,
 )
@@ -20,8 +22,12 @@ from rankgames.linalg import int_row
 from rankgames.lp import LpSolution, StandardForm
 
 from helpers import (
+    NEG,
+    SHARED,
     dictionary_rows,
     full_rows,
+    reference_grid_cells,
+    reference_grid_lp,
     reference_price_out,
     reference_shifted_rhs,
     reference_tableau,
@@ -377,6 +383,103 @@ def test_bounds_reduce_to_nonnegative_and_free_variables(monkeypatch):
             "optimal", tuple(c + s * t for c, s, t in zip(const, sign, ref.x)),
             ref.objective_value + sum(e * c for e, c in zip(objective, const)))
     assert min(statuses.values()) >= 30 and len(statuses) == 3
+
+
+def _read(result):
+    """A solve_rows result with its pairs read as Fractions."""
+    status, values, value = result
+    if status != "optimal":
+        return status, values, value
+    return status, [Fraction(*p) for p in values], Fraction(*value)
+
+
+def test_warm_solves_equal_cold_solves(monkeypatch):
+    # a form keeps the dictionary of its last optimal solve and re-solves
+    # from it, keeping a warm optimum only when it is certified unique: each
+    # result, read as Fractions, must be a fresh form's, whatever the form
+    # solved before. The sequences are the cells of grids, in product order
+    # and shuffled, and random LPs whose right-hand sides and objectives
+    # move between solves
+    kept = []  # (form, warm result or None) of each solve with a kept dictionary
+    warm = StandardForm._warm
+
+    def recorded(form, rhs, zrow):
+        kept.append((form, warm(form, rhs, zrow)))
+        return kept[-1][1]
+
+    monkeypatch.setattr(StandardForm, "_warm", recorded)
+    rng = random.Random(3001)
+
+    def run(lhs, senses, free, cells):
+        form = StandardForm(lhs, senses, free)
+        for rhs, cost in cells:
+            got = _read(form.solve_rows(rhs, cost))
+            assert got == _read(StandardForm(lhs, senses, free).solve_rows(
+                rhs, cost))
+        return [result for f, result in kept if f is form]
+
+    # the absolute grids of the two block games run every cell, and six of
+    # their cells have a warm optimum other than the cold one; NEG's factor
+    # rows take negative right-hand sides, SHARED's rows share a factor
+    # with their denominator, and a relative grid keeps its cost
+    grids = []
+    for scheme, game, eps in [
+        ("abs", block_game(rank1_family(2), rank1_family(3)), Fraction(1, 2)),
+        ("abs", block_game(rank1_family(3), rank1_family(3)), Fraction(1, 2)),
+        ("abs", NEG, Fraction(1, 2)),
+        ("abs", SHARED, Fraction(1)),
+        ("rel", rank1_family(4), Fraction(1, 4)),
+    ]:
+        lp = reference_grid_lp(game, scheme)
+        cells = [(_pairs(rhs), int_row(objective))
+                 for rhs, objective in reference_grid_cells(game, eps, scheme)]
+        shuffled = rng.sample(cells, len(cells))
+        for order in (cells, shuffled):
+            results = run([int_row(row) for row in lp.lhs], lp.senses,
+                          [lo is None for lo in lp.lower], order)
+            grids.append(Counter("cold" if r is None else r[0]
+                                 for r in results))
+    # warm optima not certified unique solve cold again; the other warm
+    # solves end optimal or prove the cell infeasible
+    assert all(grid["cold"] >= 3 for grid in grids[:4])
+    assert sum(grid["optimal"] for grid in grids) >= 240
+    assert sum(grid["infeasible"] for grid in grids) >= 70
+
+    def rational(bound):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
+
+    # random LPs over bounded and free variables: a step moves each
+    # right-hand side with probability 1/2, an equality row's with 1/10,
+    # which sends the solve cold, and keeps the objective half the time
+    statuses = Counter()
+    equality_moves = 0
+    del kept[:]
+    for _ in range(150):
+        nvars, nrows = rng.randint(1, 4), rng.randint(1, 4)
+        lower, upper = _random_bounds(rng, nvars, rational)
+        senses = [rng.choice(["<=", ">=", "="]) for _ in range(nrows)]
+        lp = linear_program(
+            [rational(5) for _ in range(nvars)],
+            [[rational(4) for _ in range(nvars)] for _ in range(nrows)],
+            senses, [rational(6) for _ in range(nrows)], lower, upper)
+        form = _standard_form(lp)
+        for _ in range(8):
+            moved = [rng.random() < (0.1 if sense == "=" else 0.5)
+                     for sense in senses]
+            equality_moves += any(m and sense == "=" for m, sense in
+                                  zip(moved, senses))
+            lp = replace(lp, rhs=tuple(
+                rational(6) if m else b for m, b in zip(moved, lp.rhs)))
+            if rng.random() < 0.5:
+                lp = replace(lp, objective=tuple(rational(5)
+                                                 for _ in range(nvars)))
+            sol = _solve(form, lp)
+            assert sol == solve_lp(lp)
+            statuses[sol.status] += 1
+    results = Counter("cold" if r is None else r[0] for _, r in kept)
+    assert min(statuses.values()) >= 150 and len(statuses) == 3
+    assert min(results.values()) >= 50 and len(results) == 4
+    assert equality_moves >= 80
 
 
 def test_price_out_matches_pricing_every_basic_column(monkeypatch):
