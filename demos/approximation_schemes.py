@@ -22,7 +22,7 @@ from rankgames import (
     BimatrixGame,
     approx_absolute,
     approx_relative,
-    enumerate_by_supports,
+    enumerate_equilibria,
     equilibrium_survives_perturbation,
     loss,
     perturb_game,
@@ -38,7 +38,7 @@ print(f"rank(A+B) = {game.rank_c}, |A+B| = {game.norm_c}")
 truncated = svd_truncate(game.c, 1)
 pert = perturb_game(game, truncated)
 print(f"rank-1 truncation changes entries by at most {pert.eps} * |A+B|")
-for profile in enumerate_by_supports(game):
+for profile in enumerate_equilibria(game).profiles:
     survived = equilibrium_survives_perturbation(pert, profile)
     x = ",".join(str(e) for e in profile.x)
     y = ",".join(str(e) for e in profile.y)

@@ -10,7 +10,7 @@ a single minimax linear program.
 from rankgames import (
     BimatrixGame,
     additive_to_zero_sum,
-    enumerate_by_supports,
+    enumerate_equilibria,
     find_additive_decomposition,
     solve_zero_sum,
 )
@@ -41,9 +41,9 @@ y = ",".join(str(e) for e in rep.profile.y)
 print(f"minimax LP: value {rep.payoff1} at x = ({x}), y = ({y})")
 print()
 
-orig = set(enumerate_by_supports(game))
-reduced = set(enumerate_by_supports(zs))
-print(f"support enumeration on the original:  {len(orig)} equilibria")
-print(f"support enumeration on the rewrite:   {len(reduced)} equilibria")
+orig = set(enumerate_equilibria(game).profiles)
+reduced = set(enumerate_equilibria(zs).profiles)
+print(f"vertex enumeration on the original:  {len(orig)} equilibria")
+print(f"vertex enumeration on the rewrite:   {len(reduced)} equilibria")
 print(f"identical equilibrium sets: {orig == reduced}")
 assert rep.profile in reduced

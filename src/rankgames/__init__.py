@@ -27,7 +27,6 @@ from .bounds import (
 )
 from .enumeration import (
     EquilibriumSet,
-    connected_component_count,
     enumerate_by_supports,
     enumerate_equilibria,
 )

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .errors import check_work
+
 
 def f_count(n):
     """f(n) = sum over k of C(n+k, k) * C(n, k).
@@ -90,7 +92,12 @@ class BoundReport:
 
 
 def bound_report(d, k=None):
-    """Evaluate the applicable bounds for dimension d (and optional rank k)."""
+    """Evaluate the applicable bounds for dimension d (and optional rank k).
+
+    Above errors.MAX_WORK strategies a side, CapExceededError is raised
+    before any bound is computed: the counts grow exponentially in d.
+    """
+    check_work(d, "strategies a side")
     if d < 1:
         raise ValueError("d must be positive")
     if k is not None and k < 0:

@@ -12,7 +12,6 @@ from .games import (
     _report,
     _rows_over,
     _strategy_row,
-    is_exact_equilibrium,
     loss,
 )
 from .linalg import pair_row, solve_linear_system
@@ -148,22 +147,6 @@ def enumerate_equilibria(game):
             edges += [(i, first.setdefault((0, ip), i)),
                       (i, first.setdefault((1, iq), i))]
     return EquilibriumSet(tuple(found), _component_partition(len(found), edges))
-
-
-def connected_component_count(game, eqset):
-    """Number of connected components spanned by an enumerated set.
-
-    An independent audit: two equilibria are linked when both cross
-    pairings pass the exact loss check, which takes O(E^2) checks. It
-    reads the set's profiles only, not its components.
-    """
-    profiles = eqset.profiles
-    edges = [
-        (i, j) for i, j in combinations(range(len(profiles)), 2)
-        if is_exact_equilibrium(game, MixedProfile(profiles[i].x, profiles[j].y))
-        and is_exact_equilibrium(game, MixedProfile(profiles[j].x, profiles[i].y))
-    ]
-    return len(_component_partition(len(profiles), edges))
 
 
 def enumerate_by_supports(game):

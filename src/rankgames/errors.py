@@ -2,13 +2,13 @@
 
 # Upper bound on the work of one call: the bases of a vertex walk, the
 # support pairs of enumerate_by_supports, the cells of a grid axis and of a
-# whole grid.
+# whole grid, and the strategies a side of bound_report's dimension d.
 MAX_WORK = 4096
 
 
 class CapExceededError(RuntimeError):
-    """A run exceeded MAX_WORK, the bound on grid cells, vertex-walk bases
-    and support pairs meant to stop runaway runs."""
+    """A run exceeded MAX_WORK, the bound on grid cells, vertex-walk bases,
+    support pairs and bound_report's dimension meant to stop runaway runs."""
 
 
 class GameFormatError(ValueError):

@@ -143,7 +143,7 @@ class StandardForm:
     of row i's standard columns, without its slack or its right-hand side,
     and slack[i] is its slack's (column, sign) or None for an equality: a
     slack column is +-1 on its own row and 0 on the others, so the rows
-    leave it out, and tableau writes it only when the slack starts
+    leave it out, and _tableau writes it only when the slack starts
     nonbasic. General bounds are solve_lp's to reduce (_reduce_bounds).
 
     solve_rows takes and returns integer rows and pairs, and is what the
@@ -190,7 +190,7 @@ class StandardForm:
         # (rhs, rows, basis, nonbasic) of the last optimal solve
         self._kept = None
 
-    def tableau(self, rhs):
+    def _tableau(self, rhs):
         """The dictionary rows, crash basis, nonbasic variables and
         artificial count of phase 1 for the right-hand sides of the LP's
         rows, given as one (numerator, positive denominator) pair per row.
@@ -206,14 +206,8 @@ class StandardForm:
         lcm of its denominator and that of the right-hand side in lowest
         terms, so it equals int_row of the row's Fractions over the
         nonbasic columns (a basic column holds 0 or 1 and leaves the row's
-        gcd as it is).
+        gcd as it is). rhs has one pair per row: solve_rows checks it.
         """
-        if len(rhs) != len(self.rows):
-            raise ValueError("rhs length does not match row count")
-        return self._tableau(rhs)
-
-    def _tableau(self, rhs):
-        """tableau without its length check, which solve_rows makes."""
         ncols = self.ncols
         basis = []
         nonbasic = list(range(self.nstd))
@@ -253,7 +247,7 @@ class StandardForm:
 
     def solve_rows(self, rhs, cost):
         """Solve for the right-hand sides of the LP's rows, one
-        (numerator, positive denominator) pair per row as tableau takes
+        (numerator, positive denominator) pair per row as _tableau takes
         them, and an objective given as the integer row cost
         (linalg.int_row) over the variables.
 
@@ -289,7 +283,7 @@ class StandardForm:
         return self._cold(rhs, zrow)
 
     def _cold(self, rhs, zrow):
-        """The two-phase solve from tableau(rhs), for the cost row zrow
+        """The two-phase solve from _tableau(rhs), for the cost row zrow
         over all the columns. Its optimal dictionary is kept, but not one
         from which phase 1 dropped a redundant row: a change in that row's
         right-hand side cannot be read off the others."""

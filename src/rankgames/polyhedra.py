@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 from .errors import check_work
-from .linalg import _array, as_fraction, min_ratio_rows, pivot, reduced
+from .linalg import as_fraction, min_ratio_rows, pivot, reduced
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,13 @@ class BestResponsePolyhedron:
     taken from the game's integer form). Two polyhedra are equal, and hash
     equal, when their fields are: equal games give equal polyhedra.
 
-    ineqs, the inequality rows ineqs z <= 0 as a read-only object array of
-    Fractions, is built from the payoff rows on first read; the vertex walk
-    never reads it. Rows carry 1-based labels 1..m+n, the convention the
-    vertex-census and joint-cover statements are written in: labels 1..m
-    are the row player's strategies (x_i >= 0 on the P side, row i's
-    best-response inequality on the Q side) and labels m+1..m+n are the
-    column player's (column j's best-response inequality on the P side,
-    y_j >= 0 on the Q side).
+    Its inequality rows, the nonnegativity rows and the best-response rows,
+    carry 1-based labels 1..m+n, the convention the vertex-census and
+    joint-cover statements are written in: labels 1..m are the row
+    player's strategies (x_i >= 0 on the P side, row i's best-response
+    inequality on the Q side) and labels m+1..m+n are the column player's
+    (column j's best-response inequality on the P side, y_j >= 0 on the Q
+    side).
     """
 
     side: str
@@ -44,20 +43,6 @@ class BestResponsePolyhedron:
     @property
     def dim(self):
         return self.strategy_len + 1
-
-    @cached_property
-    def ineqs(self):
-        """The nonnegativity rows -z_i <= 0 and the best-response rows
-        payoff[r] . z / den - payoff_coordinate <= 0, in two blocks in label
-        order: side P puts its nonnegativity block first, side Q its
-        best-response block."""
-        slen, den = self.strategy_len, self.den
-        zero, one = Fraction(0), Fraction(1)
-        nonneg = [[-one if c == i else zero for c in range(slen + 1)]
-                  for i in range(slen)]
-        br = [[Fraction(e, den) for e in row] + [-one] for row in self.payoff]
-        return _array(nonneg + br if self.side == "P" else br + nonneg,
-                      writeable=False)
 
 
 class PolyhedronVertex:
@@ -203,10 +188,10 @@ def enumerate_vertices(poly):
     is a dictionary: one row per basic slack and the payoff row, which
     expresses v and which the ratio test never reads, each over the
     strategy_len nonbasic slacks, one slot each (_start_tableau writes it
-    down from the payoff rows; ineqs is never read). A basis is the set of
-    rows whose slacks are nonbasic, kept as a bitmask with bit r for row r,
-    beside the list of the basic rows, one per tableau row, and the list of
-    the nonbasic rows, one per slot. From each basis every nonbasic slack
+    down from the payoff rows). A basis is the set of rows whose slacks
+    are nonbasic, kept as a bitmask with bit r for row r, beside the list
+    of the basic rows, one per tableau row, and the list of the nonbasic
+    rows, one per slot. From each basis every nonbasic slack
     is tried as the entering variable, in ascending row order, and every
     basic slack row tied at the minimum ratio gives a neighbour, degenerate
     ratio-0 pivots included; the leaving slack takes the entering one's

@@ -10,10 +10,12 @@ from rankgames import (
     BimatrixGame,
     MixedProfile,
     best_response_values,
+    is_exact_equilibrium,
     linear_program,
     make_report,
 )
 from rankgames.approx import _geometric_axis, _interval_axis
+from rankgames.enumeration import _component_partition
 from rankgames.games import _eps_threshold
 from rankgames.linalg import (
     as_fraction,
@@ -184,6 +186,39 @@ def reference_polynomial_kernel_matrix(g, coeffs):
     return mat
 
 
+def connected_component_count(game, eqset):
+    """Number of connected components spanned by an enumerated set.
+
+    An independent audit: two equilibria are linked when both cross
+    pairings pass the exact loss check, which takes O(E^2) checks. It
+    reads the set's profiles only, not its components, and must count as
+    many components as enumerate_equilibria's partition holds.
+    """
+    profiles = eqset.profiles
+    edges = [
+        (i, j) for i, j in combinations(range(len(profiles)), 2)
+        if is_exact_equilibrium(game, MixedProfile(profiles[i].x, profiles[j].y))
+        and is_exact_equilibrium(game, MixedProfile(profiles[j].x, profiles[i].y))
+    ]
+    return len(_component_partition(len(profiles), edges))
+
+
+def ineqs(poly):
+    """The inequality rows ineqs z <= 0 of a best-response polyhedron, as
+    a NumPy object array of Fractions built from its payoff rows: the
+    nonnegativity rows -z_i <= 0 and the best-response rows
+    payoff[r] . z / den - payoff_coordinate <= 0, in two blocks in label
+    order: side P puts its nonnegativity block first, side Q its
+    best-response block. Row r carries label poly.labels[r]."""
+    slen, den = poly.strategy_len, poly.den
+    zero, one = Fraction(0), Fraction(1)
+    nonneg = [[-one if c == i else zero for c in range(slen + 1)]
+              for i in range(slen)]
+    br = [[Fraction(e, den) for e in row] + [-one] for row in poly.payoff]
+    return np.array(nonneg + br if poly.side == "P" else br + nonneg,
+                    dtype=object)
+
+
 def brute_force_bases(poly):
     """Reference basis enumeration: solve every basis from scratch.
 
@@ -192,16 +227,17 @@ def brute_force_bases(poly):
     each choice whose system is nonsingular and whose point satisfies every
     inequality, values being the inequality rows at the point.
     """
-    k = poly.ineqs.shape[0]
+    rows = ineqs(poly)
+    k = rows.shape[0]
     d = poly.dim
     norm_row = [Fraction(1)] * poly.strategy_len + [Fraction(0)]
     for subset in combinations(range(k), d - 1):
-        a = [norm_row] + [list(poly.ineqs[r]) for r in subset]
+        a = [norm_row] + [list(rows[r]) for r in subset]
         b = [Fraction(1)] + [Fraction(0)] * (d - 1)
         point = solve_linear_system(a, b)
         if point is None:
             continue
-        values = poly.ineqs @ fraction_vector(point)
+        values = rows @ fraction_vector(point)
         if all(val <= 0 for val in values):
             yield subset, point, values
 
@@ -298,8 +334,9 @@ def reference_vertex_order(poly):
 
 def reference_walk_start(poly):
     """Reference start tableau of the vertex walk, built by pivots in
-    (strategy, payoff) space from the Fraction ineqs and then cut down to
-    slack space; polyhedra._start_tableau must give the same rows.
+    (strategy, payoff) space from the Fraction rows ineqs(poly) and then
+    cut down to slack space; polyhedra._start_tableau must give the same
+    rows.
 
     One integer row [G_r | e_r | 0] per Fraction inequality row of ineqs
     (linalg.int_row) and the normalization row [1..1 0 | 0 | 1]; a pivot
@@ -311,10 +348,11 @@ def reference_walk_start(poly):
     in row order, then the payoff coordinate's row, and the rows whose
     slacks are basic.
     """
-    k, d = poly.ineqs.shape
+    fractions = ineqs(poly)
+    k, d = fractions.shape
     rows = []
     for r in range(k):
-        row = int_row(list(poly.ineqs[r]))
+        row = int_row(list(fractions[r]))
         den = row.pop()
         row += [0] * (k + 1) + [den]
         row[d + r] = den
@@ -323,7 +361,7 @@ def reference_walk_start(poly):
     nonneg = [r for r, lab in enumerate(poly.labels) if lab in poly.nonneg_labels]
     br = [r for r, lab in enumerate(poly.labels) if lab in poly.br_labels]
     # max keeps the first of the rows tied at the largest column-0 entry
-    free = nonneg[1:] + [max(br, key=lambda r: poly.ineqs[r, 0])] + [k]
+    free = nonneg[1:] + [max(br, key=lambda r: fractions[r, 0])] + [k]
     coord_rows = []
     for c in range(d):
         r = next(r for r in free if rows[r][c] != 0)
@@ -427,7 +465,7 @@ def reference_tableau(lp):
     becomes an integer row only at the end. Returns (rows, basis,
     nonbasic, number of artificials), the full rows restricted to the
     nonbasic columns in index order (dictionary_rows), or None when an
-    upper bound lies below its lower bound. lp.StandardForm.tableau must
+    upper bound lies below its lower bound. lp.StandardForm._tableau must
     give exactly these.
     """
     terms, bound_rows = [], []

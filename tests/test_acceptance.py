@@ -17,7 +17,6 @@ from rankgames import (
     approx_relative,
     block_game,
     build_polyhedra,
-    connected_component_count,
     enumerate_by_supports,
     enumerate_equilibria,
     enumerate_vertices,
@@ -36,7 +35,12 @@ from rankgames import (
     tau,
 )
 
-from helpers import profile_set, random_game, random_profile
+from helpers import (
+    connected_component_count,
+    profile_set,
+    random_game,
+    random_profile,
+)
 
 
 def report(num, ok, detail):

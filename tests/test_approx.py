@@ -357,14 +357,14 @@ def test_grid_rows_match_reference_builder(monkeypatch):
             uncertified += cold_again
             count = 1 + cold_again if status == "optimal" else 0
             assert phase2 == [reference_cost_row(form, objective)] * count
-            assert form.tableau(rhs) == form.tableau(
+            assert form._tableau(rhs) == form._tableau(
                 [(b.numerator, b.denominator) for b in ref_rhs])
         lp = reference_grid_lp(game, scheme, decomp)
         assert form.rows == StandardForm(
             [int_row(row) for row in lp.lhs], lp.senses,
             [lo is None for lo in lp.lower]).rows
         for ref_rhs, _ in cells:
-            assert form.tableau(
+            assert form._tableau(
                 [(b.numerator, b.denominator) for b in ref_rhs]
             ) == reference_tableau(replace(lp, rhs=tuple(ref_rhs)))
     # (cells solved, cells in the grid, loss): REL2 and SHARED have no

@@ -11,7 +11,6 @@ import pytest
 
 from rankgames import (
     block_game,
-    connected_component_count,
     enumerate_equilibria,
     identity_game,
     load_decomposition,
@@ -23,6 +22,8 @@ from rankgames import (
     svd_truncate,
 )
 from rankgames.cli import build_parser, main
+
+from helpers import connected_component_count
 
 PENNIES = "2 2\n1 -1\n-1 1\n-1 1\n1 -1\n"
 # a 3x3 game with rank(a) = rank(b) = 1
@@ -220,6 +221,22 @@ def test_bounds_output(capsys):
     out = capsys.readouterr().out
     assert "tau" not in out  # odd d has no tau line
     assert "Phi(3,6) - 1 = 7" in out
+
+
+def test_module_entry_point_exits_with_main_code():
+    """python -m rankgames exits with main()'s code: bounds above the work
+    bound exits 4 at once, with an empty stdout and the bound on stderr,
+    and a small d exits 0."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = [subprocess.run([sys.executable, "-m", "rankgames", "bounds",
+                            "--d", d], capture_output=True, text=True,
+                           env=env, timeout=120, check=False)
+            for d in ("4097", "4")]
+    assert (runs[0].returncode, runs[0].stdout, runs[0].stderr) == (
+        4, "", "error: 4097 strategies a side, above the bound 4096\n")
+    assert runs[1].returncode == 0
+    assert "Phi(4,8) - 1 = 19" in runs[1].stdout
 
 
 def test_rankfact_round_trip(tmp_path, capsys):

@@ -15,7 +15,6 @@ from rankgames import (
     approx_absolute,
     block_game,
     block_hierarchy_count,
-    connected_component_count,
     enumerate_by_supports,
     enumerate_equilibria,
     identity_game,
@@ -29,6 +28,7 @@ from rankgames import cli, enumeration, errors, games
 from rankgames.gamefiles import save_game
 
 from helpers import (
+    connected_component_count,
     oracle_game_strategies,
     profile_set,
     random_game,

@@ -345,7 +345,8 @@ def test_list_cross_checks_match_the_numpy_references():
      ValueError("eps must be nonnegative")),
     (lambda g: g == 1, False),
     (repr, "BimatrixGame(2x2, rank_c=1)"),
-], ids=["negative-eps", "eq-non-game", "repr"])
+    (lambda g: pure_profile(2, 2, 0, 0) == ((1, 0), (1, 0)), False),
+], ids=["negative-eps", "eq-non-game", "repr", "eq-non-profile"])
 def test_game_edge_branches(call, expected):
     game = rank1_family(2)
     if isinstance(expected, Exception):

@@ -101,11 +101,10 @@ def test_array_input_reads_as_its_rows():
 
 def test_returned_arrays_are_object_arrays_writeable_unless_views():
     """Every matrix the package returns is an object array of Fractions;
-    a game's a, b and c and a polyhedron's ineqs are read-only views, and
-    the rest are the caller's to write."""
+    a game's a, b and c are read-only views, and the rest are the
+    caller's to write."""
     game = rank1_family(3)
-    views = [game.a, game.b, game.c,
-             *(p.ineqs for p in polyhedra.build_polyhedra(game))]
+    views = [game.a, game.b, game.c]
     # svd_truncate's exact shortcut (rank <= k) and its float SVD
     owned = [fraction_matrix([[1, 2]]), fraction_vector([1, "1/2"]),
              game.factorization.matrix(),

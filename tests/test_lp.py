@@ -304,7 +304,7 @@ def test_standard_form_rows_match_reference_builder():
         assert _standard_form(other).rows == form.rows
         for ref in (lp, other):
             red = lp_module._reduce_bounds(ref)[0]
-            assert form.tableau(_pairs(red.rhs)) == reference_tableau(ref)
+            assert form._tableau(_pairs(red.rhs)) == reference_tableau(ref)
             flipped += any(b < 0 for b in reference_shifted_rhs(ref))
         # one form serves any number of solves
         assert _solve(form, other) == solve_lp(other)
@@ -545,14 +545,12 @@ def test_bland_pivot_path_golden():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda form: form.tableau(()), ValueError,
-     "rhs length does not match row count"),
     (lambda form: form.solve_rows((), [1, 1, 1]), ValueError,
      "rhs length does not match row count"),
     (lambda form: form.solve_rows([(1, 1)], [1, 1]), ValueError,
      "objective length does not match variable count"),
     (solve_lp, TypeError, "expected a LinearProgram"),
-], ids=["tableau-rhs", "solve-rhs", "solve-objective", "solve-lp-type"])
+], ids=["solve-rhs", "solve-objective", "solve-lp-type"])
 def test_standard_form_argument_errors(call, error, message):
     # the rows of linear_program([1, 1], [[1, 1]], ["<="], [1])
     form = StandardForm([[1, 1, 1]], ["<="], [False, False])

@@ -24,6 +24,7 @@ from helpers import (
     brute_force_bases,
     brute_force_vertices,
     dictionary_rows,
+    ineqs,
     oracle_game_strategies,
     reference_equilibria,
     reference_vertex_order,
@@ -56,13 +57,12 @@ def test_rows_and_labels_of_an_asymmetric_game():
     # changes the rows
     g = BimatrixGame([[1, 2, 0], [3, -1, 2]], [[0, 4, 1], [2, 1, 3]])
     p, q = build_polyhedra(g)
-    assert p.ineqs.tolist() == [
+    assert ineqs(p).tolist() == [
         [-1, 0, 0], [0, -1, 0], [0, 2, -1], [4, 1, -1], [1, 3, -1]]
-    assert q.ineqs.tolist() == [
+    assert ineqs(q).tolist() == [
         [1, 2, 0, -1], [3, -1, 2, -1],
         [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0]]
-    assert all(type(e) is Fraction for poly in (p, q) for e in poly.ineqs.flat)
-    assert not p.ineqs.flags.writeable and not q.ineqs.flags.writeable
+    assert all(type(e) is Fraction for poly in (p, q) for e in ineqs(poly).flat)
     assert (p.strategy_len, q.strategy_len) == (2, 3)
     assert p.labels == q.labels == (1, 2, 3, 4, 5)
     assert (p.nonneg_labels, p.br_labels) == ({1, 2}, {3, 4, 5})
@@ -75,8 +75,6 @@ def test_polyhedra_compare_and_hash_by_their_game():
                         [[0, 4, 1], [2, 1, "6/2"]])
     other = BimatrixGame([[1, 2, 0], [3, -1, 2]], [[0, 4, 1], [2, 1, 4]])
     p, q = build_polyhedra(g)
-    # reading ineqs builds and keeps it; equality and hash ignore it
-    assert p.ineqs is p.ineqs
     assert (p, q) == build_polyhedra(same)
     assert hash(p) == hash(build_polyhedra(same)[0])
     assert hash(q) == hash(build_polyhedra(same)[1])
@@ -167,7 +165,7 @@ def test_vertices_lie_on_their_binding_rows():
     g = rank1_family(3)
     _, q = build_polyhedra(g)
     for v in enumerate_vertices(q):
-        for label, row in zip(q.labels, q.ineqs):
+        for label, row in zip(q.labels, ineqs(q)):
             lhs = sum(r * e for r, e in zip(row, v.point))
             assert lhs <= 0
             assert (label in v.binding) == (lhs == 0)
@@ -192,6 +190,12 @@ def test_vertices_copy_pickle_and_refuse_assignment():
                     f"^PolyhedronVertex is immutable: cannot set {name}$")):
                 setattr(v, name, value)
     assert made.coords == ((1, 2), (1, 2), (9, 2)) and made.tight == 0b11
+    # a vertex is never equal to a non-vertex, and its repr shows its
+    # point and binding
+    assert made != made.point and made != 1
+    assert repr(made) == ("PolyhedronVertex(point=(Fraction(1, 2), "
+                          "Fraction(1, 2), Fraction(9, 2)), "
+                          "binding=frozenset({1, 2}))")
 
 
 def test_nondegeneracy_detection():
@@ -319,7 +323,7 @@ def _walked_bases(monkeypatch, poly):
 
 
 def _repeats_a_row(poly):
-    rows = [tuple(row) for row in poly.ineqs.tolist()]
+    rows = [tuple(row) for row in ineqs(poly).tolist()]
     return len(set(rows)) < len(rows)
 
 

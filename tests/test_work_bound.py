@@ -7,6 +7,7 @@ import pytest
 from rankgames import (
     CapExceededError,
     approx_relative,
+    bound_report,
     enumerate_by_supports,
     enumerate_equilibria,
     is_nondegenerate,
@@ -33,6 +34,14 @@ def test_every_guard_reads_max_work(monkeypatch):
     assert len(enumerate_by_supports(rank1_family(4))) == 7
     with pytest.raises(CapExceededError, match="251 support pairs"):
         enumerate_by_supports(rank1_family(5))
+    # bound_report: d = 69 admitted, d = 70 refused before any bound is
+    # computed
+    assert bound_report(69).d == 69
+    with monkeypatch.context() as mp:
+        mp.setattr("rankgames.bounds.keiding_phi", _fail)
+        with pytest.raises(CapExceededError,
+                           match="^70 strategies a side, above the bound 69$"):
+            bound_report(70)
     # an interval axis: 69 cells admitted, 70 refused
     assert len(_interval_axis(f(0), f(1), f(1, 69))) == 69
     with pytest.raises(CapExceededError, match="above the bound 69"):
