@@ -70,10 +70,7 @@ from .games import (
 from .linalg import (
     RankFactorization,
     as_fraction,
-    fraction_matrix,
-    fraction_vector,
     matrix_rank,
-    max_abs_entry,
     rank_factorize,
     solve_linear_system,
 )

@@ -12,6 +12,8 @@ from .games import (
     MixedProfile,
     _eps_threshold,
     _evaluate_rows,
+    _fractions,
+    _rows_over,
     _strategy_row,
     is_approximate_equilibrium,
     is_exact_equilibrium,
@@ -19,11 +21,11 @@ from .games import (
 )
 from .linalg import (
     RankFactorization,
+    _array,
+    _fraction_rows,
     as_fraction,
-    fraction_matrix,
     int_row,
     matrix_rank,
-    max_abs_entry,
     pair_row,
     reduced,
 )
@@ -45,17 +47,17 @@ def svd_truncate(matrix, k):
     never on their sum, which would not preserve the rank.
     Entries too large for the float SVD raise ValueError.
     """
-    c = fraction_matrix(matrix)
+    rows = _fraction_rows(matrix)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k >= matrix_rank(c):
-        return c
+    if k >= matrix_rank(rows=[int_row(row) for row in rows]):
+        return _array(rows)
+    m, n = len(rows), len(rows[0])
     if k == 0:
-        return RankFactorization(c.shape, ()).matrix()
-    m, n = c.shape
+        return RankFactorization((m, n), ()).matrix()
     # every singular value is at most sqrt(m n) times the largest entry, so
     # this keeps the float conversion and the SVD's output finite
-    if max_abs_entry(c) * m * n >= sys.float_info.max:
+    if max(abs(e) for row in rows for e in row) * m * n >= sys.float_info.max:
         raise ValueError(
             "payoff sum entries are too large for the float SVD of "
             "svd_truncate: the largest |entry| times m*n must stay below "
@@ -63,7 +65,8 @@ def svd_truncate(matrix, k):
         )
     import numpy as np  # the one float computation in the package
 
-    u, s, vt = np.linalg.svd(c.astype(float))
+    # each entry is float() of its Fraction, which rounds correctly
+    u, s, vt = np.linalg.svd(np.array(rows, dtype=float))
     pairs = tuple(
         (tuple(Fraction(u[i, t] * s[t]).limit_denominator(SVD_MAX_DENOMINATOR)
                for i in range(m)),
@@ -95,17 +98,21 @@ def perturb_game(game, c_prime):
     players. Requires |a+b| > 0 (otherwise no relative scale exists) and
     |c' - c| < |a+b| (otherwise no eps < 1 describes the perturbation).
     """
-    cp = fraction_matrix(c_prime)
-    if cp.shape != game.shape:
+    cp = _fraction_rows(c_prime)
+    if (len(cp), len(cp[0])) != game.shape:
         raise ValueError("replacement matrix shape does not match the game")
     if game.norm_c == 0:
         raise ValueError("zero-sum game has no relative perturbation scale")
-    delta = cp - game.c
-    eps = Fraction(max_abs_entry(delta), game.norm_c)
+    delta = [[e - f for e, f in zip(row, _fractions(c_row))]
+             for row, c_row in zip(cp, game._c_rows)]
+    eps = Fraction(max(abs(e) for row in delta for e in row), game.norm_c)
     if eps >= 1:
         raise ValueError("perturbation is as large as the payoff scale itself")
-    half = delta * Fraction(1, 2)
-    perturbed = BimatrixGame(game.a + half, game.b + half)
+    a_rows, da, bt_rows, db = game._int_form
+    a, b = ([[e + d / 2 for e, d in zip(row, d_row)]
+             for row, d_row in zip(_rows_over(rows, den), delta)]
+            for rows, den in ((a_rows, da), (zip(*bt_rows), db)))
+    perturbed = BimatrixGame(a, b)
     return GamePerturbation(original=game, perturbed=perturbed, eps=eps)
 
 

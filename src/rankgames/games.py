@@ -89,7 +89,7 @@ class BimatrixGame:
 
     @cached_property
     def norm_c(self):
-        """max_abs_entry(c), the scale of the approximation guarantees."""
+        """The largest |entry| of c, the scale of the eps guarantees."""
         return max(Fraction(max(map(abs, row[:-1])), row[-1])
                    for row in self._c_rows)
 

@@ -45,15 +45,10 @@ def as_fraction(value):
     )
 
 
-def fraction_vector(entries):
-    """Build a 1-d object array of Fractions."""
-    return _array([as_fraction(e) for e in entries])
-
-
 def _fraction_rows(rows):
     """Nested sequences, or a 2-d array, as a list of equal-length lists of
     Fractions (as_fraction), at least one by one: the one reader of matrix
-    input, which fraction_matrix, the games and every kernel entry call."""
+    input, which the games and every kernel entry call."""
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")
@@ -61,24 +56,6 @@ def _fraction_rows(rows):
     if any(len(r) != n for r in rows):
         raise ValueError("rows have unequal lengths")
     return [[as_fraction(e) for e in row] for row in rows]
-
-
-def fraction_matrix(rows):
-    """Build a 2-d object array of Fractions from nested sequences."""
-    return _array(_fraction_rows(rows))
-
-
-def max_abs_entry(matrix):
-    """Largest absolute value of any entry, as a Fraction: of a vector, a
-    matrix or deeper nested sequences, lists or arrays alike."""
-    return Fraction(max(map(abs, _flat(matrix))))
-
-
-def _flat(values):
-    """The numbers in nested sequences of any depth, in order."""
-    if isinstance(values, str) or not hasattr(values, "__iter__"):
-        return [values]
-    return [e for part in values for e in _flat(part)]
 
 
 def int_row(entries):
@@ -260,7 +237,8 @@ class RankFactorization:
     """Sum-of-outer-products form C = sum of u v^T over the stored pairs.
 
     The number of pairs equals the exact rank. Every u has shape[0]
-    entries and every v shape[1].
+    entries and every v shape[1], and the shape is at least one by one,
+    like every matrix the package reads.
     """
 
     shape: tuple[int, int]
@@ -268,6 +246,8 @@ class RankFactorization:
 
     def __post_init__(self):
         m, n = self.shape
+        if m < 1 or n < 1:
+            raise ValueError("matrix must have at least one row and one column")
         if any(len(u) != m or len(v) != n for u, v in self.pairs):
             raise ValueError("pair vectors do not match the shape")
 
@@ -297,14 +277,13 @@ class RankFactorization:
         """sum u v^T as an object array of Fractions."""
         rows = [[Fraction(e, row[-1]) for e in row[:-1]]
                 for row in self._int_rows()]
-        # the reshape keeps the shape of a matrix with no rows
-        return _array(rows).reshape(self.shape)
+        return _array(rows)
 
 
 def rank_factorize(matrix=None, *, rows=None):
     """Canonical rank factorization by iterated rank-one peeling.
 
-    The matrix is anything fraction_matrix takes. A caller that already
+    The matrix is anything _fraction_rows reads. A caller that already
     holds the matrix as integer rows, int_row of each row (a game's payoff
     sum, say), passes them as rows instead, and no Fraction is read; the
     pivots and the pairs are the same.

@@ -1,5 +1,6 @@
 """Shared generators for the seeded randomized tests, and reference oracles."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -8,18 +9,25 @@ import numpy as np
 
 from rankgames import (
     BimatrixGame,
+    GamePerturbation,
     MixedProfile,
+    RankFactorization,
     best_response_values,
     is_exact_equilibrium,
     linear_program,
     make_report,
+    matrix_rank,
 )
-from rankgames.approx import _geometric_axis, _interval_axis
+from rankgames.approx import (
+    SVD_MAX_DENOMINATOR,
+    _geometric_axis,
+    _interval_axis,
+)
 from rankgames.enumeration import _component_partition
 from rankgames.games import _eps_threshold
 from rankgames.linalg import (
+    _fraction_rows,
     as_fraction,
-    fraction_vector,
     int_row,
     reduced,
     solve_linear_system,
@@ -104,6 +112,12 @@ def reference_profile_text(profile):
             + ",".join(str(e) for e in profile.y))
 
 
+def _vectors(profile):
+    """A profile's x and y as NumPy object arrays of Fractions."""
+    return (np.array(profile.x, dtype=object),
+            np.array(profile.y, dtype=object))
+
+
 def reference_evaluate(game, profile):
     """Reference profile evaluation on NumPy object arrays of Fractions.
 
@@ -111,7 +125,7 @@ def reference_evaluate(game, profile):
     x b, as games._evaluate computed it before it moved to integer rows;
     games._evaluate must give exactly this tuple.
     """
-    x, y = fraction_vector(profile.x), fraction_vector(profile.y)
+    x, y = _vectors(profile)
     ay, xb = game.a @ y, x @ game.b
     best1, best2, p1, p2 = max(ay), max(xb), x @ ay, xb @ y
     return best1 + best2 - p1 - p2, p1, p2, best1, best2
@@ -121,7 +135,7 @@ def reference_check_deviation_bound(game, profile, eps):
     """Reference pure-deviation check on NumPy object arrays of Fractions,
     as games.check_deviation_bound computed it before it moved to lists."""
     bound = _eps_threshold(game, eps)
-    x, y = fraction_vector(profile.x), fraction_vector(profile.y)
+    x, y = _vectors(profile)
     ay = game.a @ y
     xb = x @ game.b
     base = x @ game.c @ y
@@ -135,7 +149,7 @@ def reference_check_deviation_bound(game, profile, eps):
 def reference_qp_objective(game, profile):
     """Reference QP objective s - z Q z on a NumPy block matrix, as
     games.qp_objective computed it before it moved to lists."""
-    x, y = fraction_vector(profile.x), fraction_vector(profile.y)
+    x, y = _vectors(profile)
     m, n = game.shape
     half = game.c * Fraction(1, 2)
     q = np.full((m + n, m + n), Fraction(0), dtype=object)
@@ -149,8 +163,8 @@ def reference_qp_objective(game, profile):
 def reference_additive_to_zero_sum(game, u, v):
     """Reference zero-sum rewrite with np.outer, as
     families.additive_to_zero_sum computed it before it moved to lists."""
-    u = fraction_vector(u)
-    v = fraction_vector(v)
+    u = np.array([as_fraction(e) for e in u], dtype=object)
+    v = np.array([as_fraction(e) for e in v], dtype=object)
     if len(u) != game.m or len(v) != game.n:
         raise ValueError("u/v lengths must match the game dimensions")
     for i in range(game.m):
@@ -160,6 +174,54 @@ def reference_additive_to_zero_sum(game, u, v):
     a2 = game.a - np.outer(np.full(game.m, Fraction(1), dtype=object), v)
     b2 = game.b - np.outer(u, np.full(game.n, Fraction(1), dtype=object))
     return BimatrixGame(a2, b2)
+
+
+def reference_svd_truncate(matrix, k):
+    """Reference rank-k truncation on a NumPy object array of Fractions, as
+    approx.svd_truncate computed it before it read rows: the array itself
+    when k is at least its rank, else the pairs of the float SVD of
+    astype(float), rationalized factor by factor."""
+    c = np.array(_fraction_rows(matrix), dtype=object)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k >= matrix_rank(c):
+        return c
+    if k == 0:
+        return RankFactorization(c.shape, ()).matrix()
+    m, n = c.shape
+    if max(abs(e) for e in c.flat) * m * n >= sys.float_info.max:
+        raise ValueError(
+            "payoff sum entries are too large for the float SVD of "
+            "svd_truncate: the largest |entry| times m*n must stay below "
+            f"{sys.float_info.max:.3g}"
+        )
+    u, s, vt = np.linalg.svd(c.astype(float))
+    pairs = tuple(
+        (tuple(Fraction(u[i, t] * s[t]).limit_denominator(SVD_MAX_DENOMINATOR)
+               for i in range(m)),
+         tuple(Fraction(vt[t, j]).limit_denominator(SVD_MAX_DENOMINATOR)
+               for j in range(n)))
+        for t in range(k)
+    )
+    return RankFactorization((m, n), pairs).matrix()
+
+
+def reference_perturb_game(game, c_prime):
+    """Reference perturbation on NumPy object arrays of Fractions, as
+    approx.perturb_game computed it before it read rows: both payoff
+    matrices shifted by half of c' - c."""
+    cp = np.array(_fraction_rows(c_prime), dtype=object)
+    if cp.shape != game.shape:
+        raise ValueError("replacement matrix shape does not match the game")
+    if game.norm_c == 0:
+        raise ValueError("zero-sum game has no relative perturbation scale")
+    delta = cp - game.c
+    eps = Fraction(max(abs(e) for e in delta.flat), game.norm_c)
+    if eps >= 1:
+        raise ValueError("perturbation is as large as the payoff scale itself")
+    half = delta * Fraction(1, 2)
+    perturbed = BimatrixGame(game.a + half, game.b + half)
+    return GamePerturbation(original=game, perturbed=perturbed, eps=eps)
 
 
 def reference_polynomial_kernel_matrix(g, coeffs):
@@ -237,7 +299,7 @@ def brute_force_bases(poly):
         point = solve_linear_system(a, b)
         if point is None:
             continue
-        values = rows @ fraction_vector(point)
+        values = rows @ np.array(point, dtype=object)
         if all(val <= 0 for val in values):
             yield subset, point, values
 

@@ -17,11 +17,10 @@ from rankgames import (
     block_game,
     enumerate_by_supports,
     equilibrium_survives_perturbation,
-    fraction_matrix,
+    format_game_text,
     identity_game,
     loss,
     matrix_rank,
-    max_abs_entry,
     perturb_game,
     pure_profile,
     rank1_family,
@@ -31,6 +30,7 @@ from rankgames import (
 )
 
 from rankgames import approx as approx_module
+from rankgames import cli
 from rankgames.approx import _geometric_axis, _interval_axis
 from rankgames import lp as lp_module
 from rankgames.errors import MAX_WORK
@@ -45,6 +45,8 @@ from helpers import (
     reference_cost_row,
     reference_grid_cells,
     reference_grid_lp,
+    reference_perturb_game,
+    reference_svd_truncate,
     reference_tableau,
 )
 
@@ -63,7 +65,7 @@ def test_svd_truncate_rank_and_quality():
     rng = random.Random(271828)
     for _ in range(15):
         m, n = rng.randint(2, 4), rng.randint(2, 4)
-        c = fraction_matrix(random_matrix(rng, m, n, -9, 9))
+        c = random_matrix(rng, m, n, -9, 9)
         for k in (1, 2):
             ck = svd_truncate(c, k)
             assert matrix_rank(ck) <= k
@@ -74,13 +76,64 @@ def test_svd_truncate_rank_and_quality():
 
 def test_perturb_game_bookkeeping():
     g = BimatrixGame([[3, 1], [1, 3]], [[1, 1], [1, 1]])  # c rank 2, norm 4
-    cp = fraction_matrix([[4, 2], [2, 3]])
+    cp = [[4, 2], [2, 3]]
     pert = perturb_game(g, cp)
     assert pert.eps == Fraction(1, 4)
     assert np.array_equal(pert.c_prime, cp)
     assert np.array_equal(pert.perturbed.c, cp)
     # the difference is split evenly between the players
     assert np.array_equal(pert.perturbed.a - g.a, pert.perturbed.b - g.b)
+
+
+def _outcome(func, *args):
+    """What a call gives: a returned array's dtype, shape, writeable flag
+    and typed entries, a perturbation's eps and perturbed integer form, or
+    a ValueError's message."""
+    try:
+        got = func(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if isinstance(got, np.ndarray):
+        return (got.dtype, got.shape, got.flags.writeable,
+                [(type(e), e) for e in got.flat])
+    return got.eps, got.perturbed._int_form
+
+
+def test_perturb_path_matches_the_object_array_reference(
+        tmp_path, capsys, monkeypatch):
+    """svd_truncate and perturb_game on rows give what their object-array
+    bodies gave, on drawn rational games of 1..6 x 1..6 and the four
+    families at k = 0..3, and perturb prints the same bytes with them.
+    Compared in one process, since a float SVD may differ between
+    LAPACK builds."""
+    rng = random.Random(32032)
+    games = [rank1_family(3), squared_difference_family(4), identity_game(3),
+             block_game(identity_game(2), rank1_family(3))]
+    for _ in range(30):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        games.append(BimatrixGame(*(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+              for _ in range(n)] for _ in range(m)] for _ in "ab")))
+    path = tmp_path / "g.txt"
+    for game in games:
+        for k in range(4):
+            got = svd_truncate(game.c, k)
+            assert _outcome(svd_truncate, game.c, k) == _outcome(
+                reference_svd_truncate, game.c, k)
+            for cp in (got, got.tolist()):
+                assert _outcome(perturb_game, game, cp) == _outcome(
+                    reference_perturb_game, game, cp)
+        path.write_text(format_game_text(game))
+        for k in ("1", "2"):
+            runs = []
+            for truncate, perturb in ((svd_truncate, perturb_game),
+                                      (reference_svd_truncate,
+                                       reference_perturb_game)):
+                monkeypatch.setattr(cli, "svd_truncate", truncate)
+                monkeypatch.setattr(cli, "perturb_game", perturb)
+                code = cli.main(["perturb", str(path), "--k", k])
+                runs.append((code, *capsys.readouterr()))
+            assert runs[0] == runs[1]
 
 
 def test_perturb_game_validation():
@@ -109,7 +162,7 @@ def test_exact_equilibria_survive_rank_one_truncation():
         if g.norm_c == 0:
             continue
         cp = svd_truncate(g.c, 1)
-        if max_abs_entry(cp - g.c) >= g.norm_c:
+        if max(abs(e) for e in (cp - g.c).flat) >= g.norm_c:
             continue
         pert = perturb_game(g, cp)
         for p in enumerate_by_supports(g):
@@ -481,7 +534,7 @@ def test_relative_auto_decomposition():
 
 
 def test_relative_zero_entry_weakens_but_still_answers():
-    c = fraction_matrix([[0, 0], [4, 8]])
+    c = np.array([[0, 0], [4, 8]], dtype=object)
     half = c * Fraction(1, 2)
     g = BimatrixGame(half, half.copy())
     rep = approx_relative(g, Fraction(1, 2))
@@ -520,6 +573,11 @@ def test_rank_factorization_refuses_pairs_off_its_shape():
         with pytest.raises(ValueError,
                            match="^pair vectors do not match the shape$"):
             RankFactorization((2, 2), (_pair((1, 1), (1, 2)), pair))
+    # a shape with no rows or no columns has no matrix a game file can hold
+    for shape in ((0, 3), (2, 0)):
+        with pytest.raises(ValueError, match="^matrix must have at least "
+                                             "one row and one column$"):
+            RankFactorization(shape, ())
     decomp = RankFactorization((2, 2), (_pair((1, 1), (1, 2)),))
     rep = approx_relative(g, Fraction(1, 4), decomp=decomp)
     assert rep == approx_relative(g, Fraction(1, 4))

@@ -12,7 +12,6 @@ import pytest
 from rankgames import (
     BimatrixGame,
     MixedProfile,
-    RankFactorization,
     approx_absolute,
     approx_relative,
     block_game,
@@ -25,11 +24,13 @@ from rankgames import (
     make_report,
     matrix_rank,
     parse_game_text,
+    perturb_game,
     rank1_family,
     solve_linear_system,
     solve_lp,
 )
-from rankgames import approx, cli, families, linalg, lp
+import rankgames
+from rankgames import cli, linalg
 from rankgames.gamefiles import _pair_text, encode_report, load_game
 from rankgames.linalg import int_row, rank_factorize
 from rankgames.lp import LpSolution
@@ -210,18 +211,24 @@ def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch, tmp_path,
 
 
 def test_kernel_entries_build_no_fraction_arrays(monkeypatch):
-    """The exact kernels, the LP and the additive split read Fraction input
-    as rows (linalg._fraction_rows), and a passed decomposition is checked
-    on integer rows: with fraction_matrix, fraction_vector and
-    RankFactorization.matrix patched to raise, each still gives its
-    answer."""
+    """The exact kernels, the LP, the additive split and the perturbation
+    read Fraction input as rows (linalg._fraction_rows), and a passed
+    decomposition is checked on integer rows: with linalg._array, the one
+    builder of the package's object arrays, patched to raise in every
+    module that imports it, each still gives its answer."""
     def refuse(*args, **kwargs):
         raise AssertionError("a Fraction array was built")
 
-    for module in (linalg, lp, approx, families):
-        for name in ("fraction_matrix", "fraction_vector"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
-    monkeypatch.setattr(RankFactorization, "matrix", refuse)
+    # c = u u^T for u = (2, 4, 6); c' is c with its 36 lowered by 1
+    half = np.diag([0, 0, Fraction(1, 2)])
+    want = BimatrixGame(rank1_family(3).a - half, rank1_family(3).b - half)
+    c_prime = [[4, 8, 12], [8, 16, 24], [12, 24, 35]]
+    builder = linalg._array
+    for module in vars(rankgames).values():
+        if getattr(module, "_array", None) is builder:
+            monkeypatch.setattr(module, "_array", refuse)
+    pert = perturb_game(rank1_family(3), c_prime)
+    assert pert.eps == Fraction(1, 36) and pert.perturbed == want
     matrix = [[1, "1/2", 0], [2, 1, 0], [0, 0, Fraction(3, 4)]]
     assert matrix_rank(matrix) == 2
     fact = rank_factorize(matrix)

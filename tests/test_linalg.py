@@ -16,11 +16,9 @@ from rankgames import (
     as_fraction,
     block_game,
     enumerate_equilibria,
-    fraction_matrix,
-    fraction_vector,
     identity_game,
     matrix_rank,
-    max_abs_entry,
+    perturb_game,
     polynomial_kernel_matrix,
     rank1_family,
     rank_factorize,
@@ -57,29 +55,26 @@ def test_as_fraction_rejects_floats():
 
 
 def test_fraction_matrix_shape_checks():
-    with pytest.raises(ValueError):
-        fraction_matrix([])
-    with pytest.raises(ValueError):
-        fraction_matrix([[1, 2], [3]])
+    """A matrix with no row, or rows of unequal lengths, is refused by
+    every reader of matrix input (linalg._fraction_rows)."""
+    for bad, message in (([], "at least one row"),
+                         ([[1, 2], [3]], "rows have unequal lengths")):
+        for read in (linalg._fraction_rows, matrix_rank, rank_factorize,
+                     lambda mat: svd_truncate(mat, 1),
+                     lambda mat: perturb_game(rank1_family(2), mat),
+                     lambda mat: BimatrixGame(mat, mat)):
+            with pytest.raises(ValueError, match=message):
+                read(bad)
 
 
-def test_fraction_vector_and_norm():
-    v = fraction_vector(["1/2", -3, 0])
-    assert v.dtype == object
-    assert list(v) == [Fraction(1, 2), Fraction(-3), Fraction(0)]
-    assert max_abs_entry(fraction_matrix([[1, -7], [2, 5]])) == 7
-    assert max_abs_entry(fraction_matrix([[0, 0]])) == 0
-
-
-def test_max_abs_entry_reads_vectors_nested_lists_and_arrays():
-    assert max_abs_entry([3, 0, -5]) == 5
-    assert max_abs_entry((Fraction(-7, 2), 1)) == Fraction(7, 2)
-    assert max_abs_entry([[1, -7], [2, 5]]) == 7
-    assert max_abs_entry(fraction_vector([0, "-9/4"])) == Fraction(9, 4)
-    assert max_abs_entry(np.array([[1, -8], [2, 5]], dtype=np.int64)) == 8
-    assert type(max_abs_entry(np.array([[3]], dtype=np.int64))) is Fraction
-    with pytest.raises(ValueError):
-        max_abs_entry([])
+def test_array_builders_are_gone():
+    """An object array is only ever an output: the builders
+    fraction_matrix and fraction_vector and the any-depth max_abs_entry
+    are gone, so importing one raises ImportError."""
+    for name in ("fraction_matrix", "fraction_vector", "max_abs_entry"):
+        for module in ("rankgames", "rankgames.linalg"):
+            with pytest.raises(ImportError):
+                exec(f"from {module} import {name}", {})
 
 
 def test_array_input_reads_as_its_rows():
@@ -89,14 +84,14 @@ def test_array_input_reads_as_its_rows():
     want = BimatrixGame(rows, rows)
     assert BimatrixGame(np.array(rows, dtype=np.int64),
                         np.array(rows, dtype=np.int64)) == want
-    arr = fraction_matrix(rows)
+    arr = np.array([[Fraction(e) for e in row] for row in rows], dtype=object)
     assert BimatrixGame(arr, arr) == want
-    assert fraction_matrix(np.array(rows, dtype=np.int32)).tolist() == \
+    assert linalg._fraction_rows(np.array(rows, dtype=np.int32)) == \
         arr.tolist()
     with pytest.raises(TypeError, match="got float"):
         BimatrixGame(np.array(rows, dtype=float), rows)
     with pytest.raises(TypeError):
-        fraction_matrix(np.array([[0.5]]))
+        matrix_rank(np.array([[0.5]]))
 
 
 def test_returned_arrays_are_object_arrays_writeable_unless_views():
@@ -106,8 +101,7 @@ def test_returned_arrays_are_object_arrays_writeable_unless_views():
     game = rank1_family(3)
     views = [game.a, game.b, game.c]
     # svd_truncate's exact shortcut (rank <= k) and its float SVD
-    owned = [fraction_matrix([[1, 2]]), fraction_vector([1, "1/2"]),
-             game.factorization.matrix(),
+    owned = [game.factorization.matrix(),
              polynomial_kernel_matrix([1, 2], [0, 1]),
              svd_truncate([[1, 2], [2, 4]], 1),
              svd_truncate([[1, 2], [3, 4]], 1)]
@@ -119,11 +113,11 @@ def test_returned_arrays_are_object_arrays_writeable_unless_views():
 
 
 def test_matrix_rank_known_values():
-    assert matrix_rank(fraction_matrix([[0, 0], [0, 0]])) == 0
-    assert matrix_rank(fraction_matrix([[4, 8], [8, 16]])) == 1
-    assert matrix_rank(fraction_matrix([[1, 0], [0, 1]])) == 2
+    assert matrix_rank([[0, 0], [0, 0]]) == 0
+    assert matrix_rank([[4, 8], [8, 16]]) == 1
+    assert matrix_rank([[1, 0], [0, 1]]) == 2
     # -2(i-j)^2 on a 3-grid: 3 independent separable terms
-    m = fraction_matrix([[0, -2, -8], [-2, 0, -2], [-8, -2, 0]])
+    m = [[0, -2, -8], [-2, 0, -2], [-8, -2, 0]]
     assert matrix_rank(m) == 3
 
 
@@ -132,10 +126,10 @@ def test_matrix_rank_matches_float_rank_on_random_int_matrices():
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         ints = random_matrix(rng, m, n, -4, 4)
-        mat = fraction_matrix(ints)
+        mat = np.array(ints, dtype=object)
         assert matrix_rank(mat) == np.linalg.matrix_rank(mat.astype(float))
-        # a list of int rows goes through fraction_matrix, as any matrix;
-        # its integer rows over denominator 1 are passed as rows
+        # a list of int rows is read as an array of Fractions is; its
+        # integer rows over denominator 1 are passed as rows
         assert matrix_rank(ints) == matrix_rank(mat)
         assert matrix_rank(rows=[[*r, 1] for r in ints]) == matrix_rank(mat)
     assert matrix_rank([[1, "1/2"], [2, 1]]) == 1
@@ -146,23 +140,22 @@ def test_matrix_rank_matches_float_rank_on_random_int_matrices():
 
 
 def test_solve_linear_system_exact():
-    a = fraction_matrix([[2, 1], [1, 3]])
-    b = fraction_vector([5, 10])
+    a = np.array([[2, 1], [1, 3]], dtype=object)
+    b = np.array([5, 10], dtype=object)
     x = solve_linear_system(a, b)
     assert list(x) == [Fraction(1), Fraction(3)]
     assert all((a @ x) == b)
 
 
 def test_solve_linear_system_singular_returns_none():
-    a = fraction_matrix([[1, 2], [2, 4]])
-    assert solve_linear_system(a, fraction_vector([1, 1])) is None
+    assert solve_linear_system([[1, 2], [2, 4]], [1, 1]) is None
 
 
 def test_rank_factorize_reconstructs_and_counts_random():
     rng = random.Random(7)
     for _ in range(30):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        mat = fraction_matrix(random_matrix(rng, m, n, -5, 5))
+        mat = random_matrix(rng, m, n, -5, 5)
         fact = rank_factorize(mat)
         assert fact.shape == (m, n)
         assert fact.rank == matrix_rank(mat) == len(fact.pairs)
@@ -190,7 +183,7 @@ def test_factorization_rows_match_the_outer_product_sum():
 
 def test_rank_factorize_sign_convention():
     # each u starts with a positive entry at its first nonzero position
-    mat = fraction_matrix([[0, -2, -8], [-2, 0, -2], [-8, -2, 0]])
+    mat = [[0, -2, -8], [-2, 0, -2], [-8, -2, 0]]
     fact = rank_factorize(mat)
     for u, _ in fact.pairs:
         lead = next(e for e in u if e != 0)
@@ -199,17 +192,17 @@ def test_rank_factorize_sign_convention():
 
 
 def test_rank_factorize_nonnegative_flag():
-    pos = rank_factorize(fraction_matrix([[4, 8], [8, 16]]))
+    pos = rank_factorize([[4, 8], [8, 16]])
     assert pos.nonnegative
-    mixed = rank_factorize(fraction_matrix([[0, -1], [-1, 0]]))
+    mixed = rank_factorize([[0, -1], [-1, 0]])
     assert not mixed.nonnegative
 
 
 def test_rank_factorize_zero_matrix():
-    fact = rank_factorize(fraction_matrix([[0, 0], [0, 0]]))
+    fact = rank_factorize([[0, 0], [0, 0]])
     assert fact.rank == 0
     assert fact.pairs == ()
-    assert np.array_equal(fact.matrix(), fraction_matrix([[0, 0], [0, 0]]))
+    assert fact.matrix().tolist() == [[0, 0], [0, 0]]
 
 
 def test_rank_factorize_golden_pairs():
@@ -271,7 +264,7 @@ def test_exact_kernels_match_sympy_oracle():
                          database=None)
     @hypothesis.given(matrices(), st.lists(entries, min_size=6, max_size=6))
     def check(rows, rhs):
-        mat = fraction_matrix(rows)
+        mat = np.array(rows, dtype=object)
         rank = to_sympy(rows).rank()
         assert matrix_rank(mat) == rank
         fact = rank_factorize(mat)

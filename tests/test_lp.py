@@ -10,8 +10,6 @@ import pytest
 
 from rankgames import (
     block_game,
-    fraction_matrix,
-    fraction_vector,
     linear_program,
     rank1_family,
     solve_lp,
@@ -151,9 +149,8 @@ def _brute_force_optimum(lp):
         planes.append(([Fraction(int(j == i)) for j in range(nvars)], Fraction(0)))
     best = None
     for subset in combinations(range(len(planes)), nvars):
-        a = fraction_matrix([planes[i][0] for i in subset])
-        b = fraction_vector([planes[i][1] for i in subset])
-        x = solve_linear_system(a, b)
+        x = solve_linear_system([planes[i][0] for i in subset],
+                                [planes[i][1] for i in subset])
         if x is None:
             continue
         if any(e < 0 for e in x):
