@@ -30,7 +30,7 @@ from .gamefiles import (
     parse_profile_text,
     report_json,
 )
-from .games import _eps_threshold, loss
+from .games import _eps_threshold, _fractions, loss
 from .linalg import as_fraction, matrix_rank
 
 EXIT_OK = 0
@@ -234,7 +234,8 @@ def cmd_perturb(args):
         raise ValueError("--k must be at least 1: truncating A+B to rank 0 "
                          "changes it by its whole scale")
     game = load_game(args.game)
-    truncated = svd_truncate(game.c, args.k)
+    # the payoff sum's Fraction rows, read from its integer rows: no array
+    truncated = svd_truncate(list(map(_fractions, game._c_rows)), args.k)
     pert = perturb_game(game, truncated)
     note = (
         f"eps = {pert.eps}; rank(A+B) = {pert.perturbed.rank_c}; "

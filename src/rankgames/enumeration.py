@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from .errors import check_work
 from .games import (
@@ -14,8 +15,8 @@ from .games import (
     _strategy_row,
     loss,
 )
-from .linalg import pair_row, solve_linear_system
-from .polyhedra import _vertex_lists
+from .linalg import _solve_rows, pair_row, solve_linear_system
+from .polyhedra import PolyhedronVertex, _symmetric, _vertex_lists
 
 
 class EquilibriumSet:
@@ -75,68 +76,84 @@ def _component_partition(n, edges):
 
 
 def enumerate_equilibria(game):
-    """All extreme equilibria, found by pairing polyhedron vertices.
+    """All extreme equilibria, found from the vertices of P.
 
     A vertex pair (x, v) and (y, u) is an equilibrium exactly when the two
     binding-label sets jointly cover 1..m+n: every strategy is then either
-    unplayed or a best response. Label r + 1 is row r on both sides, so
-    the pairing reads the vertices' tight-row masks: each row has a
-    posting bitset, bit iq set when Q vertex iq is tight at it, and a P
-    vertex's partners are the AND of the postings of its rows not tight
-    (the set bits of full & ~tight), which stops at the first empty AND,
-    walked from the lowest bit. Each cover pair is certified on integer
-    rows, with no Fraction made: the two vertices' strategies, as rows
+    unplayed or a best response. Label r + 1 is row r on both sides, so a
+    P vertex's partners are the Q vertices tight at every row it is not
+    tight at, the vertices of its complementary face on Q (the lrsnash
+    method of Avis, Rosenberg, Savani and von Stengel, 2010).
+
+    P is walked. In a game that is not symmetric, a nondegenerate P
+    vertex solves its face itself (_face_partner). Every other P vertex,
+    a degenerate one or one whose face system is singular, and every
+    vertex of a symmetric game (b = a^T), reads its partners from Q's
+    vertex list (polyhedra._vertex_lists), walked, or relabelled from P's
+    for a symmetric game, the first time a vertex needs it. Each row then
+    has a posting bitset, bit iq set when Q vertex iq is tight at it, and
+    the partners are the AND of the postings of the rows the P vertex is
+    not tight at (the set bits of full & ~tight), which stops at the
+    first empty AND, walked from the lowest bit. Each pair is certified on
+    integer rows, with no Fraction made: the two strategies, as rows
     (linalg.pair_row), must be mixed strategies (games._strategy_row), and
     the loss's numerator from one games._evaluate_rows call must be 0.
     The set keeps the rows and that evaluation, and builds each profile
     and report from them, once, only when profiles or reports is read.
     Output is sorted by profile and grouped into connected components.
 
-    No two cover pairs share a profile. A P vertex binds strategy_len
+    No two pairs share a profile. A P vertex binds strategy_len
     independent rows, at most strategy_len - 1 of them nonnegativity rows,
     so some best-response row is tight and v = max_j x b_j is fixed by x.
-    Each P vertex thus has its own x, and likewise each Q vertex its own y.
-    Both vertex lists come sorted by point, hence by strategy, so pairing
-    in P order and then in Q index order yields the equilibria already
-    sorted by profile.
+    Each P vertex thus has its own x, and likewise each Q vertex its own y
+    and its own tight mask. Both vertex lists come sorted by point, hence
+    by strategy, and a face solve gives at most one partner, so pairing
+    in P order and then in Q order yields the equilibria already sorted
+    by profile.
 
     The components are those of the extreme-equilibrium graph of Avis,
     Rosenberg, Savani and von Stengel (2010), whose nodes are the P and Q
     vertices and whose edges are the equilibria: equilibria sharing a P
-    vertex (an x) or a Q vertex (a y) are linked, each to the first one
-    with that vertex. The walk's bound on its bases (errors.MAX_WORK)
-    bounds both vertex lists, so also the pairing; it is the only guard.
-    A symmetric game (b = a^T) walks P only: its Q list is P's relabelled
-    (polyhedra._vertex_lists).
+    vertex (an x) or a Q vertex (a y, keyed by its tight mask) are linked,
+    each to the first one with that vertex. The walk's bound on its bases
+    (errors.MAX_WORK) bounds P's list, so also the face solves, at most
+    one per P vertex, and Q's list when it is walked; it is the only
+    guard.
     """
-    p_vertices, q_vertices = _vertex_lists(game)
-    # postings[r] has bit iq set when Q vertex iq is tight at row r, whose
-    # label is r + 1 on both sides
-    postings = [0] * (game.m + game.n)
-    for iq, vq in enumerate(q_vertices):
-        tight = vq.tight
-        while tight:
-            low = tight & -tight
-            tight ^= low
-            postings[low.bit_length() - 1] |= 1 << iq
-    full = (1 << len(postings)) - 1
-    every_q = (1 << len(q_vertices)) - 1
+    lists = _vertex_lists(game)
+    p_vertices = next(lists)
+    a_rows, da = game._int_form[:2]
+    m = game.m
+    beaten = None if _symmetric(game) else _beaten(a_rows)
+    postings = None
     found = []
     first = {}
     edges = []
     for ip, vp in enumerate(p_vertices):
-        cover = every_q
-        uncovered = full & ~vp.tight
-        while uncovered and cover:
-            low = uncovered & -uncovered
-            uncovered ^= low
-            cover &= postings[low.bit_length() - 1]
-        while cover:
-            low = cover & -cover
-            cover ^= low
-            iq = low.bit_length() - 1
+        tight = vp.tight
+        partners = None
+        if beaten is not None and tight.bit_count() == m:
+            partners = _face_partner(a_rows, da, beaten, m, tight)
+        if partners is None:
+            if postings is None:
+                q_vertices = next(lists)
+                postings = _postings(q_vertices, m + game.n)
+                full = (1 << len(postings)) - 1
+                every_q = (1 << len(q_vertices)) - 1
+            cover = every_q
+            uncovered = full & ~tight
+            while uncovered and cover:
+                low = uncovered & -uncovered
+                uncovered ^= low
+                cover &= postings[low.bit_length() - 1]
+            partners = []
+            while cover:
+                low = cover & -cover
+                cover ^= low
+                partners.append(q_vertices[low.bit_length() - 1])
+        for vq in partners:
             xs = _strategy_row(pair_row(vp.coords[:-1]), "x")
-            ys = _strategy_row(pair_row(q_vertices[iq].coords[:-1]), "y")
+            ys = _strategy_row(pair_row(vq.coords[:-1]), "y")
             values = _evaluate_rows(game, xs, ys)[:3]
             if values[0][0] != 0:
                 raise RuntimeError(
@@ -145,8 +162,73 @@ def enumerate_equilibria(game):
             i = len(found)
             found.append((xs, ys, values))
             edges += [(i, first.setdefault((0, ip), i)),
-                      (i, first.setdefault((1, iq), i))]
+                      (i, first.setdefault((1, vq.tight), i))]
     return EquilibriumSet(tuple(found), _component_partition(len(found), edges))
+
+
+def _postings(q_vertices, rows):
+    """postings[r] has bit iq set when Q vertex iq is tight at row r, whose
+    label is r + 1 on both sides."""
+    postings = [0] * rows
+    for iq, vq in enumerate(q_vertices):
+        tight = vq.tight
+        while tight:
+            low = tight & -tight
+            tight ^= low
+            postings[low.bit_length() - 1] |= 1 << iq
+    return postings
+
+
+def _beaten(a_rows):
+    """beaten[s] lists, for each row of a that pays strictly more than row
+    s on some column, the bitmask of those columns (bit j for column j)."""
+    cols = range(len(a_rows[0]))
+    return [[d for d in {sum(1 << j for j in cols if hi[j] > lo[j])
+                         for hi in a_rows} if d]
+            for lo in a_rows]
+
+
+def _face_partner(a_rows, da, beaten, m, tight):
+    """The partners of a nondegenerate P vertex of tight mask tight, read
+    off its complementary face on Q: () when the face is empty, the one Q
+    vertex on it, in a tuple, when it has one, None when the face's system
+    is singular and the caller must look in Q's vertex list.
+
+    The vertex's support S is the rows whose nonnegativity row is not
+    tight, and T the columns whose best-response row is tight. A point
+    of the face plays y on T only and pays every row of S the same,
+    which a row beating a row of S on every column of T would beat. So
+    the face is empty when some mask of beaten[s], s in S, covers T.
+    Otherwise A_{S,T} y - w 1 = 0 and sum y = 1, with w = da u, is solved
+    on integer rows (linalg._solve_rows); the point is a vertex of Q
+    when y >= 0 and no row pays more than the rows of S. Its payoff is
+    what the rows of S are paid, and its tight mask holds the rows paid
+    the most and the columns y leaves unplayed.
+    """
+    t = tight >> m
+    support = [i for i in range(m) if not tight >> i & 1]
+    if any(not t & ~d for s in support for d in beaten[s]):
+        return ()
+    cols = [j for j in range(t.bit_length()) if t >> j & 1]
+    k = len(cols)
+    system = [[a_rows[s][j] for j in cols] + [-1, 0, 1] for s in support]
+    system.append([1] * k + [0, 1, 1])
+    system = _solve_rows(system)
+    if system is None:
+        return None
+    if any(row[k + 1] < 0 for row in system[:k]):
+        return ()
+    y = [(0, 1)] * len(a_rows[0])
+    for j, row in zip(cols, system):
+        y[j] = (row[k + 1], row[-1])
+    ys = pair_row(y)
+    ay = [sum(map(mul, row, ys)) for row in a_rows]
+    best = max(ay)
+    if ay[support[0]] != best:
+        return ()
+    q_tight = sum(1 << i for i, e in enumerate(ay) if e == best)
+    q_tight |= sum(1 << (m + j) for j, e in enumerate(ys[:-1]) if e == 0)
+    return (PolyhedronVertex._walked((*y, (best, da * ys[-1])), q_tight),)
 
 
 def enumerate_by_supports(game):

@@ -211,9 +211,7 @@ def solve_linear_system(a, b):
 
     Returns a tuple of Fractions, or None when the system has no unique
     solution (singular matrix, whether inconsistent or underdetermined).
-    Column col is brought into the basis of row col, so the right-hand
-    sides end up as the solution; each step reads only the columns not yet
-    brought in and the right-hand side.
+    The elimination runs on the system's integer rows (_solve_rows).
     """
     a = _fraction_rows(a)
     n = len(a)
@@ -222,14 +220,27 @@ def solve_linear_system(a, b):
     b = [as_fraction(e) for e in b]
     if len(b) != n:
         raise ValueError("right-hand side length does not match")
-    rows = [int_row(ra + [rb]) for ra, rb in zip(a, b)]
+    rows = _solve_rows([int_row(ra + [rb]) for ra, rb in zip(a, b)])
+    return None if rows is None else tuple(Fraction(row[n], row[-1])
+                                           for row in rows)
+
+
+def _solve_rows(rows):
+    """Gauss-Jordan elimination on the n integer rows of a square system,
+    each its n coefficients, its right-hand side and its denominator (as
+    int_row writes them). Column col is brought into the basis of row col,
+    so on return row col's right-hand side over its denominator is unknown
+    col: rows[col][n] / rows[col][-1]. Returns the list of rows, or None
+    when the system is singular. The caller's list is reordered and its
+    rows replaced in place."""
+    n = len(rows)
     for col in range(n):
         r = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if r is None:
             return None
         rows[col], rows[r] = rows[r], rows[col]
         pivot(rows, col, col)
-    return tuple(Fraction(row[n], row[-1]) for row in rows)
+    return rows
 
 
 @dataclass(frozen=True)

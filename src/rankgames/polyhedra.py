@@ -272,26 +272,35 @@ def _compare_points(u, v):
 _BY_POINT = cmp_to_key(_compare_points)
 
 
+def _symmetric(game):
+    """Whether b = a^T: a's integer rows are b^T's over the same
+    denominator, the integer form of a matrix being canonical. P and Q
+    then have the same payoff rows and denominator."""
+    a_rows, da, bt_rows, db = game._int_form
+    return da == db and a_rows == bt_rows
+
+
 def _vertex_lists(game):
     """The game's P vertex list, then its Q vertex list, each as
     enumerate_vertices gives it; a generator, so a caller that stops after
-    the P list never walks Q.
+    the P list never walks Q. enumeration.enumerate_equilibria asks for
+    the Q list only when a P vertex cannot solve its complementary face,
+    and is_nondegenerate only when every P vertex is nondegenerate.
 
-    When the two polyhedra have the same payoff rows and denominator
-    (exactly when b = a^T, the integer form of a matrix being canonical),
-    they are one polytope with the label blocks swapped: Q's row r is P's
+    When the game is symmetric (_symmetric), the two polyhedra are one
+    polytope with the label blocks swapped: Q's row r is P's
     row (r + m) mod 2m (von Stengel 2002). Q's vertices are then P's with
     the two m-bit halves of each tight mask swapped, and their coordinates
     are P's, so the list is already sorted by point. A degenerate vertex
     may keep other int pairs than a walk of Q would reach it with, but the
     same point and tight mask, so the two lists are equal. Both walks
     would count the same bases, so the work bound refuses the same games.
-    Other games walk both sides.
+    Other games walk Q when its list is asked for.
     """
     p, q = build_polyhedra(game)
     p_vertices = enumerate_vertices(p)
     yield p_vertices
-    if p.payoff != q.payoff or p.den != q.den:
+    if not _symmetric(game):
         yield enumerate_vertices(q)
         return
     m = p.strategy_len

@@ -10,12 +10,15 @@ from pathlib import Path
 import pytest
 
 from rankgames import (
+    BimatrixGame,
     block_game,
     enumerate_equilibria,
+    format_game_text,
     identity_game,
     load_decomposition,
     load_game,
     parse_game_text,
+    perturb_game,
     rank1_family,
     save_game,
     squared_difference_family,
@@ -261,6 +264,32 @@ def test_perturb_subcommand(tmp_path, capsys):
     assert main(["perturb", game, "--k", "3", "--out", str(out)]) == 0
     capsys.readouterr()
     assert load_game(out) == squared_difference_family(3)
+
+
+@pytest.mark.parametrize("text, k", [
+    ("3 3\n-0 -1 -4\n-1 -0 -1\n-4 -1 -0\n-0 -1 -4\n-1 -0 -1\n-4 -1 -0\n", 1),
+    ("3 3\n-0 -1 -4\n-1 -0 -1\n-4 -1 -0\n-0 -1 -4\n-1 -0 -1\n-4 -1 -0\n", 3),
+    ("2 2\n3/2 0\n0 1/2\n1/3 0\n0 2/3\n", 1),
+], ids=["sqdiff3-k1", "sqdiff3-exact", "fractions-k1"])
+def test_perturb_reads_the_payoff_sum_rows(monkeypatch, tmp_path, capsys,
+                                           text, k):
+    # perturb hands svd_truncate the Fraction rows of the game's integer
+    # payoff sum, never the object array game.c, and prints the bytes the
+    # array route printed
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    game = load_game(path)
+    pert = perturb_game(game, svd_truncate(game.c, k))
+    want_out = format_game_text(pert.perturbed)
+    want_err = (f"eps = {pert.eps}; rank(A+B) = {pert.perturbed.rank_c}; "
+                "exact equilibria of the original stay 3*eps-approximate\n")
+    reads = []
+    c = BimatrixGame.__dict__["c"]
+    monkeypatch.setattr(BimatrixGame, "c",
+                        property(lambda g: reads.append(g) or c.func(g)))
+    assert main(["perturb", str(path), "--k", str(k)]) == 0
+    assert reads == []
+    assert capsys.readouterr() == (want_out, want_err)
 
 
 def test_perturb_rank_zero_is_refused_before_the_game_is_read(tmp_path, capsys):

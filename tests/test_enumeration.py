@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from rankgames import (
     solve_zero_sum,
 )
 
-from rankgames import cli, enumeration, errors, games
+from rankgames import cli, enumeration, errors, games, polyhedra
 from rankgames.gamefiles import save_game
 
 from helpers import (
@@ -34,6 +35,7 @@ from helpers import (
     random_game,
     reference_cover_pairs,
     reference_equilibria,
+    two_sided_vertex_lists,
 )
 
 ZERO = BimatrixGame([[0, 0], [0, 0]], [[0, 0], [0, 0]])
@@ -190,6 +192,63 @@ def test_reports_match_the_fraction_reference(kind):
 
     check()
     assert sum(mixed) >= 20  # the sample must have mixed equilibria
+
+
+def test_one_sided_enumeration_matches_the_two_sided_reference(monkeypatch):
+    # a game that is not symmetric walks P, solves the complementary face
+    # of each nondegenerate P vertex, and walks Q only for a vertex that
+    # cannot: the reports and components are the two-sided reference's on
+    # rank-1-sum draws (b = u v^T - a, like the benchmark's random games,
+    # often nondegenerate), on 0..2-entry draws (often degenerate) and on
+    # draws with rational entries (a common denominator above 1)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    reached, paths, partners = Counter(), set(), []
+    solve_rows, walk = enumeration._solve_rows, polyhedra.enumerate_vertices
+    face_partner = enumeration._face_partner
+    monkeypatch.setattr(enumeration, "_solve_rows",
+                        lambda rows: paths.add("face") or solve_rows(rows))
+    monkeypatch.setattr(polyhedra, "enumerate_vertices",
+                        lambda poly: paths.add(poly.side) or walk(poly))
+
+    def partnering(*args):
+        found = face_partner(*args)
+        partners.extend(found or ())
+        return found
+
+    monkeypatch.setattr(enumeration, "_face_partner", partnering)
+
+    @st.composite
+    def rank1_sum_games(draw):
+        m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        a = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n,
+                                   max_size=n), min_size=m, max_size=m))
+        u = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        v = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        return BimatrixGame(a, [[ui * vj - e for vj, e in zip(v, row)]
+                                for ui, row in zip(u, a)])
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.one_of(rank1_sum_games(),
+                                *oracle_game_strategies(st).values()))
+    def check(game):
+        paths.clear()
+        partners.clear()
+        eqset = enumerate_equilibria(game)
+        reached.update(paths)
+        reports, components = reference_equilibria(game)
+        assert eqset.reports == tuple(reports)
+        assert eqset.components == components
+        # a face solve's partner is a vertex of Q: its point, payoff
+        # included, and its tight mask
+        q_list = two_sided_vertex_lists(game)[1]
+        assert all(vertex in q_list for vertex in partners)
+
+    check()
+    # each path must be reached often: 236-267 face-solving draws and
+    # 78-125 Q-walking draws over eight seeds
+    assert reached["face"] >= 150 and reached["Q"] >= 60
 
 
 def test_block_game_hierarchy_example():

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from rankgames import (
     enumerate_equilibria,
     enumerate_vertices,
     identity_game,
+    is_exact_equilibrium,
     is_nondegenerate,
     polyhedra,
     rank1_family,
@@ -427,14 +429,32 @@ def test_symmetric_games_relabel_p_for_q():
     assert sum(degenerate) >= 50 and sum(other_pairs) >= 20
 
 
-@pytest.mark.parametrize("game, sides", [
-    (identity_game(3), ["P"]),
-    (rank1_family(4), ["P"]),
-    (block_game(identity_game(2), rank1_family(2)), ["P"]),
-    (SCALED_TRANSPOSE, ["P", "Q"]),
-    (BimatrixGame(rank1_family(3).a, 2 * rank1_family(3).b), ["P", "Q"]),
-], ids=["identity3", "rank1-4", "block", "scaled-transpose", "b-2a-transpose"])
-def test_only_symmetric_games_skip_the_q_walk(monkeypatch, game, sides):
+# a = I and b = 2 I: P and Q have the same vertices, but not the same rows
+IDENTITY_TWIN = BimatrixGame(identity_game(5).a, 2 * identity_game(5).b)
+# Q's vertex y = e1 is degenerate, tight at both rows of a and at y2 >= 0,
+# and is the partner of two nondegenerate P vertices: the two equilibria,
+# each found by a face solve, are one component
+SHARED_Q = BimatrixGame([[1, 0], [1, 1]], [[1, 2], [1, 0]])
+# P's vertex x = e1 is degenerate, tight at both columns' rows
+DEGENERATE_P = BimatrixGame([[0, 0], [1, 0]], [[0, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("game, listed, enumerated", [
+    (identity_game(3), ["P"], ["P"]),
+    (rank1_family(4), ["P"], ["P"]),
+    (block_game(identity_game(2), rank1_family(2)), ["P"], ["P"]),
+    (SCALED_TRANSPOSE, ["P", "Q"], ["P"]),
+    (BimatrixGame(rank1_family(3).a, 2 * rank1_family(3).b), ["P", "Q"],
+     ["P"]),
+    (IDENTITY_TWIN, ["P", "Q"], ["P"]),
+    (SHARED_Q, ["P", "Q"], ["P"]),
+    (DEGENERATE_P, ["P", "Q"], ["P", "Q"]),
+], ids=["identity3", "rank1-4", "block", "scaled-transpose", "b-2a-transpose",
+        "identity5-twin", "shared-q", "degenerate-p"])
+def test_sides_walked_by_the_lists_and_by_enumeration(monkeypatch, game,
+                                                      listed, enumerated):
+    # _vertex_lists walks Q unless the game is symmetric; enumeration walks
+    # Q only when a P vertex cannot solve its complementary face
     want_lists = two_sided_vertex_lists(game)
     want_reports, want_components = reference_equilibria(game)
     want_nondegenerate = two_sided_nondegenerate(game)
@@ -447,11 +467,44 @@ def test_only_symmetric_games_skip_the_q_walk(monkeypatch, game, sides):
 
     monkeypatch.setattr(polyhedra, "enumerate_vertices", recording)
     assert tuple(polyhedra._vertex_lists(game)) == want_lists
-    assert walked == sides
+    assert walked == listed
+    walked.clear()
     eqset = enumerate_equilibria(game)
+    assert walked == enumerated
     assert eqset.reports == tuple(want_reports)
     assert eqset.components == want_components
     assert is_nondegenerate(game) == want_nondegenerate
+
+
+def test_shared_q_vertex_links_its_equilibria():
+    eqset = enumerate_equilibria(SHARED_Q)
+    assert [r.profile.y for r in eqset.reports] == [(1, 0), (1, 0)]
+    assert eqset.components == ((0, 1),)
+
+
+def test_one_sided_enumeration_solves_a_game_whose_q_walk_is_refused(
+        monkeypatch):
+    # a random 4x40 game has a few dozen P vertices and more Q vertices
+    # than the walk's bound admits: the lists are refused at Q, and
+    # enumeration never walks it; every equilibrium passes the certificate
+    # and an independent loss evaluation
+    rng = random.Random(33)
+    rows = [[rng.randint(-999, 999) for _ in range(40)] for _ in range(8)]
+    game = BimatrixGame(rows[:4], rows[4:])
+    message = "bases in a vertex walk, above the bound 4096$"
+    with pytest.raises(CapExceededError, match=message):
+        tuple(polyhedra._vertex_lists(game))
+    walked = []
+    walk = polyhedra.enumerate_vertices
+    monkeypatch.setattr(polyhedra, "enumerate_vertices",
+                        lambda poly: walked.append(poly.side) or walk(poly))
+    eqset = enumerate_equilibria(game)
+    assert walked == ["P"]
+    assert len(eqset.reports) == 11
+    assert len(set(eqset.profiles)) == 11
+    for report in eqset.reports:
+        assert report.loss == 0 and is_exact_equilibrium(game, report.profile)
+        assert len(report.support1) == len(report.support2)
 
 
 def test_one_sided_walk_keeps_the_refusal():
