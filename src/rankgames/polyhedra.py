@@ -325,7 +325,11 @@ def is_nondegenerate(game):
     responses than its support size exactly when it binds more than
     strategy_len labels; no vertex binds fewer. The walk's bound on its bases
     (errors.MAX_WORK) applies to each side walked (_vertex_lists), and a
-    degenerate P vertex stops the check before Q is walked.
+    degenerate P vertex stops the check before Q is walked. So a game that
+    is not symmetric and whose P vertices are all nondegenerate has Q
+    walked in full, and the check raises CapExceededError on a game whose Q
+    passes the bound even when enumerate_equilibria, which walks P only,
+    solves it (a random 4x40 game, for one).
     """
     return all(
         vertex.tight.bit_count() == len(vertex.coords) - 1

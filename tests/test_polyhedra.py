@@ -485,15 +485,18 @@ def test_shared_q_vertex_links_its_equilibria():
 def test_one_sided_enumeration_solves_a_game_whose_q_walk_is_refused(
         monkeypatch):
     # a random 4x40 game has a few dozen P vertices and more Q vertices
-    # than the walk's bound admits: the lists are refused at Q, and
-    # enumeration never walks it; every equilibrium passes the certificate
-    # and an independent loss evaluation
+    # than the walk's bound admits: the lists are refused at Q, and so is
+    # is_nondegenerate, which walks Q once P's vertices are all
+    # nondegenerate; enumeration never walks Q; every equilibrium passes
+    # the certificate and an independent loss evaluation
     rng = random.Random(33)
     rows = [[rng.randint(-999, 999) for _ in range(40)] for _ in range(8)]
     game = BimatrixGame(rows[:4], rows[4:])
     message = "bases in a vertex walk, above the bound 4096$"
     with pytest.raises(CapExceededError, match=message):
         tuple(polyhedra._vertex_lists(game))
+    with pytest.raises(CapExceededError, match=message):
+        is_nondegenerate(game)
     walked = []
     walk = polyhedra.enumerate_vertices
     monkeypatch.setattr(polyhedra, "enumerate_vertices",
