@@ -4,19 +4,19 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from operator import mul
 
 from .errors import check_work
 from .games import (
     MixedProfile,
-    _evaluate_rows,
+    _evaluate_products,
+    _products,
     _report,
     _rows_over,
     _strategy_row,
     loss,
 )
 from .linalg import _solve_rows, pair_row, solve_linear_system
-from .polyhedra import PolyhedronVertex, _symmetric, _vertex_lists
+from .polyhedra import _symmetric, _vertex_lists
 
 
 class EquilibriumSet:
@@ -26,7 +26,7 @@ class EquilibriumSet:
     in profile order, what the walk's certificate computed: the triple
     (x_row, y_row, values) of the integer rows (linalg.pair_row) and the
     (numerator, denominator) pairs of the loss and the two payoffs
-    (games._evaluate_rows). profiles and reports are built from them on
+    (games._evaluate_products). profiles and reports are built from them on
     first read and kept; components holds sorted index tuples into them,
     themselves sorted by first index.
     Immutable: assignment raises AttributeError. A copy, a deep copy or an
@@ -89,18 +89,28 @@ def enumerate_equilibria(game):
     vertex solves its face itself (_face_partner). Every other P vertex,
     a degenerate one or one whose face system is singular, and every
     vertex of a symmetric game (b = a^T), reads its partners from Q's
-    vertex list (polyhedra._vertex_lists), walked, or relabelled from P's
-    for a symmetric game, the first time a vertex needs it. Each row then
-    has a posting bitset, bit iq set when Q vertex iq is tight at it, and
-    the partners are the AND of the postings of the rows the P vertex is
-    not tight at (the set bits of full & ~tight), which stops at the
-    first empty AND, walked from the lowest bit. Each pair is certified on
-    integer rows, with no Fraction made: the two strategies, as rows
-    (linalg.pair_row), must be mixed strategies (games._strategy_row), and
-    the loss's numerator from one games._evaluate_rows call must be 0.
-    The set keeps the rows and that evaluation, and builds each profile
-    and report from them, once, only when profiles or reports is read.
-    Output is sorted by profile and grouped into connected components.
+    vertex list, the first time a vertex needs it. A game that is not
+    symmetric walks Q then (polyhedra._vertex_lists). A symmetric game
+    has P's list only: Q vertex i is P vertex i with the two m-bit halves
+    of its tight mask swapped. Each row has a posting bitset, built from
+    Q's tight masks, bit iq set when Q vertex iq is tight at it, and the
+    partners are the AND of the postings of the rows the P vertex is not
+    tight at (the set bits of full & ~tight), which stops at the first
+    empty AND, walked from the lowest bit.
+
+    Each pair is certified on integer rows, with no Fraction made. Each
+    vertex's strategy, as a row (linalg.pair_row), must be a mixed
+    strategy (games._strategy_row), and its products with the game's rows
+    (games._products), b^T x for a P vertex and a y for a Q vertex, are
+    computed once with their maximum (_strategy_rows), the first time the
+    vertex is in a pair; a face solve hands over the ones it computed. In
+    a symmetric game a and b^T have equal integer rows over one
+    denominator, so P vertex i's row and products serve as Q vertex i's.
+    A pair's loss numerator, from one games._evaluate_products call, must
+    then be 0, or RuntimeError is raised. The set keeps the rows and that
+    evaluation, and builds each profile and report from them, once, only
+    when profiles or reports is read. Output is sorted by profile and
+    grouped into connected components.
 
     No two pairs share a profile. A P vertex binds strategy_len
     independent rows, at most strategy_len - 1 of them nonnegativity rows,
@@ -114,17 +124,21 @@ def enumerate_equilibria(game):
     The components are those of the extreme-equilibrium graph of Avis,
     Rosenberg, Savani and von Stengel (2010), whose nodes are the P and Q
     vertices and whose edges are the equilibria: equilibria sharing a P
-    vertex (an x) or a Q vertex (a y, keyed by its tight mask) are linked,
-    each to the first one with that vertex. The walk's bound on its bases
-    (errors.MAX_WORK) bounds P's list, so also the face solves, at most
-    one per P vertex, and Q's list when it is walked; it is the only
-    guard.
+    vertex (an x) or a Q vertex (a y, keyed by its tight mask, or by its
+    index in a symmetric game, where each index is a distinct Q vertex)
+    are linked, each to the first one with that vertex. The walk's bound
+    on its bases (errors.MAX_WORK) bounds P's list, so also the face
+    solves, at most one per P vertex, and Q's list when it is walked; it
+    is the only guard.
     """
     lists = _vertex_lists(game)
     p_vertices = next(lists)
-    a_rows, da = game._int_form[:2]
+    a_rows, da, bt_rows, db = game._int_form
     m = game.m
-    beaten = None if _symmetric(game) else _beaten(a_rows)
+    symmetric = _symmetric(game)
+    beaten = None if symmetric else _beaten(a_rows)
+    x_rows = {}
+    y_rows = x_rows if symmetric else {}
     postings = None
     found = []
     first = {}
@@ -133,13 +147,19 @@ def enumerate_equilibria(game):
         tight = vp.tight
         partners = None
         if beaten is not None and tight.bit_count() == m:
-            partners = _face_partner(a_rows, da, beaten, m, tight)
+            partners = _face_partner(a_rows, beaten, m, tight)
         if partners is None:
             if postings is None:
-                q_vertices = next(lists)
-                postings = _postings(q_vertices, m + game.n)
+                if symmetric:
+                    q_vertices, low = p_vertices, (1 << m) - 1
+                    masks = [v.tight >> m | (v.tight & low) << m
+                             for v in p_vertices]
+                else:
+                    q_vertices = next(lists)
+                    masks = [v.tight for v in q_vertices]
+                postings = _postings(masks, m + game.n)
                 full = (1 << len(postings)) - 1
-                every_q = (1 << len(q_vertices)) - 1
+                every_q = (1 << len(masks)) - 1
             cover = every_q
             uncovered = full & ~tight
             while uncovered and cover:
@@ -150,28 +170,47 @@ def enumerate_equilibria(game):
             while cover:
                 low = cover & -cover
                 cover ^= low
-                partners.append(q_vertices[low.bit_length() - 1])
-        for vq in partners:
-            xs = _strategy_row(pair_row(vp.coords[:-1]), "x")
-            ys = _strategy_row(pair_row(vq.coords[:-1]), "y")
-            values = _evaluate_rows(game, xs, ys)[:3]
+                iq = low.bit_length() - 1
+                key = iq if symmetric else masks[iq]
+                y_entry = y_rows.get(key)
+                if y_entry is None:
+                    y_entry = y_rows[key] = _strategy_rows(
+                        a_rows, q_vertices[iq].coords[:-1], "y")
+                partners.append((key, y_entry))
+        if not partners:
+            continue
+        x_entry = x_rows.get(ip)
+        if x_entry is None:
+            x_entry = x_rows[ip] = _strategy_rows(bt_rows, vp.coords[:-1],
+                                                  "x")
+        for key, y_entry in partners:
+            values = _evaluate_products(da, db, *x_entry, *y_entry)[:3]
             if values[0][0] != 0:
                 raise RuntimeError(
                     "binding-cover pair failed the loss check; this is a bug"
                 )
             i = len(found)
-            found.append((xs, ys, values))
+            found.append((x_entry[0], y_entry[0], values))
             edges += [(i, first.setdefault((0, ip), i)),
-                      (i, first.setdefault((1, vq.tight), i))]
+                      (i, first.setdefault((1, key), i))]
     return EquilibriumSet(tuple(found), _component_partition(len(found), edges))
 
 
-def _postings(q_vertices, rows):
-    """postings[r] has bit iq set when Q vertex iq is tight at row r, whose
-    label is r + 1 on both sides."""
+def _strategy_rows(rows, pairs, name):
+    """(row, vector, max): the strategy of the (numerator, denominator)
+    pairs as a checked integer row (linalg.pair_row, games._strategy_row),
+    and the products of the game's integer rows against it
+    (games._products)."""
+    row = _strategy_row(pair_row(pairs), name)
+    return (row, *_products(rows, row))
+
+
+def _postings(masks, rows):
+    """postings[r] has bit iq set when tight mask iq, the iq-th Q vertex's,
+    has bit r set: the vertex is tight at row r, whose label is r + 1 on
+    both sides."""
     postings = [0] * rows
-    for iq, vq in enumerate(q_vertices):
-        tight = vq.tight
+    for iq, tight in enumerate(masks):
         while tight:
             low = tight & -tight
             tight ^= low
@@ -188,11 +227,12 @@ def _beaten(a_rows):
             for lo in a_rows]
 
 
-def _face_partner(a_rows, da, beaten, m, tight):
+def _face_partner(a_rows, beaten, m, tight):
     """The partners of a nondegenerate P vertex of tight mask tight, read
     off its complementary face on Q: () when the face is empty, the one Q
-    vertex on it, in a tuple, when it has one, None when the face's system
-    is singular and the caller must look in Q's vertex list.
+    vertex on it as the pair (its tight mask, _strategy_rows of its y),
+    in a tuple, when it has one, None when the face's system is singular
+    and the caller must look in Q's vertex list.
 
     The vertex's support S is the rows whose nonnegativity row is not
     tight, and T the columns whose best-response row is tight. A point
@@ -201,9 +241,10 @@ def _face_partner(a_rows, da, beaten, m, tight):
     the face is empty when some mask of beaten[s], s in S, covers T.
     Otherwise A_{S,T} y - w 1 = 0 and sum y = 1, with w = da u, is solved
     on integer rows (linalg._solve_rows); the point is a vertex of Q
-    when y >= 0 and no row pays more than the rows of S. Its payoff is
-    what the rows of S are paid, and its tight mask holds the rows paid
-    the most and the columns y leaves unplayed.
+    when y >= 0 and no row pays more than the rows of S, which the
+    products A ys of _strategy_rows show. Its payoff is what the rows of
+    S are paid, and its tight mask holds the rows paid the most and the
+    columns y leaves unplayed.
     """
     t = tight >> m
     support = [i for i in range(m) if not tight >> i & 1]
@@ -221,14 +262,12 @@ def _face_partner(a_rows, da, beaten, m, tight):
     y = [(0, 1)] * len(a_rows[0])
     for j, row in zip(cols, system):
         y[j] = (row[k + 1], row[-1])
-    ys = pair_row(y)
-    ay = [sum(map(mul, row, ys)) for row in a_rows]
-    best = max(ay)
+    entry = ys, ay, best = _strategy_rows(a_rows, y, "y")
     if ay[support[0]] != best:
         return ()
     q_tight = sum(1 << i for i, e in enumerate(ay) if e == best)
     q_tight |= sum(1 << (m + j) for j, e in enumerate(ys[:-1]) if e == 0)
-    return (PolyhedronVertex._walked((*y, (best, da * ys[-1])), q_tight),)
+    return ((q_tight, entry),)
 
 
 def enumerate_by_supports(game):

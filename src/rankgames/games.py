@@ -241,21 +241,35 @@ def _evaluate(game, profile):
 
 def _evaluate_rows(game, xs, ys):
     """(loss, x a y, x b y, max_i (a y)_i, max_j (x b)_j) from one a y and
-    one x b: the loss's bilinear term x (a+b) y is x a y + x b y.
+    one x b (_products), combined by _evaluate_products."""
+    a_rows, da, bt_rows, db = game._int_form
+    return _evaluate_products(da, db, xs, *_products(bt_rows, xs),
+                              ys, *_products(a_rows, ys))
+
+
+def _products(rows, strategy):
+    """(vector, max): the integer payoffs of the game's integer rows
+    against an integer strategy row, one per row, and the largest. Each
+    product stops at the shorter list, so the strategy's denominator never
+    enters it: the rows of a against ys give A ys, the rows of b^T against
+    xs give xs B."""
+    vector = [sum(map(mul, row, strategy)) for row in rows]
+    return vector, max(vector)
+
+
+def _evaluate_products(da, db, xs, xb, best2, ys, ay, best1):
+    """(loss, x a y, x b y, max_i (a y)_i, max_j (x b)_j) from the products
+    (xb, best2) of xs and (ay, best1) of ys (_products): the loss's
+    bilinear term x (a+b) y is x a y + x b y.
 
     All in ints on the integer rows of the game and of the strategies,
     xs and ys with their denominators dx = xs[-1] and dy = ys[-1]: with
     a = A / da and b = B / db for integer matrices, a y is (A ys) / (da dy)
-    and x b is (xs B) / (db dx). Each product stops at the shorter list, so
-    the denominators never enter it. Each result is a (numerator, positive
+    and x b is (xs B) / (db dx). Each result is a (numerator, positive
     denominator) pair, not reduced, so a caller makes a Fraction only of
     what it reads.
     """
-    a_rows, da, bt_rows, db = game._int_form
     dx, dy = xs[-1], ys[-1]
-    ay = [sum(map(mul, row, ys)) for row in a_rows]
-    xb = [sum(map(mul, row, xs)) for row in bt_rows]
-    best1, best2 = max(ay), max(xb)
     p1, p2 = sum(map(mul, xs, ay)), sum(map(mul, xb, ys))
     gap = (best1 * dx - p1) * db + (best2 * dy - p2) * da
     return (

@@ -196,7 +196,8 @@ def enumerate_vertices(poly):
     basic slack row tied at the minimum ratio gives a neighbour, degenerate
     ratio-0 pivots included; the leaving slack takes the entering one's
     slot. A seen-set of the masks makes each basis pivot into the walk
-    once.
+    once, and an edge out of a nondegenerate basis is ratio-tested from
+    that end only (see Completeness).
 
     A basis's tight mask is its nonbasic rows plus the basic slacks at 0.
     It is the set of rows tight at the basis's point, and at a vertex it
@@ -218,10 +219,24 @@ def enumerate_vertices(poly):
     objective. Bland's simplex method run on that objective from the start
     basis terminates at an optimal basis, whose point is v*, and it makes
     only min-ratio pivots on slack columns; the walk follows every such
-    pivot, so it reaches a basis of v*. Output is sorted by point, in the
-    order of the Fraction tuples, so the order is deterministic; two points
-    are compared on their int pairs by cross-multiplying (_compare_points),
-    and no two vertices tie, since the mask is a function of the point.
+    pivot, so it reaches a basis of v*. One kind of test is skipped, and
+    it could only lead to a seen basis. Let basis A be nondegenerate (no
+    basic slack at 0, so its tight mask is its mask), and let its pivot on
+    entering slack j and leaving slack i reach the new basis K. Every
+    basic variable of K is linear along that edge, from K, where s_i = 0,
+    to A, where s_i > 0. Each is >= 0 at both ends, and each but s_j is
+    > 0 at A, where s_j = 0. So in K's ratio test on entering s_i, every
+    row but s_j's has a ratio above the edge's length, and s_j's row, the
+    one row at the minimum, leads back to A. The walk records i with K,
+    new or already seen, and skips that test if K is taken from the queue
+    later: the seen set, the vertices found and every check_work call are
+    the full walk's, and an edge between two nondegenerate bases is
+    tested once, not twice.
+
+    Output is sorted by point, in the order of the Fraction tuples, so the
+    order is deterministic; two points are compared on their int pairs by
+    cross-multiplying (_compare_points), and no two vertices tie, since
+    the mask is a function of the point.
     """
     d = poly.dim
     nonneg = sorted(label - 1 for label in poly.nonneg_labels)
@@ -231,8 +246,12 @@ def enumerate_vertices(poly):
     seen = {mask}
     queue = deque([(rows, basic, nonbasic, mask)])
     found = {}
+    # a basis's mask -> bit i for each edge (entering slack i) already
+    # ratio-tested from its other, nondegenerate end
+    tested = {}
     while queue:
         rows, basic, nonbasic, mask = queue.popleft()
+        skip = tested.pop(mask, 0)
         tight = mask
         for r, i in enumerate(basic):
             if rows[r][-2] == 0:
@@ -242,10 +261,15 @@ def enumerate_vertices(poly):
                       else tuple(rows[basic.index(i)][-2:]) for i in nonneg]
             coords.append(tuple(rows[-1][-2:]))
             found[tight] = PolyhedronVertex._walked(tuple(coords), tight)
+        nondegenerate = tight == mask
         for j, col in sorted(zip(nonbasic, range(len(nonbasic)))):
+            if skip >> j & 1:
+                continue  # its one min-ratio row leads back to a seen basis
             # no row at all is an unbounded edge
             for r in min_ratio_rows(rows, slack_rows, col):
                 key = mask ^ 1 << j | 1 << basic[r]
+                if nondegenerate:
+                    tested[key] = tested.get(key, 0) | 1 << basic[r]
                 if key in seen:
                     continue
                 check_work(d + len(seen), "or more bases in a vertex walk")
@@ -281,33 +305,24 @@ def _symmetric(game):
 
 
 def _vertex_lists(game):
-    """The game's P vertex list, then its Q vertex list, each as
-    enumerate_vertices gives it; a generator, so a caller that stops after
-    the P list never walks Q. enumeration.enumerate_equilibria asks for
-    the Q list only when a P vertex cannot solve its complementary face,
-    and is_nondegenerate only when every P vertex is nondegenerate.
+    """The game's vertex lists, each as enumerate_vertices gives it: P's,
+    then Q's unless the game is symmetric; a generator, so a caller that
+    stops after the P list never walks Q. enumeration.enumerate_equilibria
+    asks for the Q list only when a P vertex cannot solve its
+    complementary face, and is_nondegenerate only when every P vertex is
+    nondegenerate.
 
-    When the game is symmetric (_symmetric), the two polyhedra are one
-    polytope with the label blocks swapped: Q's row r is P's
-    row (r + m) mod 2m (von Stengel 2002). Q's vertices are then P's with
-    the two m-bit halves of each tight mask swapped, and their coordinates
-    are P's, so the list is already sorted by point. A degenerate vertex
-    may keep other int pairs than a walk of Q would reach it with, but the
-    same point and tight mask, so the two lists are equal. Both walks
-    would count the same bases, so the work bound refuses the same games.
-    Other games walk Q when its list is asked for.
+    A symmetric game (_symmetric) has the one list. Its two polyhedra are
+    one polytope with the label blocks swapped: Q's row r is P's row
+    (r + m) mod 2m (von Stengel 2002). So Q vertex i is P vertex i, its
+    point the same and its tight mask P's with the two m-bit halves
+    swapped, and a caller reads Q's vertices off P's list. One walk counts
+    the bases a walk of Q would, so the work bound refuses the same games.
     """
     p, q = build_polyhedra(game)
-    p_vertices = enumerate_vertices(p)
-    yield p_vertices
+    yield enumerate_vertices(p)
     if not _symmetric(game):
         yield enumerate_vertices(q)
-        return
-    m = p.strategy_len
-    low = (1 << m) - 1
-    yield tuple(PolyhedronVertex._walked(v.coords,
-                                         v.tight >> m | (v.tight & low) << m)
-                for v in p_vertices)
 
 
 def is_nondegenerate(game):
@@ -323,8 +338,10 @@ def is_nondegenerate(game):
     A vertex binds the nonnegativity labels of the strategy_len - |support|
     unplayed strategies plus its best-response labels. So it has more best
     responses than its support size exactly when it binds more than
-    strategy_len labels; no vertex binds fewer. The walk's bound on its bases
-    (errors.MAX_WORK) applies to each side walked (_vertex_lists), and a
+    strategy_len labels; no vertex binds fewer. A symmetric game checks P
+    alone (_vertex_lists gives its one list): Q's tight masks are P's with
+    the halves swapped, so they have the same bit counts. The walk's bound
+    on its bases (errors.MAX_WORK) applies to each side walked, and a
     degenerate P vertex stops the check before Q is walked. So a game that
     is not symmetric and whose P vertices are all nondegenerate has Q
     walked in full, and the check raises CapExceededError on a game whose Q

@@ -323,9 +323,21 @@ def brute_force_vertices(poly):
 
 def two_sided_vertex_lists(game):
     """The P and Q vertex lists, each walked by enumerate_vertices on its
-    own polyhedron: the reference for polyhedra._vertex_lists, which
-    relabels P's list for a symmetric game instead of walking Q."""
+    own polyhedron: the reference for polyhedra._vertex_lists, which gives
+    P's list only for a symmetric game."""
     return tuple(enumerate_vertices(poly) for poly in build_polyhedra(game))
+
+
+def relabelled_q_list(p_vertices, m):
+    """Q's vertex list of a symmetric game (b = a^T), read off P's list of
+    m-strategy vertices: Q's row r is P's row (r + m) mod 2m, so each
+    vertex keeps P's int pairs and has the two m-bit halves of its tight
+    mask swapped. enumerate_equilibria pairs a symmetric game's P
+    vertices with this list's masks; it must equal the walked Q list."""
+    low = (1 << m) - 1
+    return tuple(PolyhedronVertex._walked(v.coords,
+                                          v.tight >> m | (v.tight & low) << m)
+                 for v in p_vertices)
 
 
 def two_sided_nondegenerate(game):

@@ -13,6 +13,7 @@ from rankgames import (
     BimatrixGame,
     CapExceededError,
     MixedProfile,
+    PolyhedronVertex,
     approx_absolute,
     block_game,
     block_hierarchy_count,
@@ -241,9 +242,18 @@ def test_one_sided_enumeration_matches_the_two_sided_reference(monkeypatch):
         assert eqset.reports == tuple(reports)
         assert eqset.components == components
         # a face solve's partner is a vertex of Q: its point, payoff
-        # included, and its tight mask
+        # included, and its tight mask, and it comes with the products of
+        # a's rows against its y and their maximum
+        a_rows, da = game._int_form[:2]
         q_list = two_sided_vertex_lists(game)[1]
-        assert all(vertex in q_list for vertex in partners)
+        for q_tight, (ys, ay, best) in partners:
+            assert ay == [sum(e * f for e, f in zip(row, ys))
+                          for row in a_rows] and best == max(ay)
+            point = [Fraction(e, ys[-1]) for e in ys[:-1]]
+            point.append(Fraction(best, da * ys[-1]))
+            binding = {r + 1 for r in range(q_tight.bit_length())
+                       if q_tight >> r & 1}
+            assert PolyhedronVertex(point, binding) in q_list
 
     check()
     # each path must be reached often: 236-267 face-solving draws and
@@ -263,44 +273,75 @@ def test_block_game_hierarchy_example():
     block_game(identity_game(2), rank1_family(3)),
 ], ids=["rank1-5", "identity4", "block-identity2-rank1-3"])
 def test_each_equilibrium_is_evaluated_once(game, monkeypatch, tmp_path, capsys):
-    """The walk's certificate evaluates each equilibrium once, and the
-    reports are built from that evaluation: reading reports and profiles,
-    twice each, or the default solve, which encodes every report, makes
-    no second _evaluate_rows call."""
-    calls = []
-    evaluate = games._evaluate_rows
+    """The walk's certificate evaluates each equilibrium once, from
+    products computed once per vertex, and the reports are built from
+    that evaluation. Each game here is symmetric, so P vertex i's products
+    serve as Q vertex i's: one per distinct strategy of the equilibria.
+    Reading reports and profiles, twice each, computes no product and no
+    evaluation, and the default solve, which encodes every report, makes
+    the same calls as the enumeration."""
+    calls = Counter()
 
-    def counting(*args):
-        calls.append(None)
-        return evaluate(*args)
+    def counting(name):
+        original = getattr(games, name)
 
-    for module in (games, enumeration):
-        monkeypatch.setattr(module, "_evaluate_rows", counting, raising=False)
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        return count
+
+    names = ("_products", "_evaluate_products", "_evaluate_rows")
+    for name in names:
+        counter = counting(name)
+        for module in (games, enumeration):
+            monkeypatch.setattr(module, name, counter, raising=False)
     eqset = enumerate_equilibria(game)
+    want = calls.copy()
     for _ in range(2):
         reports, profiles = eqset.reports, eqset.profiles
-    assert len(calls) == len(reports) == len(profiles) > 0
+    assert calls == want
+    strategies = {p.x for p in profiles} | {p.y for p in profiles}
+    assert [calls[name] for name in names] == [
+        len(strategies), len(reports), 0]
+    assert len(reports) == len(profiles) > 0
     path = tmp_path / "game.txt"
     save_game(path, game)
     calls.clear()
     assert cli.main(["solve", str(path)]) == 0
-    assert len(calls) == json.loads(capsys.readouterr().out)["results"]["count"]
+    assert calls == want
+    assert json.loads(capsys.readouterr().out)["results"]["count"] == len(
+        reports)
     monkeypatch.undo()
     for report, profile in zip(reports, profiles):
         assert report.profile is profile
         assert report == make_report(game, profile)
 
 
-def _off_by_one(game, xs, ys):
-    """_evaluate_rows with the loss's numerator raised by 1."""
-    (gap, den), *rest = games._evaluate_rows(game, xs, ys)
+def test_symmetric_game_builds_one_vertex_list(monkeypatch):
+    # identity_game(6) is symmetric: P's walk makes its 63 vertices and no
+    # Q vertex object is made; each of its 63 equilibria pairs P vertex i
+    # with Q vertex i, which share one row and one product vector
+    made, products = [], []
+    walked, product = PolyhedronVertex._walked.__func__, games._products
+    monkeypatch.setattr(PolyhedronVertex, "_walked", classmethod(
+        lambda cls, *args: made.append(None) or walked(cls, *args)))
+    monkeypatch.setattr(enumeration, "_products",
+                        lambda *args: products.append(None) or product(*args))
+    eqset = enumerate_equilibria(identity_game(6))
+    assert len(made) == len(products) == len(eqset.reports) == 63
+    assert eqset.component_count == 63
+
+
+def _off_by_one(*args):
+    """_evaluate_products with the loss's numerator raised by 1."""
+    (gap, den), *rest = games._evaluate_products(*args)
     return ((gap + 1, den), *rest)
 
 
 def test_certificate_refuses_a_nonzero_gap(monkeypatch, tmp_path, capsys):
     # a cover pair whose integer gap is not 0 is a bug in the pairing:
     # the walk raises, and every command that enumerates exits 5
-    monkeypatch.setattr(enumeration, "_evaluate_rows", _off_by_one)
+    monkeypatch.setattr(enumeration, "_evaluate_products", _off_by_one)
     message = "binding-cover pair failed the loss check"
     game = rank1_family(3)
     with pytest.raises(RuntimeError, match=message):

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
@@ -31,6 +32,7 @@ from helpers import (
     reference_equilibria,
     reference_vertex_order,
     reference_walk_start,
+    relabelled_q_list,
     two_sided_nondegenerate,
     two_sided_vertex_lists,
 )
@@ -329,6 +331,33 @@ def _repeats_a_row(poly):
     return len(set(rows)) < len(rows)
 
 
+@pytest.mark.parametrize("game, tests, bases, digest", [
+    (identity_game(5), 80, 31,
+     "386f40783d3888b1bd5933f9e572a8d884242b856e161c34f91c33577ea7d424"),
+    (rank1_family(7), 224, 63,
+     "60151c54171d79d32a5075c8f8bd554ac1820d4cc34bbe30901ea0cde0c6e7a6"),
+    (identity_game(9), 2304, 511,
+     "c312c5785ee9f2a41312e5846d406c02f7518dab86e87bd4e91e23aa7fced0f5"),
+], ids=["identity5", "rank1-7", "identity9"])
+def test_walk_tests_each_edge_from_one_end(monkeypatch, game, tests, bases,
+                                           digest):
+    # Every basis of these P walks is nondegenerate, so each edge between
+    # two of them is ratio-tested from the end walked first only: about
+    # half the min_ratio_rows calls of testing it from both ends (155, 441
+    # and 4599). The skipped tests could only lead to seen bases, so the
+    # bases walked and the vertices, down to their int pairs, are pinned
+    # as a walk that tests both ends gives them.
+    calls = []
+    min_ratio_rows = polyhedra.min_ratio_rows
+    monkeypatch.setattr(polyhedra, "min_ratio_rows",
+                        lambda *args: calls.append(None)
+                        or min_ratio_rows(*args))
+    vertices, walked = _walked_bases(monkeypatch, build_polyhedra(game)[0])
+    assert (len(calls), walked, len(vertices)) == (tests, bases, bases)
+    assert sha256("\n".join(repr((v.coords, v.tight))
+                            for v in vertices).encode()).hexdigest() == digest
+
+
 def test_walk_returns_each_shared_point_once(monkeypatch):
     # In Q of this game y = e1 with payoff 1 binds both best-response rows
     # and y2 >= 0, so three of the four feasible bases share that point.
@@ -390,43 +419,61 @@ def test_walk_follows_every_tied_row(monkeypatch):
     assert sum(degenerate) >= 30  # the sample must have degenerate vertices
 
 
-def test_symmetric_games_relabel_p_for_q():
+def test_symmetric_games_relabel_p_for_q(monkeypatch):
     """On a drawn symmetric game (b = a^T, entries in -2..2, so many are
-    degenerate), the Q list relabelled from P's equals the walked Q list,
-    vertex for vertex and in order, and enumeration and the
-    nondegeneracy check agree with the two-sided path. A degenerate vertex
-    may be reached from another basis on the two paths, so the lists are
-    compared by ==, on point and tight mask, never by coords."""
+    degenerate), _vertex_lists gives P's list only, and P's list
+    relabelled for Q (relabelled_q_list) equals the walked Q list, vertex
+    for vertex and in order; enumeration and the nondegeneracy check
+    agree with the two-sided path. A degenerate vertex may be reached
+    from another basis on the two paths, so the lists are compared by ==,
+    on point and tight mask, never by coords. Games that are not symmetric,
+    drawn with entries in 0..2, are compared with the two-sided path too:
+    there a walked Q vertex often pairs with several P vertices, so
+    enumeration reads its rows and products from its cache."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    degenerate, other_pairs = [], []
+    degenerate, other_pairs, shared_q = [], [], []
+    walked = []
+    walk = polyhedra.enumerate_vertices
+    monkeypatch.setattr(polyhedra, "enumerate_vertices",
+                        lambda poly: walked.append(poly.side) or walk(poly))
 
     @st.composite
-    def games(draw):
+    def symmetric_games(draw):
         n = draw(st.integers(1, 5))
         a = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                           min_size=n, max_size=n))
         return BimatrixGame(a, [list(col) for col in zip(*a)])
 
-    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
                          database=None)
-    @hypothesis.given(games())
+    @hypothesis.given(st.one_of(symmetric_games(),
+                                oracle_game_strategies(st)["degenerate"]))
     def check(game):
-        p_list, q_list = polyhedra._vertex_lists(game)
+        lists = tuple(polyhedra._vertex_lists(game))
         want = two_sided_vertex_lists(game)
-        assert (p_list, q_list) == want
-        other_pairs.append([v.coords for v in q_list]
-                           != [v.coords for v in want[1]])
+        symmetric = polyhedra._symmetric(game)
+        if symmetric:
+            q_list = relabelled_q_list(want[0], game.m)
+            assert lists == want[:1] and q_list == want[1]
+            other_pairs.append([v.coords for v in q_list]
+                               != [v.coords for v in want[1]])
+        else:
+            assert lists == want
+        walked.clear()
         eqset = enumerate_equilibria(game)
         reports, components = reference_equilibria(game)
         assert eqset.reports == tuple(reports)
         assert eqset.components == components
+        ys = [r.profile.y for r in reports]
+        shared_q.append(walked == ["P", "Q"] and len(set(ys)) < len(ys))
         nondegenerate = two_sided_nondegenerate(game)
         assert is_nondegenerate(game) == nondegenerate
-        degenerate.append(not nondegenerate)
+        degenerate.append(symmetric and not nondegenerate)
 
     check()
     assert sum(degenerate) >= 50 and sum(other_pairs) >= 20
+    assert sum(shared_q) >= 20
 
 
 # a = I and b = 2 I: P and Q have the same vertices, but not the same rows
@@ -466,7 +513,12 @@ def test_sides_walked_by_the_lists_and_by_enumeration(monkeypatch, game,
         return walk(poly)
 
     monkeypatch.setattr(polyhedra, "enumerate_vertices", recording)
-    assert tuple(polyhedra._vertex_lists(game)) == want_lists
+    if listed == ["P"]:
+        # a symmetric game's one list serves Q, relabelled
+        assert tuple(polyhedra._vertex_lists(game)) == want_lists[:1]
+        assert relabelled_q_list(want_lists[0], game.m) == want_lists[1]
+    else:
+        assert tuple(polyhedra._vertex_lists(game)) == want_lists
     assert walked == listed
     walked.clear()
     eqset = enumerate_equilibria(game)
