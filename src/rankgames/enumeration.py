@@ -5,6 +5,9 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
+# read through the module, so that a wrapper bound on one of its names (a
+# test's recorder, the benchmark's tracer) sees each side walked
+from . import polyhedra
 from .errors import check_work
 from .games import (
     MixedProfile,
@@ -16,7 +19,6 @@ from .games import (
     loss,
 )
 from .linalg import _solve_rows, pair_row, solve_linear_system
-from .polyhedra import _symmetric, _vertex_lists
 
 
 class EquilibriumSet:
@@ -90,9 +92,9 @@ def enumerate_equilibria(game):
     a degenerate one or one whose face system is singular, and every
     vertex of a symmetric game (b = a^T), reads its partners from Q's
     vertex list, the first time a vertex needs it. A game that is not
-    symmetric walks Q then (polyhedra._vertex_lists). A symmetric game
-    has P's list only: Q vertex i is P vertex i with the two m-bit halves
-    of its tight mask swapped. Each row has a posting bitset, built from
+    symmetric walks Q then. A symmetric game (polyhedra._symmetric) has
+    P's list only: Q vertex i is P vertex i with the two m-bit halves of
+    its tight mask swapped. Each row has a posting bitset, built from
     Q's tight masks, bit iq set when Q vertex iq is tight at it, and the
     partners are the AND of the postings of the rows the P vertex is not
     tight at (the set bits of full & ~tight), which stops at the first
@@ -131,11 +133,11 @@ def enumerate_equilibria(game):
     solves, at most one per P vertex, and Q's list when it is walked; it
     is the only guard.
     """
-    lists = _vertex_lists(game)
-    p_vertices = next(lists)
+    p, q = polyhedra.build_polyhedra(game)
+    p_vertices = polyhedra.enumerate_vertices(p)
     a_rows, da, bt_rows, db = game._int_form
     m = game.m
-    symmetric = _symmetric(game)
+    symmetric = polyhedra._symmetric(game)
     beaten = None if symmetric else _beaten(a_rows)
     x_rows = {}
     y_rows = x_rows if symmetric else {}
@@ -155,7 +157,7 @@ def enumerate_equilibria(game):
                     masks = [v.tight >> m | (v.tight & low) << m
                              for v in p_vertices]
                 else:
-                    q_vertices = next(lists)
+                    q_vertices = polyhedra.enumerate_vertices(q)
                     masks = [v.tight for v in q_vertices]
                 postings = _postings(masks, m + game.n)
                 full = (1 << len(postings)) - 1

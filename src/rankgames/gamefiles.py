@@ -21,6 +21,22 @@ def _content_lines(text):
     return out
 
 
+def _header(text, kind, form):
+    """A file's content lines and its header's ints, one for each name
+    after the colon of form ("two integers: m n")."""
+    lines = _content_lines(text)
+    if not lines:
+        raise GameFormatError(f"empty {kind} file")
+    header = lines[0].split()
+    try:
+        values = [int(t) for t in header]
+    except ValueError as exc:
+        raise GameFormatError(f"header must be {form}") from exc
+    if len(values) != len(form.partition(": ")[2].split()):
+        raise GameFormatError(f"header must be {form}")
+    return lines, values
+
+
 def _parse_pair(token, where):
     """The (numerator, positive denominator) of a token in lowest terms,
     as Fraction(token) parses it. A token of an optional sign and ASCII
@@ -55,16 +71,7 @@ def parse_game_text(text):
 
     The game is built from its integer rows, with no Fraction made for an
     integer entry; a and b are built when they are read."""
-    lines = _content_lines(text)
-    if not lines:
-        raise GameFormatError("empty game file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise GameFormatError("header must be two integers: m n")
-    try:
-        m, n = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise GameFormatError("header must be two integers: m n") from exc
+    lines, (m, n) = _header(text, "game", "two integers: m n")
     if m < 1 or n < 1:
         raise GameFormatError("dimensions must be positive")
     if len(lines) != 1 + 2 * m:
@@ -109,16 +116,7 @@ def save_game(path, game):
 def parse_decomposition_text(text):
     """Parse a decomposition file: header 'k m n', then per pair a u row
     (m entries) and a v row (n entries)."""
-    lines = _content_lines(text)
-    if not lines:
-        raise GameFormatError("empty decomposition file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise GameFormatError("header must be three integers: k m n")
-    try:
-        k, m, n = (int(t) for t in header)
-    except ValueError as exc:
-        raise GameFormatError("header must be three integers: k m n") from exc
+    lines, (k, m, n) = _header(text, "decomposition", "three integers: k m n")
     if k < 0 or m < 1 or n < 1:
         raise GameFormatError("need k >= 0 and positive dimensions")
     if len(lines) != 1 + 2 * k:
@@ -175,18 +173,6 @@ def format_profile_text(profile):
     return ",".join(_row_texts(xs)) + ";" + ",".join(_row_texts(ys))
 
 
-def _encode(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {key: _encode(v) for key, v in value.items()}
-    if isinstance(value, (int, str, bool)) or value is None:
-        return value
-    raise TypeError(f"cannot encode {type(value).__name__} into a report")
-
-
 def _pair_text(n, d):
     """str(Fraction(n, d)) for ints n and d > 0, with no Fraction made."""
     g = gcd(n, d)
@@ -218,12 +204,22 @@ def encode_report(report):
     }
 
 
+def _fraction_text(value):
+    """json.dumps's hook for a value json cannot write: str of a Fraction."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"cannot encode {type(value).__name__} into a report")
+
+
 def report_json(command, parameters, results):
-    """Assemble the report payload and serialize it as JSON text."""
+    """Assemble the report payload and serialize it as JSON text, each
+    Fraction as its exact string. json would write a float itself, without
+    the hook; that no command hands one over is checked by a test that
+    parses every command's report."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "parameters": _encode(parameters),
-        "results": _encode(results),
+        "parameters": parameters,
+        "results": results,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, default=_fraction_text) + "\n"

@@ -299,30 +299,15 @@ _BY_POINT = cmp_to_key(_compare_points)
 def _symmetric(game):
     """Whether b = a^T: a's integer rows are b^T's over the same
     denominator, the integer form of a matrix being canonical. P and Q
-    then have the same payoff rows and denominator."""
+    then have the same payoff rows and denominator, and are one polytope
+    with the label blocks swapped: Q's row r is P's row (r + m) mod 2m
+    (von Stengel 2002). So Q vertex i is P vertex i, its point the same
+    and its tight mask P's with the two m-bit halves swapped, and a
+    caller walks P alone and reads Q's vertices off P's list. One walk
+    counts the bases a walk of Q would, so the work bound refuses the
+    same games."""
     a_rows, da, bt_rows, db = game._int_form
     return da == db and a_rows == bt_rows
-
-
-def _vertex_lists(game):
-    """The game's vertex lists, each as enumerate_vertices gives it: P's,
-    then Q's unless the game is symmetric; a generator, so a caller that
-    stops after the P list never walks Q. enumeration.enumerate_equilibria
-    asks for the Q list only when a P vertex cannot solve its
-    complementary face, and is_nondegenerate only when every P vertex is
-    nondegenerate.
-
-    A symmetric game (_symmetric) has the one list. Its two polyhedra are
-    one polytope with the label blocks swapped: Q's row r is P's row
-    (r + m) mod 2m (von Stengel 2002). So Q vertex i is P vertex i, its
-    point the same and its tight mask P's with the two m-bit halves
-    swapped, and a caller reads Q's vertices off P's list. One walk counts
-    the bases a walk of Q would, so the work bound refuses the same games.
-    """
-    p, q = build_polyhedra(game)
-    yield enumerate_vertices(p)
-    if not _symmetric(game):
-        yield enumerate_vertices(q)
 
 
 def is_nondegenerate(game):
@@ -338,18 +323,20 @@ def is_nondegenerate(game):
     A vertex binds the nonnegativity labels of the strategy_len - |support|
     unplayed strategies plus its best-response labels. So it has more best
     responses than its support size exactly when it binds more than
-    strategy_len labels; no vertex binds fewer. A symmetric game checks P
-    alone (_vertex_lists gives its one list): Q's tight masks are P's with
-    the halves swapped, so they have the same bit counts. The walk's bound
-    on its bases (errors.MAX_WORK) applies to each side walked, and a
-    degenerate P vertex stops the check before Q is walked. So a game that
-    is not symmetric and whose P vertices are all nondegenerate has Q
-    walked in full, and the check raises CapExceededError on a game whose Q
-    passes the bound even when enumerate_equilibria, which walks P only,
-    solves it (a random 4x40 game, for one).
+    strategy_len labels; no vertex binds fewer. A symmetric game
+    (_symmetric) checks P alone: Q's tight masks are P's with the halves
+    swapped, so they have the same bit counts. The walk's bound on its
+    bases (errors.MAX_WORK) applies to each side walked, and a degenerate
+    P vertex stops the check before Q is walked. So a game that is not
+    symmetric and whose P vertices are all nondegenerate has Q walked in
+    full, and the check raises CapExceededError on a game whose Q passes
+    the bound even when enumerate_equilibria, which walks P only, solves
+    it (a random 4x40 game, for one).
     """
+    p, q = build_polyhedra(game)
+    sides = (p,) if _symmetric(game) else (p, q)
     return all(
-        vertex.tight.bit_count() == len(vertex.coords) - 1
-        for vertices in _vertex_lists(game)
-        for vertex in vertices
+        vertex.tight.bit_count() == poly.strategy_len
+        for poly in sides
+        for vertex in enumerate_vertices(poly)
     )

@@ -191,6 +191,34 @@ def test_approx_rel_with_decomp_file(tmp_path, capsys):
     assert doc["results"]["rho"] == "5/9"
 
 
+def _refuse_float(text):
+    raise AssertionError(f"the report holds the float {text}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "g.txt"],
+    ["solve", "g.txt", "--mode", "components"],
+    ["solve", "pennies.txt", "--mode", "zerosum"],
+    ["components", "g.txt"],
+    ["approx", "g.txt", "--scheme", "abs", "--eps", "1/10"],
+    ["approx", "g.txt", "--scheme", "rel", "--eps", "1/4"],
+    ["approx", "g.txt", "--scheme", "rel", "--eps", "1/2", "--decomp", "d.txt"],
+], ids=["solve", "solve-components", "solve-zerosum", "components",
+        "approx-abs", "approx-rel", "approx-rel-decomp"])
+def test_reports_hold_no_float(tmp_path, capsys, argv):
+    # report_json writes a Fraction as its string and refuses any other
+    # value json cannot write, but json writes a float itself: every
+    # command that prints a report must hand it none
+    write_game(tmp_path, "g.txt", rank1_family(2))
+    (tmp_path / "pennies.txt").write_text(PENNIES)
+    (tmp_path / "d.txt").write_text("1 2 2\n2 4\n2 4\n")
+    assert main([str(tmp_path / a) if a.endswith(".txt") else a
+                 for a in argv]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_float=_refuse_float,
+                     parse_constant=_refuse_float)
+    assert doc["command"] == argv[0] and doc["results"]
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     game = write_game(tmp_path, "g.txt", rank1_family(2))
     assert main(["verify", game, "--profile", "1/2,1/2;1/2,1/2"]) == 0

@@ -30,11 +30,10 @@ from rankgames import (
     solve_lp,
 )
 import rankgames
-from rankgames import cli, linalg
+from rankgames import cli, linalg, polyhedra
 from rankgames.gamefiles import _pair_text, encode_report, load_game
 from rankgames.linalg import int_row, rank_factorize
 from rankgames.lp import LpSolution
-from rankgames.polyhedra import _vertex_lists
 
 from helpers import reference_game_text
 
@@ -165,13 +164,14 @@ def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch, tmp_path,
     checks a decomposition it is passed without building c: these paths
     read the integer forms only."""
     walked = []
+    walk = polyhedra.enumerate_vertices
 
-    def recording(game):
-        for vertices in _vertex_lists(game):
-            walked.extend(vertices)
-            yield vertices
+    def recording(poly):
+        vertices = walk(poly)
+        walked.extend(vertices)
+        return vertices
 
-    monkeypatch.setattr(enumeration, "_vertex_lists", recording)
+    monkeypatch.setattr(polyhedra, "enumerate_vertices", recording)
     reports = []
     for game in (rank1_family(5), block_game(identity_game(2), rank1_family(3))):
         eqset = enumerate_equilibria(parse_game_text(format_game_text(game)))

@@ -16,6 +16,7 @@ from rankgames import (
     build_polyhedra,
     enumerate_equilibria,
     enumerate_vertices,
+    enumeration,
     identity_game,
     is_exact_equilibrium,
     is_nondegenerate,
@@ -421,15 +422,16 @@ def test_walk_follows_every_tied_row(monkeypatch):
 
 def test_symmetric_games_relabel_p_for_q(monkeypatch):
     """On a drawn symmetric game (b = a^T, entries in -2..2, so many are
-    degenerate), _vertex_lists gives P's list only, and P's list
-    relabelled for Q (relabelled_q_list) equals the walked Q list, vertex
-    for vertex and in order; enumeration and the nondegeneracy check
-    agree with the two-sided path. A degenerate vertex may be reached
-    from another basis on the two paths, so the lists are compared by ==,
-    on point and tight mask, never by coords. Games that are not symmetric,
-    drawn with entries in 0..2, are compared with the two-sided path too:
-    there a walked Q vertex often pairs with several P vertices, so
-    enumeration reads its rows and products from its cache."""
+    degenerate), enumeration and the nondegeneracy check walk P only, and
+    P's list relabelled for Q (relabelled_q_list) equals the walked Q
+    list, vertex for vertex and in order; both agree with the two-sided
+    path. A degenerate vertex may be reached from another basis on the
+    two paths, so the lists are compared by ==, on point and tight mask,
+    never by coords. Games that are not symmetric, drawn with entries in
+    0..2, are compared with the two-sided path too, and the check walks
+    their Q unless a P vertex is degenerate: there a walked Q vertex often
+    pairs with several P vertices, so enumeration reads its rows and
+    products from its cache."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     degenerate, other_pairs, shared_q = [], [], []
@@ -450,25 +452,26 @@ def test_symmetric_games_relabel_p_for_q(monkeypatch):
     @hypothesis.given(st.one_of(symmetric_games(),
                                 oracle_game_strategies(st)["degenerate"]))
     def check(game):
-        lists = tuple(polyhedra._vertex_lists(game))
         want = two_sided_vertex_lists(game)
         symmetric = polyhedra._symmetric(game)
         if symmetric:
             q_list = relabelled_q_list(want[0], game.m)
-            assert lists == want[:1] and q_list == want[1]
+            assert q_list == want[1]
             other_pairs.append([v.coords for v in q_list]
                                != [v.coords for v in want[1]])
-        else:
-            assert lists == want
         walked.clear()
         eqset = enumerate_equilibria(game)
         reports, components = reference_equilibria(game)
         assert eqset.reports == tuple(reports)
         assert eqset.components == components
+        assert walked == ["P"] or not symmetric
         ys = [r.profile.y for r in reports]
         shared_q.append(walked == ["P", "Q"] and len(set(ys)) < len(ys))
+        walked.clear()
         nondegenerate = two_sided_nondegenerate(game)
         assert is_nondegenerate(game) == nondegenerate
+        p_degenerate = any(v.tight.bit_count() > game.m for v in want[0])
+        assert walked == (["P"] if symmetric or p_degenerate else ["P", "Q"])
         degenerate.append(symmetric and not nondegenerate)
 
     check()
@@ -500,8 +503,10 @@ DEGENERATE_P = BimatrixGame([[0, 0], [1, 0]], [[0, 0], [0, 1]])
         "identity5-twin", "shared-q", "degenerate-p"])
 def test_sides_walked_by_the_lists_and_by_enumeration(monkeypatch, game,
                                                       listed, enumerated):
-    # _vertex_lists walks Q unless the game is symmetric; enumeration walks
-    # Q only when a P vertex cannot solve its complementary face
+    # the vertex lists are P's, then Q's unless the game is symmetric: the
+    # nondegeneracy check walks them in that order and stops at the first
+    # degenerate vertex; enumeration walks Q only when a P vertex cannot
+    # solve its complementary face
     want_lists = two_sided_vertex_lists(game)
     want_reports, want_components = reference_equilibria(game)
     want_nondegenerate = two_sided_nondegenerate(game)
@@ -515,17 +520,35 @@ def test_sides_walked_by_the_lists_and_by_enumeration(monkeypatch, game,
     monkeypatch.setattr(polyhedra, "enumerate_vertices", recording)
     if listed == ["P"]:
         # a symmetric game's one list serves Q, relabelled
-        assert tuple(polyhedra._vertex_lists(game)) == want_lists[:1]
+        assert polyhedra._symmetric(game)
         assert relabelled_q_list(want_lists[0], game.m) == want_lists[1]
     else:
-        assert tuple(polyhedra._vertex_lists(game)) == want_lists
-    assert walked == listed
+        assert not polyhedra._symmetric(game)
+    assert is_nondegenerate(game) == want_nondegenerate
+    p_degenerate = any(v.tight.bit_count() > game.m for v in want_lists[0])
+    assert walked == (listed[:1] if p_degenerate else listed)
     walked.clear()
     eqset = enumerate_equilibria(game)
     assert walked == enumerated
     assert eqset.reports == tuple(want_reports)
     assert eqset.components == want_components
-    assert is_nondegenerate(game) == want_nondegenerate
+
+
+def test_enumeration_decides_symmetry_once(monkeypatch):
+    # DEGENERATE_P's vertex x = e1 cannot solve its face, so enumeration
+    # walks Q too; whether the game is symmetric is decided once still,
+    # counted under either name enumeration could read it by
+    calls = []
+    symmetric = polyhedra._symmetric
+
+    def counting(game):
+        calls.append(game)
+        return symmetric(game)
+
+    for module in (polyhedra, enumeration):
+        monkeypatch.setattr(module, "_symmetric", counting, raising=False)
+    assert len(enumerate_equilibria(DEGENERATE_P).reports) == 2
+    assert calls == [DEGENERATE_P]
 
 
 def test_shared_q_vertex_links_its_equilibria():
@@ -537,7 +560,7 @@ def test_shared_q_vertex_links_its_equilibria():
 def test_one_sided_enumeration_solves_a_game_whose_q_walk_is_refused(
         monkeypatch):
     # a random 4x40 game has a few dozen P vertices and more Q vertices
-    # than the walk's bound admits: the lists are refused at Q, and so is
+    # than the walk's bound admits: Q's walk is refused, and so is
     # is_nondegenerate, which walks Q once P's vertices are all
     # nondegenerate; enumeration never walks Q; every equilibrium passes
     # the certificate and an independent loss evaluation
@@ -545,14 +568,18 @@ def test_one_sided_enumeration_solves_a_game_whose_q_walk_is_refused(
     rows = [[rng.randint(-999, 999) for _ in range(40)] for _ in range(8)]
     game = BimatrixGame(rows[:4], rows[4:])
     message = "bases in a vertex walk, above the bound 4096$"
+    p, q = build_polyhedra(game)
+    enumerate_vertices(p)
     with pytest.raises(CapExceededError, match=message):
-        tuple(polyhedra._vertex_lists(game))
-    with pytest.raises(CapExceededError, match=message):
-        is_nondegenerate(game)
+        enumerate_vertices(q)
     walked = []
     walk = polyhedra.enumerate_vertices
     monkeypatch.setattr(polyhedra, "enumerate_vertices",
                         lambda poly: walked.append(poly.side) or walk(poly))
+    with pytest.raises(CapExceededError, match=message):
+        is_nondegenerate(game)
+    assert walked == ["P", "Q"]
+    walked.clear()
     eqset = enumerate_equilibria(game)
     assert walked == ["P"]
     assert len(eqset.reports) == 11
