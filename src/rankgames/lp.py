@@ -149,10 +149,12 @@ class StandardForm:
     solve_rows takes and returns integer rows and pairs, and is what the
     grid's cells and solve_lp call. Its simplex runs on dictionary rows
     (linalg.pivot): no row carries a column for a basic variable. The form
-    keeps the dictionary of its last optimal solve, from which the next
-    solve starts warm; that is its one state, and results do not depend
-    on it (see solve_rows). twin maps each standard column of a free
-    variable to the other.
+    keeps the dictionary of its last optimal solve, or the start
+    dictionary seed gave it, from which the next solve starts warm; that is
+    its one state, and results do not depend on it (see solve_rows). A
+    form built and not seeded has none, so its first solve runs the cold
+    two-phase simplex, the oracle of the warm path. twin maps each
+    standard column of a free variable to the other.
     """
 
     def __init__(self, lhs, senses, free):
@@ -187,8 +189,28 @@ class StandardForm:
         self.rows = tuple(rows)
         self.slack = tuple(slack)
         self.twin = twin
-        # (rhs, rows, basis, nonbasic) of the last optimal solve
+        # (rhs, rows, basis, nonbasic) of the last optimal solve, or of the
+        # start dictionary seed gave
         self._kept = None
+
+    def seed(self, rhs, rows, basis, nonbasic):
+        """Keep a start dictionary for the right-hand sides rhs, pairs as
+        solve_rows takes them, in place of any kept one: rows[i] is the
+        integer row of basic variable basis[i] over the nonbasic slots,
+        nonbasic[j] the variable of slot j, one row per LP row, laid out as
+        _tableau's rows are. The cost row added is that of the sum of the
+        nonbasic variables, 1 in every slot. It is dual feasible, so the
+        next solve_rows starts from it as from a kept optimum (_warm). Its
+        dual steps reach feasibility at a basis that minimizes that sum,
+        one near the start basis; then the cost is priced out, Bland's
+        primal iterations finish, and the uniqueness certificate is
+        checked. The basis need not be feasible. Results do not change, as solve_rows keeps a warm
+        optimum only when it is certified unique; the rows must be the
+        basis's dictionary, which the caller vouches for. An infeasible
+        solve keeps the start dictionary, so the next solve starts from it
+        too."""
+        self._kept = (list(rhs), list(rows) + [[1] * len(nonbasic) + [0, 1]],
+                      list(basis), list(nonbasic))
 
     def _tableau(self, rhs):
         """The dictionary rows, crash basis, nonbasic variables and
@@ -258,10 +280,12 @@ class StandardForm:
         objective's value is minus the right-hand side of the priced-out
         cost row.
 
-        The form keeps the dictionary of its last optimal solve, and a
-        solve first re-solves from a copy of it (_warm). A warm optimum is
-        returned only when it is certified unique; otherwise the cold
-        two-phase solve runs, and its dictionary is the one kept. So the
+        The form keeps the dictionary of its last optimal solve, or the
+        start dictionary seed gave it, and a solve first re-solves from a
+        copy of it (_warm). A warm optimum is returned only when it is
+        certified unique; otherwise the cold two-phase solve runs, and its
+        dictionary is the one kept. A form with no kept dictionary solves
+        cold at once, as solve_lp's one solve does. So the
         result is a function of rhs and cost alone, whatever the form
         solved before: the status, and the values and value read as
         Fractions, are the cold solve's. The kept dictionary is the form's

@@ -2,7 +2,7 @@
 
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import gcd
 
 import numpy as np
@@ -615,7 +615,7 @@ def reference_price_out(tableau, zrow, basis):
         full_pivot(tableau, i, b)
 
 
-def reference_grid_cells(game, eps, scheme, decomp=None):
+def reference_grid_cells(game, eps, scheme, decomp=None, limit=None):
     """Reference cell LP inputs of a grid scheme, in Fractions.
 
     One (rhs, objective) pair per cell, in cell order, as approx built
@@ -623,6 +623,7 @@ def reference_grid_cells(game, eps, scheme, decomp=None):
     (best-response rows, the two sums, the absolute scheme's cap, then lo
     and hi of each interval) and objective over (x, y, s1, s2), the
     absolute scheme's bilinear term linearized at the cell's midpoints.
+    limit, when given, keeps the first limit cells only.
     """
     m, n = game.shape
     zero, one = Fraction(0), Fraction(1)
@@ -641,7 +642,7 @@ def reference_grid_cells(game, eps, scheme, decomp=None):
                 for axis in (_geometric_axis(u, eps)[0],
                              _geometric_axis(v, eps)[0])]
     cells = []
-    for cell in product(*axes):
+    for cell in islice(product(*axes), limit):
         y = [zero] * n
         if scheme == "abs":
             centers = [(lo + hi) / 2 for lo, hi in cell]
@@ -686,6 +687,44 @@ def reference_grid_lp(game, scheme, decomp=None):
     return linear_program([zero] * (m + n + 2), rows, senses,
                           rhs + [zero] * (2 * len(factor_rows)),
                           lower=[zero] * (m + n) + [None, None])
+
+
+def reference_dictionary(form, rhs, basis, nonbasic):
+    """Reference dictionary of a basis of a StandardForm's LP, by Gauss-
+    Jordan elimination in Fractions.
+
+    The full tableau has one row per LP row, over the standard columns
+    (form.rows[i] over its denominator), the slack columns (each slack's
+    sign on its own row) and the right-hand side, the pair rhs[i] as a
+    Fraction. Each basic variable is brought in, in basis order, on the
+    first unused row with a nonzero entry in its column; row i of the
+    result is the row whose unit entry is basis[i]'s, restricted to the
+    nonbasic columns in slot order and then the right-hand side, as the
+    integer row int_row gives. The basis must be nonsingular.
+    """
+    width = form.ncols + 1
+    rows = []
+    for coef, slack, (b, d) in zip(form.rows, form.slack, rhs):
+        row = [Fraction(e, coef[-1]) for e in coef[:-1]]
+        row += [Fraction(0)] * (width - len(row))
+        if slack is not None:
+            row[slack[0]] = Fraction(slack[1])
+        row[-1] = Fraction(b, d)
+        rows.append(row)
+    unused = list(range(len(rows)))
+    home = {}
+    for v in basis:
+        r = next(r for r in unused if rows[r][v])
+        unused.remove(r)
+        home[v] = r
+        p = rows[r][v]
+        rows[r] = [e / p for e in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[v]:
+                f = row[v]
+                rows[i] = [e - f * g for e, g in zip(row, rows[r])]
+    return [int_row([rows[home[v]][c] for c in nonbasic] + rows[home[v]][-1:])
+            for v in basis]
 
 
 def reference_cost_row(form, objective):

@@ -1,6 +1,7 @@
 """Truncation, perturbation, and the two grid-LP approximation schemes."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from rankgames import (
     pure_profile,
     rank1_family,
     rank_factorize,
+    solve_zero_sum,
     squared_difference_family,
     svd_truncate,
 )
@@ -43,6 +45,7 @@ from helpers import (
     random_game,
     random_matrix,
     reference_cost_row,
+    reference_dictionary,
     reference_grid_cells,
     reference_grid_lp,
     reference_perturb_game,
@@ -434,6 +437,148 @@ def test_grid_rows_match_reference_builder(monkeypatch):
     # or both rows, which moves the artificial to the <= row
     assert [(lo < 0, hi < 0) for lo, hi in (rhs[-2:] for rhs, _ in cells)] == [
         (True, True), (True, True), (True, False)] + [(False, False)] * 4
+
+
+class _Seeded(Exception):
+    """Raised by a patched StandardForm.seed, carrying its arguments, to
+    stop a grid once its start dictionary is written."""
+
+
+def test_start_dictionary_matches_gauss_jordan(monkeypatch):
+    # the dictionary a grid seeds its form with must be that of its start
+    # basis: x and y on their first strategies, s1 and s2 on the best
+    # responses to them (the lowest row of those tied), every other slack
+    # basic. Each row must equal the Fraction Gauss-Jordan reference as a
+    # reduced integer row, whatever the signs, shapes and denominators,
+    # for the absolute grid, the relative one (factor rows on y too) and
+    # the rank-0 grid of a zero-sum game (cap 0, no factor rows)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def capture(form, rhs, rows, basis, nonbasic):
+        raise _Seeded(form, rhs, rows, basis, nonbasic)
+
+    monkeypatch.setattr(StandardForm, "seed", capture)
+    seen = Counter()
+
+    @st.composite
+    def grids(draw):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        da, db = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+        def matrix(den, lo=-5, hi=5):
+            entry = st.builds(Fraction, st.integers(lo, hi), st.just(den))
+            return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                 min_size=m, max_size=m))
+
+        scheme = draw(st.sampled_from(["abs", "rel", "zero"]))
+        a = matrix(da)
+        if scheme == "zero":
+            return scheme, BimatrixGame(a, [[-e for e in r] for r in a]), None
+        if scheme == "abs":
+            return scheme, BimatrixGame(a, matrix(db)), None
+        # b = u v^T - a has the nonnegative rank-1 decomposition (u, v)
+        u = [Fraction(e, db) for e in draw(
+            st.lists(st.integers(1, 4), min_size=m, max_size=m))]
+        v = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        b = [[ui * vj - e for vj, e in zip(v, r)] for ui, r in zip(u, a)]
+        decomp = RankFactorization((m, n), ((tuple(u), tuple(v)),))
+        return scheme, BimatrixGame(a, b), decomp
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(grids())
+    def check(grid):
+        scheme, game, decomp = grid
+        with pytest.raises(_Seeded) as seeded:
+            if scheme == "zero":
+                solve_zero_sum(game)
+            elif scheme == "rel":
+                approx_relative(game, Fraction(1, 2), decomp=decomp)
+            else:
+                approx_absolute(game, Fraction(2))
+        form, rhs, rows, basis, nonbasic = seeded.value.args
+        assert rows == reference_dictionary(form, rhs, basis, nonbasic)
+        m, n = game.shape
+        first_a = [game.a[i, 0] for i in range(m)]
+        first_b = [game.b[0, j] for j in range(n)]
+        s1 = m + n + (max(first_a) < 0)
+        s2 = m + n + 2 + (max(first_b) < 0)
+        tight = {form.nstd + first_a.index(max(first_a)),
+                 form.nstd + m + first_b.index(max(first_b))}
+        assert sorted(basis) == sorted(
+            {0, m, s1, s2} | set(range(form.nstd, form.ncols)) - tight)
+        assert sorted(basis + nonbasic) == list(range(form.ncols))
+        a_rows, da, bt_rows, db = game._int_form
+        seen.update([scheme, (m == 1, n == 1)])
+        seen.update(["s1-"] * (s1 > m + n) + ["s2-"] * (s2 > m + n + 2)
+                    + ["dens"] * (da != db)
+                    + ["negative"] * any(row[-2] < 0 for row in rows))
+        if scheme == "zero":
+            assert len(form.rows) == m + n + 3 and rhs[-1] == (0, 1)
+
+    check()
+    # every kind of draw is there: each scheme, a single row, a single
+    # column and both, each free variable on its second column, two
+    # denominators, and a start basis infeasible for the first cell
+    assert min(seen[k] for k in ("abs", "rel", "zero", "s1-", "s2-", "dens",
+                                 "negative")) >= 20
+    assert min(seen[k] for k in ((True, False), (False, True),
+                                 (True, True))) >= 5
+
+
+# the fixed commands of the approx-grid benchmark workload
+WORKLOAD_GRIDS = [
+    ("abs", ("rank1", 5), Fraction(1, 20)),
+    ("abs", ("rank1", 6), Fraction(1, 14)),
+    ("abs", ("rank1", 7), Fraction(1, 10)),
+    ("abs", ("rank1", 8), Fraction(1, 7)),
+    ("abs", ("rank1", 9), Fraction(1, 6)),
+    ("abs", ("rank1", 10), Fraction(1, 5)),
+    ("rel", ("rank1", 4), Fraction(1, 4)),
+    ("rel", ("rank1", 5), Fraction(1, 3)),
+    ("abs", ("block", 2, 3), Fraction(1, 2)),
+    ("rel", ("rank1", 5), Fraction(1, 4)),
+    ("abs", ("block", 3, 3), Fraction(1, 2)),
+]
+
+
+def test_grids_start_warm(monkeypatch):
+    # every cell starts warm, the first from the start dictionary: the
+    # cold two-phase solve runs only as the fallback after a warm optimum
+    # not certified unique, never for a cell's first try
+    log = []
+    cold, warm = StandardForm._cold, StandardForm._warm
+
+    def logged_cold(form, rhs, zrow):
+        log.append("cold")
+        return cold(form, rhs, zrow)
+
+    def logged_warm(form, rhs, zrow):
+        result = warm(form, rhs, zrow)
+        log.append("uncertified" if result is None else result[0])
+        return result
+
+    monkeypatch.setattr(StandardForm, "_cold", logged_cold)
+    monkeypatch.setattr(StandardForm, "_warm", logged_warm)
+    approx_absolute(rank1_family(5), Fraction(1, 10))
+    assert log == ["optimal"]
+    colds = {}
+    for scheme, spec, eps in WORKLOAD_GRIDS:
+        del log[:]
+        if spec[0] == "block":
+            game = block_game(rank1_family(spec[1]), rank1_family(spec[2]))
+        else:
+            game = rank1_family(spec[1])
+        (approx_absolute if scheme == "abs" else approx_relative)(game, eps)
+        assert all(prev == "uncertified" for prev, now in zip([None] + log, log)
+                   if now == "cold")
+        colds[scheme, spec, eps] = log.count("cold")
+    # rank1(9) at 1/6 and both block games each have one warm optimum that
+    # is not certified unique; the block grids' first cells are infeasible
+    assert colds == {key: int(key[1] in (("rank1", 9), ("block", 2, 3),
+                                         ("block", 3, 3)))
+                     for key in colds}
 
 
 def test_early_stop_picks_the_exhaustive_argmin(monkeypatch):

@@ -26,7 +26,7 @@ from rankgames import (
     squared_difference_family,
     svd_truncate,
 )
-from rankgames import linalg, lp, polyhedra
+from rankgames import approx, linalg, lp, polyhedra
 from rankgames.linalg import int_row, pivot
 
 from helpers import (
@@ -34,6 +34,8 @@ from helpers import (
     dictionary_rows,
     full_pivot,
     random_matrix,
+    reference_grid_cells,
+    reference_grid_lp,
 )
 
 
@@ -498,16 +500,21 @@ def test_pivot_path_length_pinned(monkeypatch):
 
     for module in (linalg, lp, polyhedra):
         monkeypatch.setattr(module, "pivot", counting)
-    monkeypatch.setattr(lp, "_price_out", pricing)
+    for module in (lp, approx):
+        monkeypatch.setattr(module, "_price_out", pricing)
 
     def count(run):
         calls.clear()
         run()
         return len(calls)
 
-    # both grids stop at their first cell, whose pure profile has loss 0
-    assert count(lambda: approx_absolute(rank1_family(5), Fraction(1, 10))) == 12
-    assert count(lambda: approx_relative(rank1_family(4), Fraction(1, 4))) == 13
+    # both grids stop at their first cell, whose pure profile has loss 0.
+    # Each pivots once to factorize a+b, writes down its start dictionary,
+    # whose cap and factor rows fold in 4 basic rows between them (the
+    # price-outs of approx._start_dictionary), and solves the cell warm
+    # from it in 3 and 2 elimination steps
+    assert count(lambda: approx_absolute(rank1_family(5), Fraction(1, 10))) == 8
+    assert count(lambda: approx_relative(rank1_family(4), Fraction(1, 4))) == 7
     # one vertex walk of 30 pivots, one per basis past the first: the game
     # is symmetric, so its Q vertices are P's relabelled; its twin with
     # b = 2 I is not, and walks P only, then solves the complementary face
@@ -517,12 +524,43 @@ def test_pivot_path_length_pinned(monkeypatch):
     twin = BimatrixGame(identity_game(5).a, 2 * identity_game(5).b)
     assert count(lambda: enumerate_equilibria(twin)) == 141
     # grids with no loss-0 cell: 9 cell LPs each. The first cell solves
-    # cold and each later one re-solves from the last optimal dictionary;
-    # in rank1(7) two warm optima are not certified unique and solve cold
-    # again. rank1(8) at 1/7 is the benchmark's 13-cell grid
-    assert count(lambda: approx_absolute(rank1_family(7), Fraction(1, 5))) == 109
-    assert count(lambda: approx_absolute(rank1_family(10), Fraction(1, 5))) == 76
-    assert count(lambda: approx_absolute(rank1_family(8), Fraction(1, 7))) == 82
+    # from the start dictionary and each later one re-solves from the last
+    # optimal dictionary; in rank1(7) two warm optima are not certified
+    # unique and solve cold. rank1(8) at 1/7 is the benchmark's 13-cell grid
+    assert count(lambda: approx_absolute(rank1_family(7), Fraction(1, 5))) == 106
+    assert count(lambda: approx_absolute(rank1_family(10), Fraction(1, 5))) == 73
+    assert count(lambda: approx_absolute(rank1_family(8), Fraction(1, 7))) == 79
+    # a 20x20 game whose a + b = u v^T, with a in +-99 and u, v in 1..9:
+    # the start dictionary's cost row, 1 in every slot, steers its first
+    # cell's dual steps to a feasible basis near the start (with a cost
+    # row of 0 every column ties, and the grid took 420 steps; the cold
+    # two-phase first cell took 362)
+    rng = random.Random(2)
+    a = random_matrix(rng, 20, 20, -99, 99)
+    u, v = ([rng.randint(1, 9) for _ in range(20)] for _ in range(2))
+    big = BimatrixGame(a, [[ui * vj - e for vj, e in zip(v, row)]
+                           for ui, row in zip(u, a)])
+    assert count(lambda: approx_absolute(big, Fraction(1, 4))) == 265
+
+    # Bland's two-phase path stays pinned on the same first cells: a form
+    # that is not seeded solves its first cell cold
+    def first_cell(game, eps, scheme):
+        grid = reference_grid_lp(game, scheme)
+        rhs, objective = reference_grid_cells(game, eps, scheme)[0]
+        form = lp.StandardForm([int_row(row) for row in grid.lhs],
+                               grid.senses, [lo is None for lo in grid.lower])
+        return lambda: form.solve_rows(
+            [(b.numerator, b.denominator) for b in rhs], int_row(objective))
+
+    for game, eps, scheme, pivots in [
+        (rank1_family(5), Fraction(1, 10), "abs", 11),
+        (rank1_family(4), Fraction(1, 4), "rel", 12),
+        (rank1_family(7), Fraction(1, 5), "abs", 12),
+        (rank1_family(10), Fraction(1, 5), "abs", 12),
+        (rank1_family(8), Fraction(1, 7), "abs", 12),
+    ]:
+        run = first_cell(game, eps, scheme)
+        assert count(run) == pivots
 
 
 @pytest.mark.parametrize("a, b, message", [

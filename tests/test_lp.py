@@ -16,6 +16,7 @@ from rankgames import (
     solve_linear_system,
 )
 from rankgames import lp as lp_module
+from rankgames.approx import _start_dictionary
 from rankgames.linalg import int_row
 from rankgames.lp import LpSolution, StandardForm
 
@@ -24,6 +25,7 @@ from helpers import (
     SHARED,
     dictionary_rows,
     full_rows,
+    random_game,
     reference_grid_cells,
     reference_grid_lp,
     reference_price_out,
@@ -477,6 +479,48 @@ def test_warm_solves_equal_cold_solves(monkeypatch):
     assert min(statuses.values()) >= 150 and len(statuses) == 3
     assert min(results.values()) >= 50 and len(results) == 4
     assert equality_moves >= 80
+
+
+def test_seeded_form_solves_every_cell_as_cold():
+    # a grid seeds its form with the dictionary of a start basis for its
+    # first cell (approx._start_dictionary), so every cell starts warm.
+    # Each result, the first cell's included, read as Fractions, must be a
+    # fresh form's cold result. An infeasible solve keeps the dictionary it
+    # started from, so after an infeasible first cell the next cell starts
+    # from the start dictionary. The grids are the block games, whose
+    # first cells are infeasible, NEG and SHARED, a relative grid, and
+    # drawn games' absolute grids, each run over its first 16 cells
+    rng = random.Random(3803)
+    grids = [
+        ("abs", block_game(rank1_family(2), rank1_family(3)), Fraction(1, 2)),
+        ("abs", block_game(rank1_family(3), rank1_family(3)), Fraction(1, 2)),
+        ("abs", NEG, Fraction(1, 2)),
+        ("abs", SHARED, Fraction(1)),
+        ("rel", rank1_family(4), Fraction(1, 4)),
+    ]
+    grids += [("abs", random_game(rng, rng.randint(1, 3), rng.randint(1, 3)),
+               Fraction(1, rng.randint(1, 3))) for _ in range(60)]
+    statuses, firsts = Counter(), Counter()
+    for scheme, game, eps in grids:
+        lp = reference_grid_lp(game, scheme)
+        lhs = [int_row(row) for row in lp.lhs]
+        free = [lo is None for lo in lp.lower]
+        cells = [(_pairs(rhs), int_row(objective)) for rhs, objective
+                 in reference_grid_cells(game, eps, scheme, limit=16)]
+        form = StandardForm(lhs, lp.senses, free)
+        form.seed(cells[0][0], *_start_dictionary(game, form, cells[0][0]))
+        for rhs, cost in cells:
+            kept = form._kept
+            got = _read(form.solve_rows(rhs, cost))
+            assert got == _read(StandardForm(lhs, lp.senses, free).solve_rows(
+                rhs, cost))
+            if got[0] == "infeasible":
+                assert form._kept is kept
+            statuses[got[0]] += 1
+        firsts[_read(StandardForm(lhs, lp.senses, free).solve_rows(
+            *cells[0]))[0]] += 1
+    assert statuses["optimal"] >= 150 and statuses["infeasible"] >= 250
+    assert firsts["infeasible"] >= 15 and firsts["optimal"] >= 30
 
 
 def test_price_out_matches_pricing_every_basic_column(monkeypatch):
