@@ -22,6 +22,7 @@ from .families import (
     squared_difference_family,
 )
 from .gamefiles import (
+    _entry,
     encode_report,
     format_decomposition_text,
     format_game_text,
@@ -129,9 +130,10 @@ def cmd_solve(args):
         if args.mode == "components":
             results = _components_results(game, eqset)
         else:
+            # entries from the rows the walk kept: no profile or report made
             results = {
-                "count": len(eqset.reports),
-                "equilibria": [encode_report(r) for r in eqset.reports],
+                "count": len(eqset._found),
+                "equilibria": [_entry(*found) for found in eqset._found],
                 "component_count": eqset.component_count,
                 "components": [list(c) for c in eqset.components],
             }

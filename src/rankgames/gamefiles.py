@@ -70,7 +70,9 @@ def parse_game_text(text):
     """Parse a game file: header 'm n', then m rows of a, then m rows of b.
 
     The game is built from its integer rows, with no Fraction made for an
-    integer entry; a and b are built when they are read."""
+    integer entry; a and b are built when they are read. A file of integer
+    rows is read one int() map per row; any other is read token by token
+    (_parse_pair) from its first row, which also gives every error."""
     lines, (m, n) = _header(text, "game", "two integers: m n")
     if m < 1 or n < 1:
         raise GameFormatError("dimensions must be positive")
@@ -78,6 +80,17 @@ def parse_game_text(text):
         raise GameFormatError(
             f"expected {2 * m} payoff rows after the header, found {len(lines) - 1}"
         )
+    try:
+        # int() takes exactly the tokens _parse_pair reads with int(), a
+        # sign and ASCII digits, among the ASCII tokens without "_"
+        rows = [list(map(int, line.split()))
+                if line.isascii() and "_" not in line else []
+                for line in lines[1:]]
+    except ValueError:
+        rows = [[]]
+    if all(len(row) == n for row in rows):
+        return BimatrixGame._from_int_form(rows[:m], 1,
+                                           list(map(list, zip(*rows[m:]))), 1)
     a = [_parse_row(lines[1 + i], n, f"a row {i + 1}", _parse_pair)
          for i in range(m)]
     b = [_parse_row(lines[1 + m + i], n, f"b row {i + 1}", _parse_pair)
@@ -187,21 +200,30 @@ def _row_texts(row):
     return [_pair_text(e, den) for e in row[:-1]]
 
 
-def encode_report(report):
-    """EquilibriumReport -> plain dict with exact fraction strings; x and y
-    are written from the profile's integer rows."""
-    xs, ys = report.profile._int_form
+def _entry(xs, ys, values, kind="exact", parameter=None):
+    """The report entry of a profile's integer rows xs and ys, whose loss
+    and payoffs are the (numerator, positive denominator) pairs values
+    (games._evaluate_products), with no Fraction made."""
+    loss, payoff1, payoff2 = (_pair_text(*pair) for pair in values)
     return {
         "x": _row_texts(xs),
         "y": _row_texts(ys),
-        "loss": str(report.loss),
-        "payoff1": str(report.payoff1),
-        "payoff2": str(report.payoff2),
-        "kind": report.kind,
-        "parameter": None if report.parameter is None else str(report.parameter),
-        "support1": list(report.support1),
-        "support2": list(report.support2),
+        "loss": loss,
+        "payoff1": payoff1,
+        "payoff2": payoff2,
+        "kind": kind,
+        "parameter": None if parameter is None else str(parameter),
+        "support1": [i for i, e in enumerate(xs[:-1]) if e > 0],
+        "support2": [j for j, e in enumerate(ys[:-1]) if e > 0],
     }
+
+
+def encode_report(report):
+    """EquilibriumReport -> plain dict with exact fraction strings (_entry)."""
+    return _entry(*report.profile._int_form,
+                  [(v.numerator, v.denominator)
+                   for v in (report.loss, report.payoff1, report.payoff2)],
+                  report.kind, report.parameter)
 
 
 def _fraction_text(value):
@@ -211,15 +233,50 @@ def _fraction_text(value):
     raise TypeError(f"cannot encode {type(value).__name__} into a report")
 
 
+_quoted = json.encoder.encode_basestring_ascii
+# the JSON text of a value that holds no other: the common classes directly,
+# any other by one encoder, as json.dumps(value, default=_fraction_text) does
+_LEAF_TEXT = {str: _quoted, int: int.__repr__, type(None): lambda _: "null"}
+_leaf_text = json.JSONEncoder(default=_fraction_text).encode
+
+
+def _write(value, out, indent):
+    """Append to out the text json.dumps(value, indent=2,
+    default=_fraction_text) writes for value at the nesting whose line
+    break and spaces are indent. A key that is not a str is written as
+    json writes it, or refused with json's TypeError."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for key, item in value.items():
+            if key.__class__ is not str:
+                key, = json.loads(json.dumps({key: None}, indent=2))
+            out.append(f"{sep}{_quoted(key)}: ")
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]" if value else "[]")
+    else:
+        out.append(_LEAF_TEXT.get(value.__class__, _leaf_text)(value))
+
+
 def report_json(command, parameters, results):
-    """Assemble the report payload and serialize it as JSON text, each
-    Fraction as its exact string. json would write a float itself, without
-    the hook; that no command hands one over is checked by a test that
-    parses every command's report."""
+    """The report payload as JSON text, each Fraction as its exact string,
+    written in one pass (_write) as json.dumps(indent=2) writes it. A float
+    would be written too; that no command hands one over is checked by a
+    test that parses every command's report."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "parameters": parameters,
         "results": results,
     }
-    return json.dumps(payload, indent=2, default=_fraction_text) + "\n"
+    out = []
+    _write(payload, out, "\n")
+    return "".join(out) + "\n"

@@ -1,5 +1,6 @@
 """Shared generators for the seeded randomized tests, and reference oracles."""
 
+import json
 import sys
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -24,7 +25,15 @@ from rankgames.approx import (
     _interval_axis,
 )
 from rankgames.enumeration import _component_partition
-from rankgames.games import _eps_threshold
+from rankgames.errors import GameFormatError
+from rankgames.gamefiles import (
+    SCHEMA_VERSION,
+    _fraction_text,
+    _header,
+    _parse_pair,
+    _parse_row,
+)
+from rankgames.games import _eps_threshold, _int_matrix
 from rankgames.linalg import (
     _fraction_rows,
     as_fraction,
@@ -110,6 +119,58 @@ def reference_profile_text(profile):
     """Reference profile writer: str of each Fraction of x and of y."""
     return (",".join(str(e) for e in profile.x) + ";"
             + ",".join(str(e) for e in profile.y))
+
+
+def reference_parse_game_text(text):
+    """Reference game file reader: every row read token by token
+    (gamefiles._parse_row with _parse_pair), as parse_game_text read every
+    file before it read a file of integer rows one int() map per row.
+    parse_game_text must give the same integer form, or raise the same
+    GameFormatError text."""
+    lines, (m, n) = _header(text, "game", "two integers: m n")
+    if m < 1 or n < 1:
+        raise GameFormatError("dimensions must be positive")
+    if len(lines) != 1 + 2 * m:
+        raise GameFormatError(f"expected {2 * m} payoff rows after the "
+                              f"header, found {len(lines) - 1}")
+    a = [_parse_row(lines[1 + i], n, f"a row {i + 1}", _parse_pair)
+         for i in range(m)]
+    b = [_parse_row(lines[1 + m + i], n, f"b row {i + 1}", _parse_pair)
+         for i in range(m)]
+    return BimatrixGame._from_int_form(*_int_matrix(a),
+                                       *_int_matrix(list(zip(*b))))
+
+
+def reference_report_json(command, parameters, results):
+    """Reference report writer: json.dumps of the payload with indent=2
+    and gamefiles._fraction_text as its hook, as gamefiles.report_json
+    wrote it before it wrote in one pass; report_json must give exactly
+    this text, and raise exactly this TypeError."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "parameters": parameters,
+        "results": results,
+    }
+    return json.dumps(payload, indent=2, default=_fraction_text) + "\n"
+
+
+def reference_encode_report(report):
+    """Reference report entry, from the report's Fractions: str of each
+    entry of x and y, of the loss, the payoffs and the parameter, and the
+    report's own supports, as gamefiles.encode_report wrote it before it
+    wrote from integer rows."""
+    return {
+        "x": [str(e) for e in report.profile.x],
+        "y": [str(e) for e in report.profile.y],
+        "loss": str(report.loss),
+        "payoff1": str(report.payoff1),
+        "payoff2": str(report.payoff2),
+        "kind": report.kind,
+        "parameter": None if report.parameter is None else str(report.parameter),
+        "support1": list(report.support1),
+        "support2": list(report.support2),
+    }
 
 
 def _vectors(profile):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -28,13 +29,16 @@ from rankgames import (
     save_game,
     squared_difference_family,
 )
+from rankgames import gamefiles
 from rankgames.gamefiles import encode_report, report_json
 
 from helpers import (
     random_game,
     random_profile,
     reference_game_text,
+    reference_parse_game_text,
     reference_profile_text,
+    reference_report_json,
 )
 
 
@@ -81,12 +85,15 @@ def test_decimal_entries_parse_exactly():
     assert format_game_text(g) == "1 1\n5/2\n-3/4\n"
 
 
-@pytest.mark.parametrize("token", [
+ENTRY_TOKENS = pytest.mark.parametrize("token", [
     "+5", "-0", "007", "1_000", "\u0663", "1.5", "1e3", "3/4", "-3/-4",
     "\u00bd", "0x10", "x", "9" * 5000,
 ], ids=["plus", "minus-zero", "leading-zeros", "underscore", "arabic-indic",
         "decimal", "exponent", "ratio", "negative-denominator", "vulgar-half",
         "hex", "letter", "5000-digits"])
+
+
+@ENTRY_TOKENS
 def test_entry_tokens_parse_as_fraction_does(token):
     # a sign and ASCII digits skip Fraction's string parser; the tokens
     # accepted and their values must still be Fraction's on the running
@@ -101,6 +108,141 @@ def test_entry_tokens_parse_as_fraction_does(token):
     else:
         got = parse_game_text(text).a[0, 0]
         assert type(got) is Fraction and got == want
+
+
+@ENTRY_TOKENS
+@pytest.mark.parametrize("where", ["a", "b"])
+def test_mixed_rows_parse_as_fraction_does(token, where):
+    # a file of plain integer rows is read one int() map per row; a row
+    # that mixes plain integers with the token sends the whole file token
+    # by token after the rows before it took the int() map, with the same
+    # accepted tokens, values and error as Fraction's
+    a = [["1", "-2", "+3"], ["004", "5", "-0"], ["7", "8", "9"]]
+    b = [["-1", "0", "2"], ["3", "-4", "5"], ["6", "+7", "-8"]]
+    (a if where == "a" else b)[2][1] = token
+    text = "\n".join(["3 3"] + [" ".join(row) for row in a + b]) + "\n"
+    try:
+        want = BimatrixGame(*([[Fraction(t) for t in row] for row in mat]
+                              for mat in (a, b)))
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(GameFormatError,
+                           match=f"^{where} row 3: bad entry "):
+            parse_game_text(text)
+    else:
+        assert parse_game_text(text)._int_form == want._int_form
+
+
+def test_integer_files_read_no_token_one_by_one(monkeypatch):
+    """A file of plain integer rows (signs, leading zeros, big entries,
+    comments) reads no token through _parse_pair, and gives the game the
+    per-token path gives; one fractional entry sends every row through
+    _parse_pair."""
+    texts = [format_game_text(rank1_family(5)),
+             "# c\n2 3  # dims\n+1 -0 007\n-4 5 6\n7 8 9\n"
+             f"10 11 {10**40}\n",
+             format_game_text(random_game(random.Random(5), 4, 3, -999, 999))]
+    per_token = [reference_parse_game_text(text) for text in texts]
+    read = []
+    parse_pair = gamefiles._parse_pair
+
+    def recording(token, where):
+        read.append(token)
+        return parse_pair(token, where)
+
+    monkeypatch.setattr(gamefiles, "_parse_pair", recording)
+    for text, want in zip(texts, per_token):
+        game = parse_game_text(text)
+        assert game._int_form == want._int_form and game._int_form[1] == 1
+    assert read == []
+    parse_game_text("1 2\n1 2\n3 1/2\n")
+    assert read == ["1", "2", "3", "1/2"]
+
+
+def test_parser_matches_the_per_token_path():
+    """On drawn files, with integer and other tokens, rows of the right
+    length and short and long ones, parse_game_text gives the integer
+    form, or the GameFormatError text, of the per-token path run on every
+    row (helpers.reference_parse_game_text)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers(-10**30, 10**30)
+    plain = st.one_of(ints.map(str), ints.map(lambda v: f"+{abs(v)}"),
+                      ints.map(lambda v: f"{'-' if v < 0 else ''}00{abs(v)}"))
+    entries = {
+        "plain": plain,
+        "fractional": st.one_of(plain, st.sampled_from(
+            ["1/2", "-3/4", "+7/3", "1.5", "1e3", "1_000", "\u0663"])),
+        "refused": st.one_of(plain, plain, st.sampled_from(
+            ["x", "0x10", "+", "-", "3/0", "\u00bd", "9" * 5000])),
+    }
+
+    @st.composite
+    def files(draw):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        sizes = [n] * (2 * m)
+        if draw(st.integers(0, 3)) == 0:
+            # one row short or long, or of the right length after all
+            sizes[draw(st.integers(0, 2 * m - 1))] = draw(st.integers(0, n + 2))
+        entry = entries[draw(st.sampled_from(sorted(entries)))]
+        lines = [" ".join(draw(st.lists(entry, min_size=size, max_size=size)))
+                 for size in sizes]
+        return "\n".join([f"{m} {n}"] + lines) + "\n"
+
+    def outcome(parse, text):
+        try:
+            return parse(text)._int_form
+        except GameFormatError as exc:
+            return str(exc)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(files())
+    def check(text):
+        assert outcome(parse_game_text, text) == outcome(
+            reference_parse_game_text, text)
+
+    check()
+
+
+def test_report_json_matches_json_dumps():
+    """On drawn payloads, report_json writes byte for byte the text of one
+    json.dumps call with indent=2 and the Fraction hook
+    (helpers.reference_report_json), or raises its TypeError: nested
+    dicts, lists and tuples, empty ones included, with str keys and the
+    int, float, bool and None keys json also writes; strings with quotes,
+    backslashes, control characters and non-ASCII text; large and
+    negative ints, bools, None, Fractions and floats, NaN and the
+    infinities included; and values and keys json refuses."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    text = st.text(st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2603\U0001d11e\ud800'),
+        st.characters()))
+    leaves = st.one_of(text, st.integers(), st.integers(-10**60, 10**60),
+                       st.booleans(), st.none(), st.fractions(), st.floats())
+    keys = st.one_of(text, text, text, st.integers(), st.floats(),
+                     st.booleans(), st.none())
+    values = st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(keys, inner, max_size=4)), max_leaves=24)
+    refused = st.sampled_from([object(), np.int64(3), 1j, {Fraction(1): 0},
+                               {(1, 2): 0}, {np.int64(3): 0}])
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(text, values, values, st.none() | refused)
+    def check(command, parameters, results, wrong):
+        if wrong is not None:
+            results = [results, wrong]
+        try:
+            want = reference_report_json(command, parameters, results)
+        except TypeError as exc:
+            with pytest.raises(TypeError, match=f"^{re.escape(str(exc))}$"):
+                report_json(command, parameters, results)
+        else:
+            assert report_json(command, parameters, results) == want
+
+    check()
 
 
 @pytest.mark.parametrize("bad", [

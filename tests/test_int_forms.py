@@ -2,7 +2,10 @@
 game file, profiles made from integer rows, the report's number text, and
 the Fraction views the enumeration and grid paths never build."""
 
+import contextlib
 import copy
+import io
+import json
 import pickle
 from fractions import Fraction
 
@@ -35,7 +38,12 @@ from rankgames.gamefiles import _pair_text, encode_report, load_game
 from rankgames.linalg import int_row, rank_factorize
 from rankgames.lp import LpSolution
 
-from helpers import reference_game_text
+from helpers import (
+    SHARED,
+    oracle_game_strategies,
+    reference_encode_report,
+    reference_game_text,
+)
 
 
 def _spellings(value):
@@ -159,10 +167,10 @@ def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch, tmp_path,
                                                     capsys):
     """Enumerating a loaded game's equilibria and encoding its reports
     builds no vertex's point or binding and no profile's x or y, the
-    components mode builds no report and no profile at all, the absolute
-    grid's winning profile has neither x nor y, and the relative grid
-    checks a decomposition it is passed without building c: these paths
-    read the integer forms only."""
+    components mode and the default solve build no report and no profile
+    at all, the absolute grid's winning profile has neither x nor y, and
+    the relative grid checks a decomposition it is passed without building
+    c: these paths read the integer forms only."""
     walked = []
     walk = polyhedra.enumerate_vertices
 
@@ -183,9 +191,10 @@ def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch, tmp_path,
     assert not any({"x", "y"} & set(vars(r.profile)) for r in reports)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the components mode built a report or profile")
+        raise AssertionError("a command built a report or profile")
 
-    for game in (identity_game(5), block_game(identity_game(2), rank1_family(3))):
+    for game in (identity_game(5), block_game(identity_game(2), rank1_family(3)),
+                 rank1_family(5), SHARED):
         path = tmp_path / "game.txt"
         path.write_text(format_game_text(game))
         with monkeypatch.context() as patch:
@@ -194,6 +203,7 @@ def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch, tmp_path,
             patch.setattr(MixedProfile, "from_int_rows", classmethod(refuse))
             assert cli.main(["solve", str(path), "--mode", "components"]) == 0
             assert cli.main(["components", str(path)]) == 0
+            assert cli.main(["solve", str(path)]) == 0
             game = load_game(path)
             eqset = enumerate_equilibria(game)
             cli._components_results(game, eqset)
@@ -208,6 +218,40 @@ def test_hot_paths_leave_the_fraction_views_unbuilt(monkeypatch, tmp_path,
     game = parse_game_text(format_game_text(rank1_family(4)))
     assert approx_relative(game, Fraction(1, 4), decomp=decomp).loss == 0
     assert "c" not in vars(game)
+
+
+def test_solve_entries_match_encoded_reports(tmp_path):
+    """The default solve writes each equilibrium's entry from the rows the
+    walk kept; on drawn games, degenerate, rectangular and symmetric ones
+    included, its equilibria list is the encode_report of each report of
+    enumerate_equilibria, in order, and each entry is also the one written
+    from the report's Fractions (helpers.reference_encode_report)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    symmetric = st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+        min_size=d, max_size=d)).map(
+            lambda a: BimatrixGame(a, [list(col) for col in zip(*a)]))
+    path = tmp_path / "game.txt"
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.one_of(*oracle_game_strategies(st).values(),
+                                symmetric))
+    def check(game):
+        path.write_text(format_game_text(game))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["solve", str(path)]) == 0
+        results = json.loads(out.getvalue())["results"]
+        eqset = enumerate_equilibria(game)
+        assert results["equilibria"] == [encode_report(r)
+                                         for r in eqset.reports]
+        assert results["equilibria"] == [reference_encode_report(r)
+                                         for r in eqset.reports]
+        assert results["count"] == len(eqset.reports)
+
+    check()
 
 
 def test_kernel_entries_build_no_fraction_arrays(monkeypatch):
