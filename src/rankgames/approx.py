@@ -150,9 +150,10 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
     right-hand sides (_start_dictionary), so every cell starts warm: the
     first from that dictionary, and each later one from the last optimal
     dictionary, or from the start dictionary while no cell has been
-    feasible. The form keeps a warm optimum only when it is certified
-    unique and otherwise solves the cell cold, so a cell's result does
-    not depend on the cells before it or on the start basis. Cells
+    feasible. A cell's result is the named optimum of its LP, the
+    lexicographically greatest optimal point in variable order
+    (StandardForm.solve_rows), so it does not depend on the cells before
+    it or on the start basis. Cells
     are walked in product order over the axes; with no axes (a zero-sum
     game) that is one cell with no factor rows. Infeasible cells are
     skipped. A cell's x and y are scored as integer rows,
@@ -326,9 +327,9 @@ def approx_absolute(game, eps):
     finish. The grid's lp.StandardForm starts from a dictionary written
     down for the first cell's start basis and then keeps the dictionary of
     its last optimal solve, to start the next cell from, so a concurrent
-    search needs one form per worker, each seeded; a cell's result is the
-    same whichever cells its form solved before. The built-in loop is
-    sequential and stops at its first loss-0 cell.
+    search needs one form per worker, each seeded: an unseeded form solves
+    its first cell cold. The built-in loop is sequential and stops at its
+    first loss-0 cell.
     """
     eps = as_fraction(eps)
     if eps <= 0:

@@ -105,7 +105,7 @@ def _price_out(tableau, zrow, basis, nonbasic):
     tableau.append(reduced(out))
 
 
-def _iterate(tableau, basis, nonbasic):
+def _iterate(tableau, basis, nonbasic, slots=None):
     """Run Bland-rule simplex iterations; return 'optimal' or 'unbounded'.
 
     The tableau is in dictionary form: the constraint rows come first, row
@@ -115,10 +115,15 @@ def _iterate(tableau, basis, nonbasic):
     signs are read off the ints. Bland's rule runs on variable indices, not
     slots: the lowest-indexed nonbasic variable with a negative reduced
     cost enters, and of the rows tied at the minimum ratio, the one with
-    the least basic variable leaves and takes the entering slot.
+    the least basic variable leaves and takes the entering slot. Only the
+    slots listed in slots may enter when it is given; any row between the
+    constraint rows and the cost row is pivoted along.
     """
+    if slots is None:
+        slots = range(len(nonbasic))
     while True:
-        col = min((j for j, e in enumerate(tableau[-1][:-2]) if e < 0),
+        cost = tableau[-1]
+        col = min((j for j in slots if cost[j] < 0),
                   key=nonbasic.__getitem__, default=None)
         if col is None:
             return "optimal"
@@ -150,11 +155,11 @@ class StandardForm:
     grid's cells and solve_lp call. Its simplex runs on dictionary rows
     (linalg.pivot): no row carries a column for a basic variable. The form
     keeps the dictionary of its last optimal solve, or the start
-    dictionary seed gave it, from which the next solve starts warm; that is
-    its one state, and results do not depend on it (see solve_rows). A
+    dictionary seed gave it, from which the next solve starts warm and
+    returns the named optimum (see solve_rows); that is its one state. A
     form built and not seeded has none, so its first solve runs the cold
-    two-phase simplex, the oracle of the warm path. twin maps each
-    standard column of a free variable to the other.
+    two-phase simplex, which is solve_lp's path. twin maps each standard
+    column of a free variable to the other.
     """
 
     def __init__(self, lhs, senses, free):
@@ -203,12 +208,12 @@ class StandardForm:
         next solve_rows starts from it as from a kept optimum (_warm). Its
         dual steps reach feasibility at a basis that minimizes that sum,
         one near the start basis; then the cost is priced out, Bland's
-        primal iterations finish, and the uniqueness certificate is
-        checked. The basis need not be feasible. Results do not change, as solve_rows keeps a warm
-        optimum only when it is certified unique; the rows must be the
-        basis's dictionary, which the caller vouches for. An infeasible
-        solve keeps the start dictionary, so the next solve starts from it
-        too."""
+        primal iterations finish, and a tied optimum finishes
+        lexicographically. The basis need not be feasible, and it does not
+        change the result, which is the named optimum whatever the start;
+        the rows must be the basis's dictionary, which the caller vouches
+        for. An infeasible solve keeps the start dictionary, so the next
+        solve starts from it too."""
         self._kept = (list(rhs), list(rows) + [[1] * len(nonbasic) + [0, 1]],
                       list(basis), list(nonbasic))
 
@@ -281,15 +286,21 @@ class StandardForm:
         cost row.
 
         The form keeps the dictionary of its last optimal solve, or the
-        start dictionary seed gave it, and a solve first re-solves from a
-        copy of it (_warm). A warm optimum is returned only when it is
-        certified unique; otherwise the cold two-phase solve runs, and its
-        dictionary is the one kept. A form with no kept dictionary solves
-        cold at once, as solve_lp's one solve does. So the
-        result is a function of rhs and cost alone, whatever the form
-        solved before: the status, and the values and value read as
-        Fractions, are the cold solve's. The kept dictionary is the form's
-        one state, so concurrent solves need one form each.
+        start dictionary seed gave it, and a solve re-solves from a copy of
+        it (_warm). Its optimum is the named one: of the optimal points,
+        the lexicographically greatest in variable order, a free
+        variable's value being its first column minus its second
+        (_lex_finish). The warm path returns None, and the cold two-phase
+        solve runs and its dictionary is kept, only when an equality row's
+        right-hand side changed or a tie-break objective is unbounded; a
+        form with no kept dictionary solves cold at once, as solve_lp's one
+        solve does. The cold solve returns the optimum Bland's rule reaches
+        from artificials, which is not always the named one. The status and
+        the value do not depend on the path. A grid's LP keeps its sum
+        rows' right-hand sides and is bounded, so every cell of a seeded
+        form gets its named optimum, a function of rhs and cost alone. The
+        kept dictionary is the form's one state, so concurrent solves need
+        one form each.
         """
         if len(cost) != len(self.free) + 1:
             raise ValueError("objective length does not match variable count")
@@ -361,13 +372,13 @@ class StandardForm:
         that cannot cycle. The new cost is priced out and _iterate
         finishes.
 
-        The optimum is certified unique when every nonbasic reduced cost
-        is positive, but for a free variable's second column while its
-        first is basic, or the reverse: that column is minus its twin's,
-        its reduced cost is 0, and entering it changes neither the free
-        variable's value nor any other. An optimum not certified may not be
-        the one the cold solve finds, so it is dropped (None). Infeasible
-        and unbounded are proofs, and stand.
+        The optimum is the face's one point, and so the named optimum, when
+        every slot of reduced cost 0 holds the twin of a basic free column
+        (_unique): that column is minus its twin's, its reduced cost is 0
+        in any cost row, and entering it changes no variable's value.
+        Otherwise _lex_finish moves to the named optimum; None when a
+        tie-break objective is unbounded. Infeasible and unbounded are
+        proofs, and stand.
         """
         old, rows, basis, nonbasic = self._kept
         rows, basis, nonbasic = rows[:], basis[:], nonbasic[:]
@@ -413,13 +424,50 @@ class StandardForm:
         _price_out(rows, zrow, basis, nonbasic)
         if _iterate(rows, basis, nonbasic) == "unbounded":
             return "unbounded", None, None
-        basic = set(basis)
-        twin = self.twin
-        if any(not d and twin.get(v) not in basic
-               for d, v in zip(rows[-1][:-2], nonbasic)):
+        ties = [j for j, d in enumerate(rows[-1][:-2]) if not d]
+        if not self._unique(basis, nonbasic, ties) and not self._lex_finish(
+                rows, basis, nonbasic, ties):
             return None
         self._kept = (list(rhs), rows, basis, nonbasic)
         return self._optimum(rows, basis)
+
+    def _lex_finish(self, rows, basis, nonbasic, ties):
+        """Move the optimal dictionary rows, in place, to the named optimum:
+        of the optimal points, the lexicographically greatest in variable
+        order, a free variable's value being its first column minus its
+        second. Returns False when a tie-break objective is unbounded.
+
+        ties lists the slots whose reduced cost is 0: the optimal face is
+        the set of feasible points whose other nonbasic variables are 0.
+        For each variable in turn, the objective "maximize it" is priced
+        out (_price_out: its one row if it is basic, a unit slot if not)
+        and _iterate runs on the tied slots only. Its optimal face is that
+        of the points whose tied slots of positive reduced cost are 0, so
+        those slots leave ties, until the point is unique (_unique). Every
+        pivot is on a slot whose entry in the kept cost row is 0, which
+        leaves that row as it is: the dictionary stays optimal for the
+        LP's own cost.
+        """
+        col = 0
+        for f in self.free:
+            zrow = [0] * (self.ncols + 1) + [1]
+            zrow[col] = -1
+            if f:
+                zrow[col + 1] = 1
+            col += 1 + f
+            _price_out(rows, zrow, basis, nonbasic)
+            if _iterate(rows, basis, nonbasic, ties) == "unbounded":
+                return False
+            tie = rows.pop()
+            ties = [j for j in ties if not tie[j]]
+            if self._unique(basis, nonbasic, ties):
+                break
+        return True
+
+    def _unique(self, basis, nonbasic, ties):
+        """Whether every tied slot holds the twin of a basic free column."""
+        basic = set(basis)
+        return all(self.twin.get(nonbasic[j]) in basic for j in ties)
 
     def _optimum(self, rows, basis):
         """The optimal result of an optimal dictionary: the variables'

@@ -18,6 +18,7 @@ from rankgames import (
     linear_program,
     make_report,
     matrix_rank,
+    solve_lp,
 )
 from rankgames.approx import (
     SVD_MAX_DENOMINATOR,
@@ -41,6 +42,7 @@ from rankgames.linalg import (
     reduced,
     solve_linear_system,
 )
+from rankgames.lp import LpSolution
 from rankgames.polyhedra import (
     PolyhedronVertex,
     build_polyhedra,
@@ -798,6 +800,32 @@ def reference_cost_row(form, objective):
         cost += [c, -c] if free else [c]
     cost += [Fraction(0)] * (form.ncols - len(cost))
     return int_row(cost + [Fraction(0)])
+
+
+def reference_lex_optimum(lp):
+    """The named optimum of lp by sequential Fraction solve_lp calls: of
+    its optimal points, the lexicographically greatest in variable order.
+
+    lp is solved, its objective is fixed at the optimal value by an
+    equality row, and then each variable in turn is maximized and fixed at
+    its maximum by another. Returns lp's own LpSolution when it is not
+    optimal, and None when one of the maximizations is unbounded.
+    """
+    sol = solve_lp(lp)
+    if sol.status != "optimal":
+        return sol
+    lhs, senses = [*lp.lhs, lp.objective], [*lp.senses, "="]
+    rhs = [*lp.rhs, sol.objective_value]
+    for j in range(lp.nvars):
+        unit = [int(i == j) for i in range(lp.nvars)]
+        top = solve_lp(linear_program([-e for e in unit], lhs, senses, rhs,
+                                      lp.lower, lp.upper))
+        if top.status == "unbounded":
+            return None
+        lhs.append(unit)
+        senses.append("=")
+        rhs.append(top.x[j])
+    return LpSolution("optimal", top.x, sol.objective_value)
 
 
 def drawn_games(st, entries):

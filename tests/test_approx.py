@@ -361,10 +361,10 @@ def test_grid_rows_match_reference_builder(monkeypatch):
     calls = []
     solve_rows = StandardForm.solve_rows
     price_out = lp_module._price_out
-    warm = StandardForm._warm
+    finish = StandardForm._lex_finish
 
     def record(form, rhs, cost):
-        calls.append([form, rhs, cost, [], False, None])
+        calls.append([form, rhs, cost, [], [], None])
         result = solve_rows(form, rhs, cost)
         calls[-1][5] = result[0]
         return result
@@ -373,17 +373,21 @@ def test_grid_rows_match_reference_builder(monkeypatch):
         calls[-1][3].append(list(zrow))
         price_out(rows, zrow, basis, nonbasic)
 
-    def recorded(form, rhs, zrow):
-        result = warm(form, rhs, zrow)
-        calls[-1][4] = result is None
+    def finishing(form, *args):
+        # the rows the finish prices out are its tie-break objectives
+        zrows = calls[-1][3]
+        done = len(zrows)
+        result = finish(form, *args)
+        calls[-1][4] = zrows[done:]
+        del zrows[done:]
         return result
 
     monkeypatch.setattr(StandardForm, "solve_rows", record)
     monkeypatch.setattr(lp_module, "_price_out", priced)
-    monkeypatch.setattr(StandardForm, "_warm", recorded)
+    monkeypatch.setattr(StandardForm, "_lex_finish", finishing)
     grids = []
     feasible = 0
-    uncertified = 0
+    finished = 0
     for scheme, game, eps, decomp in [
         ("abs", block_game(rank1_family(2), rank1_family(3)), Fraction(1, 2),
          None),
@@ -400,19 +404,23 @@ def test_grid_rows_match_reference_builder(monkeypatch):
         cells = reference_grid_cells(game, eps, scheme, decomp)
         grids.append((len(calls), len(cells), rep.loss))
         form = calls[0][0]
-        for (_, rhs, cost, zrows, cold_again, status), (ref_rhs, objective) \
+        nvars = len(form.free)
+        ties = [reference_cost_row(form, [-int(i == j) for i in range(nvars)])
+                for j in range(nvars)]
+        for (_, rhs, cost, zrows, tied, status), (ref_rhs, objective) \
                 in zip(calls, cells):
             assert [Fraction(b, d) for b, d in rhs] == ref_rhs
             assert cost == int_row(objective)
-            # a feasible cell prices its cost out once, and once more when
-            # its warm optimum is not certified unique and the cold solve
-            # runs (no grid changes an equality row, so only then does
-            # _warm give None); an infeasible cell prices out none
+            # a feasible cell prices its cost out once: no cell runs the
+            # cold solve. An infeasible cell prices out none. A tied
+            # optimum then prices out "maximize x_1", "maximize x_2", ...
+            # in variable order, until the point is unique
             phase2 = [z for z in zrows if len(z) == form.ncols + 2]
             feasible += status == "optimal"
-            uncertified += cold_again
-            count = 1 + cold_again if status == "optimal" else 0
-            assert phase2 == [reference_cost_row(form, objective)] * count
+            finished += bool(tied)
+            assert phase2 == [reference_cost_row(form, objective)] * (
+                status == "optimal")
+            assert tied == ties[:len(tied)]
             assert form._tableau(rhs) == form._tableau(
                 [(b.numerator, b.denominator) for b in ref_rhs])
         lp = reference_grid_lp(game, scheme, decomp)
@@ -430,9 +438,9 @@ def test_grid_rows_match_reference_builder(monkeypatch):
     assert grids == [(5, 32, 0), (1, 49, 0), (36, 36, Fraction(3, 8)),
                      (24, 24, Fraction(247, 6831)), (1, 7, 0)]
     assert feasible == 51
-    # one cell of the block grid and five of REL2's have warm optima not
-    # certified unique, so the twice-priced path is checked too
-    assert uncertified == 6
+    # one cell of the block grid and five of REL2's have tied warm optima,
+    # which finish lexicographically, so the tie-break rows are checked too
+    assert finished == 6
     # the cells below 0 flip the factor's >= row, which frees its artificial,
     # or both rows, which moves the artificial to the <= row
     assert [(lo < 0, hi < 0) for lo, hi in (rhs[-2:] for rhs, _ in cells)] == [
@@ -544,11 +552,12 @@ WORKLOAD_GRIDS = [
 
 
 def test_grids_start_warm(monkeypatch):
-    # every cell starts warm, the first from the start dictionary: the
-    # cold two-phase solve runs only as the fallback after a warm optimum
-    # not certified unique, never for a cell's first try
+    # every cell starts warm, the first from the start dictionary, and no
+    # workload grid runs the cold two-phase solve: a warm optimum that is
+    # not certified unique finishes lexicographically in place
     log = []
     cold, warm = StandardForm._cold, StandardForm._warm
+    finish = StandardForm._lex_finish
 
     def logged_cold(form, rhs, zrow):
         log.append("cold")
@@ -556,14 +565,19 @@ def test_grids_start_warm(monkeypatch):
 
     def logged_warm(form, rhs, zrow):
         result = warm(form, rhs, zrow)
-        log.append("uncertified" if result is None else result[0])
+        log.append("handed back" if result is None else result[0])
         return result
+
+    def logged_finish(form, *args):
+        log.append("finish")
+        return finish(form, *args)
 
     monkeypatch.setattr(StandardForm, "_cold", logged_cold)
     monkeypatch.setattr(StandardForm, "_warm", logged_warm)
+    monkeypatch.setattr(StandardForm, "_lex_finish", logged_finish)
     approx_absolute(rank1_family(5), Fraction(1, 10))
     assert log == ["optimal"]
-    colds = {}
+    logs = {}
     for scheme, spec, eps in WORKLOAD_GRIDS:
         del log[:]
         if spec[0] == "block":
@@ -571,14 +585,13 @@ def test_grids_start_warm(monkeypatch):
         else:
             game = rank1_family(spec[1])
         (approx_absolute if scheme == "abs" else approx_relative)(game, eps)
-        assert all(prev == "uncertified" for prev, now in zip([None] + log, log)
-                   if now == "cold")
-        colds[scheme, spec, eps] = log.count("cold")
+        logs[scheme, spec, eps] = Counter(log)
+    assert not any(c["cold"] or c["handed back"] for c in logs.values())
     # rank1(9) at 1/6 and both block games each have one warm optimum that
     # is not certified unique; the block grids' first cells are infeasible
-    assert colds == {key: int(key[1] in (("rank1", 9), ("block", 2, 3),
-                                         ("block", 3, 3)))
-                     for key in colds}
+    assert {key: c["finish"] for key, c in logs.items()} == {
+        key: int(key[1] in (("rank1", 9), ("block", 2, 3), ("block", 3, 3)))
+        for key in logs}
 
 
 def test_early_stop_picks_the_exhaustive_argmin(monkeypatch):

@@ -28,6 +28,7 @@ from helpers import (
     random_game,
     reference_grid_cells,
     reference_grid_lp,
+    reference_lex_optimum,
     reference_price_out,
     reference_shifted_rhs,
     reference_tableau,
@@ -384,41 +385,61 @@ def test_bounds_reduce_to_nonnegative_and_free_variables(monkeypatch):
     assert min(statuses.values()) >= 30 and len(statuses) == 3
 
 
-def _read(result):
-    """A solve_rows result with its pairs read as Fractions."""
-    status, values, value = result
-    if status != "optimal":
-        return status, values, value
-    return status, [Fraction(*p) for p in values], Fraction(*value)
+def _named(lp):
+    """reference_lex_optimum of the LP a form solves for lp, its bounds'
+    reduction, with the constants added back as solve_lp adds them; None
+    when a tie-break objective is unbounded."""
+    red, shift = lp_module._reduce_bounds(lp)
+    ref = reference_lex_optimum(red)
+    if ref is None or ref.status != "optimal":
+        return ref
+    x = tuple(c + s * t for (c, s), t in zip(shift, ref.x))
+    return LpSolution("optimal", x, ref.objective_value + sum(
+        e * c for e, (c, _) in zip(lp.objective, shift)))
 
 
 def test_warm_solves_equal_cold_solves(monkeypatch):
     # a form keeps the dictionary of its last optimal solve and re-solves
-    # from it, keeping a warm optimum only when it is certified unique: each
-    # result, read as Fractions, must be a fresh form's, whatever the form
-    # solved before. The sequences are the cells of grids, in product order
-    # and shuffled, and random LPs whose right-hand sides and objectives
-    # move between solves
+    # from it. Whatever the form solved before, a result's status and
+    # optimal value must be a fresh form's cold solve's; a warm optimum
+    # must be the named one, the lexicographically greatest optimal point
+    # (reference_lex_optimum), and a solve the warm path hands back (None)
+    # the cold solve's. The sequences are the cells of grids, in product
+    # order and shuffled, and random LPs whose right-hand sides and
+    # objectives move between solves
     kept = []  # (form, warm result or None) of each solve with a kept dictionary
-    warm = StandardForm._warm
+    warm, finish = StandardForm._warm, StandardForm._lex_finish
+    finishes = []
 
     def recorded(form, rhs, zrow):
         kept.append((form, warm(form, rhs, zrow)))
         return kept[-1][1]
 
+    def counted(form, *args):
+        finishes.append(finish(form, *args))
+        return finishes[-1]
+
     monkeypatch.setattr(StandardForm, "_warm", recorded)
+    monkeypatch.setattr(StandardForm, "_lex_finish", counted)
     rng = random.Random(3001)
 
-    def run(lhs, senses, free, cells):
-        form = StandardForm(lhs, senses, free)
-        for rhs, cost in cells:
-            got = _read(form.solve_rows(rhs, cost))
-            assert got == _read(StandardForm(lhs, senses, free).solve_rows(
-                rhs, cost))
-        return [result for f, result in kept if f is form]
+    def solve(form, lp, named=_named):
+        before, finished = len(kept), len(finishes)
+        sol = _solve(form, lp)
+        cold = solve_lp(lp)
+        assert (sol.status, sol.objective_value) == (cold.status,
+                                                     cold.objective_value)
+        if len(kept) > before and kept[-1][1] is not None:
+            assert sol.status != "optimal" or sol == named(lp)
+        else:
+            assert sol == cold
+        if False in finishes[finished:]:
+            # the finish found a tie-break objective unbounded
+            assert named(lp) is None
+        return sol
 
-    # the absolute grids of the two block games run every cell, and six of
-    # their cells have a warm optimum other than the cold one; NEG's factor
+    # the absolute grids of the two block games run every cell, and some of
+    # their warm optima are tied and finish lexicographically; NEG's factor
     # rows take negative right-hand sides, SHARED's rows share a factor
     # with their denominator, and a relative grid keeps its cost
     grids = []
@@ -430,29 +451,40 @@ def test_warm_solves_equal_cold_solves(monkeypatch):
         ("rel", rank1_family(4), Fraction(1, 4)),
     ]:
         lp = reference_grid_lp(game, scheme)
-        cells = [(_pairs(rhs), int_row(objective))
+        cells = [replace(lp, rhs=tuple(rhs), objective=tuple(objective))
                  for rhs, objective in reference_grid_cells(game, eps, scheme)]
         shuffled = rng.sample(cells, len(cells))
+        names = {}
+
+        def named(cell):
+            key = cell.rhs, cell.objective
+            if key not in names:
+                names[key] = _named(cell)
+            return names[key]
+
         for order in (cells, shuffled):
-            results = run([int_row(row) for row in lp.lhs], lp.senses,
-                          [lo is None for lo in lp.lower], order)
+            form = _standard_form(lp)
+            for cell in order:
+                solve(form, cell, named)
             grids.append(Counter("cold" if r is None else r[0]
-                                 for r in results))
-    # warm optima not certified unique solve cold again; the other warm
-    # solves end optimal or prove the cell infeasible
-    assert all(grid["cold"] >= 3 for grid in grids[:4])
+                                 for f, r in kept if f is form))
+    # no grid cell goes cold: each warm solve ends optimal, at the named
+    # optimum, or proves the cell infeasible
+    assert not any(grid["cold"] for grid in grids)
     assert sum(grid["optimal"] for grid in grids) >= 240
     assert sum(grid["infeasible"] for grid in grids) >= 70
+    assert len(finishes) >= 15
 
     def rational(bound):
         return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
 
     # random LPs over bounded and free variables: a step moves each
     # right-hand side with probability 1/2, an equality row's with 1/10,
-    # which sends the solve cold, and keeps the objective half the time
+    # which sends the solve cold, and keeps the objective half the time.
+    # A tie-break objective unbounded on the optimal face sends it cold too
     statuses = Counter()
     equality_moves = 0
-    del kept[:]
+    del kept[:], finishes[:]
     for _ in range(150):
         nvars, nrows = rng.randint(1, 4), rng.randint(1, 4)
         lower, upper = _random_bounds(rng, nvars, rational)
@@ -472,20 +504,21 @@ def test_warm_solves_equal_cold_solves(monkeypatch):
             if rng.random() < 0.5:
                 lp = replace(lp, objective=tuple(rational(5)
                                                  for _ in range(nvars)))
-            sol = _solve(form, lp)
-            assert sol == solve_lp(lp)
-            statuses[sol.status] += 1
+            statuses[solve(form, lp).status] += 1
     results = Counter("cold" if r is None else r[0] for _, r in kept)
     assert min(statuses.values()) >= 150 and len(statuses) == 3
     assert min(results.values()) >= 50 and len(results) == 4
     assert equality_moves >= 80
+    # both ends of the finish: a named optimum, and an unbounded tie-break
+    assert finishes.count(True) >= 5 and finishes.count(False) >= 10
 
 
 def test_seeded_form_solves_every_cell_as_cold():
     # a grid seeds its form with the dictionary of a start basis for its
     # first cell (approx._start_dictionary), so every cell starts warm.
-    # Each result, the first cell's included, read as Fractions, must be a
-    # fresh form's cold result. An infeasible solve keeps the dictionary it
+    # Each result, the first cell's included, must have a fresh form's
+    # cold status and optimal value, and its optimum must be the named one
+    # (reference_lex_optimum). An infeasible solve keeps the dictionary it
     # started from, so after an infeasible first cell the next cell starts
     # from the start dictionary. The grids are the block games, whose
     # first cells are infeasible, NEG and SHARED, a relative grid, and
@@ -503,24 +536,112 @@ def test_seeded_form_solves_every_cell_as_cold():
     statuses, firsts = Counter(), Counter()
     for scheme, game, eps in grids:
         lp = reference_grid_lp(game, scheme)
-        lhs = [int_row(row) for row in lp.lhs]
-        free = [lo is None for lo in lp.lower]
-        cells = [(_pairs(rhs), int_row(objective)) for rhs, objective
+        cells = [replace(lp, rhs=tuple(rhs), objective=tuple(objective))
+                 for rhs, objective
                  in reference_grid_cells(game, eps, scheme, limit=16)]
-        form = StandardForm(lhs, lp.senses, free)
-        form.seed(cells[0][0], *_start_dictionary(game, form, cells[0][0]))
-        for rhs, cost in cells:
+        form = _standard_form(lp)
+        first = _pairs(cells[0].rhs)
+        form.seed(first, *_start_dictionary(game, form, first))
+        for cell in cells:
             kept = form._kept
-            got = _read(form.solve_rows(rhs, cost))
-            assert got == _read(StandardForm(lhs, lp.senses, free).solve_rows(
-                rhs, cost))
-            if got[0] == "infeasible":
+            got = _solve(form, cell)
+            cold = solve_lp(cell)
+            assert (got.status, got.objective_value) == (cold.status,
+                                                         cold.objective_value)
+            if got.status == "optimal":
+                assert got == reference_lex_optimum(cell)
+            if got.status == "infeasible":
                 assert form._kept is kept
-            statuses[got[0]] += 1
-        firsts[_read(StandardForm(lhs, lp.senses, free).solve_rows(
-            *cells[0]))[0]] += 1
+            statuses[got.status] += 1
+        firsts[solve_lp(cells[0]).status] += 1
     assert statuses["optimal"] >= 150 and statuses["infeasible"] >= 250
     assert firsts["infeasible"] >= 15 and firsts["optimal"] >= 30
+
+
+def test_warm_solves_reach_the_named_optimum(monkeypatch):
+    # bounded LPs with whole faces of optima: a zero objective, one in
+    # -1..1, or one that is a multiple of a row, and now and then a
+    # duplicated column. Each is solved from the kept dictionaries of other
+    # solves on the same rows, with other objectives and other right-hand
+    # sides on the inequality rows, so each solve is warm, starts from
+    # another dictionary, and must return the named optimum
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    finish = StandardForm._lex_finish
+    seen = Counter()
+
+    def counted(form, *args):
+        seen["finish"] += 1
+        return finish(form, *args)
+
+    monkeypatch.setattr(StandardForm, "_lex_finish", counted)
+
+    @st.composite
+    def lps(draw):
+        nvars, nrows = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        entries = st.lists(st.integers(-3, 3), min_size=nvars,
+                           max_size=nvars)
+        rows = [draw(entries) for _ in range(nrows)]
+        kind = draw(st.sampled_from(["zero", "small", "row"]))
+        if kind == "zero":
+            objective = [0] * nvars
+        elif kind == "small":
+            objective = draw(st.lists(st.integers(-1, 1), min_size=nvars,
+                                      max_size=nvars))
+        else:
+            objective = [draw(st.sampled_from([-2, -1, 1])) * e
+                         for e in rows[0]]
+        if draw(st.booleans()):
+            j = draw(st.integers(0, nvars - 1))
+            rows = [row + [row[j]] for row in rows]
+            objective.append(objective[j])
+            nvars += 1
+        senses = [draw(st.sampled_from(["<=", ">=", "="])) for _ in rows]
+        free = draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars))
+        # every variable lies in [-3, 3] if free and in [0, 3] if not
+        box = [[int(i == j) for i in range(nvars)] for j in range(nvars)]
+        rows += box + [row for row, f in zip(box, free) if f]
+        senses += ["<="] * nvars + [">="] * sum(free)
+        rhs = [draw(st.integers(-2, 4)) for _ in range(nrows)]
+        rhs += [3] * nvars + [-3] * sum(free)
+        lp = linear_program(objective, rows, senses, rhs,
+                            lower=[None if f else 0 for f in free])
+        starts = draw(st.lists(st.tuples(
+            st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars),
+            st.lists(st.integers(-2, 4), min_size=nrows, max_size=nrows)),
+            min_size=1, max_size=3))
+        return lp, starts
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(lps())
+    def check(drawn):
+        lp, starts = drawn
+        named = reference_lex_optimum(lp)
+        assert named is not None
+        chain = _standard_form(lp)
+        for objective, rhs in starts:
+            # a start keeps the equality rows' right-hand sides
+            rhs = [b if sense == "=" else r for sense, b, r
+                   in zip(lp.senses, lp.rhs, rhs)] + list(lp.rhs[len(rhs):])
+            start = replace(lp, objective=tuple(map(Fraction, objective)),
+                            rhs=tuple(map(Fraction, rhs)))
+            # a fresh form keeps the start's cold dictionary; the chain
+            # keeps the last optimal one of all its solves
+            for form in (_standard_form(lp), chain):
+                status = _solve(form, start).status
+                if form._kept is not None:
+                    seen[status, named.status] += 1
+                    assert _solve(form, lp) == named
+
+    check()
+    # a warm solve proves the LP infeasible or reaches its named optimum,
+    # from optimal and from infeasible starts, and many finish
+    # lexicographically
+    assert seen["optimal", "optimal"] >= 300
+    assert seen["optimal", "infeasible"] >= 50
+    assert seen["infeasible", "optimal"] >= 5
+    assert seen["finish"] >= 200
 
 
 def test_price_out_matches_pricing_every_basic_column(monkeypatch):

@@ -30,6 +30,7 @@ from helpers import (
     dictionary_rows,
     ineqs,
     oracle_game_strategies,
+    random_game,
     reference_equilibria,
     reference_vertex_order,
     reference_walk_start,
@@ -555,6 +556,41 @@ def test_shared_q_vertex_links_its_equilibria():
     eqset = enumerate_equilibria(SHARED_Q)
     assert [r.profile.y for r in eqset.reports] == [(1, 0), (1, 0)]
     assert eqset.components == ((0, 1),)
+
+
+def test_face_solve_count_pinned(monkeypatch):
+    # a nondegenerate P vertex whose complementary face some row of its
+    # support proves empty (a beaten mask covering the face's columns)
+    # skips the face's linear solve. That shortcut changes no result, only
+    # the work, so these counts of linalg._solve_rows calls pin it, with
+    # the _face_partner calls beside them: rank1(6) with b doubled, so not
+    # symmetric (rank1(6) itself pairs through P's list and solves no
+    # face), SHARED_Q, whose two face solves find the same Q vertex, and
+    # two seeded random 5x5 games. Without the shortcut every call solves
+    # its face, and the two counts of each game are equal
+    solves, partners = [], []
+    solve_rows, face_partner = enumeration._solve_rows, enumeration._face_partner
+
+    def counted_solve(rows):
+        solves.append(None)
+        return solve_rows(rows)
+
+    def counted_partner(*args):
+        partners.append(None)
+        return face_partner(*args)
+
+    monkeypatch.setattr(enumeration, "_solve_rows", counted_solve)
+    monkeypatch.setattr(enumeration, "_face_partner", counted_partner)
+    rng = random.Random(4107)
+    counts = []
+    doubled = BimatrixGame(rank1_family(6).a, 2 * rank1_family(6).b)
+    for game in [doubled, SHARED_Q, random_game(rng, 5, 5),
+                 random_game(rng, 5, 5)]:
+        solves.clear()
+        partners.clear()
+        enumerate_equilibria(game)
+        counts.append((len(solves), len(partners)))
+    assert counts == [(11, 41), (2, 3), (4, 23), (4, 21)]
 
 
 def test_one_sided_enumeration_solves_a_game_whose_q_walk_is_refused(
