@@ -29,8 +29,7 @@ from .linalg import (
     pair_row,
     reduced,
 )
-from .lp import StandardForm, _price_out
-from .polyhedra import _start_tableau, build_polyhedra
+from .lp import StandardForm
 
 # svd_truncate rounds each float factor entry to the nearest Fraction whose
 # denominator is at most this.
@@ -145,15 +144,13 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
     built once (lp.StandardForm), and each cell passes its own to
     StandardForm.solve_rows: a cell's right-hand sides are the rows' own
     pairs and then (lo, d) and (hi, d) for each interval, and cell_cost
-    returns an integer row. Before the first cell the form is seeded with
-    the dictionary of a start basis written down for that cell's
-    right-hand sides (_start_dictionary), so every cell starts warm: the
-    first from that dictionary, and each later one from the last optimal
-    dictionary, or from the start dictionary while no cell has been
-    feasible. A cell's result is the named optimum of its LP, the
-    lexicographically greatest optimal point in variable order
-    (StandardForm.solve_rows), so it does not depend on the cells before
-    it or on the start basis. Cells
+    returns an integer row. The first cell, and each cell while no cell
+    has been feasible, solves from the form's slack-basis start for its
+    right-hand sides (StandardForm._start), and each later one re-solves
+    from the last optimal dictionary. A cell's result is the named optimum
+    of its LP, the lexicographically greatest optimal point in variable
+    order (StandardForm.solve_rows), so it does not depend on the cells
+    before it. Cells
     are walked in product order over the axes; with no axes (a zero-sum
     game) that is one cell with no factor rows. Infeasible cells are
     skipped. A cell's x and y are scored as integer rows,
@@ -189,8 +186,6 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
     def cell_rhs(cell):
         return base + [p for lo, hi, d in cell for p in ((lo, d), (hi, d))]
 
-    rhs = cell_rhs([axis[0] for axis in axes])
-    form.seed(rhs, *_start_dictionary(game, form, rhs))
     best = None
     for cell in product(*axes):
         rhs = cell_rhs(cell)
@@ -209,64 +204,6 @@ def _grid_search(game, factor_rows, axes, cell_cost, score, cap=None):
     if best is None:
         return None
     return best[0], MixedProfile.from_int_rows(best[1], best[2])
-
-
-def _start_dictionary(game, form, rhs):
-    """The dictionary of the grid LP's start basis for the right-hand
-    sides rhs, as (rows, basis, nonbasic) for StandardForm.seed.
-
-    x and y start on their first strategies, each basic in its sum row.
-    s2 is basic in the b^T row of x's best response and s1 in the a row
-    of y's, ties going to the lowest row, and every other row's slack is
-    basic. These blocks are the vertex walk's start dictionaries of P and
-    Q (polyhedra._start_tableau), whose slack space is the LP's: a
-    polyhedron's nonnegativity row r is the LP's column r, x_r on P's side
-    and y_(r-m) on Q's; its best-response row r is the LP's row r, whose
-    slack is column nstd + r; and its payoff is s2 on P's side and s1 on
-    Q's. P's m slots come first, then Q's n, then the nonbasic twins of s2
-    and s1. A free variable's first column is basic where its payoff is
-    at least 0, and its second, the row negated, where the payoff is
-    negative; either row is -1 on the other twin's slot.
-
-    The cap row and the factor rows follow, each with its slack basic and
-    over the same slots: the LP row with its right-hand side, priced out on
-    the basis as a cost row is (lp._price_out), is its slack's row times
-    the slack's sign. Only these rows read rhs, so a basic slack may start
-    negative: the first solve's dual steps restore feasibility.
-    """
-    m, n = game.shape
-    nstd, width = form.nstd, m + n + 2
-    rows, basis, nonbasic, twins = [], [], [], []
-    for poly, at, var in zip(build_polyhedra(game), (0, m),
-                             (m + n + 2, m + n)):
-        block, basic, free = _start_tableau(poly)
-        *block, value = block
-
-        def column(r):
-            return r if r + 1 in poly.nonneg_labels else nstd + r
-
-        lead, tail = [0] * at, [0] * (width - at - poly.strategy_len)
-        rows += [lead + row[:-2] + tail + row[-2:] for row in block]
-        basis += map(column, basic)
-        nonbasic += map(column, free)
-        sign = 1 if value[-2] >= 0 else -1
-        row = (lead + [sign * e for e in value[:-2]] + tail
-               + [sign * value[-2], value[-1]])
-        row[m + n + len(twins)] = -value[-1]
-        rows.append(row)
-        basis.append(var if sign > 0 else var + 1)
-        twins.append(var + 1 if sign > 0 else var)
-    nonbasic += twins
-    pad = [0] * (form.ncols - nstd)
-    for coef, (k, sign), (b, d) in zip(form.rows[width:], form.slack[width:],
-                                       rhs[width:]):
-        big = lcm(coef[-1], d)
-        _price_out(rows, [e * (big // coef[-1]) for e in coef[:-1]] + pad
-                   + [b * (big // d), big], basis, nonbasic)
-        if sign < 0:
-            rows[-1] = [-e for e in rows[-1][:-1]] + rows[-1][-1:]
-        basis.append(k)
-    return rows, basis, nonbasic
 
 
 def _axis(lo, hi, advance):
@@ -324,12 +261,11 @@ def approx_absolute(game, eps):
     so cells may be evaluated concurrently as long as the reduction keeps
     the same (loss, cell order) minimum: a parallel search may stop early
     only by returning the earliest cell of loss 0, not the first one to
-    finish. The grid's lp.StandardForm starts from a dictionary written
-    down for the first cell's start basis and then keeps the dictionary of
-    its last optimal solve, to start the next cell from, so a concurrent
-    search needs one form per worker, each seeded: an unseeded form solves
-    its first cell cold. The built-in loop is sequential and stops at its
-    first loss-0 cell.
+    finish. The grid's lp.StandardForm keeps the dictionary of its last
+    optimal solve, to start the next cell from, so a concurrent search
+    needs one form per worker; each worker's first cell starts from the
+    form's slack-basis start, and gets the same result. The built-in loop
+    is sequential and stops at its first loss-0 cell.
     """
     eps = as_fraction(eps)
     if eps <= 0:

@@ -1,5 +1,6 @@
-"""Exact linear programming: two-phase simplex with Bland's rule, on
-integer rows inside and Fractions at the interface."""
+"""Exact linear programming: dual then primal simplex steps from a
+slack basis, Bland-type rules throughout, on integer rows inside and
+Fractions at the interface."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,18 +149,20 @@ class StandardForm:
     of row i's standard columns, without its slack or its right-hand side,
     and slack[i] is its slack's (column, sign) or None for an equality: a
     slack column is +-1 on its own row and 0 on the others, so the rows
-    leave it out, and _tableau writes it only when the slack starts
-    nonbasic. General bounds are solve_lp's to reduce (_reduce_bounds).
+    leave it out: every slack starts basic (_start). General bounds are
+    solve_lp's to reduce (_reduce_bounds).
 
     solve_rows takes and returns integer rows and pairs, and is what the
     grid's cells and solve_lp call. Its simplex runs on dictionary rows
-    (linalg.pivot): no row carries a column for a basic variable. The form
-    keeps the dictionary of its last optimal solve, or the start
-    dictionary seed gave it, from which the next solve starts warm and
-    returns the named optimum (see solve_rows); that is its one state. A
-    form built and not seeded has none, so its first solve runs the cold
-    two-phase simplex, which is solve_lp's path. twin maps each standard
-    column of a free variable to the other.
+    (linalg.pivot): no row carries a column for a basic variable. Every
+    solve starts from one of two dictionaries, the form's own start for
+    its right-hand sides (_start) or the dictionary kept from its last
+    optimal solve, and runs one path from there (_warm): dual steps, then
+    Bland's primal steps, then a lexicographic finish to the named
+    optimum (see solve_rows). The kept dictionary is the form's one
+    state; a form just built has none, so its first solve starts from
+    _start. twin maps each standard column of a free variable to the
+    other.
     """
 
     def __init__(self, lhs, senses, free):
@@ -194,89 +197,65 @@ class StandardForm:
         self.rows = tuple(rows)
         self.slack = tuple(slack)
         self.twin = twin
-        # (rhs, rows, basis, nonbasic) of the last optimal solve, or of the
-        # start dictionary seed gave
+        # (rhs, rows, basis, nonbasic) of the last optimal solve
         self._kept = None
 
-    def seed(self, rhs, rows, basis, nonbasic):
-        """Keep a start dictionary for the right-hand sides rhs, pairs as
-        solve_rows takes them, in place of any kept one: rows[i] is the
-        integer row of basic variable basis[i] over the nonbasic slots,
-        nonbasic[j] the variable of slot j, one row per LP row, laid out as
-        _tableau's rows are. The cost row added is that of the sum of the
-        nonbasic variables, 1 in every slot. It is dual feasible, so the
-        next solve_rows starts from it as from a kept optimum (_warm). Its
-        dual steps reach feasibility at a basis that minimizes that sum,
-        one near the start basis; then the cost is priced out, Bland's
-        primal iterations finish, and a tied optimum finishes
-        lexicographically. The basis need not be feasible, and it does not
-        change the result, which is the named optimum whatever the start;
-        the rows must be the basis's dictionary, which the caller vouches
-        for. An infeasible solve keeps the start dictionary, so the next
-        solve starts from it too."""
-        self._kept = (list(rhs), list(rows) + [[1] * len(nonbasic) + [0, 1]],
-                      list(basis), list(nonbasic))
+    def _start(self, rhs):
+        """The start dictionary for the right-hand sides of the LP's rows,
+        one (numerator, positive denominator) pair per row, as
+        (rhs, rows, basis, nonbasic) the way the form keeps one; None when
+        the equality rows alone prove the LP infeasible.
 
-    def _tableau(self, rhs):
-        """The dictionary rows, crash basis, nonbasic variables and
-        artificial count of phase 1 for the right-hand sides of the LP's
-        rows, given as one (numerator, positive denominator) pair per row.
-
-        A row whose right-hand side is negative is negated first. Then a
-        +1 slack starts basic and every other row gets an artificial
-        variable, numbered in row order after the ncols standard and slack
-        columns. The basis is one variable per row, and the nonbasic list,
-        one variable per slot, is the standard columns and then the slacks
-        that do not start basic, in index order; every artificial starts
-        basic. A row holds its entries in the nonbasic slots, then its
-        right-hand side and its denominator: its rows[i] rescaled to the
-        lcm of its denominator and that of the right-hand side in lowest
-        terms, so it equals int_row of the row's Fractions over the
-        nonbasic columns (a basic column holds 0 or 1 and leaves the row's
-        gcd as it is). rhs has one pair per row: solve_rows checks it.
+        Every inequality row's slack is basic, its row the LP row times
+        the slack's sign, so its right-hand side may be negative: rows[i]
+        rescaled to the lcm of its denominator and that of the right-hand
+        side in lowest terms, which is int_row of the row's Fractions. The
+        standard columns are nonbasic, in index order. Each equality row
+        then takes, in row order, the least-indexed nonbasic column that
+        is still nonzero on it, by one pivot (linalg.pivot): its row starts
+        with a basic artificial variable, which the pivot moves to that
+        column's slot, and the slot is dropped, the artificial being 0. An
+        equality row left with no nonzero column is dropped when its
+        right-hand side is 0 and proves the LP infeasible otherwise. The
+        cost row added is that of the sum of the nonbasic variables, 1 in
+        every slot: it is dual feasible, so the dual steps of _warm start
+        from it as from a kept optimum, and reach feasibility at a basis
+        that minimizes that sum, one near the start.
         """
-        ncols = self.ncols
-        basis = []
-        nonbasic = list(range(self.nstd))
-        slots = []  # the slot of each row's slack when it is nonbasic
-        nart = 0
-        for slack, (b, _) in zip(self.slack, rhs):
-            if slack is not None and (slack[1] > 0) != (b < 0):
-                basis.append(slack[0])
-                slots.append(None)
-            else:
-                basis.append(ncols + nart)
-                nart += 1
-                slots.append(None if slack is None else len(nonbasic))
-                if slack is not None:
-                    nonbasic.append(slack[0])
-        zeros = [0] * (len(nonbasic) - self.nstd)
-        rows = []
-        for coef, (b, bden), at in zip(self.rows, rhs, slots):
+        rows, basis = [], []
+        for coef, slack, (b, bden) in zip(self.rows, self.slack, rhs):
             g = gcd(b, bden)
             if g != 1:
                 b, bden = b // g, bden // g
             cden = coef[-1]
             big = lcm(cden, bden)
             scale = big // cden
-            if b < 0:
-                scale = -scale
+            if slack is not None and slack[1] < 0:
+                scale, b = -scale, -b
             row = [scale * e for e in coef[:-1]] if scale != 1 else coef[:-1]
-            row += zeros
-            if at is not None:
-                # a slack is nonbasic only when its sign, after the
-                # negation, is -1
-                row[at] = -big
-            row.append(abs(b) * (big // bden))
-            row.append(big)
-            rows.append(row)
-        return rows, basis, nonbasic, nart
+            rows.append(row + [b * (big // bden), big])
+            basis.append(None if slack is None else slack[0])
+        nonbasic = list(range(self.nstd))
+        while None in basis:
+            i = basis.index(None)
+            # nonbasic stays in index order, so the least-indexed column
+            # is the first slot
+            j = next((j for j, e in enumerate(rows[i][:-2]) if e), None)
+            if j is None:
+                if rows[i][-2]:
+                    return None
+                del rows[i], basis[i]
+                continue
+            pivot(rows, i, j)
+            basis[i] = nonbasic.pop(j)
+            rows = [reduced(row[:j] + row[j + 1:]) for row in rows]
+        rows.append([1] * len(nonbasic) + [0, 1])
+        return list(rhs), rows, basis, nonbasic
 
     def solve_rows(self, rhs, cost):
         """Solve for the right-hand sides of the LP's rows, one
-        (numerator, positive denominator) pair per row as _tableau takes
-        them, and an objective given as the integer row cost
-        (linalg.int_row) over the variables.
+        (numerator, positive denominator) pair per row, and an objective
+        given as the integer row cost (linalg.int_row) over the variables.
 
         Returns (status, values, value). When status is 'optimal', values
         holds one (numerator, denominator) int pair per variable and value
@@ -285,22 +264,21 @@ class StandardForm:
         objective's value is minus the right-hand side of the priced-out
         cost row.
 
-        The form keeps the dictionary of its last optimal solve, or the
-        start dictionary seed gave it, and a solve re-solves from a copy of
-        it (_warm). Its optimum is the named one: of the optimal points,
-        the lexicographically greatest in variable order, a free
-        variable's value being its first column minus its second
-        (_lex_finish). The warm path returns None, and the cold two-phase
-        solve runs and its dictionary is kept, only when an equality row's
-        right-hand side changed or a tie-break objective is unbounded; a
-        form with no kept dictionary solves cold at once, as solve_lp's one
-        solve does. The cold solve returns the optimum Bland's rule reaches
-        from artificials, which is not always the named one. The status and
-        the value do not depend on the path. A grid's LP keeps its sum
-        rows' right-hand sides and is bounded, so every cell of a seeded
-        form gets its named optimum, a function of rhs and cost alone. The
-        kept dictionary is the form's one state, so concurrent solves need
-        one form each.
+        A solve re-solves from a copy of the dictionary the form kept from
+        its last optimal solve (_warm), and its optimum is the named one:
+        of the optimal points, the lexicographically greatest in variable
+        order, a free variable's value being its first column minus its
+        second (_lex_finish). The warm path returns None only when an
+        equality row's right-hand side changed or a tie-break objective is
+        unbounded; then, and when the form kept no dictionary, the solve
+        runs the same path from the start dictionary for rhs (_start),
+        where an unbounded tie-break ends the finish where it stands. So
+        every result is a function of rhs and cost alone, whatever the
+        form solved before: the named optimum whenever every tie-break is
+        bounded, and the start path's optimum otherwise. A grid's LP keeps
+        its sum rows' right-hand sides and is bounded, so every cell gets
+        its named optimum. The kept dictionary is the form's one state, so
+        concurrent solves need one form each.
         """
         if len(cost) != len(self.free) + 1:
             raise ValueError("objective length does not match variable count")
@@ -315,72 +293,41 @@ class StandardForm:
             result = self._warm(rhs, zrow)
             if result is not None:
                 return result
-        return self._cold(rhs, zrow)
+        start = self._start(rhs)
+        if start is None:
+            return "infeasible", None, None
+        return self._warm(rhs, zrow, start)
 
-    def _cold(self, rhs, zrow):
-        """The two-phase solve from _tableau(rhs), for the cost row zrow
-        over all the columns. Its optimal dictionary is kept, but not one
-        from which phase 1 dropped a redundant row: a change in that row's
-        right-hand side cannot be read off the others."""
-        ncols = self.ncols
-        rows, basis, nonbasic, nart = self._tableau(rhs)
-        if nart:
-            _price_out(rows, [0] * ncols + [1] * nart + [0, 1], basis,
-                       nonbasic)
-            _iterate(rows, basis, nonbasic)
-            if rows.pop()[-2] < 0:
-                return "infeasible", None, None
-            # pivot leftover artificials out on the lowest-indexed
-            # non-artificial variable with a nonzero entry; a row with none
-            # is redundant
-            for i in range(len(rows)):
-                if basis[i] >= ncols:
-                    row = rows[i]
-                    j = min((j for j, v in enumerate(nonbasic)
-                             if v < ncols and row[j]),
-                            key=nonbasic.__getitem__, default=None)
-                    if j is not None:
-                        pivot(rows, i, j)
-                        basis[i], nonbasic[j] = nonbasic[j], basis[i]
-            keep = [j for j, v in enumerate(nonbasic) if v < ncols]
-            rows = [reduced([row[j] for j in keep] + row[-2:])
-                    for row, b in zip(rows, basis) if b < ncols]
-            basis = [b for b in basis if b < ncols]
-            nonbasic = [nonbasic[j] for j in keep]
-
-        _price_out(rows, zrow, basis, nonbasic)
-        if _iterate(rows, basis, nonbasic) == "unbounded":
-            return "unbounded", None, None
-        self._kept = ((list(rhs), rows, basis, nonbasic)
-                      if len(basis) == len(self.rows) else None)
-        return self._optimum(rows, basis)
-
-    def _warm(self, rhs, zrow):
-        """The solve from a copy of the kept dictionary, or None when the
-        cold solve must run.
+    def _warm(self, rhs, zrow, start=None):
+        """The solve from a copy of the kept dictionary, or of the start
+        dictionary start when it is given; None when the solve must run
+        from _start instead.
 
         A change of delta in row i's right-hand side moves the dictionary's
         right-hand sides by delta B^-1 e_i, which is sign times the column
         of row i's slack, of that (column, sign) pair: the slack's slot
         when it is nonbasic, and the unit column of its own row when it is
-        basic. An equality row has no slack, so a change there goes cold.
-        Dual simplex steps on the kept cost row, which an optimum leaves
-        nonnegative, then restore primal feasibility or prove the LP
-        infeasible: the row with the least basic variable among those with
-        a negative right-hand side leaves, and the variable entering it is
-        the least-indexed of linalg.min_dual_ratio_cols, a Bland-type rule
-        that cannot cycle. The new cost is priced out and _iterate
-        finishes.
+        basic. An equality row has no slack, so a change there returns
+        None. Dual simplex steps on the cost row, which an optimum leaves
+        nonnegative and a start writes positive, then restore primal
+        feasibility or prove the LP infeasible: the row with the least
+        basic variable among those with a negative right-hand side leaves,
+        and the variable entering it is the least-indexed of
+        linalg.min_dual_ratio_cols, a Bland-type rule that cannot cycle.
+        The new cost is priced out and _iterate finishes.
 
         The optimum is the face's one point, and so the named optimum, when
         every slot of reduced cost 0 holds the twin of a basic free column
         (_unique): that column is minus its twin's, its reduced cost is 0
         in any cost row, and entering it changes no variable's value.
-        Otherwise _lex_finish moves to the named optimum; None when a
-        tie-break objective is unbounded. Infeasible and unbounded are
-        proofs, and stand.
+        Otherwise _lex_finish moves to the named optimum. When a tie-break
+        objective is unbounded, the result is None from the kept
+        dictionary, and from a start dictionary the optimum where the
+        finish stopped. Infeasible and unbounded are proofs, and stand. An
+        optimal dictionary is kept; any other result leaves the kept one as
+        it was.
         """
-        old, rows, basis, nonbasic = self._kept
+        old, rows, basis, nonbasic = start or self._kept
         rows, basis, nonbasic = rows[:], basis[:], nonbasic[:]
         moves = []  # (sign times numerator, denominator, slack column)
         for (b, d), (b0, d0), slack in zip(rhs, old, self.slack):
@@ -426,7 +373,7 @@ class StandardForm:
             return "unbounded", None, None
         ties = [j for j, d in enumerate(rows[-1][:-2]) if not d]
         if not self._unique(basis, nonbasic, ties) and not self._lex_finish(
-                rows, basis, nonbasic, ties):
+                rows, basis, nonbasic, ties) and start is None:
             return None
         self._kept = (list(rhs), rows, basis, nonbasic)
         return self._optimum(rows, basis)
@@ -435,7 +382,8 @@ class StandardForm:
         """Move the optimal dictionary rows, in place, to the named optimum:
         of the optimal points, the lexicographically greatest in variable
         order, a free variable's value being its first column minus its
-        second. Returns False when a tie-break objective is unbounded.
+        second. Returns False when a tie-break objective is unbounded, and
+        stops there, the rows still optimal for the LP's own cost.
 
         ties lists the slots whose reduced cost is 0: the optimal face is
         the set of feasible points whose other nonbasic variables are 0.
@@ -456,9 +404,10 @@ class StandardForm:
                 zrow[col + 1] = 1
             col += 1 + f
             _price_out(rows, zrow, basis, nonbasic)
-            if _iterate(rows, basis, nonbasic, ties) == "unbounded":
-                return False
+            status = _iterate(rows, basis, nonbasic, ties)
             tie = rows.pop()
+            if status == "unbounded":
+                return False
             ties = [j for j in ties if not tie[j]]
             if self._unique(basis, nonbasic, ties):
                 break
@@ -498,8 +447,9 @@ def _reduce_bounds(lp):
     times the constants, and each box adds the row t_j <= up_j - lo_j,
     after the LP's rows and in variable order. An upper bound below its
     lower bound gives a bound row with a negative right-hand side, which
-    phase 1 finds infeasible. The reduction of a reduced LP is itself, with
-    every pair (0, 1). lp is valid, so the reduced LP is built directly.
+    the dual steps find infeasible. The reduction of a reduced LP is
+    itself, with every pair (0, 1). lp is valid, so the reduced LP is
+    built directly.
     """
     shift, boxes, lower = [], [], []
     for j, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
@@ -529,9 +479,14 @@ def solve_lp(lp):
     rows become the integer rows of a StandardForm, solved once: the
     right-hand sides enter solve_rows as int pairs, and x and the
     objective's value leave as the Fractions of the LpSolution, the
-    constants added back. Two-phase simplex with Bland's rule picking both
-    the entering and the leaving variable, so the run never cycles and is
-    fully deterministic.
+    constants added back. The form solves from its start dictionary
+    (StandardForm._start): dual steps to a feasible basis, then Bland's
+    rule picking both the entering and the leaving variable, so the run
+    never cycles and is fully deterministic. The point is the named
+    optimum, the lexicographically greatest optimal point in variable
+    order of the reduced LP, whenever each of its tie-break objectives is
+    bounded (StandardForm.solve_rows), so a grid's form and solve_lp give
+    one LP one point.
     """
     if not isinstance(lp, LinearProgram):
         raise TypeError("expected a LinearProgram")

@@ -158,7 +158,9 @@ def _start_tableau(poly):
 
     Returns (rows, basic, nonbasic): basic[t] is the row whose slack is
     basic in tableau row t, and nonbasic[j] the row whose slack holds
-    slot j; the payoff row, last, has no basic slack.
+    slot j; the payoff row, last, has no basic slack. The vertex walk is
+    its one reader: the grid's LP starts from its own slack basis
+    (lp.StandardForm._start).
     """
     payoff, den, slen = poly.payoff, poly.den, poly.strategy_len
     nonneg = min(poly.nonneg_labels) - 1  # strategy i's row is nonneg + i

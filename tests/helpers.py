@@ -591,27 +591,29 @@ def dense_pivot(rows, r, col):
     return out
 
 
-def reference_tableau(lp):
-    """Reference phase-1 tableau of an LP, rebuilt from Fractions.
+def reference_start(lp):
+    """Reference start dictionary of an LP, rebuilt from Fractions.
 
     The standard-form rewrite as one pass over the LinearProgram: each
     variable becomes const + a signed sum of nonnegative columns, each row
-    gets its slack and its right-hand side minus the constants' shift, a
-    row with a negative right-hand side is negated, a +1 slack starts basic
-    and every other row gets an artificial column, and each full row
-    becomes an integer row only at the end. Returns (rows, basis,
-    nonbasic, number of artificials), the full rows restricted to the
-    nonbasic columns in index order (dictionary_rows), or None when an
-    upper bound lies below its lower bound. lp.StandardForm._tableau must
-    give exactly these.
+    gets its slack and its right-hand side minus the constants' shift, and
+    a finite box adds a bound row. An inequality row is multiplied by its
+    slack's sign, so the slack is +1 on it and basic, whatever the sign of
+    the right-hand side. Then each equality row in turn, by Gauss-Jordan
+    elimination on the full Fraction rows, brings in the least-indexed
+    standard column that is not yet basic and is nonzero on it; a row with
+    no such column is dropped when its right-hand side is 0, and the LP is
+    infeasible otherwise. Returns (rows, basis, nonbasic): the full rows
+    restricted to the nonbasic columns in index order, each made an
+    integer row only at the end, and then the cost row of the sum of the
+    nonbasic variables; None when the equality rows are inconsistent.
+    lp.StandardForm._start must give exactly these.
     """
     terms, bound_rows = [], []
     nstd = 0
     for lo, up in zip(lp.lower, lp.upper):
         if lo is not None:
             if up is not None:
-                if up < lo:
-                    return None
                 bound_rows.append((nstd, up - lo))
             terms.append(((nstd, 1),))
             nstd += 1
@@ -633,7 +635,6 @@ def reference_tableau(lp):
         coeffs[t] = Fraction(1)
         raw.append((coeffs, "<=", ub))
     nslack = sum(1 for _, sense, _ in raw if sense != "=")
-    ncols = nstd + nslack
     rows, basis, k = [], [], 0
     for coeffs, sense, b in raw:
         row = coeffs + [Fraction(0)] * nslack + [b]
@@ -641,27 +642,37 @@ def reference_tableau(lp):
         if sense != "=":
             slack = nstd + k
             row[slack] = Fraction(1 if sense == "<=" else -1)
+            row = [e * row[slack] for e in row]
             k += 1
-        if b < 0:
-            row = [-e for e in row]
         rows.append(row)
-        basis.append(slack if slack is not None and row[slack] > 0 else None)
-    nart = basis.count(None)
-    arts = iter(range(ncols, ncols + nart))
-    basis = [next(arts) if col is None else col for col in basis]
-    out = []
-    for row, col in zip(rows, basis):
-        ext = [Fraction(int(col == c)) for c in range(ncols, ncols + nart)]
-        out.append(int_row(row[:-1] + ext + [row[-1]]))
-    nonbasic = [c for c in range(ncols + nart) if c not in basis]
-    return dictionary_rows(out, nonbasic), basis, nonbasic, nart
+        basis.append(slack)
+    i = 0
+    while i < len(rows):
+        if basis[i] is not None:
+            i += 1
+            continue
+        row = rows[i]
+        col = next((c for c in range(nstd) if c not in basis and row[c]),
+                   None)
+        if col is None:
+            if row[-1]:
+                return None
+            del rows[i], basis[i]
+            continue
+        rows[i] = row = [e / row[col] for e in row]
+        rows = [r if r is row else [e - r[col] * f for e, f in zip(r, row)]
+                for r in rows]
+        basis[i] = col
+        i += 1
+    nonbasic = [c for c in range(nstd + nslack) if c not in basis]
+    out = [int_row([row[c] for c in nonbasic] + row[-1:]) for row in rows]
+    return out + [[1] * len(nonbasic) + [0, 1]], basis, nonbasic
 
 
 def reference_shifted_rhs(lp):
     """The right-hand sides of an LP's rows less the constants' shift, as
-    reference_tableau rewrites them: each variable is its lower bound, else
-    its upper bound, else 0, plus nonnegative columns. The tableau negates
-    exactly the rows whose shifted right-hand side is negative."""
+    reference_start rewrites them: each variable is its lower bound, else
+    its upper bound, else 0, plus nonnegative columns."""
     const = [lo if lo is not None else up if up is not None else Fraction(0)
              for lo, up in zip(lp.lower, lp.upper)]
     return [b - sum((a * c for a, c in zip(row, const)), Fraction(0))
@@ -791,7 +802,7 @@ def reference_dictionary(form, rhs, basis, nonbasic):
 
 
 def reference_cost_row(form, objective):
-    """Reference phase-2 cost row of a StandardForm: the Fraction costs of
+    """Reference cost row of a StandardForm: the Fraction costs of
     the standard columns, each variable's cost, negated on the second
     column of a free variable, made an integer row with a zero right-hand
     side. lp.StandardForm.solve_rows must price out exactly this row."""

@@ -49,8 +49,8 @@ from helpers import (
     reference_grid_cells,
     reference_grid_lp,
     reference_perturb_game,
+    reference_start,
     reference_svd_truncate,
-    reference_tableau,
 )
 
 
@@ -351,13 +351,13 @@ def test_golden_profiles():
 def test_grid_rows_match_reference_builder(monkeypatch):
     # each cell passes its right-hand sides as int pairs, the values of the
     # reference cells' Fractions, and its objective as an integer row, int_row
-    # of the reference cell's; the phase-2 cost row is int_row of the
+    # of the reference cell's; the cost row priced out is int_row of the
     # Fraction cost over the standard columns. The search stops at its
     # first loss-0 cell, so the cells it solves are a prefix of the
     # reference cells. The grid's standard form is built on int_row of
     # each row of the reference Fraction LP, and every reference cell's
-    # phase-1 rows, crash basis and artificial count, solved or not, are
-    # those of that LP with the cell's right-hand side
+    # start dictionary, solved or not, is the Fraction slack-basis
+    # reference's for that LP with the cell's right-hand side
     calls = []
     solve_rows = StandardForm.solve_rows
     price_out = lp_module._price_out
@@ -411,29 +411,28 @@ def test_grid_rows_match_reference_builder(monkeypatch):
                 in zip(calls, cells):
             assert [Fraction(b, d) for b, d in rhs] == ref_rhs
             assert cost == int_row(objective)
-            # a feasible cell prices its cost out once: no cell runs the
-            # cold solve. An infeasible cell prices out none. A tied
-            # optimum then prices out "maximize x_1", "maximize x_2", ...
-            # in variable order, until the point is unique
-            phase2 = [z for z in zrows if len(z) == form.ncols + 2]
+            # a feasible cell prices its cost out once, an infeasible cell
+            # none. A tied optimum then prices out "maximize x_1",
+            # "maximize x_2", ... in variable order, until the point is
+            # unique
             feasible += status == "optimal"
             finished += bool(tied)
-            assert phase2 == [reference_cost_row(form, objective)] * (
+            assert zrows == [reference_cost_row(form, objective)] * (
                 status == "optimal")
             assert tied == ties[:len(tied)]
-            assert form._tableau(rhs) == form._tableau(
-                [(b.numerator, b.denominator) for b in ref_rhs])
+            assert form._start(rhs)[1:] == form._start(
+                [(b.numerator, b.denominator) for b in ref_rhs])[1:]
         lp = reference_grid_lp(game, scheme, decomp)
         assert form.rows == StandardForm(
             [int_row(row) for row in lp.lhs], lp.senses,
             [lo is None for lo in lp.lower]).rows
         for ref_rhs, _ in cells:
-            assert form._tableau(
+            assert form._start(
                 [(b.numerator, b.denominator) for b in ref_rhs]
-            ) == reference_tableau(replace(lp, rhs=tuple(ref_rhs)))
+            )[1:] == reference_start(replace(lp, rhs=tuple(ref_rhs)))
     # (cells solved, cells in the grid, loss): REL2 and SHARED have no
     # loss-0 cell, so their searches are exhaustive, and an infeasible
-    # cell prices out no phase-2 row; 51 of the 67 solved cells are
+    # cell prices out no cost row; 51 of the 67 solved cells are
     # feasible, so both kinds are checked
     assert grids == [(5, 32, 0), (1, 49, 0), (36, 36, Fraction(3, 8)),
                      (24, 24, Fraction(247, 6831)), (1, 7, 0)]
@@ -441,32 +440,35 @@ def test_grid_rows_match_reference_builder(monkeypatch):
     # one cell of the block grid and five of REL2's have tied warm optima,
     # which finish lexicographically, so the tie-break rows are checked too
     assert finished == 6
-    # the cells below 0 flip the factor's >= row, which frees its artificial,
-    # or both rows, which moves the artificial to the <= row
+    # NEG's cells wholly below 0 start the factor's <= row at a negative
+    # right-hand side, and the cells above 0 its >= row
     assert [(lo < 0, hi < 0) for lo, hi in (rhs[-2:] for rhs, _ in cells)] == [
         (True, True), (True, True), (True, False)] + [(False, False)] * 4
 
 
-class _Seeded(Exception):
-    """Raised by a patched StandardForm.seed, carrying its arguments, to
-    stop a grid once its start dictionary is written."""
+class _Started(Exception):
+    """Raised by a patched StandardForm._start, carrying its form, its
+    right-hand sides and the start dictionary, to stop a grid once its
+    first cell's start is written."""
 
 
 def test_start_dictionary_matches_gauss_jordan(monkeypatch):
-    # the dictionary a grid seeds its form with must be that of its start
-    # basis: x and y on their first strategies, s1 and s2 on the best
-    # responses to them (the lowest row of those tied), every other slack
-    # basic. Each row must equal the Fraction Gauss-Jordan reference as a
-    # reduced integer row, whatever the signs, shapes and denominators,
-    # for the absolute grid, the relative one (factor rows on y too) and
-    # the rank-0 grid of a zero-sum game (cap 0, no factor rows)
+    # the start dictionary of a grid's first cell must be that of its slack
+    # basis: every inequality row's slack basic, and the two sum rows
+    # pivoted in on x_1 and y_1, their least-indexed columns. Each row
+    # must equal the Fraction Gauss-Jordan reference as a reduced integer
+    # row, whatever the signs, shapes and denominators, for the absolute
+    # grid, the relative one (factor rows on y too) and the rank-0 grid of
+    # a zero-sum game (cap 0, no factor rows), and the cost row is 1 in
+    # every slot
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    start = StandardForm._start
 
-    def capture(form, rhs, rows, basis, nonbasic):
-        raise _Seeded(form, rhs, rows, basis, nonbasic)
+    def capture(form, rhs):
+        raise _Started(form, rhs, start(form, rhs))
 
-    monkeypatch.setattr(StandardForm, "seed", capture)
+    monkeypatch.setattr(StandardForm, "_start", capture)
     seen = Counter()
 
     @st.composite
@@ -498,38 +500,38 @@ def test_start_dictionary_matches_gauss_jordan(monkeypatch):
     @hypothesis.given(grids())
     def check(grid):
         scheme, game, decomp = grid
-        with pytest.raises(_Seeded) as seeded:
+        # a grid of more than MAX_WORK cells is refused before its first
+        # cell starts, and has no start to check
+        with pytest.raises((_Started, CapExceededError)) as started:
             if scheme == "zero":
                 solve_zero_sum(game)
             elif scheme == "rel":
                 approx_relative(game, Fraction(1, 2), decomp=decomp)
             else:
                 approx_absolute(game, Fraction(2))
-        form, rhs, rows, basis, nonbasic = seeded.value.args
+        hypothesis.assume(started.type is _Started)
+        form, rhs, (kept_rhs, rows, basis, nonbasic) = started.value.args
+        assert kept_rhs == rhs
+        *rows, cost = rows
         assert rows == reference_dictionary(form, rhs, basis, nonbasic)
+        assert cost == [1] * len(nonbasic) + [0, 1]
         m, n = game.shape
-        first_a = [game.a[i, 0] for i in range(m)]
-        first_b = [game.b[0, j] for j in range(n)]
-        s1 = m + n + (max(first_a) < 0)
-        s2 = m + n + 2 + (max(first_b) < 0)
-        tight = {form.nstd + first_a.index(max(first_a)),
-                 form.nstd + m + first_b.index(max(first_b))}
-        assert sorted(basis) == sorted(
-            {0, m, s1, s2} | set(range(form.nstd, form.ncols)) - tight)
-        assert sorted(basis + nonbasic) == list(range(form.ncols))
+        slacks = [k for k, _ in form.slack[:m + n]]
+        slacks += [k for k, _ in form.slack[m + n + 2:]]
+        assert basis == slacks[:m + n] + [0, m] + slacks[m + n:]
+        assert nonbasic == [c for c in range(form.nstd) if c not in (0, m)]
         a_rows, da, bt_rows, db = game._int_form
         seen.update([scheme, (m == 1, n == 1)])
-        seen.update(["s1-"] * (s1 > m + n) + ["s2-"] * (s2 > m + n + 2)
-                    + ["dens"] * (da != db)
+        seen.update(["dens"] * (da != db)
                     + ["negative"] * any(row[-2] < 0 for row in rows))
         if scheme == "zero":
             assert len(form.rows) == m + n + 3 and rhs[-1] == (0, 1)
 
     check()
     # every kind of draw is there: each scheme, a single row, a single
-    # column and both, each free variable on its second column, two
-    # denominators, and a start basis infeasible for the first cell
-    assert min(seen[k] for k in ("abs", "rel", "zero", "s1-", "s2-", "dens",
+    # column and both, two denominators, and a start basis infeasible for
+    # the first cell
+    assert min(seen[k] for k in ("abs", "rel", "zero", "dens",
                                  "negative")) >= 20
     assert min(seen[k] for k in ((True, False), (False, True),
                                  (True, True))) >= 5
@@ -552,31 +554,34 @@ WORKLOAD_GRIDS = [
 
 
 def test_grids_start_warm(monkeypatch):
-    # every cell starts warm, the first from the start dictionary, and no
-    # workload grid runs the cold two-phase solve: a warm optimum that is
-    # not certified unique finishes lexicographically in place
+    # a grid's first cell solves from the form's start dictionary, and so
+    # does each cell while no cell has been feasible; every later cell
+    # starts warm from the last optimal dictionary, and none is handed
+    # back: a warm optimum that is not certified unique finishes
+    # lexicographically in place
     log = []
-    cold, warm = StandardForm._cold, StandardForm._warm
+    begin, warm = StandardForm._start, StandardForm._warm
     finish = StandardForm._lex_finish
 
-    def logged_cold(form, rhs, zrow):
-        log.append("cold")
-        return cold(form, rhs, zrow)
+    def logged_start(form, rhs):
+        log.append("start")
+        return begin(form, rhs)
 
-    def logged_warm(form, rhs, zrow):
-        result = warm(form, rhs, zrow)
-        log.append("handed back" if result is None else result[0])
+    def logged_warm(form, rhs, zrow, start=None):
+        result = warm(form, rhs, zrow, start)
+        log.append("handed back" if result is None else
+                   ("from start " if start else "") + result[0])
         return result
 
     def logged_finish(form, *args):
         log.append("finish")
         return finish(form, *args)
 
-    monkeypatch.setattr(StandardForm, "_cold", logged_cold)
+    monkeypatch.setattr(StandardForm, "_start", logged_start)
     monkeypatch.setattr(StandardForm, "_warm", logged_warm)
     monkeypatch.setattr(StandardForm, "_lex_finish", logged_finish)
     approx_absolute(rank1_family(5), Fraction(1, 10))
-    assert log == ["optimal"]
+    assert log == ["start", "from start optimal"]
     logs = {}
     for scheme, spec, eps in WORKLOAD_GRIDS:
         del log[:]
@@ -586,12 +591,17 @@ def test_grids_start_warm(monkeypatch):
             game = rank1_family(spec[1])
         (approx_absolute if scheme == "abs" else approx_relative)(game, eps)
         logs[scheme, spec, eps] = Counter(log)
-    assert not any(c["cold"] or c["handed back"] for c in logs.values())
+    assert not any(c["handed back"] for c in logs.values())
+    # the block grids' first cells are infeasible, so their second cells
+    # start from the start dictionary too; every other grid starts once
+    blocks = (("block", 2, 3), ("block", 3, 3))
+    assert {key: (c["start"], c["from start infeasible"])
+            for key, c in logs.items()} == {
+        key: (2, 1) if key[1] in blocks else (1, 0) for key in logs}
     # rank1(9) at 1/6 and both block games each have one warm optimum that
-    # is not certified unique; the block grids' first cells are infeasible
+    # is not certified unique
     assert {key: c["finish"] for key, c in logs.items()} == {
-        key: int(key[1] in (("rank1", 9), ("block", 2, 3), ("block", 3, 3)))
-        for key in logs}
+        key: int(key[1] in (("rank1", 9),) + blocks) for key in logs}
 
 
 def test_early_stop_picks_the_exhaustive_argmin(monkeypatch):

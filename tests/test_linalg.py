@@ -26,7 +26,7 @@ from rankgames import (
     squared_difference_family,
     svd_truncate,
 )
-from rankgames import approx, linalg, lp, polyhedra
+from rankgames import linalg, lp, polyhedra
 from rankgames.linalg import int_row, pivot
 
 from helpers import (
@@ -500,8 +500,7 @@ def test_pivot_path_length_pinned(monkeypatch):
 
     for module in (linalg, lp, polyhedra):
         monkeypatch.setattr(module, "pivot", counting)
-    for module in (lp, approx):
-        monkeypatch.setattr(module, "_price_out", pricing)
+    monkeypatch.setattr(lp, "_price_out", pricing)
 
     def count(run):
         calls.clear()
@@ -509,10 +508,9 @@ def test_pivot_path_length_pinned(monkeypatch):
         return len(calls)
 
     # both grids stop at their first cell, whose pure profile has loss 0.
-    # Each pivots once to factorize a+b, writes down its start dictionary,
-    # whose cap and factor rows fold in 4 basic rows between them (the
-    # price-outs of approx._start_dictionary), and solves the cell warm
-    # from it in 3 and 2 elimination steps
+    # Each pivots once to factorize a+b and solves the cell from its form's
+    # start dictionary in 7 and 6 elimination steps, the two sum rows'
+    # pivots included (counted on their own below)
     assert count(lambda: approx_absolute(rank1_family(5), Fraction(1, 10))) == 8
     assert count(lambda: approx_relative(rank1_family(4), Fraction(1, 4))) == 7
     # one vertex walk of 30 pivots, one per basis past the first: the game
@@ -524,36 +522,34 @@ def test_pivot_path_length_pinned(monkeypatch):
     twin = BimatrixGame(identity_game(5).a, 2 * identity_game(5).b)
     assert count(lambda: enumerate_equilibria(twin)) == 141
     # grids with no loss-0 cell: 9 cell LPs each. The first cell solves
-    # from the start dictionary and each later one re-solves from the last
+    # from its start dictionary and each later one re-solves from the last
     # optimal dictionary; in rank1(7) two warm optima are not the only
     # optimal points and finish lexicographically. rank1(8) at 1/7 is the
     # benchmark's 13-cell grid
     assert count(lambda: approx_absolute(rank1_family(7), Fraction(1, 5))) == 66
     assert count(lambda: approx_absolute(rank1_family(10), Fraction(1, 5))) == 73
     assert count(lambda: approx_absolute(rank1_family(8), Fraction(1, 7))) == 79
-    # the block games' grids start at infeasible cells, whose dual steps
-    # meet slots tied in the dual ratio test: the least-indexed variable of
-    # those enters, and the grids at 1/2 take 35 and 44 steps (with the
-    # most-indexed they took 38 and 46, to the same reports)
+    # the block games' grids start at infeasible cells, so their second
+    # cells start from the start dictionary too; their dual steps meet
+    # slots tied in the dual ratio test, the least-indexed variable of
+    # those enters, and the grids at 1/2 take 41 and 45 steps
     half = Fraction(1, 2)
     assert count(lambda: approx_absolute(
-        block_game(rank1_family(2), rank1_family(3)), half)) == 35
+        block_game(rank1_family(2), rank1_family(3)), half)) == 41
     assert count(lambda: approx_absolute(
-        block_game(rank1_family(3), rank1_family(3)), half)) == 44
+        block_game(rank1_family(3), rank1_family(3)), half)) == 45
     # a 20x20 game whose a + b = u v^T, with a in +-99 and u, v in 1..9:
     # the start dictionary's cost row, 1 in every slot, steers its first
-    # cell's dual steps to a feasible basis near the start (with a cost
-    # row of 0 every column ties, and the grid took 420 steps; the cold
-    # two-phase first cell took 362)
+    # cell's dual steps to a feasible basis near the slack basis
     rng = random.Random(2)
     a = random_matrix(rng, 20, 20, -99, 99)
     u, v = ([rng.randint(1, 9) for _ in range(20)] for _ in range(2))
     big = BimatrixGame(a, [[ui * vj - e for vj, e in zip(v, row)]
                            for ui, row in zip(u, a)])
-    assert count(lambda: approx_absolute(big, Fraction(1, 4))) == 265
+    assert count(lambda: approx_absolute(big, Fraction(1, 4))) == 203
 
-    # Bland's two-phase path stays pinned on the same first cells: a form
-    # that is not seeded solves its first cell cold
+    # a fresh form's solve of the same first cells, solve_lp's path: two
+    # pivots bring the sum rows in, then dual and primal steps
     def first_cell(game, eps, scheme):
         grid = reference_grid_lp(game, scheme)
         rhs, objective = reference_grid_cells(game, eps, scheme)[0]
@@ -563,11 +559,11 @@ def test_pivot_path_length_pinned(monkeypatch):
             [(b.numerator, b.denominator) for b in rhs], int_row(objective))
 
     for game, eps, scheme, pivots in [
-        (rank1_family(5), Fraction(1, 10), "abs", 11),
-        (rank1_family(4), Fraction(1, 4), "rel", 12),
-        (rank1_family(7), Fraction(1, 5), "abs", 12),
-        (rank1_family(10), Fraction(1, 5), "abs", 12),
-        (rank1_family(8), Fraction(1, 7), "abs", 12),
+        (rank1_family(5), Fraction(1, 10), "abs", 7),
+        (rank1_family(4), Fraction(1, 4), "rel", 6),
+        (rank1_family(7), Fraction(1, 5), "abs", 8),
+        (rank1_family(10), Fraction(1, 5), "abs", 8),
+        (rank1_family(8), Fraction(1, 7), "abs", 8),
     ]:
         run = first_cell(game, eps, scheme)
         assert count(run) == pivots

@@ -16,7 +16,6 @@ from rankgames import (
     solve_linear_system,
 )
 from rankgames import lp as lp_module
-from rankgames.approx import _start_dictionary
 from rankgames.linalg import int_row
 from rankgames.lp import LpSolution, StandardForm
 
@@ -30,8 +29,7 @@ from helpers import (
     reference_grid_lp,
     reference_lex_optimum,
     reference_price_out,
-    reference_shifted_rhs,
-    reference_tableau,
+    reference_start,
 )
 
 
@@ -277,16 +275,18 @@ def _random_bounds(rng, nvars, rational):
 
 def test_standard_form_rows_match_reference_builder():
     # bounds of every kind: constants shift the rows' right-hand sides, free
-    # variables split in two, finite boxes add bound rows; negative
-    # right-hand sides flip rows, and the flips move the artificials. The
-    # form is built on the reduction solve_lp runs, and its tableau must be
-    # the reference's, rebuilt from the bounded LP's Fractions
+    # variables split in two, finite boxes add bound rows, and a crossed
+    # box's bound row starts at a negative right-hand side; a >= row is
+    # negated so its slack starts basic, and equality rows are pivoted in.
+    # The form is built on the reduction solve_lp runs, and its start
+    # dictionary must be the reference's, rebuilt from the bounded LP's
+    # Fractions
     rng = random.Random(523)
 
     def rational(bound):
         return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
 
-    crossed = flipped = solved = 0
+    crossed = negative = inconsistent = solved = 0
     for _ in range(120):
         nvars, nrows = rng.randint(1, 4), rng.randint(1, 4)
         lower, upper = _random_bounds(rng, nvars, rational)
@@ -296,16 +296,23 @@ def test_standard_form_rows_match_reference_builder():
             [rng.choice(["<=", ">=", "="]) for _ in range(nrows)],
             [rational(6) for _ in range(nrows)], lower, upper)
         form = _standard_form(lp)
-        if reference_tableau(lp) is None:
-            crossed += 1
-            assert _solve(form, lp).status == "infeasible"
-            continue
         other = replace(lp, rhs=tuple(rational(6) for _ in range(nrows)))
         assert _standard_form(other).rows == form.rows
         for ref in (lp, other):
             red = lp_module._reduce_bounds(ref)[0]
-            assert form._tableau(_pairs(red.rhs)) == reference_tableau(ref)
-            flipped += any(b < 0 for b in reference_shifted_rhs(ref))
+            start = form._start(_pairs(red.rhs))
+            expected = reference_start(ref)
+            if expected is None:
+                inconsistent += 1
+                assert start is None
+            else:
+                assert start == (_pairs(red.rhs), *expected)
+                negative += any(row[-2] < 0 for row in start[1])
+        if any(lo is not None and up is not None and up < lo
+               for lo, up in zip(lower, upper)):
+            crossed += 1
+            assert _solve(form, lp).status == "infeasible"
+            continue
         # one form serves any number of solves
         assert _solve(form, other) == solve_lp(other)
         assert _solve(form, lp) == solve_lp(lp)
@@ -318,7 +325,8 @@ def test_standard_form_rows_match_reference_builder():
                 solved += 1
                 assert sol.objective_value == sum(
                     (c * x for c, x in zip(obj, sol.x)), Fraction(0))
-    assert crossed >= 10 and flipped >= 100 and solved >= 80
+    assert crossed >= 10 and negative >= 100 and solved >= 80
+    assert inconsistent >= 10
 
 
 def test_bounds_reduce_to_nonnegative_and_free_variables(monkeypatch):
@@ -398,22 +406,45 @@ def _named(lp):
         e * c for e, (c, _) in zip(lp.objective, shift)))
 
 
+# the absolute grids of the two block games run every cell, and some of
+# their warm optima are tied and finish lexicographically; NEG's factor
+# rows take negative right-hand sides, SHARED's rows share a factor with
+# their denominator, and a relative grid keeps its cost
+WARM_GRIDS = [
+    ("abs", block_game(rank1_family(2), rank1_family(3)), Fraction(1, 2)),
+    ("abs", block_game(rank1_family(3), rank1_family(3)), Fraction(1, 2)),
+    ("abs", NEG, Fraction(1, 2)),
+    ("abs", SHARED, Fraction(1)),
+    ("rel", rank1_family(4), Fraction(1, 4)),
+]
+
+
+def _grid_cells(game, eps, scheme, limit=None):
+    """The reference LP of a grid and its cells' LPs, in cell order."""
+    lp = reference_grid_lp(game, scheme)
+    return lp, [replace(lp, rhs=tuple(rhs), objective=tuple(objective))
+                for rhs, objective
+                in reference_grid_cells(game, eps, scheme, limit=limit)]
+
+
 def test_warm_solves_equal_cold_solves(monkeypatch):
     # a form keeps the dictionary of its last optimal solve and re-solves
-    # from it. Whatever the form solved before, a result's status and
-    # optimal value must be a fresh form's cold solve's; a warm optimum
-    # must be the named one, the lexicographically greatest optimal point
-    # (reference_lex_optimum), and a solve the warm path hands back (None)
-    # the cold solve's. The sequences are the cells of grids, in product
-    # order and shuffled, and random LPs whose right-hand sides and
-    # objectives move between solves
-    kept = []  # (form, warm result or None) of each solve with a kept dictionary
+    # from it. Whatever the form solved before, a result must be
+    # solve_lp's, whose fresh form solves once from its start dictionary;
+    # it must be the named optimum, the lexicographically greatest optimal
+    # point (reference_lex_optimum), whenever that exists, and a solve the
+    # warm path hands back (None) restarts from the start dictionary. The
+    # sequences are the cells of grids, in product order and shuffled, and
+    # random LPs whose right-hand sides and objectives move between solves
+    kept = []  # (form, result or None) of each solve from a kept dictionary
     warm, finish = StandardForm._warm, StandardForm._lex_finish
     finishes = []
 
-    def recorded(form, rhs, zrow):
-        kept.append((form, warm(form, rhs, zrow)))
-        return kept[-1][1]
+    def recorded(form, rhs, zrow, start=None):
+        result = warm(form, rhs, zrow, start)
+        if start is None:
+            kept.append((form, result))
+        return result
 
     def counted(form, *args):
         finishes.append(finish(form, *args))
@@ -424,35 +455,20 @@ def test_warm_solves_equal_cold_solves(monkeypatch):
     rng = random.Random(3001)
 
     def solve(form, lp, named=_named):
-        before, finished = len(kept), len(finishes)
+        finished = len(finishes)
         sol = _solve(form, lp)
-        cold = solve_lp(lp)
-        assert (sol.status, sol.objective_value) == (cold.status,
-                                                     cold.objective_value)
-        if len(kept) > before and kept[-1][1] is not None:
-            assert sol.status != "optimal" or sol == named(lp)
-        else:
-            assert sol == cold
+        assert sol == solve_lp(lp)
+        ref = named(lp)
+        if ref is not None:
+            assert sol == ref
         if False in finishes[finished:]:
             # the finish found a tie-break objective unbounded
-            assert named(lp) is None
+            assert ref is None
         return sol
 
-    # the absolute grids of the two block games run every cell, and some of
-    # their warm optima are tied and finish lexicographically; NEG's factor
-    # rows take negative right-hand sides, SHARED's rows share a factor
-    # with their denominator, and a relative grid keeps its cost
     grids = []
-    for scheme, game, eps in [
-        ("abs", block_game(rank1_family(2), rank1_family(3)), Fraction(1, 2)),
-        ("abs", block_game(rank1_family(3), rank1_family(3)), Fraction(1, 2)),
-        ("abs", NEG, Fraction(1, 2)),
-        ("abs", SHARED, Fraction(1)),
-        ("rel", rank1_family(4), Fraction(1, 4)),
-    ]:
-        lp = reference_grid_lp(game, scheme)
-        cells = [replace(lp, rhs=tuple(rhs), objective=tuple(objective))
-                 for rhs, objective in reference_grid_cells(game, eps, scheme)]
+    for scheme, game, eps in WARM_GRIDS:
+        lp, cells = _grid_cells(game, eps, scheme)
         shuffled = rng.sample(cells, len(cells))
         names = {}
 
@@ -466,11 +482,11 @@ def test_warm_solves_equal_cold_solves(monkeypatch):
             form = _standard_form(lp)
             for cell in order:
                 solve(form, cell, named)
-            grids.append(Counter("cold" if r is None else r[0]
+            grids.append(Counter("handed back" if r is None else r[0]
                                  for f, r in kept if f is form))
-    # no grid cell goes cold: each warm solve ends optimal, at the named
-    # optimum, or proves the cell infeasible
-    assert not any(grid["cold"] for grid in grids)
+    # no grid cell is handed back: each warm solve ends optimal, at the
+    # named optimum, or proves the cell infeasible
+    assert not any(grid["handed back"] for grid in grids)
     assert sum(grid["optimal"] for grid in grids) >= 240
     assert sum(grid["infeasible"] for grid in grids) >= 70
     assert len(finishes) >= 15
@@ -480,8 +496,8 @@ def test_warm_solves_equal_cold_solves(monkeypatch):
 
     # random LPs over bounded and free variables: a step moves each
     # right-hand side with probability 1/2, an equality row's with 1/10,
-    # which sends the solve cold, and keeps the objective half the time.
-    # A tie-break objective unbounded on the optimal face sends it cold too
+    # which hands the solve back, and keeps the objective half the time.
+    # A tie-break objective unbounded on the optimal face hands it back too
     statuses = Counter()
     equality_moves = 0
     del kept[:], finishes[:]
@@ -505,7 +521,7 @@ def test_warm_solves_equal_cold_solves(monkeypatch):
                 lp = replace(lp, objective=tuple(rational(5)
                                                  for _ in range(nvars)))
             statuses[solve(form, lp).status] += 1
-    results = Counter("cold" if r is None else r[0] for _, r in kept)
+    results = Counter("handed back" if r is None else r[0] for _, r in kept)
     assert min(statuses.values()) >= 150 and len(statuses) == 3
     assert min(results.values()) >= 50 and len(results) == 4
     assert equality_moves >= 80
@@ -513,49 +529,244 @@ def test_warm_solves_equal_cold_solves(monkeypatch):
     assert finishes.count(True) >= 5 and finishes.count(False) >= 10
 
 
-def test_seeded_form_solves_every_cell_as_cold():
-    # a grid seeds its form with the dictionary of a start basis for its
-    # first cell (approx._start_dictionary), so every cell starts warm.
-    # Each result, the first cell's included, must have a fresh form's
-    # cold status and optimal value, and its optimum must be the named one
-    # (reference_lex_optimum). An infeasible solve keeps the dictionary it
-    # started from, so after an infeasible first cell the next cell starts
-    # from the start dictionary. The grids are the block games, whose
-    # first cells are infeasible, NEG and SHARED, a relative grid, and
-    # drawn games' absolute grids, each run over its first 16 cells
+def test_grid_forms_solve_every_cell_as_solve_lp(monkeypatch):
+    # a grid's form solves its first cell from its start dictionary
+    # (StandardForm._start), and each later cell from the last optimal
+    # dictionary. Each result, the first cell's included, must be
+    # solve_lp's, and its optimum the named one (reference_lex_optimum).
+    # An infeasible solve keeps the dictionary it found, none at all
+    # before the first feasible cell, so each cell up to that one starts
+    # from _start. The grids are the block games, whose first cells are
+    # infeasible, NEG and SHARED, a relative grid, and drawn games'
+    # absolute grids, each run over its first 16 cells
+    starts = []
+    start = StandardForm._start
+
+    def recorded(form, rhs):
+        starts.append(form)
+        return start(form, rhs)
+
+    monkeypatch.setattr(StandardForm, "_start", recorded)
     rng = random.Random(3803)
-    grids = [
-        ("abs", block_game(rank1_family(2), rank1_family(3)), Fraction(1, 2)),
-        ("abs", block_game(rank1_family(3), rank1_family(3)), Fraction(1, 2)),
-        ("abs", NEG, Fraction(1, 2)),
-        ("abs", SHARED, Fraction(1)),
-        ("rel", rank1_family(4), Fraction(1, 4)),
-    ]
+    grids = list(WARM_GRIDS)
     grids += [("abs", random_game(rng, rng.randint(1, 3), rng.randint(1, 3)),
                Fraction(1, rng.randint(1, 3))) for _ in range(60)]
     statuses, firsts = Counter(), Counter()
     for scheme, game, eps in grids:
-        lp = reference_grid_lp(game, scheme)
-        cells = [replace(lp, rhs=tuple(rhs), objective=tuple(objective))
-                 for rhs, objective
-                 in reference_grid_cells(game, eps, scheme, limit=16)]
+        lp, cells = _grid_cells(game, eps, scheme, limit=16)
         form = _standard_form(lp)
-        first = _pairs(cells[0].rhs)
-        form.seed(first, *_start_dictionary(game, form, first))
+        feasible = False
         for cell in cells:
             kept = form._kept
+            del starts[:]
             got = _solve(form, cell)
-            cold = solve_lp(cell)
-            assert (got.status, got.objective_value) == (cold.status,
-                                                         cold.objective_value)
+            assert got == solve_lp(cell)
             if got.status == "optimal":
                 assert got == reference_lex_optimum(cell)
             if got.status == "infeasible":
                 assert form._kept is kept
+            assert [f for f in starts if f is form] == [form] * (not feasible)
+            feasible = feasible or got.status == "optimal"
             statuses[got.status] += 1
         firsts[solve_lp(cells[0]).status] += 1
     assert statuses["optimal"] >= 150 and statuses["infeasible"] >= 250
     assert firsts["infeasible"] >= 15 and firsts["optimal"] >= 30
+
+
+def test_one_lp_one_optimum():
+    # one LP gets one point however it is solved: by solve_lp, by a fresh
+    # form, and by one warm form that solved other LPs on the same rows
+    # before it. The point is reference_lex_optimum's when that exists,
+    # and on the bounded LPs status and value are the vertex oracle's. The
+    # LPs are the cells of the WARM_GRIDS grids, which one form per grid
+    # solves in shuffled order, and seeded and drawn bounded LPs, each
+    # solved after the others drawn on its rows
+    rng = random.Random(4201)
+    seen = Counter()
+
+    def agree(warm, lp, brute):
+        sol = solve_lp(lp)
+        assert _solve(_standard_form(lp), lp) == sol
+        assert _solve(warm, lp) == sol
+        named = reference_lex_optimum(lp)
+        if named is not None:
+            assert sol == named
+        if brute:
+            value = _brute_force_optimum(lp)
+            assert (sol.status, sol.objective_value) == (
+                ("infeasible", None) if value is None else ("optimal", value))
+        seen[sol.status, named is not None] += 1
+
+    for scheme, game, eps in WARM_GRIDS:
+        lp, cells = _grid_cells(game, eps, scheme)
+        warm = _standard_form(lp)
+        for cell in rng.sample(cells, len(cells)):
+            agree(warm, cell, False)
+
+    def moved(lp, objective, rhs):
+        """lp with a new objective and new right-hand sides on its rows,
+        the box row's kept."""
+        return replace(lp, objective=tuple(map(Fraction, objective)),
+                       rhs=tuple(map(Fraction, rhs)) + lp.rhs[-1:])
+
+    for _ in range(40):
+        nvars, nrows = rng.randint(2, 3), rng.randint(2, 4)
+        lp = _random_lp(rng, nvars, nrows, box=20)
+        warm = _standard_form(lp)
+        for _ in range(4):
+            agree(warm, lp, True)
+            lp = moved(lp, [rng.randint(-5, 5) for _ in range(nvars)],
+                       [rng.randint(-6, 6) for _ in range(nrows)])
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def rationals(bound):
+        return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 7))
+
+    @st.composite
+    def lps(draw):
+        nvars, nrows = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+        vector = st.lists(rationals(5), min_size=nvars, max_size=nvars)
+        rows = draw(st.lists(st.lists(rationals(4), min_size=nvars,
+                                      max_size=nvars),
+                             min_size=nrows, max_size=nrows))
+        senses = draw(st.lists(st.sampled_from(["<=", ">=", "="]),
+                               min_size=nrows, max_size=nrows))
+        rhs = st.lists(rationals(6), min_size=nrows, max_size=nrows)
+        # box row keeps the region bounded so the oracle is complete
+        lp = linear_program(draw(vector), rows + [[1] * nvars],
+                            senses + ["<="], draw(rhs) + [20])
+        return lp, draw(st.lists(st.tuples(vector, rhs), max_size=3))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(lps())
+    def check(drawn):
+        lp, steps = drawn
+        warm = _standard_form(lp)
+        agree(warm, lp, True)
+        for objective, rhs in steps:
+            agree(warm, moved(lp, objective, rhs), True)
+
+    check()
+    assert seen["optimal", True] >= 220 and seen["infeasible", True] >= 190
+
+
+def test_start_drops_a_redundant_equality_row():
+    # the second equality row is twice the first: the start pivots x_1 in
+    # on the first, finds the second with no nonzero column and a
+    # right-hand side of 0, and drops it. Its dictionary has one row fewer
+    # than the LP, and a form that keeps it solves warm from it
+    lp = linear_program([1, -1, 0], [[1, 1, 1], [2, 2, 2], [1, 0, 0]],
+                        ["=", "=", "<="], [1, 2, Fraction(1, 2)])
+    form = _standard_form(lp)
+    start = form._start(_pairs(lp.rhs))
+    assert start == (_pairs(lp.rhs), *reference_start(lp))
+    assert start[2:] == ([0, 3], [1, 2])
+    for cap in (Fraction(1, 2), 0, 2, -1):
+        cell = replace(lp, rhs=lp.rhs[:2] + (Fraction(cap),))
+        sol = _solve(form, cell)
+        assert sol == solve_lp(cell) == reference_lex_optimum(cell)
+        assert sol.objective_value == (None if cap < 0 else -1)
+        assert len(form._kept[1]) == 3  # two constraint rows and the cost
+
+
+def test_start_proves_inconsistent_equalities_infeasible():
+    # the second equality row is twice the first but for its right-hand
+    # side: the start finds it with no nonzero column and a right-hand side
+    # of 1, which proves the LP infeasible before any simplex step. A form
+    # that kept a dictionary, for consistent rows, hands the solve back and
+    # keeps that dictionary
+    lp = linear_program([1, 1], [[1, 1], [2, 2]], ["=", "="], [1, 3])
+    form = _standard_form(lp)
+    assert form._start(_pairs(lp.rhs)) is None
+    assert reference_start(lp) is None
+    assert _solve(form, lp) == solve_lp(lp) == LpSolution("infeasible", None,
+                                                           None)
+    assert _brute_force_optimum(lp) is None
+    consistent = replace(lp, rhs=(Fraction(1), Fraction(2)))
+    assert _solve(form, consistent).objective_value == 1
+    kept = form._kept
+    assert _solve(form, lp).status == "infeasible"
+    assert form._kept is kept
+
+
+def test_equality_change_restarts_from_start(monkeypatch):
+    # a kept dictionary cannot take a new right-hand side on an equality
+    # row, which has no slack: the warm path hands the solve back, and it
+    # runs from the start dictionary for the new right-hand sides
+    calls = []
+    begin, warm = StandardForm._start, StandardForm._warm
+
+    def started(form, rhs):
+        calls.append((form, "start", rhs))
+        return begin(form, rhs)
+
+    def warmed(form, rhs, zrow, start=None):
+        result = warm(form, rhs, zrow, start)
+        calls.append((form, "warm", start is not None,
+                      None if result is None else result[0]))
+        return result
+
+    monkeypatch.setattr(StandardForm, "_start", started)
+    monkeypatch.setattr(StandardForm, "_warm", warmed)
+    lp = linear_program([-1, -2, 1], [[1, 1, 1], [1, -1, 0]], ["=", "<="],
+                        [2, 1])
+    form = _standard_form(lp)
+    assert _solve(form, lp) == solve_lp(lp)
+    del calls[:]
+    # the <= row's right-hand side moves warm, the equality row's restarts
+    for rhs in ((2, 0), (3, 0)):
+        cell = replace(lp, rhs=tuple(map(Fraction, rhs)))
+        assert _solve(form, cell) == reference_lex_optimum(cell)
+    assert [c[1:] for c in calls if c[0] is form] == [
+        ("warm", False, "optimal"), ("warm", False, None),
+        ("start", [(3, 1), (0, 1)]), ("warm", True, "optimal")]
+
+
+def test_unbounded_tie_break_ends_where_it_stands():
+    # min 5/2 x_1 s.t. -2 x_1 = 1, x_1 and x_2 free: x_1 = -1/2, and the
+    # optimal face is unbounded in x_2, so the tie-break "maximize x_2" is
+    # unbounded and the LP has no named optimum. From the start dictionary
+    # the finish ends where it stands; a form that kept a dictionary from
+    # other objectives hands the solve back, and restarts, to the same
+    # point
+    lp = linear_program([Fraction(5, 2), 0], [[-2, 0]], ["="], [1],
+                        lower=[None, None])
+    assert reference_lex_optimum(lp) is None
+    fresh = _solve(_standard_form(lp), lp)
+    assert fresh == solve_lp(lp) == LpSolution(
+        "optimal", (Fraction(-1, 2), Fraction(0)), Fraction(-5, 4))
+    form = _standard_form(lp)
+    for objective in ([0, 0], [1, 1], [-3, 0], [0, -1], [5, 0]):
+        other = replace(lp, objective=tuple(map(Fraction, objective)))
+        assert _solve(form, other) == solve_lp(other)
+        assert _solve(form, lp) == fresh
+
+
+def test_infeasible_first_cell_starts_the_next_from_start(monkeypatch):
+    # the first cell of the rank1(2)/rank1(3) block game's absolute grid is
+    # infeasible: its solve keeps no dictionary, so the second cell starts
+    # from the start dictionary for its own right-hand sides
+    starts = []
+    start = StandardForm._start
+
+    def recorded(form, rhs):
+        starts.append((form, rhs))
+        return start(form, rhs)
+
+    monkeypatch.setattr(StandardForm, "_start", recorded)
+    lp, cells = _grid_cells(block_game(rank1_family(2), rank1_family(3)),
+                            Fraction(1, 2), "abs", limit=2)
+    form = _standard_form(lp)
+    assert _solve(form, cells[0]).status == "infeasible"
+    assert form._kept is None
+    got = _solve(form, cells[1])
+    assert got == solve_lp(cells[1]) == reference_lex_optimum(cells[1])
+    assert [rhs for f, rhs in starts if f is form] == [
+        _pairs(cell.rhs) for cell in cells]
+    assert form._kept is not None
 
 
 def test_warm_solves_reach_the_named_optimum(monkeypatch):
@@ -650,7 +861,8 @@ def test_price_out_matches_pricing_every_basic_column(monkeypatch):
     # reference pivots on every basic column of the full tableau, whose
     # other basic columns are unit columns no pivot changes. Restricted to
     # the nonbasic columns, the reference rows must be the dictionary rows
-    # integer for integer, in phase 1 and phase 2
+    # integer for integer, for the LP's cost and for each tie-break
+    # objective of the lexicographic finish
     rng = random.Random(617)
     price_out = lp_module._price_out
     calls = []
@@ -668,8 +880,11 @@ def test_price_out_matches_pricing_every_basic_column(monkeypatch):
         calls.clear()
         solve_lp(_random_lp(rng, rng.randint(2, 4), rng.randint(2, 4), box=20))
         per_lp.append(len(calls))
-    # two calls: phase 1 with artificials, then phase 2
-    assert per_lp.count(2) >= 50 and per_lp.count(1) >= 10
+    # an infeasible LP prices out nothing; a feasible one prices out its
+    # cost once the dual steps reach a feasible basis, and a tied optimum
+    # one tie-break objective per variable its finish maximizes
+    assert per_lp.count(0) >= 45 and per_lp.count(1) >= 45
+    assert sum(calls > 1 for calls in per_lp) >= 5
 
 
 def test_row_permutation_keeps_objective():
@@ -691,19 +906,34 @@ def test_row_permutation_keeps_objective():
             assert sol2.objective_value == sol.objective_value
 
 
-def test_bland_pivot_path_golden():
-    # both LPs have a whole edge of optima; the returned vertex is the one
-    # Bland's rule reaches, so these pin the pivot path (phase 2 alone, and
-    # phase 1 with artificials then phase 2)
+def test_bland_pivot_path_golden(monkeypatch):
+    # both LPs have a whole edge of optima, and each pivot is pinned as
+    # (row, slot). The first starts feasible at its slack basis: Bland's
+    # rule brings x_1 in, then x_2 in its place, which ends at
+    # (0, 1, 0, 0); the lexicographic finish then raises x_4 along the
+    # edge, to the named optimum (0, 1, 0, 1/2). The second pivots x_2 and
+    # then x_1 into its two equality rows and takes two more steps, to the
+    # named optimum (1/2, 0, 0, 1)
+    pivots = []
+    pivot = lp_module.pivot
+
+    def recorded(rows, r, col):
+        pivots.append((r, col))
+        pivot(rows, r, col)
+
+    monkeypatch.setattr(lp_module, "pivot", recorded)
     sol = solve_lp(linear_program(
         [-1, -1, -2, 0], [[2, 1, 2, 0], [2, 0, 1, 2], [1, 0, 0, 1]],
         ["<=", "<=", "<="], [1, 1, 2]))
-    assert sol.x == (0, 1, 0, 0)
+    assert sol.x == (0, 1, 0, Fraction(1, 2))
     assert sol.objective_value == -1
+    assert pivots == [(0, 0), (0, 1), (1, 3)]
+    del pivots[:]
     sol = solve_lp(linear_program(
         [0, -1, -1, -2], [[0, 1, 2, 2], [2, 2, 1, 0]], ["=", "="], [2, 1]))
     assert sol.x == (Fraction(1, 2), 0, 0, 1)
     assert sol.objective_value == -2
+    assert pivots == [(0, 1), (1, 0), (1, 1), (0, 1)]
 
 
 @pytest.mark.parametrize("call, error, message", [
